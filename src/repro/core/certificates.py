@@ -11,7 +11,15 @@ gossip protocol that uses this schedule.
 The norm is increasing in ``λ`` and the resulting bound improves as ``λ``
 grows, so :func:`certify_protocol` can optionally binary-search the largest
 ``λ`` that keeps the norm at 1, producing the strongest certificate the
-schedule admits.
+schedule admits.  The search stops as soon as the bracket's midpoint rounds
+to one of its ends: no later step could move the bracket, so stopping early
+returns the same ``λ`` the full iteration budget would.
+
+Every step of that search is one :meth:`~repro.core.delay.DelayDigraph.norm`
+evaluation, which indexes a power table with the digraph's precompiled,
+deduplicated exponent patterns and takes one batched SVD per block shape
+(see :mod:`repro.core.delay`); the analytic ``λ*`` comes from the scipy-free
+Brent solver of :mod:`repro.core.roots`.
 """
 
 from __future__ import annotations
@@ -131,6 +139,10 @@ def certify_protocol(
         When true, binary-search the largest ``λ ∈ (0, 1)`` with
         ``‖M(λ)‖ ≤ 1``; concrete schedules are usually strictly better than
         the worst case of Lemma 4.3, so this yields stronger certificates.
+        Cannot be combined with an explicit ``lam``.
+    lambda_iterations:
+        Upper bound on the bisection steps; the search ends earlier once
+        the bracket can no longer shrink.
 
     Periods 1 and 2 are rejected in every mode: Theorem 4.1 is stated for
     ``s ≥ 3`` (the paper's "``s ≤ 2``" remark), and evaluating the delay
@@ -138,6 +150,11 @@ def certify_protocol(
     the 2-systolic full-duplex schedule on ``C(6)`` gossips in 3 rounds
     while the naive certificate claims 4).
     """
+    if lam is not None and optimize_lambda:
+        raise BoundComputationError(
+            f"certify_protocol got both lam={lam!r} and optimize_lambda=True; "
+            "the λ search would discard the explicit λ, so pass only one"
+        )
     protocol, period = _as_protocol(protocol_or_schedule, unroll_periods)
     if period < 3:
         raise BoundComputationError(
@@ -157,6 +174,8 @@ def certify_protocol(
         else:
             for _ in range(lambda_iterations):
                 mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break
                 if delay.norm(mid) <= 1.0:
                     lo = mid
                 else:

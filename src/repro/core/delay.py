@@ -12,6 +12,18 @@ middle endpoint, ``M(λ)`` is block diagonal with one block ``Mx(λ)`` per
 vertex ``x`` (the paper's "local protocol at x"), so
 ``‖M(λ)‖ = max_x ‖Mx(λ)‖`` — the computation this module exposes.
 
+Only the entries of a block depend on ``λ``; where they sit does not.
+:class:`DelayDigraph` therefore compiles each vertex's block once into an
+integer *exponent pattern* ``D[r, c] = j − i`` (0 outside the window
+``1 ≤ j − i < s``), so that ``Mx(λ)`` is the power table
+``[0, λ, λ², …, λ^{s−1}]`` indexed by ``D``.  Vertices whose patterns are
+identical (every vertex of a vertex-transitive schedule, say) share one
+block, and the distinct patterns are stacked by shape: :meth:`DelayDigraph.norm`
+costs one table lookup and one batched singular-value computation per
+block shape, whatever the number of vertices.  The dense
+:meth:`DelayDigraph.delay_matrix` is built independently from
+:meth:`DelayDigraph.arcs` and serves as the cross-check.
+
 The same construction applies verbatim to full-duplex protocols; only the
 analytic bound on the block norms changes (Section 6).  The idealised
 full-duplex local matrix of Fig. 7 is provided by
@@ -89,6 +101,20 @@ class DelayDigraph:
         for node in self.nodes:
             self._incoming.setdefault(node.head_index, []).append(node)
             self._outgoing.setdefault(node.tail_index, []).append(node)
+        # Exponent pattern of every local block: D[r, c] = j - i inside the
+        # window 1 <= j - i < s, 0 (the table slot holding 0.0) outside it.
+        self._patterns: dict[int, np.ndarray] = {}
+        for x in self._incoming.keys() | self._outgoing.keys():
+            rows = np.array([node.round for node in self._incoming.get(x, ())], dtype=np.intp)
+            cols = np.array([node.round for node in self._outgoing.get(x, ())], dtype=np.intp)
+            delta = cols[np.newaxis, :] - rows[:, np.newaxis]
+            self._patterns[x] = np.where((delta >= 1) & (delta < s), delta, 0)
+        # The distinct patterns of the active vertices, stacked by shape.
+        by_shape: dict[tuple[int, ...], dict[bytes, np.ndarray]] = {}
+        for x in self._incoming.keys() & self._outgoing.keys():
+            pattern = self._patterns[x]
+            by_shape.setdefault(pattern.shape, {}).setdefault(pattern.tobytes(), pattern)
+        self._stacks = [np.stack(list(distinct.values())) for distinct in by_shape.values()]
 
     # ------------------------------------------------------------------ #
     # structure
@@ -147,32 +173,32 @@ class DelayDigraph:
         ``1 ≤ j - i < s`` and 0 otherwise.
         """
         self._check_lambda(lam)
-        graph = self.protocol.graph
-        x = graph.index(vertex)
-        rows = self._incoming.get(x, [])
-        cols = self._outgoing.get(x, [])
-        block = np.zeros((len(rows), len(cols)), dtype=float)
-        for r, first in enumerate(rows):
-            for c, second in enumerate(cols):
-                delta = second.round - first.round
-                if 1 <= delta < self.period:
-                    block[r, c] = lam**delta
-        return block
+        pattern = self._patterns.get(self.protocol.graph.index(vertex))
+        if pattern is None:
+            return np.zeros((0, 0), dtype=float)
+        return self._powers(lam)[pattern]
 
     def local_norm(self, vertex: Vertex, lam: float) -> float:
         """``‖Mx(λ)‖`` for one vertex."""
         return euclidean_norm(self.local_block(vertex, lam))
 
     def norm(self, lam: float) -> float:
-        """``‖M(λ)‖ = max_x ‖Mx(λ)‖`` (norm property 8 of Section 2)."""
+        """``‖M(λ)‖ = max_x ‖Mx(λ)‖`` (norm property 8 of Section 2).
+
+        One batched SVD per shape of the distinct local blocks.
+        """
         self._check_lambda(lam)
+        powers = self._powers(lam)
         best = 0.0
-        graph = self.protocol.graph
-        for x in set(self._incoming) & set(self._outgoing):
-            value = self.local_norm(graph.vertex(x), lam)
+        for stack in self._stacks:
+            value = float(np.linalg.svd(powers[stack], compute_uv=False).max())
             if value > best:
                 best = value
         return best
+
+    def _powers(self, lam: float) -> np.ndarray:
+        """The table ``[0, λ, λ², …, λ^{s−1}]`` the exponent patterns index."""
+        return np.array([0.0] + [lam**k for k in range(1, self.period)])
 
     @staticmethod
     def _check_lambda(lam: float) -> None:

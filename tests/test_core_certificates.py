@@ -13,9 +13,38 @@ from repro.gossip.model import Mode
 from repro.gossip.simulation import gossip_time
 from repro.protocols.complete import complete_graph_schedule
 from repro.protocols.cycle import cycle_systolic_schedule
+from repro.protocols.generic import coloring_systolic_schedule
 from repro.protocols.hypercube import hypercube_dimension_exchange
 from repro.protocols.path import path_systolic_schedule
+from repro.topologies.classic import cycle_graph, grid_2d, hypercube, torus_2d
 from repro.topologies.debruijn import de_bruijn
+
+HALF, FULL = Mode.HALF_DUPLEX, Mode.FULL_DUPLEX
+
+#: ``(lam, norm, certified_rounds)`` of ``certify_protocol(optimize_lambda=True)``,
+#: floats by ``repr``, computed with one SVD per vertex block and all 60
+#: bisection steps: the deduplicated batched norm and the early bisection
+#: stop must reproduce them exactly.  The battery of
+#: ``benchmarks/bench_thm41_certificates.py`` plus the colouring schedules of
+#: the ``optimize-small`` benchmark instances.
+CERTIFICATE_PINS = [
+    (lambda: hypercube_dimension_exchange(3, FULL), 0.6251363369914195, 0.9999999999999997, 3),
+    (lambda: hypercube_dimension_exchange(4, FULL), 0.5504579136783923, 1.0, 3),
+    (lambda: complete_graph_schedule(16, HALF), 0.6287784741874087, 1.0, 3),
+    (lambda: path_systolic_schedule(10, HALF), 0.6823278038280193, 1.0, 3),
+    (lambda: cycle_systolic_schedule(12, HALF), 0.6823278038280193, 1.0, 3),
+    (lambda: coloring_systolic_schedule(de_bruijn(2, 4), HALF), 0.6509874418520005, 1.0, 3),
+    (lambda: coloring_systolic_schedule(cycle_graph(128), HALF), 0.6823278038280193, 1.0, 6),
+    (lambda: coloring_systolic_schedule(cycle_graph(64), HALF), 0.6823278038280193, 1.0, 5),
+    (lambda: coloring_systolic_schedule(grid_2d(8, 8), FULL), 0.5504579136783923, 1.0, 4),
+    (lambda: coloring_systolic_schedule(hypercube(6), HALF), 0.6216240355089699, 1.0, 5),
+    (lambda: coloring_systolic_schedule(torus_2d(8, 8), HALF), 0.6287784741874087, 1.0, 5),
+    (lambda: coloring_systolic_schedule(de_bruijn(2, 5), HALF), 0.6514571559147893, 1.0, 4),
+]
+PIN_IDS = [
+    "Q3-fd", "Q4-fd", "K16-hd", "P10-hd", "C12-hd", "DB(2,4)-hd",
+    "C128-hd", "C64-hd", "grid8x8-fd", "Q6-hd", "torus8x8-hd", "DB(2,5)-hd",
+]
 
 
 class TestAnalyticLambda:
@@ -89,6 +118,25 @@ class TestCertifyProtocol:
         schedule = cycle_systolic_schedule(8, Mode.HALF_DUPLEX)
         with pytest.raises(BoundComputationError):
             certify_protocol(schedule, lam=1.5)
+
+    def test_explicit_lambda_with_optimize_rejected(self):
+        # The λ search would silently discard the explicit λ.
+        schedule = cycle_systolic_schedule(8, Mode.HALF_DUPLEX)
+        with pytest.raises(BoundComputationError, match="optimize_lambda"):
+            certify_protocol(schedule, lam=0.3, optimize_lambda=True)
+
+    @pytest.mark.parametrize(
+        "factory, lam, norm, certified_rounds", CERTIFICATE_PINS, ids=PIN_IDS
+    )
+    def test_optimized_certificate_pinned_bit_for_bit(
+        self, factory, lam, norm, certified_rounds
+    ):
+        certificate = certify_protocol(factory(), optimize_lambda=True)
+        assert (certificate.lam, certificate.norm, certificate.certified_rounds) == (
+            lam,
+            norm,
+            certified_rounds,
+        )
 
     def test_explicit_protocol_accepted(self):
         schedule = cycle_systolic_schedule(6, Mode.HALF_DUPLEX)

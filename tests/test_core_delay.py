@@ -18,8 +18,15 @@ from repro.gossip.model import GossipProtocol, Mode
 from repro.protocols.cycle import cycle_systolic_schedule
 from repro.protocols.hypercube import hypercube_dimension_exchange
 from repro.protocols.path import path_systolic_schedule
-from repro.topologies.classic import path_graph
+from repro.topologies.classic import cycle_graph, grid_2d, hypercube, path_graph
 from repro.topologies.debruijn import de_bruijn
+
+DIFFERENTIAL_GRAPHS = {
+    "C(10)": lambda: cycle_graph(10),
+    "grid3x4": lambda: grid_2d(3, 4),
+    "Q3": lambda: hypercube(3),
+    "DB(2,3)": lambda: de_bruijn(2, 3),
+}
 
 
 class TestConstruction:
@@ -101,6 +108,26 @@ class TestDelayMatrix:
         delay = DelayDigraph(protocol, period=1)
         assert delay.vertices_with_activity() == []
         assert delay.norm(0.5) == 0.0
+
+    @pytest.mark.parametrize("period", range(3, 9))
+    @pytest.mark.parametrize(
+        "mode", [Mode.HALF_DUPLEX, Mode.FULL_DUPLEX], ids=lambda mode: mode.value
+    )
+    @pytest.mark.parametrize("graph_name", sorted(DIFFERENTIAL_GRAPHS))
+    def test_compiled_blocks_match_dense_matrix(self, graph_name, mode, period):
+        # The dense matrix is built from arcs(), independently of the
+        # compiled exponent patterns behind norm() and local_block().
+        graph = DIFFERENTIAL_GRAPHS[graph_name]()
+        schedule = random_systolic_schedule(graph, period, mode, seed=period)
+        delay = DelayDigraph(schedule.unroll(3 * period), period=period)
+        for lam in (0.1, 0.3, 0.5, 0.7, 0.9):
+            dense = delay.delay_matrix(lam)
+            assert delay.norm(lam) == pytest.approx(euclidean_norm(dense), rel=1e-9)
+            for x in range(graph.n):
+                rows = [i for i, node in enumerate(delay.nodes) if node.head_index == x]
+                cols = [i for i, node in enumerate(delay.nodes) if node.tail_index == x]
+                block = delay.local_block(graph.vertex(x), lam)
+                assert np.array_equal(block, dense[np.ix_(rows, cols)])
 
     def test_norm_monotone_in_lambda(self):
         schedule = cycle_systolic_schedule(8, Mode.HALF_DUPLEX)

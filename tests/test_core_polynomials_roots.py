@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +22,19 @@ from repro.core.polynomials import (
     p_polynomial,
     split_period,
 )
-from repro.core.roots import bisection_root, solve_unit_root
+from repro.core.roots import bisection_root, brent_root, solve_unit_root
 from repro.exceptions import BoundComputationError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Every norm-bound equation the library solves: both modes over the periods
+#: the experiments reach, and both non-systolic limits.
+NORM_BOUND_FAMILIES = {
+    "half-duplex": [lambda x, s=s: half_duplex_norm_bound(s, x) for s in range(3, 257)],
+    "full-duplex": [lambda x, s=s: full_duplex_norm_bound(s, x) for s in range(3, 257)],
+    "half-duplex-limit": [half_duplex_norm_bound_limit],
+    "full-duplex-limit": [full_duplex_norm_bound_limit],
+}
 
 
 class TestPPolynomial:
@@ -181,9 +197,61 @@ class TestRootSolving:
         with pytest.raises(BoundComputationError):
             solve_unit_root(lambda x: 2.0 + x)  # already above 1
 
-    def test_fallback_bisection_agrees_with_brent(self):
-        lam_brent = solve_unit_root(lambda x: half_duplex_norm_bound(4, x))
-        lam_bisect = bisection_root(
-            lambda x: half_duplex_norm_bound(4, x) - 1.0, 1e-12, 1 - 1e-12
+    @pytest.mark.parametrize("family", sorted(NORM_BOUND_FAMILIES))
+    def test_bisection_oracle_agrees_with_brent(self, family):
+        for norm_bound in NORM_BOUND_FAMILIES[family][::16]:
+            lam_brent = solve_unit_root(norm_bound)
+            lam_bisect = bisection_root(lambda x: norm_bound(x) - 1.0, 1e-12, 1 - 1e-12)
+            assert lam_brent == pytest.approx(lam_bisect, abs=1e-9)
+
+    @pytest.mark.parametrize("family", sorted(NORM_BOUND_FAMILIES))
+    def test_brent_port_matches_scipy_brentq_exactly(self, family):
+        optimize = pytest.importorskip("scipy.optimize")
+        for norm_bound in NORM_BOUND_FAMILIES[family]:
+            expected = optimize.brentq(
+                lambda x: norm_bound(x) - 1.0,
+                1e-15,
+                1 - 1e-13,
+                xtol=1e-12,
+                rtol=8.881784197001252e-16,
+            )
+            assert solve_unit_root(norm_bound) == expected
+
+    def test_brent_simple_and_endpoint_roots(self):
+        assert brent_root(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(
+            math.sqrt(2.0), abs=1e-12
         )
-        assert lam_brent == pytest.approx(lam_bisect, abs=1e-9)
+        assert brent_root(lambda x: x, 0.0, 1.0) == 0.0
+        assert brent_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+    def test_brent_bad_bracket_and_non_convergence(self):
+        with pytest.raises(BoundComputationError, match="does not change sign"):
+            brent_root(lambda x: x * x + 1.0, 0.0, 1.0)
+        with pytest.raises(BoundComputationError, match="did not converge"):
+            brent_root(lambda x: x * x - 2.0, 0.0, 2.0, max_iterations=2)
+
+    def test_certified_gap_imports_no_scipy(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            from repro.gossip.model import Mode
+            from repro.protocols.generic import coloring_systolic_schedule
+            from repro.search import certified_gap
+            from repro.topologies.classic import cycle_graph
+
+            schedule = coloring_systolic_schedule(cycle_graph(8), Mode.HALF_DUPLEX)
+            report = certified_gap(schedule)
+            assert report.certified_rounds is not None, report
+            assert report.analytic_coefficient is not None, report
+            print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+            """
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=120,
+        )
+        assert completed.stdout.strip() == "[]"
