@@ -17,7 +17,7 @@ returns the same ``λ`` the full iteration budget would.
 
 Every step of that search is one :meth:`~repro.core.delay.DelayDigraph.norm`
 evaluation, which indexes a power table with the digraph's precompiled,
-deduplicated exponent patterns and takes one batched SVD per block shape
+deduplicated exponent patterns and takes one SVD per distinct pattern
 (see :mod:`repro.core.delay`); the analytic ``λ*`` comes from the scipy-free
 Brent solver of :mod:`repro.core.roots`.
 """

@@ -18,9 +18,9 @@ integer *exponent pattern* ``D[r, c] = j − i`` (0 outside the window
 ``1 ≤ j − i < s``), so that ``Mx(λ)`` is the power table
 ``[0, λ, λ², …, λ^{s−1}]`` indexed by ``D``.  Vertices whose patterns are
 identical (every vertex of a vertex-transitive schedule, say) share one
-block, and the distinct patterns are stacked by shape: :meth:`DelayDigraph.norm`
-costs one table lookup and one batched singular-value computation per
-block shape, whatever the number of vertices.  The dense
+block, so :meth:`DelayDigraph.norm` costs one table lookup and one
+singular-value computation per distinct pattern, however many vertices
+share it.  The dense
 :meth:`DelayDigraph.delay_matrix` is built independently from
 :meth:`DelayDigraph.arcs` and serves as the cross-check.
 
@@ -109,12 +109,13 @@ class DelayDigraph:
             cols = np.array([node.round for node in self._outgoing.get(x, ())], dtype=np.intp)
             delta = cols[np.newaxis, :] - rows[:, np.newaxis]
             self._patterns[x] = np.where((delta >= 1) & (delta < s), delta, 0)
-        # The distinct patterns of the active vertices, stacked by shape.
-        by_shape: dict[tuple[int, ...], dict[bytes, np.ndarray]] = {}
+        # The distinct patterns of the active vertices: equal patterns give
+        # equal blocks, so the norm needs each one once.
+        distinct: dict[tuple[tuple[int, ...], bytes], np.ndarray] = {}
         for x in self._incoming.keys() & self._outgoing.keys():
             pattern = self._patterns[x]
-            by_shape.setdefault(pattern.shape, {}).setdefault(pattern.tobytes(), pattern)
-        self._stacks = [np.stack(list(distinct.values())) for distinct in by_shape.values()]
+            distinct.setdefault((pattern.shape, pattern.tobytes()), pattern)
+        self._distinct_patterns = list(distinct.values())
 
     # ------------------------------------------------------------------ #
     # structure
@@ -185,16 +186,11 @@ class DelayDigraph:
     def norm(self, lam: float) -> float:
         """``‖M(λ)‖ = max_x ‖Mx(λ)‖`` (norm property 8 of Section 2).
 
-        One batched SVD per shape of the distinct local blocks.
+        One SVD per distinct local block.
         """
         self._check_lambda(lam)
         powers = self._powers(lam)
-        best = 0.0
-        for stack in self._stacks:
-            value = float(np.linalg.svd(powers[stack], compute_uv=False).max())
-            if value > best:
-                best = value
-        return best
+        return max((euclidean_norm(powers[p]) for p in self._distinct_patterns), default=0.0)
 
     def _powers(self, lam: float) -> np.ndarray:
         """The table ``[0, λ, λ², …, λ^{s−1}]`` the exponent patterns index."""

@@ -3,7 +3,7 @@
 Every lower bound in the paper reduces to finding the unique ``λ ∈ (0, 1)``
 with ``f(λ) = 1`` for a strictly increasing ``f`` (the norm-bound function of
 the relevant mode and period).  :func:`solve_unit_root` brackets the root on
-``(0, 1)`` and runs :func:`brent_root`, an in-repo port of Brent's method
+``(0, 1)`` and runs an in-repo port of Brent's method
 (R. P. Brent, *Algorithms for Minimization without Derivatives*, 1973) that
 follows the iteration of ``scipy.optimize.brentq`` operation for operation,
 so it returns the same float for the same tolerances.  Root solving
@@ -20,7 +20,7 @@ from collections.abc import Callable
 
 from repro.exceptions import BoundComputationError
 
-__all__ = ["solve_unit_root", "brent_root", "bisection_root"]
+__all__ = ["solve_unit_root", "bisection_root"]
 
 #: Default absolute tolerance on λ. The paper quotes e(s) to four decimals;
 #: 1e-12 in λ is far more than enough for that.
@@ -31,6 +31,9 @@ DEFAULT_TOLERANCE = 1e-12
 RELATIVE_TOLERANCE = 8.881784197001252e-16
 
 _UPPER_LIMIT = 1.0 - 1e-13
+
+#: Iteration cap of the Brent port, ``scipy.optimize.brentq``'s ``maxiter``.
+_BRENT_MAX_ITERATIONS = 100
 
 
 def bisection_root(
@@ -64,14 +67,7 @@ def bisection_root(
     return 0.5 * (lo + hi)
 
 
-def brent_root(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    *,
-    xtol: float = DEFAULT_TOLERANCE,
-    max_iterations: int = 100,
-) -> float:
+def _brent_root(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
     """Brent's method for ``f(x) = 0`` on a sign-changing bracket ``[a, b]``.
 
     The root ``x0`` returned satisfies ``|x - x0| ≤ xtol + rtol·|x0|`` for the
@@ -92,7 +88,7 @@ def brent_root(
             f"Brent bracket [{a}, {b}] does not change sign: f(a)={f_pre}, f(b)={f_cur}"
         )
     x_blk = f_blk = s_pre = s_cur = 0.0
-    for _ in range(max_iterations):
+    for _ in range(_BRENT_MAX_ITERATIONS):
         if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
             x_blk, f_blk = x_pre, f_pre
             s_pre = s_cur = x_cur - x_pre
@@ -126,7 +122,7 @@ def brent_root(
             x_cur += delta if s_bis > 0 else -delta
         f_cur = f(x_cur)
     raise BoundComputationError(
-        f"Brent's method did not converge in {max_iterations} iterations on [{a}, {b}]"
+        f"Brent's method did not converge in {_BRENT_MAX_ITERATIONS} iterations on [{a}, {b}]"
     )
 
 
@@ -158,7 +154,7 @@ def solve_unit_root(
             "This happens for degenerate periods (e.g. the half-duplex bound with s <= 2)."
         )
 
-    root = brent_root(g, lo, hi, xtol=tolerance)
+    root = _brent_root(g, lo, hi, tolerance)
     if not 0.0 < root < 1.0:
         raise BoundComputationError(f"root solver returned λ={root} outside (0, 1)")
     return root

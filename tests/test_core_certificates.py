@@ -23,7 +23,7 @@ HALF, FULL = Mode.HALF_DUPLEX, Mode.FULL_DUPLEX
 
 #: ``(lam, norm, certified_rounds)`` of ``certify_protocol(optimize_lambda=True)``,
 #: floats by ``repr``, computed with one SVD per vertex block and all 60
-#: bisection steps: the deduplicated batched norm and the early bisection
+#: bisection steps: the deduplicated norm and the early bisection
 #: stop must reproduce them exactly.  The battery of
 #: ``benchmarks/bench_thm41_certificates.py`` plus the colouring schedules of
 #: the ``optimize-small`` benchmark instances.

@@ -22,7 +22,8 @@ from repro.core.polynomials import (
     p_polynomial,
     split_period,
 )
-from repro.core.roots import bisection_root, brent_root, solve_unit_root
+from repro.core import roots
+from repro.core.roots import bisection_root, solve_unit_root
 from repro.exceptions import BoundComputationError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -218,17 +219,18 @@ class TestRootSolving:
             assert solve_unit_root(norm_bound) == expected
 
     def test_brent_simple_and_endpoint_roots(self):
-        assert brent_root(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(
+        assert roots._brent_root(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12) == pytest.approx(
             math.sqrt(2.0), abs=1e-12
         )
-        assert brent_root(lambda x: x, 0.0, 1.0) == 0.0
-        assert brent_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+        assert roots._brent_root(lambda x: x, 0.0, 1.0, 1e-12) == 0.0
+        assert roots._brent_root(lambda x: x - 1.0, 0.0, 1.0, 1e-12) == 1.0
 
-    def test_brent_bad_bracket_and_non_convergence(self):
+    def test_brent_bad_bracket_and_non_convergence(self, monkeypatch):
         with pytest.raises(BoundComputationError, match="does not change sign"):
-            brent_root(lambda x: x * x + 1.0, 0.0, 1.0)
-        with pytest.raises(BoundComputationError, match="did not converge"):
-            brent_root(lambda x: x * x - 2.0, 0.0, 2.0, max_iterations=2)
+            roots._brent_root(lambda x: x * x + 1.0, 0.0, 1.0, 1e-12)
+        monkeypatch.setattr(roots, "_BRENT_MAX_ITERATIONS", 2)
+        with pytest.raises(BoundComputationError, match="did not converge in 2 iterations"):
+            roots._brent_root(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12)
 
     def test_certified_gap_imports_no_scipy(self):
         script = textwrap.dedent(
