@@ -92,12 +92,12 @@ from repro.gossip.engines._bitops import (
     BIT_LUT as _BIT_LUT,
     WORD_MASK as _WORD_MASK,
     WORD_SHIFT as _WORD_SHIFT,
+    ap_segments as _ap_segments,
     compile_head_groups as _compile_head_groups,
     numpy_available,
     pack_int as _pack_int,
     unpack_rows as _unpack_rows,
 )
-from repro.gossip.engines.vectorized import _ap_segments
 from repro.gossip.simulation import _program_for
 
 __all__ = [
@@ -400,24 +400,15 @@ def _run_batched(
     scratch_rows = max((g.m + g.uheads.size for g in groups if g.m), default=0)
 
     # Strided fast path per slot: a vertex-disjoint matching round whose
-    # head-sorted arcs decompose into a few arithmetic progressions (the
-    # vectorized engine's AP segments) is applied *densely* through
+    # head-sorted arcs decompose into a few arithmetic progressions
+    # (``_bitops.ap_segments``) is applied *densely* through
     # copy-free slice views — and the sparse set of faulted transmissions
     # is snapshot/restored around the dense OR.  That is exact precisely
     # because of disjointness: a failed arc's head receives from no other
     # arc this round (heads distinct), and its pre-round row is never a
     # source for anyone (no head is a tail), so restoring it yields the
     # same state as never firing the arc.
-    segments = []
-    for g in groups:
-        seg = None
-        if (
-            g.m
-            and g.heads_distinct
-            and np.intersect1d(g.src_tails, g.uheads).size == 0
-        ):
-            seg = _ap_segments(g.src_tails, g.uheads)
-        segments.append(seg)
+    segments = _slot_segments(groups)
 
     executed = 0
     batch = 1
@@ -490,7 +481,7 @@ def _run_batched(
 
 
 def _slot_segments(groups: list) -> list:
-    """Per-slot AP segments (or ``None``) exactly as the batched kernel's."""
+    """Per-slot AP segments (or ``None``) for the batched kernels."""
     segments = []
     for g in groups:
         seg = None

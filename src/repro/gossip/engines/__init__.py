@@ -5,9 +5,10 @@ Four backends ship with the library:
 * ``"reference"`` — the pure-Python arbitrary-precision-integer loop
   (:mod:`repro.gossip.engines.reference`), the semantic oracle;
 * ``"vectorized"`` — the packed ``uint64`` NumPy bitset kernel
-  (:mod:`repro.gossip.engines.vectorized`), with L2-tiled gather/scatter;
-  typically 10-100× faster than the reference on instances with thousands
-  of vertices;
+  (:mod:`repro.gossip.engines.vectorized`): one source-map gather-OR per
+  round on cache-resident matrices, row-permuted L2-tiled gather/scatter
+  on larger ones; typically 10-100× faster than the reference on
+  instances with thousands of vertices;
 * ``"frontier"`` — the sparse frontier-propagation engine
   (:mod:`repro.gossip.engines.frontier`), which transmits only
   newly-learned (vertex, item) pairs each round;

@@ -6,12 +6,14 @@ as an ``(n, W) uint64`` matrix in little-endian word order (bit ``j`` of a
 row lives in word ``j // 64`` at position ``j % 64``), so that a row
 reinterpreted as little-endian bytes equals the reference engine's Python
 integer exactly.  The helpers here convert between that layout and Python
-integers and expand packed words into bit coordinates, and
+integers and expand packed words into bit coordinates,
 :class:`HeadGroups` / :func:`dense_apply_grouped` hold the one copy of the
 head-grouped gather/``reduceat``/diff slot core (whose snapshot-semantics
 subtleties — gather every tail row before any head row is written — live
-here once).  Any future packed-bitset backend should build on these rather
-than reaching into another engine's internals.
+here once), and :func:`ap_segments` is the strided decomposition of
+matching rounds shared by the vectorized engine and the fault kernel.  Any
+future packed-bitset backend should build on these rather than reaching
+into another engine's internals.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "numpy_available",
     "packed_width",
     "pack_int",
+    "pack_rows",
     "unpack_words",
     "unpack_rows",
     "popcount_total",
@@ -39,6 +42,7 @@ __all__ = [
     "HeadGroups",
     "compile_head_groups",
     "dense_apply_grouped",
+    "ap_segments",
 ]
 
 WORD_BITS = 64
@@ -78,14 +82,30 @@ def pack_int(value: int, words: int) -> np.ndarray:
     return np.frombuffer(value.to_bytes(words * WORD_BYTES, "little"), dtype="<u8").copy()
 
 
+def pack_rows(values, words: int) -> np.ndarray:
+    """Pack Python integers into a writable ``(len(values), words)`` uint64
+    matrix, one row per value — the start state of every packed engine.
+
+    One ``bytearray.join`` over the rows' little-endian encodings and one
+    ``frombuffer`` over the result, instead of a :func:`pack_int` call (and
+    its NumPy dispatch) per row.
+    """
+    width = words * WORD_BYTES
+    data = bytearray().join(value.to_bytes(width, "little") for value in values)
+    return np.frombuffer(data, dtype="<u8").reshape(-1, words)
+
+
 def unpack_words(row: np.ndarray) -> int:
     """One little-endian uint64 array back into a Python integer."""
     return int.from_bytes(np.ascontiguousarray(row, dtype="<u8").tobytes(), "little")
 
 
 def unpack_rows(matrix: np.ndarray) -> tuple[int, ...]:
-    """Reverse of :func:`pack_int`, one Python integer per row."""
+    """Reverse of :func:`pack_rows`, one Python integer per row."""
     rows, words = matrix.shape
+    if words == 1:
+        # A single uint64 word is the row's integer: NumPy converts it directly.
+        return tuple(matrix[:, 0].astype(np.uint64, copy=False).tolist())
     data = np.ascontiguousarray(matrix, dtype="<u8").tobytes()
     stride = words * WORD_BYTES
     return tuple(
@@ -226,3 +246,50 @@ def expand_delta_words(words: np.ndarray, word_cols: np.ndarray) -> tuple[np.nda
     bits = (words[:, None] & BIT_LUT[None, :]) != 0
     elements, offsets = np.nonzero(bits)
     return elements, word_cols[elements] * WORD_BITS + offsets
+
+
+#: Most arithmetic-progression runs :func:`ap_segments` decomposes a round
+#: into before declaring it irregular.
+_SEGMENT_LIMIT = 32
+
+
+def ap_segments(
+    tails: np.ndarray, heads: np.ndarray
+) -> list[tuple[slice | np.ndarray, slice]] | None:
+    """Decompose a head-sorted round into a few arithmetic-progression runs.
+
+    Rounds produced by edge colourings of regular topologies (cycles, paths,
+    grids) activate arcs at fixed strides, except for a handful of wrap-around
+    arcs.  Each returned ``(tail_part, head_slice)`` segment is applied as a
+    strided-view ufunc (``tail_part`` degrades to an index array only when the
+    run's tails are not an increasing progression), which runs at streaming
+    memory bandwidth instead of paying gather/scatter costs.  Returns ``None``
+    when the round is irregular (more than ``_SEGMENT_LIMIT`` runs), in which
+    case the caller falls back to the generic gather path.  Segments may share
+    a boundary arc; re-applying an arc is a no-op because set union is
+    idempotent and the round's rows are vertex-disjoint.
+    """
+    m = len(heads)
+    if m == 1:
+        return [(tails.copy(), slice(int(heads[0]), int(heads[0]) + 1))]
+    dh = np.diff(heads)
+    dt = np.diff(tails)
+    run_starts_arr = np.flatnonzero((dh[1:] != dh[:-1]) | (dt[1:] != dt[:-1])) + 1
+    if run_starts_arr.size + 1 > _SEGMENT_LIMIT:
+        return None
+    run_starts = [0, *run_starts_arr.tolist()]
+    run_ends = [*(s - 1 for s in run_starts_arr.tolist()), m - 2]
+    segments: list[tuple[slice | np.ndarray, slice]] = []
+    for first_diff, last_diff in zip(run_starts, run_ends):
+        first_arc, last_arc = first_diff, last_diff + 1
+        step_h = int(dh[first_diff])
+        step_t = int(dt[first_diff])
+        head_slice = slice(int(heads[first_arc]), int(heads[last_arc]) + 1, step_h)
+        if step_t > 0:
+            tail_part: slice | np.ndarray = slice(
+                int(tails[first_arc]), int(tails[last_arc]) + 1, step_t
+            )
+        else:
+            tail_part = tails[first_arc : last_arc + 1].copy()
+        segments.append((tail_part, head_slice))
+    return segments

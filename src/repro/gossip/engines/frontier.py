@@ -121,6 +121,7 @@ from repro.gossip.engines._bitops import (
     dense_apply_grouped as _dense_apply_grouped,
     numpy_available,
     pack_int as _pack_int,
+    pack_rows as _pack_rows,
     packed_width as _packed_width,
     set_bit_positions as _set_bit_positions,
     unpack_rows as _unpack_rows,
@@ -417,9 +418,7 @@ class FrontierEngine(CheckpointingMixin):
 
         words = _packed_width(n, full, start)
         bit_capacity = words * 64
-        knowledge = np.empty((n, words), dtype=np.uint64)
-        for i, value in enumerate(start):
-            knowledge[i] = _pack_int(value, words)
+        knowledge = _pack_rows(start, words)
         flat_knowledge = knowledge.reshape(-1)
         mask_words = _pack_int(full, words)
 

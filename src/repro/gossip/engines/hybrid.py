@@ -157,6 +157,7 @@ from repro.gossip.engines._bitops import (
     numpy_available,
     expand_delta_words as _expand_delta_words,
     pack_int as _pack_int,
+    pack_rows as _pack_rows,
     packed_width as _packed_width,
     set_bit_positions as _set_bit_positions,
     unpack_rows as _unpack_rows,
@@ -390,18 +391,16 @@ class HybridEngine(CheckpointingMixin):
             inv_pos = np.arange(words * 64, dtype=np.int64)
             inv_pos[pos] = np.arange(n, dtype=np.int64)
 
-        knowledge = np.empty((n, words), dtype=np.uint64)
         if initial is None and state is None:
             # The paper's initial state is the identity matrix: place each
             # vertex's own bit directly (in permuted position when relabeled).
-            knowledge[:] = 0
+            knowledge = np.zeros((n, words), dtype=np.uint64)
             bit = pos if pos is not None else np.arange(n, dtype=np.int64)
             knowledge[np.arange(n), bit // 64] = np.uint64(1) << (bit % 64).astype(
                 np.uint64
             )
         else:
-            for i, value in enumerate(start):
-                knowledge[i] = _pack_int(value, words)
+            knowledge = _pack_rows(start, words)
             if pos is not None:
                 knowledge[:] = _gather_bit_columns(knowledge, inv_pos)
         flat = knowledge.reshape(-1)

@@ -15,10 +15,11 @@ implementation:
   those balls word-contiguous, which is what makes word-granular frontier
   windows thin.  Rows (and arc routing) are untouched.
 * :func:`row_locality_permutation` — the vectorized engine's *row*
-  permutation.  Grouping the non-heads of the first non-empty round before
-  its heads turns the matching rounds of cycle/path-like colourings into
-  operations on two contiguous row blocks that run at streaming memory
-  bandwidth.  Item columns are untouched.
+  permutation for matrices too large for its source-map kernel.  Grouping
+  the non-heads of the first non-empty round before its heads turns the
+  matching rounds of cycle/path-like colourings into operations on two
+  contiguous row blocks that run at streaming memory bandwidth.  Item
+  columns are untouched.
 
 Both are pure relabelings: bit-exactness is unaffected, and the
 registry-wide differential suites certify as much.

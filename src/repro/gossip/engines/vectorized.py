@@ -4,39 +4,71 @@ Layout
 ------
 Knowledge is a ``(n, W)`` ``uint64`` matrix ``K`` with ``W = ceil(B / 64)``
 words per vertex (``B`` is ``n`` unless a caller-supplied initial state or
-target mask uses higher bits): bit ``j`` of vertex ``i``'s knowledge set
-lives in ``K[i, j // 64]`` at position ``j % 64`` (little-endian word order,
-so row ``i`` reinterpreted as little-endian bytes equals the reference
-engine's Python integer exactly).
+target mask uses higher bits): bit ``j`` of a vertex's knowledge set lives
+in word ``j // 64`` of its row at position ``j % 64`` (little-endian word
+order, so a row reinterpreted as little-endian bytes equals the reference
+engine's Python integer exactly).  Item bit columns always keep the public
+vertex indexing; the row order depends on the regime.
+
+Each run takes one of two regimes, chosen from the packed matrix size
+``n · W · 8`` bytes (:func:`_uses_source_map`):
+
+* **source map** — at most ``_SOURCE_MAP_MAX_BYTES``, a cache-resident
+  matrix.  Rows stay in public vertex order.
+* **permuted** — larger matrices.  Rows live in the locality order of
+  :func:`~repro.gossip.engines.layout.row_locality_permutation`, which puts
+  the first non-empty round's heads after its non-heads so that the
+  matching rounds of cycle/path-like colourings touch two contiguous row
+  blocks.
 
 Kernel
 ------
-Each distinct round is precompiled once into ``(tails, heads)`` ``int64``
-index arrays — for a cyclic (systolic) program this happens once per
-*period*, no matter how many times the schedule repeats.  Applying a round
-is then a bulk gather + scatter-OR::
+Each distinct round is precompiled once — for a cyclic (systolic) program
+once per *period*, no matter how many times the schedule repeats.  Both
+kernels preserve the paper's snapshot semantics: all arcs of a round act
+simultaneously on the pre-round state, even in structurally invalid rounds
+where a head is also a tail.
 
-    vals = K[tails]                    # pre-round snapshot of the senders
-    K[heads] |= vals                   # heads unique (any valid matching)
-    np.bitwise_or.at(K, heads, vals)   # unbuffered fallback otherwise
+*Source map.*  A round compiles into an ``int64`` map ``src`` with
+``src[h] = t`` for every arc ``(t, h)`` and ``src[v] = v`` for every other
+row, and is applied as two NumPy calls however its arcs are laid out::
 
-Gathering ``vals`` before the scatter preserves the paper's snapshot
-semantics (all arcs of a round act simultaneously on the pre-round state)
-even for structurally invalid rounds where a head also appears as a tail.
+    np.bitwise_or(K, K.take(src, axis=0), out=K)
+
+The ``take`` copy is the pre-round snapshot.  A round with a repeated head
+has no single map and keeps the unbuffered scatter
+``np.bitwise_or.at(K, heads, K.take(tails, axis=0))``.  On a cache-resident
+matrix a round costs NumPy dispatch rather than memory traffic, so touching
+every row once beats touching only the round's rows through many calls.
+
+*Permuted.*  A round compiles into ``(tails, heads)`` index arrays in the
+internal row order, sorted by head, plus their decomposition into
+arithmetic-progression runs (:func:`~repro.gossip.engines._bitops.ap_segments`)
+when there are few enough.  A vertex-disjoint round (every valid matching)
+is applied through the runs' copy-free strided views, or else as one bulk
+gather + scatter-OR; any other round gathers the snapshot first::
+
+    K[heads] |= K.take(tails, axis=0)                  # disjoint round
+    np.bitwise_or.at(K, heads, K.take(tails, axis=0))  # otherwise
+
+Touching only the round's rows is what wins once the matrix outgrows the
+caches.  ROADMAP.md records the sweep the threshold between the regimes
+was chosen from.
 
 Tiling
 ------
-Above n ≈ 4096 the knowledge matrix exceeds L2 and the kernel becomes
-DRAM-bandwidth-bound.  The irregular-round gather path therefore processes
-arcs in *row tiles* sized from the packed row width so that one tile's
-gather temporary plus its target rows fit the L2 budget
-(``_TILE_TARGET_BYTES``); the completion test is chunked the same way, which
-additionally lets it exit at the first incomplete row instead of scanning
-the whole matrix.  The strided-segment fast path stays untiled (it operates
-on copy-free views and allocates no temporary), and the non-disjoint
-snapshot path must stay untiled for correctness: a later tile's gather would
-observe an earlier tile's writes.  Pass ``VectorizedEngine(tile_bytes=None)``
-to disable tiling (used by the perf regression guard to compare against the
+Above n ≈ 4096 the knowledge matrix exceeds L2 and the permuted kernel
+becomes DRAM-bandwidth-bound.  Its irregular-round gather path therefore
+processes arcs in *row tiles* sized from the packed row width so that one
+tile's gather temporary plus its target rows fit the L2 budget
+(``_TILE_TARGET_BYTES``); the completion test is chunked the same way in
+both regimes, which additionally lets it exit at the first incomplete row
+instead of scanning the whole matrix (a source-map matrix always fits one
+chunk).  The strided-segment path stays untiled (it operates on copy-free
+views and allocates no temporary), and the non-disjoint snapshot path must
+stay untiled for correctness: a later tile's gather would observe an
+earlier tile's writes.  Pass ``VectorizedEngine(tile_bytes=None)`` to
+disable tiling (used by the perf regression guard to compare against the
 untiled kernel).
 
 Completion detection
@@ -46,7 +78,7 @@ doubling size (capped): the completion test — an O(n·W) comparison against
 the target mask — runs once per batch, and when a batch ends complete the
 engine rolls back to the saved pre-batch state and replays it round by
 round to pin down the *exact* completion round.  This keeps the steady-state
-per-round cost at a single gather/scatter pair, which is what makes the
+per-round cost at a single kernel application, which is what makes the
 engine an order of magnitude faster than the reference loop on instances
 with thousands of vertices.  Coverage counts use the hardware popcount
 (``np.bitwise_count``).
@@ -55,23 +87,25 @@ Checkpoint/resume
 -----------------
 The engine implements the checkpoint/resume protocol
 (:mod:`repro.gossip.engines.checkpoint`).  Snapshots are canonical: capture
-unpermutes the internal row order and unpacks the ``uint64`` matrix back to
-Python-int knowledge rows, so a state captured here resumes on any backend
-(and vice versa — resume re-packs the state's rows under this engine's row
-permutation).  The batched fast path treats requested checkpoint rounds as
-forced batch boundaries, so captures are exact without giving up the
-doubling-batch completion scan; resume restarts the doubling from the
-resume point.  ``run_checkpointed`` accepts the same caller-owned
-``slot_cache`` dict as the sparse engines; because compiled index arrays
-are expressed in the internal row order — a function of the first
-non-empty round's head set — entries are additionally keyed by that anchor
-round's identity, so a search walk that changes the permutation can never
-reuse a stale compilation.
+unpacks the ``uint64`` matrix back to Python-int knowledge rows (restoring
+public row order first in the permuted regime), so a state captured here
+resumes on any backend and in either regime, and vice versa.  The batched
+fast path treats requested checkpoint rounds as forced batch boundaries, so
+captures are exact without giving up the doubling-batch completion scan;
+resume restarts the doubling from the resume point.  ``run_checkpointed``
+accepts the same caller-owned ``slot_cache`` dict as the sparse engines.
+Source maps are in public row order, so their entries are keyed by the
+round's identity alone.  Permuted index arrays are expressed in the
+internal row order — a function of the first non-empty round's head set —
+so those entries are additionally keyed by that anchor round's identity,
+and a search walk that changes the permutation can never reuse a stale
+compilation.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 
 try:
     import numpy as np
@@ -91,8 +125,10 @@ from repro.gossip.engines.base import (
 )
 from repro.gossip.engines._bitops import (
     WORD_BYTES as _WORD_BYTES,
+    ap_segments as _ap_segments,
     numpy_available,
     pack_int as _pack_int,
+    pack_rows as _pack_rows,
     packed_width as _packed_width,
     popcount_total as _popcount_total,
     set_bit_positions as _set_bit_positions,
@@ -123,71 +159,77 @@ _BATCH_CAP = 128
 #: tile + target rows ≈ 2 resident copies per tile.
 _TILE_TARGET_BYTES = 1 << 20
 
-_SEGMENT_LIMIT = 32
+#: Largest packed matrix, in bytes (``n · W · 8``), that runs in the
+#: source-map regime; larger ones run permuted.  Chosen from the sweep in
+#: ROADMAP.md ("Current architecture notes"): the source map wins on every
+#: schedule up to n = 1024 (128 KiB) and loses on colouring schedules of
+#: cycles and paths from n = 2048 (512 KiB).
+_SOURCE_MAP_MAX_BYTES = 128 << 10
 
 
-def _ap_segments(
-    tails: np.ndarray, heads: np.ndarray
-) -> list[tuple[slice | np.ndarray, slice]] | None:
-    """Decompose a head-sorted round into a few arithmetic-progression runs.
+def _uses_source_map(n: int, words: int) -> bool:
+    """Does an ``(n, words)`` packed matrix run in the source-map regime?"""
+    return n * words * _WORD_BYTES <= _SOURCE_MAP_MAX_BYTES
 
-    Rounds produced by edge colourings of regular topologies (cycles, paths,
-    grids) activate arcs at fixed strides, except for a handful of wrap-around
-    arcs.  Each returned ``(tail_part, head_slice)`` segment is applied as a
-    strided-view ufunc (``tail_part`` degrades to an index array only when the
-    run's tails are not an increasing progression), which runs at streaming
-    memory bandwidth instead of paying gather/scatter costs.  Returns ``None``
-    when the round is irregular (more than ``_SEGMENT_LIMIT`` runs), in which
-    case the caller falls back to the generic gather path.  Segments may share
-    a boundary arc; re-applying an arc is a no-op because set union is
-    idempotent and the round's rows are vertex-disjoint.
+
+def _arc_indices(graph: Digraph, arcs: Round) -> tuple[np.ndarray, np.ndarray]:
+    """Public row indices ``(tails, heads)`` of a round's arcs, in arc order."""
+    index = graph.index
+    m = len(arcs)
+    tails = np.fromiter((index(t) for t, _ in arcs), dtype=np.int64, count=m)
+    heads = np.fromiter((index(h) for _, h in arcs), dtype=np.int64, count=m)
+    return tails, heads
+
+
+def _compile_source_map(
+    graph: Digraph, arcs: Round
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Precompile a round for the source-map kernel.
+
+    Returns ``(tails, heads, src)`` in public row order, where ``src[h] = t``
+    for every arc and ``src[v] = v`` for every other row.  ``src`` is
+    ``None`` for an empty round and for one whose heads repeat, which no
+    single map can express; :func:`_apply_source_map` then scatters through
+    ``tails`` and ``heads`` instead.
     """
-    m = len(heads)
-    if m == 1:
-        return [(tails.copy(), slice(int(heads[0]), int(heads[0]) + 1))]
-    dh = np.diff(heads)
-    dt = np.diff(tails)
-    run_starts_arr = np.flatnonzero((dh[1:] != dh[:-1]) | (dt[1:] != dt[:-1])) + 1
-    if run_starts_arr.size + 1 > _SEGMENT_LIMIT:
-        return None
-    run_starts = [0, *run_starts_arr.tolist()]
-    run_ends = [*(s - 1 for s in run_starts_arr.tolist()), m - 2]
-    segments: list[tuple[slice | np.ndarray, slice]] = []
-    for first_diff, last_diff in zip(run_starts, run_ends):
-        first_arc, last_arc = first_diff, last_diff + 1
-        step_h = int(dh[first_diff])
-        step_t = int(dt[first_diff])
-        head_slice = slice(int(heads[first_arc]), int(heads[last_arc]) + 1, step_h)
-        if step_t > 0:
-            tail_part: slice | np.ndarray = slice(
-                int(tails[first_arc]), int(tails[last_arc]) + 1, step_t
-            )
-        else:
-            tail_part = tails[first_arc : last_arc + 1].copy()
-        segments.append((tail_part, head_slice))
-    return segments
+    tails, heads = _arc_indices(graph, arcs)
+    src = None
+    if heads.size and len(set(heads.tolist())) == heads.size:
+        src = np.arange(graph.n, dtype=np.int64)
+        src[heads] = tails
+    return tails, heads, src
+
+
+def _apply_source_map(
+    knowledge: np.ndarray, compiled: tuple[np.ndarray, np.ndarray, np.ndarray | None]
+) -> None:
+    """One round as a whole-matrix OR with the rows its source map gathers."""
+    tails, heads, src = compiled
+    if src is not None:
+        # ``take`` copies, so every row ORs in its source's pre-round state.
+        np.bitwise_or(knowledge, knowledge.take(src, axis=0), out=knowledge)
+    elif heads.size:
+        # A repeated head: the unbuffered scatter accumulates all its tails.
+        np.bitwise_or.at(knowledge, heads, knowledge.take(tails, axis=0))
 
 
 def _compile_round(
     graph: Digraph, arcs: Round, old_to_new: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, bool, list[tuple[slice | np.ndarray, slice]] | None]:
-    """Precompile a round: index arrays plus the fast-path metadata.
+    """Precompile a round for the permuted kernel: index arrays plus the
+    fast-path metadata.
 
     Indices are expressed in the engine's internal (permuted) row order.
     Returns ``(tails, heads, disjoint, segments)`` where ``disjoint`` means
     no vertex is both a head and a tail and every head is distinct — true for
     every valid matching — which licenses in-place application without a
     pre-round snapshot copy, and ``segments`` is the strided decomposition of
-    :func:`_ap_segments` (``None`` for irregular rounds).
+    :func:`~repro.gossip.engines._bitops.ap_segments` (``None`` for
+    irregular rounds).
     """
-    index = graph.index
+    tails, heads = _arc_indices(graph, arcs)
+    tails, heads = old_to_new[tails], old_to_new[heads]
     m = len(arcs)
-    tails = old_to_new[
-        np.fromiter((index(t) for t, _ in arcs), dtype=np.int64, count=m)
-    ]
-    heads = old_to_new[
-        np.fromiter((index(h) for _, h in arcs), dtype=np.int64, count=m)
-    ]
     if m > 1:
         # Arcs within a round commute (each head ORs the pre-round snapshots
         # of its tails), so sorting by head index is semantics-preserving and
@@ -206,7 +248,8 @@ def _apply_round(
     compiled: tuple[np.ndarray, np.ndarray, bool, list[tuple[slice | np.ndarray, slice]] | None],
     tile_rows: int | None = None,
 ) -> None:
-    """One round: bulk OR of the senders' rows into the receivers' rows."""
+    """One permuted-regime round: bulk OR of the senders' rows into the
+    receivers' rows."""
     tails, heads, disjoint, segments = compiled
     if not tails.size:
         return
@@ -249,27 +292,35 @@ _SLOT_CACHE_LIMIT = 4096
 
 
 def _compiled_rounds(graph, rounds, old_to_new, slot_cache):
-    """Per-round compiled index arrays, memoized in ``slot_cache`` when given.
+    """Per-round compiled kernels, memoized in ``slot_cache`` when given.
 
-    Identity-keyed on the interned round tuples, like the sparse engines'
-    caches — but the compiled arrays live in the internal (permuted) row
-    order, and the permutation is a function of the first non-empty round's
-    head set.  Entries therefore also key on that anchor round's identity
-    (references to both objects are held in the value, so the ids stay
-    valid), which makes reuse across a search walk safe: a move that changes
-    the first non-empty round changes the key and forces recompilation.
+    ``old_to_new`` is ``None`` in the source-map regime.  Entries are
+    identity-keyed on the interned round tuples, like the sparse engines'
+    caches.  Source maps are in public row order, so the round's identity is
+    the whole key.  Permuted index arrays live in the internal row order,
+    and the permutation is a function of the first non-empty round's head
+    set, so those entries also key on that anchor round's identity: a move
+    that changes the first non-empty round changes the key and forces
+    recompilation.  References to the keyed objects are held in the value,
+    so the ids stay valid; the two regimes' keys (an int and a pair) never
+    collide.
     """
+    if old_to_new is None:
+        anchor = None
+        compile_round = partial(_compile_source_map, graph)
+    else:
+        anchor = next((arcs for arcs in rounds if arcs), None)
+        compile_round = partial(_compile_round, graph, old_to_new=old_to_new)
     if slot_cache is None:
-        return [_compile_round(graph, arcs, old_to_new) for arcs in rounds]
-    anchor = next((arcs for arcs in rounds if arcs), None)
+        return [compile_round(arcs) for arcs in rounds]
     compiled = []
     for arcs in rounds:
-        key = (id(arcs), id(anchor))
+        key = id(arcs) if old_to_new is None else (id(arcs), id(anchor))
         entry = slot_cache.get(key)
         if entry is None:
             if len(slot_cache) >= _SLOT_CACHE_LIMIT:
                 slot_cache.clear()
-            entry = slot_cache[key] = (arcs, anchor, _compile_round(graph, arcs, old_to_new))
+            entry = slot_cache[key] = (arcs, anchor, compile_round(arcs))
         compiled.append(entry[2])
     return compiled
 
@@ -292,13 +343,16 @@ def _is_complete(knowledge: np.ndarray, mask: np.ndarray, tile_rows: int | None 
 
 
 class VectorizedEngine(CheckpointingMixin):
-    """Bulk gather/scatter over a packed ``(n, ceil(n/64)) uint64`` matrix.
+    """Bulk OR kernel over a packed ``(n, ceil(n/64)) uint64`` matrix: one
+    source-map gather-OR per round on cache-resident matrices, row-permuted
+    gather/scatter above (see the module docstring for the two regimes).
 
-    ``tile_bytes`` is the L2 budget the irregular-round gather path and the
-    completion scan are blocked to (``None`` disables tiling entirely and
-    reproduces the untiled kernel, which the perf regression guard compares
-    against).  Supports the checkpoint/resume protocol (see the module
-    docstring for how captures interact with the batched fast path).
+    ``tile_bytes`` is the L2 budget the permuted irregular-round gather path
+    and the completion scan are blocked to (``None`` disables tiling
+    entirely and reproduces the untiled kernel, which the perf regression
+    guard compares against).  Supports the checkpoint/resume protocol (see
+    the module docstring for how captures interact with the batched fast
+    path).
     """
 
     name = "vectorized"
@@ -378,13 +432,23 @@ class VectorizedEngine(CheckpointingMixin):
         # initial state or target mask carries higher bits.
         words = _packed_width(n, full, start)
 
-        # Rows live in an internal permuted order chosen for memory locality;
-        # item bit columns keep the public vertex indexing throughout.
-        new_to_old, old_to_new = _row_permutation(graph, program.rounds)
-        knowledge = np.empty((n, words), dtype=np.uint64)
-        for i, value in enumerate(start):
-            knowledge[old_to_new[i]] = _pack_int(value, words)
+        # A cache-resident matrix keeps public row order and runs the
+        # source-map kernel; a larger one lives in an internal row order
+        # chosen for memory locality.  Item bit columns keep the public
+        # vertex indexing in both regimes.
+        tile_rows = self._tile_rows(words)
+        knowledge = _pack_rows(start, words)
+        if _uses_source_map(n, words):
+            old_to_new = None
+            apply_round = _apply_source_map
+        else:
+            new_to_old, old_to_new = _row_permutation(graph, program.rounds)
+            knowledge = knowledge[new_to_old]
+            apply_round = partial(_apply_round, tile_rows=tile_rows)
         mask = _pack_int(full, words)
+
+        def public_rows(matrix: np.ndarray) -> np.ndarray:
+            return matrix if old_to_new is None else matrix[old_to_new]
 
         compiled = _compiled_rounds(graph, program.rounds, old_to_new, slot_cache)
 
@@ -392,8 +456,6 @@ class VectorizedEngine(CheckpointingMixin):
             if program.cyclic:
                 return compiled[(round_number - 1) % len(compiled)]
             return compiled[round_number - 1]
-
-        tile_rows = self._tile_rows(words)
 
         history: list[int] = []
         if track_history:
@@ -422,8 +484,9 @@ class VectorizedEngine(CheckpointingMixin):
             if state is not None:
                 # The snapshot's rows use public vertex order; load each into
                 # its internal row so in-run updates index consistently.
+                internal_row = range(n) if old_to_new is None else old_to_new.tolist()
                 for v, row in enumerate(state.arrivals):
-                    target_row = arrivals[old_to_new[v]]
+                    target_row = arrivals[internal_row[v]]
                     for j, r in enumerate(row):
                         if r is not None:
                             target_row[j] = r
@@ -451,11 +514,11 @@ class VectorizedEngine(CheckpointingMixin):
         captured: list[EngineState] = []
 
         def capture(matrix: np.ndarray, round_number: int, completed: int | None) -> None:
-            # Canonical snapshot: unpermute the rows, unpack to Python ints.
+            # Canonical snapshot: public row order, unpacked to Python ints.
             captured.append(
                 EngineState(
                     round=round_number,
-                    knowledge=_unpack_rows(matrix[old_to_new]),
+                    knowledge=_unpack_rows(public_rows(matrix)),
                     completion_round=completed,
                     target_mask=full,
                     track_history=track_history,
@@ -467,7 +530,7 @@ class VectorizedEngine(CheckpointingMixin):
                     item_completion=None if item_rounds is None else tuple(item_rounds),
                     arrivals=None
                     if arrivals is None
-                    else encode_arrivals(arrivals[old_to_new].tolist()),
+                    else encode_arrivals(public_rows(arrivals).tolist()),
                     engine_name=self.name,
                 )
             )
@@ -483,14 +546,14 @@ class VectorizedEngine(CheckpointingMixin):
             track_history or item_rounds is not None or arrivals is not None or not compiled
         ):
             knowledge, executed, completion = self._run_tracked(
-                program, compiled_at, receivers_at, knowledge, mask, history,
-                item_rounds, arrivals,
+                program, apply_round, compiled_at, receivers_at, knowledge, mask,
+                history, item_rounds, arrivals,
                 base=base, track_history=track_history, tile_rows=tile_rows,
                 wanted=wanted, ci=ci, capture=capture,
             )
         else:
             knowledge, executed, completion = self._run_fast(
-                program, compiled_at, knowledge, mask,
+                program, apply_round, compiled_at, knowledge, mask,
                 base=base, tile_rows=tile_rows, telem_counts=_counts,
                 wanted=wanted, ci=ci, capture=capture,
             )
@@ -512,10 +575,10 @@ class VectorizedEngine(CheckpointingMixin):
             graph=graph,
             rounds_executed=executed,
             completion_round=completion,
-            knowledge=_unpack_rows(knowledge[old_to_new]),
+            knowledge=_unpack_rows(public_rows(knowledge)),
             coverage_history=tuple(history),
             item_completion_rounds=None if item_rounds is None else tuple(item_rounds),
-            arrival_rounds=None if arrivals is None else ArrivalRounds(arrivals[old_to_new]),
+            arrival_rounds=None if arrivals is None else ArrivalRounds(public_rows(arrivals)),
             engine_name=self.name,
             run_stats=run_stats,
         )
@@ -525,6 +588,7 @@ class VectorizedEngine(CheckpointingMixin):
     def _run_tracked(
         self,
         program: RoundProgram,
+        apply_round,
         compiled_at,
         receivers_at,
         knowledge: np.ndarray,
@@ -561,7 +625,7 @@ class VectorizedEngine(CheckpointingMixin):
                     # them, apply, and record the freshly set bits (word
                     # scan + expansion of the nonzero words only).
                     before = knowledge[receivers]
-                    _apply_round(knowledge, compiled, tile_rows)
+                    apply_round(knowledge, compiled)
                     fresh = knowledge[receivers] & ~before
                     rows, cols = _set_bit_positions(fresh)
                     if rows.size:
@@ -570,7 +634,7 @@ class VectorizedEngine(CheckpointingMixin):
                             receivers[rows[vertex_items]], cols[vertex_items]
                         ] = round_number
                 else:
-                    _apply_round(knowledge, compiled, tile_rows)
+                    apply_round(knowledge, compiled)
             executed = round_number
             if track_history:
                 history.append(_popcount_total(knowledge))
@@ -594,6 +658,7 @@ class VectorizedEngine(CheckpointingMixin):
     def _run_fast(
         self,
         program: RoundProgram,
+        apply_round,
         compiled_at,
         knowledge: np.ndarray,
         mask: np.ndarray,
@@ -630,12 +695,12 @@ class VectorizedEngine(CheckpointingMixin):
             if telem_counts is not None:
                 telem_counts["batches"] += 1
             for offset in range(1, size + 1):
-                _apply_round(knowledge, compiled_at(executed + offset), tile_rows)
+                apply_round(knowledge, compiled_at(executed + offset))
             if _is_complete(knowledge, mask, tile_rows):
                 # Roll back and replay to pin down the exact round.
                 knowledge = saved
                 for offset in range(1, size + 1):
-                    _apply_round(knowledge, compiled_at(executed + offset), tile_rows)
+                    apply_round(knowledge, compiled_at(executed + offset))
                     if telem_counts is not None:
                         telem_counts["replayed_rounds"] += 1
                     if _is_complete(knowledge, mask, tile_rows):

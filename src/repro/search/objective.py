@@ -613,6 +613,7 @@ def evaluate_candidates(
         first.base_rounds,
         objective=objective,
         max_rounds=max_rounds,
+        incremental=incremental,
     )
     if not incremental:
         _check_objective(objective, robustness)

@@ -18,6 +18,7 @@ def pytest_configure(config):
         "timings flake on shared runners",
     )
 
+from repro.gossip.engines import vectorized
 from repro.gossip.model import Mode
 from repro.protocols.complete import complete_graph_schedule
 from repro.protocols.cycle import cycle_systolic_schedule
@@ -33,6 +34,23 @@ from repro.topologies.classic import (
 from repro.topologies.debruijn import de_bruijn, de_bruijn_digraph
 from repro.topologies.butterfly import wrapped_butterfly
 from repro.topologies.kautz import kautz_digraph
+
+
+@pytest.fixture(scope="class", params=["source-map", "permuted"])
+def vectorized_regime(request):
+    """Run the requesting tests once per vectorized kernel regime.
+
+    Every test-sized matrix falls below the engine's source-map threshold,
+    so ``"source-map"`` leaves it at its default; ``"permuted"`` sets it to
+    0, which sends every matrix through the row-permuted AP-segment /
+    gather kernel that large instances use.  Class scope keeps the patch
+    inside the requesting class (a module-level test gets its own), and
+    Hypothesis accepts it where it rejects function-scoped fixtures.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if request.param == "permuted":
+            patch.setattr(vectorized, "_SOURCE_MAP_MAX_BYTES", 0)
+        yield request.param
 
 
 @pytest.fixture

@@ -8,7 +8,8 @@ must reproduce its ``knowledge``, ``completion_round``, ``rounds_executed``,
 exactly — on every topology builder, both duplex modes, explicit and
 systolic protocols, complete and incomplete runs, matching and deliberately
 non-matching rounds.  The engine lists below are drawn from the registry,
-so newly registered backends are covered automatically.
+so newly registered backends are covered automatically, and the suite runs
+once per vectorized kernel regime (source map and row-permuted).
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ TOPOLOGIES = {
 }
 
 MODES = (Mode.HALF_DUPLEX, Mode.FULL_DUPLEX)
+
+#: Both vectorized kernel regimes answer to the oracle (see conftest.py).
+pytestmark = pytest.mark.usefixtures("vectorized_regime")
 
 
 def assert_results_identical(a, b, context=""):

@@ -8,11 +8,14 @@ reproduce the reference engine's results bit-for-bit on all of them.
 
 The candidate list is drawn from the engine registry, so a future backend
 registered via ``register_engine`` gets this fuzz coverage for free; the
-suite is ``derandomize``d so CI failures replay deterministically.
+suite is ``derandomize``d so CI failures replay deterministically.  It runs
+once per vectorized kernel regime (source map and row-permuted), so both
+answer to the oracle although every drawn matrix is small.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +40,9 @@ CANDIDATES = tuple(name for name in available_engines() if name != "reference")
 assert {"vectorized", "frontier", "hybrid"} <= set(CANDIDATES)
 
 FUZZ = settings(max_examples=120, deadline=None, derandomize=True)
+
+#: Both vectorized kernel regimes answer to the oracle (see conftest.py).
+pytestmark = pytest.mark.usefixtures("vectorized_regime")
 
 
 def check_all_engines(program: RoundProgram, options: dict, context=""):

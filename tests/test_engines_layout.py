@@ -3,9 +3,11 @@
 ``repro.gossip.engines.layout`` factors the hybrid engine's BFS item-bit
 permutation and the vectorized engine's row-locality permutation (plus the
 O(1) statistics feeding the workload-aware ``"auto"`` decision function)
-into one module.  These tests pin the transforms' contracts directly; the
-registry-wide differential suites already certify that the engines using
-them stay bit-exact.
+into one module.  These tests pin the transforms' contracts directly, along
+with the row packing every packed engine starts from and the matrix sizes
+at which the vectorized engine switches from its source-map kernel to the
+row-permuted one; the registry-wide differential suites already certify
+that the engines using them stay bit-exact.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.gossip.engines import VectorizedEngine, vectorized
+from repro.gossip.engines._bitops import pack_int, pack_rows, unpack_rows
+from repro.gossip.engines.base import RoundProgram
 from repro.gossip.engines.layout import (
     bfs_item_positions,
     gather_bit_columns,
@@ -128,3 +133,64 @@ class TestWorkloadStatistics:
         # n = 4096 is 2 MiB (vectorized wins), n = 8192 is 8 MiB (hybrid).
         assert packed_matrix_bytes(4096) == 2 << 20
         assert packed_matrix_bytes(8192) == 8 << 20
+
+
+class TestPackRows:
+    @pytest.mark.parametrize("words", [1, 2, 3])
+    def test_matches_pack_int_row_by_row(self, words):
+        rng = np.random.default_rng(words)
+        values = [int(v) for v in rng.integers(0, 2**62, size=9)]
+        values += [(1 << (64 * words)) - 1, 0, 1 << (64 * words - 1)]
+        packed = pack_rows(values, words)
+        assert packed.shape == (len(values), words)
+        assert packed.dtype == np.uint64
+        for row, value in zip(packed, values):
+            assert np.array_equal(row, pack_int(value, words))
+        assert unpack_rows(packed) == tuple(values)
+
+    def test_result_is_writable(self):
+        # Engines OR rounds into the packed start state in place.
+        packed = pack_rows([1, 2, 4], 1)
+        packed |= np.uint64(8)
+        assert unpack_rows(packed) == (9, 10, 12)
+
+    def test_unpack_rows_of_strided_single_word_view(self):
+        matrix = np.arange(12, dtype=np.uint64).reshape(6, 2)
+        assert unpack_rows(matrix[::2, 1:]) == (1, 5, 9)
+
+
+class TestVectorizedRegime:
+    """Which kernel an ``(n, words)`` packed matrix runs: the source map up
+    to ``_SOURCE_MAP_MAX_BYTES`` (128 KiB), the row-permuted kernel above."""
+
+    @pytest.mark.parametrize(
+        "n, words, source_map",
+        [
+            (1, 1, True),
+            (128, 2, True),  # optimize-small's largest instances
+            (576, 9, True),  # faults-mc's nominal grid 24x24 run
+            (1024, 16, True),  # exactly 128 KiB
+            (1025, 17, False),
+            (2048, 32, False),
+            (3072, 48, False),  # simulate-large
+            (64, 2048, False),  # few vertices, very wide caller-supplied rows
+        ],
+    )
+    def test_regime_by_packed_bytes(self, n, words, source_map):
+        assert vectorized._uses_source_map(n, words) is source_map
+
+    def test_engine_runs_the_pinned_regime(self, monkeypatch):
+        # Slot-cache keys show the regime that compiled each round: the
+        # round's identity alone for source maps, (round, anchor) pairs for
+        # permuted index arrays.
+        schedule = coloring_systolic_schedule(cycle_graph(16), Mode.HALF_DUPLEX)
+        program = RoundProgram.from_schedule(schedule)
+
+        def key_types():
+            cache: dict = {}
+            VectorizedEngine().run_checkpointed(program, slot_cache=cache)
+            return {type(key) for key in cache}
+
+        assert key_types() == {int}
+        monkeypatch.setattr(vectorized, "_SOURCE_MAP_MAX_BYTES", 0)
+        assert key_types() == {tuple}

@@ -18,7 +18,9 @@ from repro.gossip.engines import (
     register_engine,
     resolve_engine,
 )
+from repro.gossip.engines import vectorized
 from repro.gossip.engines.base import RoundProgram
+from repro.gossip.engines.layout import packed_words
 from repro.gossip.engines.vectorized import numpy_available
 from repro.gossip.model import Mode
 from repro.gossip.simulation import gossip_time, simulate_systolic
@@ -143,6 +145,66 @@ class TestTilingRegressionGuard:
         # kernel is ~1.4x faster on this workload.
         assert tiled_s <= untiled_s * 1.25, (
             f"tiled kernel regressed: tiled {tiled_s:.3f}s vs untiled {untiled_s:.3f}s"
+        )
+
+
+@pytest.mark.slow
+@pytest.mark.perf_regression
+class TestKernelRegimeGuard:
+    """Each vectorized kernel regime must win on its side of the threshold.
+
+    The engine runs matrices of at most ``_SOURCE_MAP_MAX_BYTES`` through
+    one source-map gather-OR per round and larger ones through the
+    row-permuted AP-segment/gather kernel.  Below the threshold the source
+    map must be no slower than the permuted kernel on an irregular (random)
+    schedule on C(1024), 128 KiB; above it the permuted kernel must be no
+    slower than the source map on the colouring schedule of C(4096), 2 MiB,
+    where strided segments touch only the round's rows.  Each test forces
+    both regimes by patching the threshold and checks bit-identical results
+    before comparing times.  Like the tiling guard it is
+    ``perf_regression``-marked, so only the CI perf job gates on it.
+    """
+
+    @staticmethod
+    def _best_of(program, monkeypatch, threshold, repeats):
+        monkeypatch.setattr(vectorized, "_SOURCE_MAP_MAX_BYTES", threshold)
+        engine = VectorizedEngine()
+        result = None
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            result = engine.run(program, track_history=False)
+            best = min(best, time.perf_counter() - start)
+        return best, result
+
+    def _compare(self, program, monkeypatch, repeats):
+        source_map_s, source_map = self._best_of(program, monkeypatch, 1 << 62, repeats)
+        permuted_s, permuted = self._best_of(program, monkeypatch, 0, repeats)
+        assert source_map.knowledge == permuted.knowledge
+        assert source_map.rounds_executed == permuted.rounds_executed
+        assert source_map.completion_round == permuted.completion_round
+        return source_map_s, permuted_s
+
+    def test_source_map_no_slower_below_threshold(self, monkeypatch):
+        n = 1024
+        assert vectorized._uses_source_map(n, packed_words(n))
+        schedule = random_systolic_schedule(cycle_graph(n), 4, Mode.HALF_DUPLEX, seed=3)
+        program = RoundProgram.from_schedule(schedule, 512)
+        source_map_s, permuted_s = self._compare(program, monkeypatch, repeats=5)
+        # Locally the source map takes about half the permuted kernel's time.
+        assert source_map_s <= permuted_s * 1.25, (
+            f"source map {source_map_s:.4f}s vs permuted {permuted_s:.4f}s below the threshold"
+        )
+
+    def test_permuted_no_slower_above_threshold(self, monkeypatch):
+        n = 4096
+        assert not vectorized._uses_source_map(n, packed_words(n))
+        schedule = coloring_systolic_schedule(cycle_graph(n), Mode.HALF_DUPLEX)
+        program = RoundProgram.from_schedule(schedule, 512)
+        source_map_s, permuted_s = self._compare(program, monkeypatch, repeats=3)
+        # Locally the permuted kernel is about 5x faster on this workload.
+        assert permuted_s <= source_map_s * 1.25, (
+            f"permuted {permuted_s:.4f}s vs source map {source_map_s:.4f}s above the threshold"
         )
 
 

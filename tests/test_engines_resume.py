@@ -25,7 +25,10 @@ differentially, per backend drawn from the registry:
 * **validation** — mismatched vertex counts, budgets, masks, flags and
   corrupted history prefixes are rejected with :class:`SimulationError`
   before any simulation runs, as are `resume_from`+`initial` together and
-  `checkpoint()` calls past the end of a run.
+  `checkpoint()` calls past the end of a run;
+* **kernel regimes** — the roundtrip and semantics classes run once per
+  vectorized kernel regime (source map and row-permuted), and a state
+  captured in one regime resumes in the other.
 
 A future backend registered with checkpoint support inherits the whole
 suite through the registry scan, exactly like the differential and fuzz
@@ -46,6 +49,7 @@ from repro.gossip.engines import (
     available_engines,
     get_engine,
     supports_checkpointing,
+    vectorized,
 )
 from repro.gossip.engines.base import RoundProgram
 from repro.gossip.model import Mode, SystolicSchedule, make_round
@@ -168,6 +172,7 @@ def test_registry_checkpoint_support():
     assert all(supports_checkpointing(get_engine(name)) for name in CHECKPOINTABLE)
 
 
+@pytest.mark.usefixtures("vectorized_regime")
 class TestEveryPrefixRoundtrip:
     @pytest.mark.parametrize("options", FLAG_COMBOS, ids=_flag_id)
     def test_all_flag_combos_on_cycle(self, options):
@@ -232,6 +237,7 @@ class TestEveryPrefixRoundtrip:
                 assert_results_identical(run.result, resumed, (name, consumer))
 
 
+@pytest.mark.usefixtures("vectorized_regime")
 class TestCheckpointSemantics:
     def test_completing_run_stops_capturing(self):
         """No state exists past the completion round, and the completing
@@ -295,6 +301,48 @@ class TestCheckpointSemantics:
             for consumer in CHECKPOINTABLE:
                 resumed = get_engine(consumer).resume(state, longer, track_history=True)
                 assert_results_identical(cold, resumed, (name, consumer))
+
+
+class TestKernelRegimeResume:
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_capture_in_one_regime_resume_in_the_other(self, name, monkeypatch):
+        """The source-map and permuted kernels capture identical states, and
+        each regime resumes the other's states bit-exactly.  Both regimes
+        share one slot cache, as a search walk's evaluator would."""
+        program = PROGRAMS[name]()
+        assert vectorized._uses_source_map(program.graph.n, 1)
+        options = {
+            "track_history": True,
+            "track_item_completion": True,
+            "track_arrivals": True,
+        }
+        cold = get_engine("reference").run(program, **options)
+        engine = get_engine("vectorized")
+        every = range(program.max_rounds + 1)
+        slot_cache: dict = {}
+        source_map = engine.run_checkpointed(
+            program, checkpoint_rounds=every, slot_cache=slot_cache, **options
+        )
+        monkeypatch.setattr(vectorized, "_SOURCE_MAP_MAX_BYTES", 0)
+        permuted = engine.run_checkpointed(
+            program, checkpoint_rounds=every, slot_cache=slot_cache, **options
+        )
+        assert_results_identical(cold, source_map.result, (name, "source-map"))
+        assert_results_identical(cold, permuted.result, (name, "permuted"))
+        assert len(source_map.checkpoints) == len(permuted.checkpoints)
+        for a, b in zip(source_map.checkpoints, permuted.checkpoints):
+            assert_states_identical(a, b, name)
+        for state in source_map.checkpoints:
+            resumed = engine.run_checkpointed(
+                program, resume_from=state, slot_cache=slot_cache, **options
+            ).result
+            assert_results_identical(cold, resumed, (name, "source-map->permuted", state.round))
+        monkeypatch.undo()
+        for state in permuted.checkpoints:
+            resumed = engine.run_checkpointed(
+                program, resume_from=state, slot_cache=slot_cache, **options
+            ).result
+            assert_results_identical(cold, resumed, (name, "permuted->source-map", state.round))
 
 
 class TestResumeValidation:

@@ -32,7 +32,8 @@ from hypothesis import strategies as st
 
 from repro.faults import BernoulliArcFaults
 from repro.gossip.builders import random_systolic_schedule
-from repro.gossip.engines import get_engine
+from repro.gossip import engines
+from repro.gossip.engines import ENGINE_ENV_VAR, get_engine
 from repro.gossip.model import Mode
 from repro.search import (
     CheckpointCache,
@@ -50,6 +51,7 @@ from repro.search.objective import (
     _CachedObjective,
     evaluate_program,
     program_for_rounds,
+    resolve_objective_engine,
 )
 from repro.topologies.classic import cycle_graph, grid_2d
 
@@ -202,6 +204,26 @@ class TestDriverDeterminism:
         plain = evaluate_candidates(candidates, engine="frontier")
         incremental = evaluate_candidates(candidates, engine="frontier", incremental=True)
         assert plain == incremental
+
+    def test_evaluate_candidates_resolves_auto_for_incremental_runs(self, monkeypatch):
+        """``auto`` picks the engine for checkpoint-resumed runs, like the
+        search drivers do, not the one a cold run would get."""
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        # Put C(16) past the plain-run cache crossover: cold plain runs
+        # resolve to hybrid, incremental ones to vectorized.
+        monkeypatch.setattr(engines, "_PLAIN_CACHE_CROSSOVER_BYTES", 0)
+        graph = cycle_graph(16)
+        candidates = [
+            random_systolic_schedule(graph, 3, Mode.HALF_DUPLEX, seed=i) for i in range(3)
+        ]
+        expected = resolve_objective_engine(
+            "auto", graph, candidates[0].base_rounds, incremental=True
+        ).name
+        assert expected == "vectorized"
+        scored = evaluate_candidates(candidates, engine="auto", incremental=True)
+        assert [value.engine_name for value in scored] == [expected] * len(candidates)
+        cold = evaluate_candidates(candidates, engine="auto")
+        assert [value.engine_name for value in cold] == ["hybrid"] * len(candidates)
 
 
 class TestCachedObjective:
