@@ -407,63 +407,6 @@ def test_auto_selection_report(report_sink, bench_json):
         )
 
 
-def test_frontier_presplit_speedup_report(report_sink, bench_json):
-    """Pre-split pending windows vs. the legacy ring rescan.
-
-    Tracked full-duplex cycle gossip is the frontier engine's sweet spot
-    and the workload where eliminating the per-slot window rescan pays most
-    (every vertex is a tail of every slot, so the pre-split path skips the
-    filter entirely on both ends; measured ≈1.16× locally).  Asserts the
-    default pre-split path is no slower than the rescan it replaced, and
-    that both produce bit-identical tracked results.
-    """
-    from repro.gossip.engines.frontier import FrontierEngine
-
-    graph = cycle_graph(4096)
-    schedule = coloring_systolic_schedule(graph, Mode.FULL_DUPLEX)
-    program = RoundProgram.from_schedule(schedule)
-
-    def timed(engine):
-        start = time.perf_counter()
-        result = engine.run(program, track_history=False, track_arrivals=True)
-        return time.perf_counter() - start, result
-
-    presplit_engine = FrontierEngine(presplit_windows=True)
-    rescan_engine = FrontierEngine(presplit_windows=False)
-    # Best-of-two per variant damps allocator/cache warm-up noise.
-    presplit_seconds, presplit = min(
-        timed(presplit_engine), timed(presplit_engine), key=lambda t: t[0]
-    )
-    rescan_seconds, rescan = min(
-        timed(rescan_engine), timed(rescan_engine), key=lambda t: t[0]
-    )
-
-    assert presplit.completion_round == rescan.completion_round
-    assert presplit.arrival_rounds == rescan.arrival_rounds
-    assert presplit.knowledge == rescan.knowledge
-
-    speedup = rescan_seconds / presplit_seconds
-    rows = [
-        {
-            "instance": "C(4096) full-duplex coloring, tracked arrivals",
-            "gossip_rounds": presplit.completion_round,
-            "presplit_s": presplit_seconds,
-            "rescan_s": rescan_seconds,
-            "speedup": speedup,
-        }
-    ]
-    report_sink(
-        "ENGINES: frontier pre-split windows vs. legacy ring rescan",
-        format_table(
-            rows, ["instance", "gossip_rounds", "presplit_s", "rescan_s", "speedup"]
-        ),
-    )
-    bench_json("frontier_presplit", rows)
-    assert speedup >= 1.0, (
-        f"pre-split frontier windows are {1 / speedup:.2f}x slower than the "
-        f"ring rescan on tracked full-duplex C(4096)"
-    )
-
 #: Ceiling on the recording-on / telemetry-off wall-clock ratio of the
 #: tracked C(4096) frontier row.  With telemetry off the instrumented
 #: engines pay one context-variable read per run plus dead gated-int

@@ -1,4 +1,4 @@
-"""Record one dated performance data point (JSON trajectory + run ledger).
+"""Record one dated performance data point in the JSON trajectory.
 
 Usage (from the repository root)::
 
@@ -14,20 +14,17 @@ the form ::
      "telemetry": {...}}
 
 to ``BENCH_trajectory.json`` at the repository root (``--output``
-overrides the path) **and** to the sqlite run ledger
-(:mod:`repro.telemetry.ledger`; ``--ledger`` overrides the
-``REPRO_LEDGER``/``.repro/ledger.db`` resolution, ``--no-ledger`` skips
-it).  Each section carries its own wall-clock timing, its flushed
-telemetry counters (work actually performed — rounds simulated, window
-elements routed, checkpoint reuse, Monte-Carlo batches) and its
-histogram bucket maps, so ``repro-gossip report`` and the regression
-detector (:mod:`repro.telemetry.regress`) can tell a timing shift apart
-from a workload shift per section.  The top-level ``telemetry`` block
+overrides the path).  Each section carries its own wall-clock timing, its
+flushed telemetry counters (work actually performed — rounds simulated,
+window elements routed, checkpoint reuse, Monte-Carlo batches) and its
+histogram bucket maps, so ``repro-gossip report``/``compare`` and the
+regression detector (:mod:`repro.telemetry.regress`) can tell a timing
+shift apart from a workload shift per section.  The top-level ``telemetry`` block
 keeps the across-section counter totals the earlier trajectory format
 carried.
 
-Re-running on one day replaces that day's row (and its ledger rows) —
-the trajectory holds at most one observation per date.
+Re-running on one day replaces that day's row — the trajectory holds at
+most one observation per date.
 
 The battery is deliberately much smaller than the full ``bench_*``
 scripts: the point is a cheap, committable trajectory of the same code
@@ -52,7 +49,6 @@ from repro.gossip.engines.base import RoundProgram
 from repro.gossip.model import Mode
 from repro.protocols.generic import coloring_systolic_schedule
 from repro.search import hill_climb, run_island_search
-from repro.telemetry.ledger import Ledger, record_entry
 from repro.topologies.classic import cycle_graph, grid_2d
 
 #: Battery sizes: big enough that the measured loops dominate interpreter
@@ -264,37 +260,24 @@ def append_entry(entry: dict, output: str) -> None:
         fh.write("\n")
 
 
-def record_point(output: str, ledger_path: str | None = None, *, ledger: bool = True) -> dict:
-    """Run the battery; write the JSON row and the ledger rows; return the row."""
+def record_point(output: str) -> dict:
+    """Run the battery; write the JSON row; return the row."""
     entry = build_entry()
     append_entry(entry, output)
-    if ledger:
-        with Ledger(ledger_path) as db:
-            record_entry(db, entry, entry["rev"])
     return entry
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Record one dated benchmark data point (JSON + run ledger)."
+        description="Record one dated benchmark data point in the JSON trajectory."
     )
     parser.add_argument(
         "--output",
         default=DEFAULT_OUTPUT,
         help="trajectory file to append to (default: BENCH_trajectory.json at the repo root)",
     )
-    parser.add_argument(
-        "--ledger",
-        default=None,
-        help="run-ledger database (default: REPRO_LEDGER or .repro/ledger.db)",
-    )
-    parser.add_argument(
-        "--no-ledger",
-        action="store_true",
-        help="skip the sqlite ledger and only write the JSON trajectory",
-    )
     args = parser.parse_args(argv)
-    entry = record_point(args.output, args.ledger, ledger=not args.no_ledger)
+    entry = record_point(args.output)
     best = {
         name: section.get("best_seconds", section.get("seconds"))
         for name, section in entry["sections"].items()

@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(loadable in Perfetto / chrome://tracing)",
     )
     report = sub.add_parser(
-        "report", help="summarise the persistent run ledger and flag perf anomalies"
+        "report", help="summarise the benchmark trajectory and flag perf anomalies"
     )
     report.add_argument(
         "--section", default=None, help="restrict to one benchmark section"
@@ -310,16 +310,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=5,
         help="recorded runs to show per section (default 5)",
     )
-    _add_ledger_flag(report)
+    _add_trajectory_flag(report)
     compare = sub.add_parser(
-        "compare", help="compare two recorded revisions in the run ledger"
+        "compare", help="compare two recorded revisions in the benchmark trajectory"
     )
-    compare.add_argument("rev1", help="baseline revision (as recorded in the ledger)")
+    compare.add_argument("rev1", help="baseline revision (as recorded in the trajectory)")
     compare.add_argument("rev2", help="revision to compare against the baseline")
     compare.add_argument(
         "--section", default=None, help="restrict to one benchmark section"
     )
-    _add_ledger_flag(compare)
+    _add_trajectory_flag(compare)
     everything = sub.add_parser("all", help="run every experiment (EXPERIMENTS.md source)")
     _add_engine_flag(everything)
     return parser
@@ -335,12 +335,13 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_ledger_flag(parser: argparse.ArgumentParser) -> None:
-    """``--ledger``: the sqlite run-ledger path (REPRO_LEDGER-aware default)."""
+def _add_trajectory_flag(parser: argparse.ArgumentParser) -> None:
+    """``--trajectory``: the benchmark trajectory JSON to read."""
     parser.add_argument(
-        "--ledger",
-        default=None,
-        help="run-ledger database (default: REPRO_LEDGER or .repro/ledger.db)",
+        "--trajectory",
+        default="BENCH_trajectory.json",
+        help="trajectory file written by benchmarks/record_trajectory.py "
+        "(default: BENCH_trajectory.json)",
     )
 
 
@@ -560,37 +561,43 @@ def _run_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_report(args: argparse.Namespace) -> int:
-    """The ``report`` subcommand: per-section ledger history + anomalies."""
-    from repro.telemetry.ledger import Ledger, LedgerError
-    from repro.telemetry.regress import analyze_ledger
+def _trajectory_sections(args: argparse.Namespace):
+    """Per-section observations of ``--trajectory`` (``--section`` only when
+    given), or ``None`` after printing why the file cannot be read."""
+    from repro.telemetry.regress import read_trajectory, trajectory_observations
 
     try:
-        with Ledger(args.ledger) as ledger:
-            sections = (
-                [args.section] if args.section is not None else ledger.sections()
-            )
-            if not sections:
-                print(f"ledger {ledger.path}: no recorded runs yet")
-                return 0
-            for name in sections:
-                rows = ledger.runs(section=name, last=max(0, args.last))
-                if not rows:
-                    print(f"section {name}: no recorded runs")
-                    continue
-                print(f"section {name}")
-                print(f"  {'date':<12}{'rev':<12}{'seconds':>10}  counters")
-                for row in rows:
-                    seconds = "-" if row.seconds is None else f"{row.seconds:.4f}"
-                    print(
-                        f"  {row.date:<12}{row.rev:<12}{seconds:>10}"
-                        f"  {len(row.counters)}"
-                    )
-                print()
-            findings = analyze_ledger(ledger, section=args.section)
-    except LedgerError as exc:
-        print(f"ledger error: {exc}", file=sys.stderr)
+        observations = trajectory_observations(read_trajectory(args.trajectory))
+    except (OSError, ValueError) as exc:
+        print(f"cannot read trajectory: {exc}", file=sys.stderr)
+        return None
+    if args.section is not None:
+        return {args.section: observations.get(args.section, [])}
+    return dict(sorted(observations.items()))
+
+
+def _run_report(args: argparse.Namespace) -> int:
+    """The ``report`` subcommand: per-section trajectory history + anomalies."""
+    from repro.telemetry.regress import analyze_sections
+
+    sections = _trajectory_sections(args)
+    if sections is None:
         return 1
+    if not sections:
+        print(f"trajectory {args.trajectory}: no recorded runs yet")
+        return 0
+    for name, series in sections.items():
+        rows = series[-args.last :] if args.last > 0 else []
+        if not rows:
+            print(f"section {name}: no recorded runs")
+            continue
+        print(f"section {name}")
+        print(f"  {'date':<12}{'rev':<12}{'seconds':>10}  counters")
+        for row in rows:
+            seconds = "-" if row.seconds is None else f"{row.seconds:.4f}"
+            print(f"  {row.date:<12}{row.rev:<12}{seconds:>10}  {len(row.counters)}")
+        print()
+    findings = analyze_sections(sections)
     if findings:
         for finding in findings:
             print(finding.format())
@@ -601,52 +608,39 @@ def _run_report(args: argparse.Namespace) -> int:
 
 def _run_compare(args: argparse.Namespace) -> int:
     """The ``compare`` subcommand: latest rows of two revisions, side by side."""
-    from repro.telemetry.ledger import Ledger, LedgerError
     from repro.telemetry.regress import COUNTER_THRESHOLD
 
-    try:
-        with Ledger(args.ledger) as ledger:
-            known = ledger.revisions()
-            for rev in (args.rev1, args.rev2):
-                if rev not in known:
-                    print(
-                        f"revision {rev!r} has no recorded runs in {ledger.path}"
-                        + (f" (known: {', '.join(known)})" if known else " (empty ledger)"),
-                        file=sys.stderr,
-                    )
-                    return 1
-            sections = (
-                [args.section] if args.section is not None else ledger.sections()
-            )
-            compared = 0
-            for name in sections:
-                left_rows = ledger.runs(section=name, rev=args.rev1, last=1)
-                right_rows = ledger.runs(section=name, rev=args.rev2, last=1)
-                if not left_rows or not right_rows:
-                    continue
-                left, right = left_rows[0], right_rows[0]
-                compared += 1
-                print(f"section {name}")
-                if left.seconds and right.seconds:
-                    ratio = right.seconds / left.seconds
-                    print(
-                        f"  seconds: {left.seconds:.4f} -> {right.seconds:.4f}"
-                        f"  ({ratio:.2f}x)"
-                    )
-                for counter in sorted(set(left.counters) & set(right.counters)):
-                    before, after = left.counters[counter], right.counters[counter]
-                    if before and after and (
-                        after / before > COUNTER_THRESHOLD
-                        or before / after > COUNTER_THRESHOLD
-                    ):
-                        print(
-                            f"  {counter}: {before} -> {after}"
-                            f"  ({after / before:.2f}x)"
-                        )
-                print()
-    except LedgerError as exc:
-        print(f"ledger error: {exc}", file=sys.stderr)
+    sections = _trajectory_sections(args)
+    if sections is None:
         return 1
+    known = list(dict.fromkeys(obs.rev for series in sections.values() for obs in series))
+    for rev in (args.rev1, args.rev2):
+        if rev not in known:
+            print(
+                f"revision {rev!r} has no recorded runs in {args.trajectory}"
+                + (f" (known: {', '.join(known)})" if known else " (empty trajectory)"),
+                file=sys.stderr,
+            )
+            return 1
+    compared = 0
+    for name, series in sections.items():
+        left_rows = [obs for obs in series if obs.rev == args.rev1]
+        right_rows = [obs for obs in series if obs.rev == args.rev2]
+        if not left_rows or not right_rows:
+            continue
+        left, right = left_rows[-1], right_rows[-1]
+        compared += 1
+        print(f"section {name}")
+        if left.seconds and right.seconds:
+            ratio = right.seconds / left.seconds
+            print(f"  seconds: {left.seconds:.4f} -> {right.seconds:.4f}  ({ratio:.2f}x)")
+        for counter in sorted(set(left.counters) & set(right.counters)):
+            before, after = left.counters[counter], right.counters[counter]
+            if before and after and (
+                after / before > COUNTER_THRESHOLD or before / after > COUNTER_THRESHOLD
+            ):
+                print(f"  {counter}: {before} -> {after}  ({after / before:.2f}x)")
+        print()
     if not compared:
         print(
             f"no section recorded under both {args.rev1!r} and {args.rev2!r}",

@@ -5,10 +5,11 @@ Runs ``trials`` perturbed executions of one protocol under a
 rounds and final knowledge.  Two execution paths consume the *same*
 :class:`~repro.faults.models.FaultSample` realisation:
 
-* **batched** — the vectorized engine's packed ``(n, W) uint64`` matrix
-  stacked into an ``(n, trials, W)`` tensor (trials on the *middle* axis,
-  so a round's row gathers are contiguous block copies).  Each round slot
-  is precompiled once per period into the shared head-grouped layout
+* **batched** — one tensor kernel for every batched caller.  The
+  vectorized engine's packed ``(n, W) uint64`` matrix is stacked into an
+  ``(n, cols, W)`` tensor, one column per trial (trials on the *middle*
+  axis, so a round's row gathers are contiguous block copies).  Each round
+  slot is precompiled once per period into the shared head-grouped layout
   (:class:`~repro.gossip.engines._bitops.HeadGroups`); one NumPy
   gather/mask/OR/scatter sequence then advances *all* still-active trials
   a round.  Two further ideas are lifted from the vectorized engine:
@@ -36,13 +37,13 @@ bit-exactness of fault trials for free (enforced by
 
 Candidate stacking
 ------------------
-:func:`monte_carlo_stacked` generalises the batched kernel from one
-protocol to a whole *candidate set* over the same vertex count: the tensor
-grows to ``(n, candidates · trials, W)`` with candidate-major column
-blocks, each candidate's round slots compiled once into its own
-head-grouped (and AP-segmented) layout, and every round advanced with one
-pass over the per-candidate block views.  Each candidate keeps its own
-seeded :class:`~repro.faults.models.FaultSample` (fault draws depend on
+The tensor holds a whole *candidate set* over the same vertex count:
+``(n, candidates · trials, W)`` with candidate-major column blocks, each
+candidate's round slots compiled once into its own head-grouped (and
+AP-segmented) layout, and every round advanced with one pass over the
+per-candidate block views.  :func:`monte_carlo` is the one-candidate case
+and :func:`monte_carlo_stacked` the general one.  Each candidate keeps its
+own seeded :class:`~repro.faults.models.FaultSample` (fault draws depend on
 the candidate's own horizon and arc count), so every candidate's results
 are bit-identical to a standalone :func:`monte_carlo` call — growing the
 candidate set never perturbs the trials of the candidates already in it.
@@ -165,6 +166,43 @@ def default_horizon(nominal_rounds: int, period: int, factor: int = _HORIZON_FAC
     return ((target + period - 1) // period) * period
 
 
+def _fault_sample(
+    program: RoundProgram,
+    model: FaultModel,
+    trials: int,
+    seed: int,
+    *,
+    max_rounds: int | None = None,
+    engine: str | SimulationEngine | None = "auto",
+    nominal: int | None = None,
+    factor: int = _HORIZON_FACTOR,
+) -> tuple[int | None, FaultSample]:
+    """The nominal gossip time and the seeded fault sample for one program.
+
+    The trial horizon is ``max_rounds`` when given (the nominal run is then
+    skipped and ``None`` returned in its place); otherwise it is
+    :func:`default_horizon` of the fault-free gossip time — ``nominal`` when
+    the caller already measured it, else one plain run on ``engine``, which
+    must complete.  A finite program never gets more rounds than its own
+    length.  ``sample.horizon`` is the resulting horizon.
+    """
+    if max_rounds is not None:
+        horizon = max_rounds
+    else:
+        if nominal is None:
+            result = resolve_engine(engine, program).run(program, track_history=False)
+            nominal = result.completion_round
+            if nominal is None:
+                raise SimulationError(
+                    "the fault-free protocol never completed gossip, so no default "
+                    "round budget exists; pass max_rounds explicitly"
+                )
+        horizon = default_horizon(nominal, len(program.rounds), factor)
+    if not program.cyclic:
+        horizon = min(horizon, len(program.rounds))
+    return nominal, model.sample(program, horizon, trials, seed=seed)
+
+
 def monte_carlo(
     protocol_or_schedule,
     model: FaultModel,
@@ -200,22 +238,10 @@ def monte_carlo(
     program = _program_for(protocol_or_schedule, None)
     explicit_engine = not is_auto_spec(engine) or engine_override() is not None
 
-    nominal: int | None = None
-    if max_rounds is None:
-        nominal_result = resolve_engine(engine, program).run(program, track_history=False)
-        nominal = nominal_result.completion_round
-        if nominal is None:
-            raise SimulationError(
-                "the fault-free protocol never completed gossip, so no default "
-                "round budget exists; pass max_rounds explicitly"
-            )
-        horizon = default_horizon(nominal, len(program.rounds))
-    else:
-        horizon = max_rounds
-    if not program.cyclic:
-        horizon = min(horizon, len(program.rounds))
-
-    sample = model.sample(program, horizon, trials, seed=seed)
+    nominal, sample = _fault_sample(
+        program, model, trials, seed, max_rounds=max_rounds, engine=engine
+    )
+    horizon = sample.horizon
 
     if method == "auto":
         method = "batched" if numpy_available() and not explicit_engine else "looped"
@@ -223,7 +249,9 @@ def monte_carlo(
         if not numpy_available():  # pragma: no cover - numpy is a hard dep today
             raise SimulationError("the batched Monte-Carlo path requires NumPy >= 2.0")
         _counts = {"batches": 0, "exact_replays": 0, "compactions": 0} if _telem else None
-        completion, knowledge = _run_batched(program, sample, telem_counts=_counts)
+        ((completion, knowledge),) = _run_batched_stacked(
+            [program], [sample], telem_counts=_counts
+        )
         engine_name = "montecarlo-batched"
     else:
         # Trials are finite perturbed programs, which the decision function
@@ -333,155 +361,18 @@ def _apply_masked_round(
     tensor[g.uheads] = old
 
 
-def _run_batched(
-    program: RoundProgram,
-    sample: FaultSample,
-    *,
-    telem_counts: dict | None = None,
-) -> tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...]]:
-    """All trials at once over a stacked ``(n, trials, W)`` bitset tensor.
-
-    Trials live in the *middle* axis so that gathering a round's tail rows
-    is a contiguous block copy (the gather/scatter volume — m·trials·W
-    words per round — is the inherent cost; this layout moves it at
-    streaming bandwidth instead of strided-access speed).  Completion is
-    detected as in the vectorized engine's fast path: rounds run in batches
-    of doubling size (capped at ``_BATCH_CAP``) with one full completion
-    scan per batch, and each newly-completed trial is replayed alone from
-    the saved pre-batch state to pin its exact completion round.  Applying
-    extra rounds to an already-complete trial cannot change its state (its
-    rows hold every item bit, OR is idempotent), so the replay is purely
-    about the round *number* — results stay bit-identical to the looped
-    path.  Completed trials are then dropped from the tensor, so the
-    per-round cost tracks the surviving trial count.
-    """
-    graph = program.graph
-    n = graph.n
-    trials = sample.trials
-    horizon = sample.horizon
-    words = max(1, (n + _WORD_MASK) >> _WORD_SHIFT)
-
-    groups = [_compile_head_groups(graph, arcs) for arcs in program.rounds]
-    s = len(groups)
-
-    def group_at(r: int):
-        return groups[(r - 1) % s] if program.cyclic else groups[r - 1]
-
-    # Every row must hold all n item bits to be complete.
-    full_value = (1 << n) - 1
-    full_words = _pack_int(full_value, words)
-    target = n * n
-
-    completion = np.full(trials, -1, dtype=np.int64)
-    if n == 1:
-        completion[:] = 0
-
-    # The paper's initial state, replicated per live trial column.
-    live = np.flatnonzero(completion < 0)
-    tensor = np.zeros((n, live.size, words), dtype=np.uint64)
-    rows = np.arange(n)
-    tensor[rows, :, (rows >> _WORD_SHIFT)] = _BIT_LUT[rows & _WORD_MASK][:, None]
-
-    def replay_trial(trial: int, saved_column: np.ndarray, start: int, stop: int) -> int:
-        """Exact completion round of one trial over rounds start+1 … stop."""
-        matrix = saved_column.copy()
-        for r in range(start + 1, stop + 1):
-            g = group_at(r)
-            if g.m == 0:
-                continue
-            fails = ~sample.trial_mask(trial, r)[g.arc_order]
-            _apply_masked_round(matrix, g, fails)
-            if int(np.bitwise_count(matrix).sum()) == target:
-                return r
-        raise SimulationError(  # pragma: no cover - scan/replay disagreement
-            f"replay of trial {trial} did not reach completion by round {stop}"
-        )
-
-    scratch_rows = max((g.m + g.uheads.size for g in groups if g.m), default=0)
-
-    # Strided fast path per slot: a vertex-disjoint matching round whose
-    # head-sorted arcs decompose into a few arithmetic progressions
-    # (``_bitops.ap_segments``) is applied *densely* through
-    # copy-free slice views — and the sparse set of faulted transmissions
-    # is snapshot/restored around the dense OR.  That is exact precisely
-    # because of disjointness: a failed arc's head receives from no other
-    # arc this round (heads distinct), and its pre-round row is never a
-    # source for anyone (no head is a tail), so restoring it yields the
-    # same state as never firing the arc.
-    segments = _slot_segments(groups)
-
-    executed = 0
-    batch = 1
-    buffer = np.empty((scratch_rows, live.size, words), dtype=np.uint64)
-    while executed < horizon and live.size:
-        size = min(batch, horizon - executed)
-        if telem_counts is not None:
-            telem_counts["batches"] += 1
-        saved = tensor.copy()
-        for offset in range(1, size + 1):
-            r = executed + offset
-            g = group_at(r)
-            if g.m == 0:
-                continue
-            rmask = sample.round_mask(r)[live][:, g.arc_order]
-            if not rmask.any():
-                continue
-            seg = segments[(r - 1) % s] if program.cyclic else segments[r - 1]
-            if seg is not None:
-                fails_arc, fails_col = np.nonzero(~rmask.T)
-                if fails_arc.size:
-                    kept_rows = tensor[g.uheads[fails_arc], fails_col]
-                for tail_part, head_slice in seg:
-                    targets = tensor[head_slice]
-                    sources = (
-                        tensor[tail_part]
-                        if isinstance(tail_part, slice)
-                        else tensor.take(tail_part, axis=0)
-                    )
-                    np.bitwise_or(targets, sources, out=targets)
-                if fails_arc.size:
-                    tensor[g.uheads[fails_arc], fails_col] = kept_rows
-            else:
-                _apply_masked_round(tensor, g, np.ascontiguousarray(~rmask.T), buffer)
-        done = ((tensor & full_words) == full_words).all(axis=(0, 2))
-        if done.any():
-            for position in np.flatnonzero(done):
-                completion[live[position]] = replay_trial(
-                    int(live[position]), saved[:, position], executed, executed + size
-                )
-            keep = ~done
-            dropped = int(done.sum())
-            live = live[keep]
-            tensor = np.ascontiguousarray(tensor[:, keep])
-            buffer = np.empty((scratch_rows, live.size, words), dtype=np.uint64)
-            if telem_counts is not None:
-                telem_counts["exact_replays"] += dropped
-                telem_counts["compactions"] += 1
-                telemetry.event(
-                    "faults.compaction",
-                    round=executed + size,
-                    dropped=dropped,
-                    live=int(live.size),
-                )
-        executed += size
-        batch = min(batch * 2, _BATCH_CAP)
-
-    # Completed trials ended with every item everywhere; survivors unpack.
-    knowledge: list[tuple[int, ...]] = [None] * trials  # type: ignore[list-item]
-    complete_row = (full_value,) * n
-    for t in range(trials):
-        if completion[t] >= 0:
-            knowledge[t] = complete_row
-    for position, t in enumerate(live.tolist()):
-        knowledge[t] = _unpack_rows(np.ascontiguousarray(tensor[:, position]))
-    return (
-        tuple(int(c) if c >= 0 else None for c in completion.tolist()),
-        tuple(knowledge),
-    )
-
-
 def _slot_segments(groups: list) -> list:
-    """Per-slot AP segments (or ``None``) for the batched kernels."""
+    """Per-slot AP segments (or ``None``) for the batched kernel.
+
+    A vertex-disjoint matching round whose head-sorted arcs decompose into
+    a few arithmetic progressions (``_bitops.ap_segments``) is applied
+    *densely* through copy-free slice views, and the sparse set of faulted
+    transmissions is snapshot/restored around the dense OR.  That is exact
+    precisely because of disjointness: a failed arc's head receives from no
+    other arc this round (heads distinct), and its pre-round row is never a
+    source for anyone (no head is a tail), so restoring it yields the same
+    state as never firing the arc.
+    """
     segments = []
     for g in groups:
         seg = None
@@ -501,24 +392,35 @@ def _run_batched_stacked(
     *,
     telem_counts: dict | None = None,
 ) -> list[tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...]]]:
-    """All trials of *all candidates* at once over one stacked tensor.
+    """All trials of all candidates at once over one ``(n, cols, W)`` tensor.
 
-    Generalises :func:`_run_batched`: columns of the ``(n, cols, W)`` tensor
-    are grouped into candidate-major blocks (candidate ``c``'s trials
-    occupy one contiguous column slice), and every round applies each
-    candidate's own precompiled slot — its head groups, AP segments and
-    fault mask — to its block *view*.  Compaction drops finished columns
-    but preserves column order, so the blocks stay contiguous slices and
-    every in-place round application keeps operating on views.
+    This is the one batched kernel: :func:`monte_carlo` runs it with a
+    single candidate, :func:`monte_carlo_stacked` and the search's robust
+    objective with many.  Trials live in the *middle* axis so that gathering
+    a round's tail rows is a contiguous block copy (the gather/scatter
+    volume — m·cols·W words per round — is the inherent cost; this layout
+    moves it at streaming bandwidth instead of strided-access speed).
+    Columns are grouped into candidate-major blocks (candidate ``c``'s
+    trials occupy one contiguous column slice), and every round applies
+    each candidate's own precompiled slot — its head groups, AP segments and
+    fault mask — to its block *view*.
+
+    Completion is detected as in the vectorized engine's fast path: rounds
+    run in batches of doubling size (capped at ``_BATCH_CAP``) with one full
+    completion scan per batch, and each newly-completed trial is replayed
+    alone from the saved pre-batch state to pin its exact completion round,
+    clamped to its candidate's own horizon.  Applying extra rounds to an
+    already-complete trial cannot change its state (its rows hold every
+    item bit, OR is idempotent), so the replay is purely about the round
+    *number* — results stay bit-identical to the looped path.  Completed
+    trials are then compacted out of the tensor, preserving column order so
+    the blocks stay contiguous slices and the per-round cost tracks the
+    surviving trial count.
 
     Each candidate runs against its own :class:`FaultSample` (horizon and
-    draws included), so the per-candidate results are bit-identical to a
-    standalone :func:`_run_batched` call on that ``(program, sample)``
-    pair: rounds are applied in the same order with the same masks, and
-    completion rounds are pinned by per-trial exact replay clamped to the
-    candidate's own horizon.  Candidates past their horizon freeze — their
+    draws included), so its results do not depend on which other candidates
+    share the tensor.  Candidates past their horizon freeze — their
     still-live columns ride along untouched until the whole stack drains.
-
     Candidates must share the vertex count ``n`` (the tensor's row axis);
     everything else — periods, horizons, trial counts — may differ.
     """
@@ -726,29 +628,13 @@ def monte_carlo_stacked(
     _t0 = time.perf_counter_ns() if _telem else 0
     programs = [_program_for(candidate, None) for candidate in candidates]
 
-    nominals: list[int | None] = []
-    horizons: list[int] = []
-    fault_samples: list[FaultSample] = []
-    for program in programs:
-        if max_rounds is None:
-            nominal_result = resolve_engine(engine, program).run(
-                program, track_history=False
-            )
-            nominal = nominal_result.completion_round
-            if nominal is None:
-                raise SimulationError(
-                    "a fault-free candidate never completed gossip, so no default "
-                    "round budget exists; pass max_rounds explicitly"
-                )
-            horizon = default_horizon(nominal, len(program.rounds))
-        else:
-            nominal = None
-            horizon = max_rounds
-        if not program.cyclic:
-            horizon = min(horizon, len(program.rounds))
-        nominals.append(nominal)
-        horizons.append(horizon)
-        fault_samples.append(model.sample(program, horizon, trials, seed=seed))
+    planned = [
+        _fault_sample(program, model, trials, seed, max_rounds=max_rounds, engine=engine)
+        for program in programs
+    ]
+    nominals = [nominal for nominal, _ in planned]
+    fault_samples = [sample for _, sample in planned]
+    horizons = [sample.horizon for sample in fault_samples]
 
     _counts = {"batches": 0, "exact_replays": 0, "compactions": 0} if _telem else None
     outcomes = _run_batched_stacked(programs, fault_samples, telem_counts=_counts)

@@ -19,13 +19,12 @@ Correctness of frontier-only transmission
 Sending only last round's news over an arc would be wrong in general: an arc
 that fires every ``s`` rounds must forward everything its tail learned since
 the arc *last* fired.  For a cyclic program with period ``s`` each round slot
-fires exactly every ``s`` rounds, so the engine keeps a ring of the last
-``s`` per-round delta chunks; the window a slot sees at round ``i`` is the
-deltas of rounds ``i-s … i-1`` — precisely what its tails learned since the
-slot's previous firing.  Inductively the head already holds everything the
-tail knew before that window (delivered at the previous firing), so
-offering only window pairs reproduces full-knowledge transmission
-bit-for-bit.  The first firing of each slot (rounds ``1 … s``), and every
+fires exactly every ``s`` rounds, so the window a slot sees at round ``i``
+is the deltas of rounds ``i-s … i-1`` — precisely what its tails learned
+since the slot's previous firing.  Inductively the head already holds
+everything the tail knew before that window (delivered at the previous
+firing), so offering only window pairs reproduces full-knowledge
+transmission bit-for-bit.  The first firing of each slot (rounds ``1 … s``), and every
 round of a finite program, has no previous firing, so those rounds use a
 dense full-knowledge path that also extracts the round's delta.
 
@@ -40,21 +39,19 @@ O(s · n²) pair operations regardless of how many rounds the schedule needs.
 
 Pre-split pending windows
 -------------------------
-By default the window a slot consumes is not reassembled from a ring of the
-last ``s`` delta chunks and then re-filtered by the slot's tail test — that
-rescan touches every window pair once per slot firing, and on schedules
-whose rounds activate disjoint tail sets (grids, colourings) most of those
-pairs are routed nowhere.  Instead each round's delta is split *at
+A slot's window is not reassembled from the last ``s`` delta chunks and
+re-filtered by the slot's tail test at firing time — that rescan would
+touch every window pair once per slot firing, and on schedules whose
+rounds activate disjoint tail sets (grids, colourings) most of those pairs
+are routed nowhere.  Instead each round's delta is split *at
 production time*: slots are grouped by identical tail masks (one boolean
 gather per distinct mask, not per slot; an all-``True`` mask skips the
 filter entirely), and the filtered chunk is appended to every member slot's
 pending list.  A firing slot concatenates and clears its own pending list —
-pairs already known to be its tails, so the sparse apply skips the keep
-filter (``prefiltered=True``).  Pending lists are consumed at *every*
-firing, including the dense first firings, whose full-knowledge
-transmission supersedes anything pending.  Constructing the engine with
-``presplit_windows=False`` restores the legacy ring-rescan path
-(bit-identical results; kept for differential tests and benchmarks).
+pairs already known to be its tails, so the sparse apply needs no keep
+filter.  Pending lists are consumed at *every* firing, including the dense
+first firings, whose full-knowledge transmission supersedes anything
+pending.
 
 When a full period passes without any new pair the knowledge state is a
 fixed point (every future window is empty), so the engine stops early and
@@ -68,9 +65,9 @@ The engine implements the checkpoint/resume protocol
 (:mod:`repro.gossip.engines.checkpoint`).  A resumed run at round ``r``
 is treated exactly like a program start: the first firing of each slot
 after ``r`` (rounds ``r+1 … r+s``) takes the dense full-knowledge path —
-there is no pre-resume delta window to build on — and the ring thereafter
-holds only post-resume deltas, so the window induction never references
-history the resumed run has not seen.  That is what makes resume bit-exact
+there is no pre-resume delta window to build on — and the pending lists
+thereafter hold only post-resume deltas, so the window induction never
+references history the resumed run has not seen.  That is what makes resume bit-exact
 for *any* program suffix, which incremental schedule search relies on.
 All incremental counters are recomputed from the snapshot (the union of
 knowledge bits is time-invariant, so derived constants like the
@@ -86,7 +83,6 @@ has never seen.  The cache must not be shared across graphs.
 from __future__ import annotations
 
 import time
-from collections import deque
 from functools import reduce
 from operator import or_
 
@@ -212,46 +208,28 @@ def _sparse_apply(
     window_v: np.ndarray,
     window_j: np.ndarray,
     bit_capacity: int,
-    prefiltered: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frontier transmission for one slot, returning the delta pairs.
 
-    ``window_v``/``window_j`` are the (vertex, item) pairs learned in the
-    last ``s`` rounds; pairs are routed through the slot's arcs and only
-    bits the head does not already hold survive.  ``prefiltered`` promises
-    every ``window_v`` entry is a tail of this slot (the pre-split pending
-    path), so the keep filter is skipped.
+    ``window_v``/``window_j`` are the slot's pending (vertex, item) pairs:
+    those learned since its previous firing, pre-filtered at production
+    time to the slot's tails.  Pairs are routed through the slot's arcs and
+    only bits the head does not already hold survive.
     """
     if slot.m == 0 or window_v.size == 0:
         return _empty_delta()
     if slot.single:
         h = slot.route[window_v]
-        if prefiltered:
-            j = window_j
-        else:
-            keep = h >= 0
-            h = h[keep]
-            j = window_j[keep]
-            if h.size == 0:
-                return _empty_delta()
+        j = window_j
     else:
-        if prefiltered:
-            v = window_v
-            j = window_j
-        else:
-            keep = slot.is_tail[window_v]
-            v = window_v[keep]
-            if v.size == 0:
-                return _empty_delta()
-            j = window_j[keep]
-        pos = np.searchsorted(slot.utails, v)
+        pos = np.searchsorted(slot.utails, window_v)
         counts = slot.t_counts[pos]
         starts = slot.t_starts[pos]
         total = int(counts.sum())
         out_starts = np.cumsum(counts) - counts
         idx_arcs = np.repeat(starts - out_starts, counts) + np.arange(total, dtype=np.int64)
         h = slot.h_by_t[idx_arcs]
-        j = np.repeat(j, counts)
+        j = np.repeat(window_j, counts)
 
     idx = h * words + (j >> _WORD_SHIFT)
     bit = _BIT_LUT[j & _WORD_MASK]
@@ -344,12 +322,6 @@ class FrontierEngine(CheckpointingMixin):
     """
 
     name = "frontier"
-
-    def __init__(self, *, presplit_windows: bool = True) -> None:
-        #: Distribute each round's delta into per-slot pending lists at
-        #: production time (see the module docstring).  ``False`` keeps the
-        #: legacy ring-of-deltas window rescan; both paths are bit-exact.
-        self.presplit_windows = presplit_windows
 
     def run(
         self,
@@ -516,18 +488,13 @@ class FrontierEngine(CheckpointingMixin):
         executed = base
         _coverage0 = coverage
         if completion is None:
-            # Window bookkeeping for cyclic programs — one of two layouts.
-            # Pre-split (default): per-slot pending lists filled at delta
-            # production time, consumed (and cleared) at every firing.
-            # Legacy: a ring of the last s per-round delta chunks the firing
-            # slot re-filters.  After a resume both start empty, so the
-            # first s post-resume rounds take the dense path (see the module
+            # Window bookkeeping for cyclic programs: per-slot pending lists
+            # filled at delta production time, consumed (and cleared) at
+            # every firing.  After a resume they start empty, so the first
+            # s post-resume rounds take the dense path (see the module
             # docstring's resume section).
-            presplit = self.presplit_windows and cyclic and s > 0
-            ring: deque[tuple[np.ndarray, np.ndarray]] | None = (
-                deque(maxlen=s) if cyclic and not presplit else None
-            )
-            if presplit:
+            windowed = cyclic and s > 0
+            if windowed:
                 filter_groups = _tail_filter_groups(slots, n)
                 pending_v: list[list[np.ndarray]] = [[] for _ in range(s)]
                 pending_j: list[list[np.ndarray]] = [[] for _ in range(s)]
@@ -537,48 +504,30 @@ class FrontierEngine(CheckpointingMixin):
                     h_new, j_new = _empty_delta()
                 elif cyclic and i > base + s:
                     k = (i - 1) % s
-                    if presplit:
-                        parts_v = pending_v[k]
-                        if len(parts_v) == 1:
-                            window_v, window_j = parts_v[0], pending_j[k][0]
-                        elif parts_v:
-                            window_v = np.concatenate(parts_v)
-                            window_j = np.concatenate(pending_j[k])
-                        else:
-                            window_v, window_j = _empty_delta()
-                        pending_v[k] = []
-                        pending_j[k] = []
-                        if _telem:
-                            _sparse_fired += 1
-                            _routed += window_v.size
-                        h_new, j_new = _sparse_apply(
-                            flat_knowledge, words, slots[k],
-                            window_v, window_j, bit_capacity,
-                            prefiltered=True,
-                        )
+                    parts_v = pending_v[k]
+                    if len(parts_v) == 1:
+                        window_v, window_j = parts_v[0], pending_j[k][0]
+                    elif parts_v:
+                        window_v = np.concatenate(parts_v)
+                        window_j = np.concatenate(pending_j[k])
                     else:
-                        parts = [c for c in ring if c[0].size]
-                        if len(parts) == 1:
-                            window_v, window_j = parts[0]
-                        elif parts:
-                            window_v = np.concatenate([c[0] for c in parts])
-                            window_j = np.concatenate([c[1] for c in parts])
-                        else:
-                            window_v, window_j = _empty_delta()
-                        if _telem:
-                            _sparse_fired += 1
-                            _routed += window_v.size
-                        h_new, j_new = _sparse_apply(
-                            flat_knowledge, words, slots[k],
-                            window_v, window_j, bit_capacity,
-                        )
+                        window_v, window_j = _empty_delta()
+                    pending_v[k] = []
+                    pending_j[k] = []
+                    if _telem:
+                        _sparse_fired += 1
+                        _routed += window_v.size
+                    h_new, j_new = _sparse_apply(
+                        flat_knowledge, words, slots[k],
+                        window_v, window_j, bit_capacity,
+                    )
                 else:
                     # First firing of this slot (or a finite program, where
                     # every firing is the first): no previous delivery to
                     # build on, transmit full knowledge.  The full matrix
                     # supersedes anything pending for the slot — consume it.
                     slot = slots[(i - 1) % s] if cyclic else slots[i - 1]
-                    if presplit:
+                    if windowed:
                         k = (i - 1) % s
                         pending_v[k] = []
                         pending_j[k] = []
@@ -613,26 +562,23 @@ class FrontierEngine(CheckpointingMixin):
                 else:
                     idle += 1
 
-                if presplit:
-                    if fresh:
-                        # Split this round's delta by destination slot now, so
-                        # firings never rescan pairs routed nowhere.  One
-                        # boolean gather per distinct tail mask; chunks are
-                        # shared by reference across a group's members.
-                        for mask, members in filter_groups:
-                            if mask is None:
-                                fv, fj = h_new, j_new
-                            else:
-                                keep = mask[h_new]
-                                fv = h_new[keep]
-                                if fv.size == 0:
-                                    continue
-                                fj = j_new[keep]
-                            for k in members:
-                                pending_v[k].append(fv)
-                                pending_j[k].append(fj)
-                elif ring is not None:
-                    ring.append((h_new, j_new))
+                if windowed and fresh:
+                    # Split this round's delta by destination slot now, so
+                    # firings never rescan pairs routed nowhere.  One
+                    # boolean gather per distinct tail mask; chunks are
+                    # shared by reference across a group's members.
+                    for mask, members in filter_groups:
+                        if mask is None:
+                            fv, fj = h_new, j_new
+                        else:
+                            keep = mask[h_new]
+                            fv = h_new[keep]
+                            if fv.size == 0:
+                                continue
+                            fj = j_new[keep]
+                        for k in members:
+                            pending_v[k].append(fv)
+                            pending_j[k].append(fj)
                 if track_history:
                     history.append(coverage)
                 if ci < len(wanted) and wanted[ci] == i:

@@ -37,16 +37,15 @@ Active-word windows, pre-split at production time
 -------------------------------------------------
 For a cyclic program with period ``s`` each round slot fires every ``s``
 rounds and must forward everything its tails learned since its previous
-firing.  The frontier engine keeps a ring of the last ``s`` per-round deltas
-and rescans the whole window at every firing — the ROADMAP-flagged ``s×``
-multiplier.  This engine eliminates the rescan by *pre-splitting at
-production time*: the moment a round produces its delta (the flat word
-coordinates it changed, one deduplicated key array — ``int32`` whenever
-``n·W < 2³¹``, halving the window sort/concat bandwidth), the delta is
-filtered down to each slot's *tail rows* — slots sharing a tail set (the
-two directions of one colour class, say) share one filter pass and the
-resulting array — and appended by reference to the slot's *pending
-window*.  A firing consumes exactly its own pending list: one
+firing.  Rescanning a ring of the last ``s`` per-round deltas at every
+firing would pay an ``s×`` multiplier, so, like the frontier engine, this
+engine *pre-splits at production time*: the moment a round produces its
+delta (the flat word coordinates it changed, one deduplicated key array —
+``int32`` whenever ``n·W < 2³¹``, halving the window sort/concat
+bandwidth), the delta is filtered down to each slot's *tail rows* — slots
+sharing a tail set (the two directions of one colour class, say) share one
+filter pass and the resulting array — and appended by reference to the
+slot's *pending window*.  A firing consumes exactly its own pending list: one
 concatenation plus one sort-based dedup collapses the duplicate word
 coordinates that accumulate across a window (the same boundary word
 typically changes in several consecutive rounds), which is what keeps the
@@ -99,20 +98,6 @@ granularity.  When a full period passes without any new word the state is a
 fixed point and the remaining rounds are synthesized bit-exactly, as in the
 frontier engine.
 
-Batched completion
-------------------
-On a plain run (no tracking flags) whose target mask covers every reachable
-bit, the only per-round accounting left is the popcount of each round's
-word delta feeding the incremental completion counter — ~15% of the sparse
-path.  ``batched_completion=True`` skips it: under a covering mask,
-completion means every vertex holds every reachable bit, after which no
-round can produce news — so the completion round *is* the last round that
-produced news, and one total-popcount check when the run goes quiet (at the
-fixed-point exit or the budget end) recovers it exactly.  The mode is
-metamorphic — results are bit-identical to per-round accounting (the test
-suite pins this) — and silently inactive whenever the gate (cyclic program,
-no tracking, covering mask, non-empty target) does not hold.
-
 Checkpoint/resume
 -----------------
 The engine implements the checkpoint/resume protocol
@@ -132,7 +117,6 @@ accepts the same caller-owned ``slot_cache`` dict as the frontier engine
 from __future__ import annotations
 
 import time
-from dataclasses import replace as _replace
 from functools import reduce
 from operator import or_
 
@@ -271,26 +255,17 @@ class HybridEngine(CheckpointingMixin):
     matrix above which a firing takes the dense full-knowledge path instead
     of the active-word gather/scatter (``0.0`` = always dense, ``1.0`` =
     sparse up to a full-matrix-sized window); see the module docstring for
-    the crossover rationale.  ``batched_completion`` skips per-round gained
-    counting on plain covering-mask runs and recovers the completion round
-    from the last news round (bit-identical by the quiet-tail argument in
-    the module docstring).  Supports the checkpoint/resume protocol.
+    the crossover rationale.  Supports the checkpoint/resume protocol.
     """
 
     name = "hybrid"
 
-    def __init__(
-        self,
-        *,
-        dense_threshold: float = _DEFAULT_DENSE_THRESHOLD,
-        batched_completion: bool = False,
-    ) -> None:
+    def __init__(self, *, dense_threshold: float = _DEFAULT_DENSE_THRESHOLD) -> None:
         if not 0.0 <= dense_threshold <= 1.0:
             raise SimulationError(
                 f"dense_threshold must be within [0, 1], got {dense_threshold!r}"
             )
         self._dense_threshold = dense_threshold
-        self._batched_completion = bool(batched_completion)
 
     def run(
         self,
@@ -503,18 +478,6 @@ class HybridEngine(CheckpointingMixin):
             completion: int | None = state.completion_round
         else:
             completion = 0 if mask_total == target_total else None
-        # Batched completion: legitimate only when completion is the sole
-        # per-round consumer of the word deltas (no tracking) and the target
-        # mask covers every reachable bit, so that completion implies a
-        # quiet tail and the completion round equals the last news round.
-        batched = (
-            self._batched_completion
-            and cyclic
-            and s > 0
-            and not (track_history or track_item_completion or track_arrivals)
-            and mask_covers_all
-            and target_pop > 0
-        )
         ci = 0
         if ci < len(wanted) and wanted[ci] == base:
             capture(base, completion)
@@ -551,7 +514,6 @@ class HybridEngine(CheckpointingMixin):
             pending: list[list[np.ndarray]] = [[] for _ in slots]
             pending_raw = [0] * s
             idle = 0
-            last_news = base
             for i in range(base + 1, program.max_rounds + 1):
                 keys: np.ndarray | None = None
                 key_rows: np.ndarray | None = None
@@ -646,46 +608,40 @@ class HybridEngine(CheckpointingMixin):
 
                 if not quiet:
                     idle = 0
-                    last_news = i
-                    if batched:
-                        # Completion is recovered from ``last_news`` after
-                        # the loop; nothing consumes the delta popcounts.
-                        pass
-                    else:
-                        gained = int(
-                            np.bitwise_count(
-                                new_words if keys is not None else sub
-                            ).sum()
+                    gained = int(
+                        np.bitwise_count(
+                            new_words if keys is not None else sub
+                        ).sum()
+                    )
+                    coverage += gained
+                    cols = None
+                    if mask_covers_all:
+                        mask_total += gained
+                    elif target_pop:
+                        cols = keys % words
+                        mask_total += int(
+                            np.bitwise_count(new_words & mask_words[cols]).sum()
                         )
-                        coverage += gained
-                        cols = None
-                        if mask_covers_all:
-                            mask_total += gained
-                        elif target_pop:
+                    if mask_total == target_total:
+                        completion = i
+                    if track_items:
+                        if cols is None:
                             cols = keys % words
-                            mask_total += int(
-                                np.bitwise_count(new_words & mask_words[cols]).sum()
-                            )
-                        if mask_total == target_total:
-                            completion = i
-                        if track_items:
-                            if cols is None:
-                                cols = keys % words
-                            elements, j = _expand_delta_words(new_words, cols)
-                            if key_rows is None:
-                                key_rows = keys // words
-                            hv = key_rows[elements]
-                            if not items_only:
-                                vertex_items = j < n
-                                hv = hv[vertex_items]
-                                j = j[vertex_items]
-                            if inv_pos is not None:
-                                j = inv_pos[j]
-                            if item_count is not None and j.size:
-                                item_count += np.bincount(j, minlength=n)
-                                item_rounds[j[item_count[j] == n]] = i
-                            if arrivals is not None:
-                                arrivals[hv, j] = i
+                        elements, j = _expand_delta_words(new_words, cols)
+                        if key_rows is None:
+                            key_rows = keys // words
+                        hv = key_rows[elements]
+                        if not items_only:
+                            vertex_items = j < n
+                            hv = hv[vertex_items]
+                            j = j[vertex_items]
+                        if inv_pos is not None:
+                            j = inv_pos[j]
+                        if item_count is not None and j.size:
+                            item_count += np.bincount(j, minlength=n)
+                            item_rounds[j[item_count[j] == n]] = i
+                        if arrivals is not None:
+                            arrivals[hv, j] = i
                     if completion is None and keys is not None:
                         # Production-time pre-split: hand this round's delta
                         # to every sparse-capable slot's pending window by
@@ -731,26 +687,6 @@ class HybridEngine(CheckpointingMixin):
                         capture(wanted[ci], None)
                         ci += 1
                     break
-
-            if batched and completion is None:
-                # The run went quiet (fixed point or budget end) without a
-                # per-round completion check.  Under a covering mask a
-                # complete state produces no further news, so completeness
-                # now means completeness ever since the last news round —
-                # one total-popcount scan recovers the exact round.
-                if int(np.bitwise_count(knowledge).sum()) == target_total:
-                    completion = last_news
-                    executed = completion
-                    # Per-round accounting would have stopped at completion:
-                    # drop snapshots it never captured, stamp the one taken
-                    # at the completing round.
-                    captured[:] = [
-                        _replace(st, completion_round=completion)
-                        if st.round == completion
-                        else st
-                        for st in captured
-                        if st.round <= completion
-                    ]
 
         if pos is None:
             final = knowledge

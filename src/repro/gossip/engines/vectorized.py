@@ -67,9 +67,9 @@ instead of scanning the whole matrix (a source-map matrix always fits one
 chunk).  The strided-segment path stays untiled (it operates on copy-free
 views and allocates no temporary), and the non-disjoint snapshot path must
 stay untiled for correctness: a later tile's gather would observe an
-earlier tile's writes.  Pass ``VectorizedEngine(tile_bytes=None)`` to
-disable tiling (used by the perf regression guard to compare against the
-untiled kernel).
+earlier tile's writes.  :func:`_tile_rows` reads ``_TILE_TARGET_BYTES`` at
+every run, so a test patching the constant to a huge value gets the
+untiled kernel.
 
 Completion detection
 --------------------
@@ -172,6 +172,11 @@ def _uses_source_map(n: int, words: int) -> bool:
     return n * words * _WORD_BYTES <= _SOURCE_MAP_MAX_BYTES
 
 
+def _tile_rows(words: int) -> int:
+    """Rows per tile so gather temp + target rows fit the L2 budget."""
+    return max(32, _TILE_TARGET_BYTES // (2 * words * _WORD_BYTES))
+
+
 def _arc_indices(graph: Digraph, arcs: Round) -> tuple[np.ndarray, np.ndarray]:
     """Public row indices ``(tails, heads)`` of a round's arcs, in arc order."""
     index = graph.index
@@ -246,7 +251,7 @@ def _compile_round(
 def _apply_round(
     knowledge: np.ndarray,
     compiled: tuple[np.ndarray, np.ndarray, bool, list[tuple[slice | np.ndarray, slice]] | None],
-    tile_rows: int | None = None,
+    tile_rows: int,
 ) -> None:
     """One permuted-regime round: bulk OR of the senders' rows into the
     receivers' rows."""
@@ -266,7 +271,7 @@ def _apply_round(
                     else knowledge.take(tail_part, axis=0)
                 )
                 np.bitwise_or(targets, sources, out=targets)
-        elif tile_rows is not None and len(heads) > tile_rows:
+        elif len(heads) > tile_rows:
             # Irregular round on a large instance: bound the gather temporary
             # to one L2-sized tile so the gathered rows are ORed into their
             # targets while still cache-resident.  Disjointness makes tile
@@ -325,15 +330,15 @@ def _compiled_rounds(graph, rounds, old_to_new, slot_cache):
     return compiled
 
 
-def _is_complete(knowledge: np.ndarray, mask: np.ndarray, tile_rows: int | None = None) -> bool:
+def _is_complete(knowledge: np.ndarray, mask: np.ndarray, tile_rows: int) -> bool:
     """Does every row contain every bit of ``mask``?
 
-    With ``tile_rows`` the scan is chunked, which keeps each comparison
-    temporary inside L2 and — more importantly on incomplete states, which
-    is every check but the last — returns at the first incomplete chunk
-    instead of touching the whole matrix.
+    The scan is chunked into ``tile_rows`` blocks, which keeps each
+    comparison temporary inside L2 and — more importantly on incomplete
+    states, which is every check but the last — returns at the first
+    incomplete chunk instead of touching the whole matrix.
     """
-    if tile_rows is None or knowledge.shape[0] <= tile_rows:
+    if knowledge.shape[0] <= tile_rows:
         return bool(np.all((knowledge & mask) == mask))
     for start in range(0, knowledge.shape[0], tile_rows):
         block = knowledge[start : start + tile_rows]
@@ -347,24 +352,13 @@ class VectorizedEngine(CheckpointingMixin):
     source-map gather-OR per round on cache-resident matrices, row-permuted
     gather/scatter above (see the module docstring for the two regimes).
 
-    ``tile_bytes`` is the L2 budget the permuted irregular-round gather path
-    and the completion scan are blocked to (``None`` disables tiling
-    entirely and reproduces the untiled kernel, which the perf regression
-    guard compares against).  Supports the checkpoint/resume protocol (see
-    the module docstring for how captures interact with the batched fast
-    path).
+    The permuted irregular-round gather path and the completion scan are
+    blocked to the ``_TILE_TARGET_BYTES`` L2 budget (module docstring,
+    "Tiling").  Supports the checkpoint/resume protocol (see the module
+    docstring for how captures interact with the batched fast path).
     """
 
     name = "vectorized"
-
-    def __init__(self, *, tile_bytes: int | None = _TILE_TARGET_BYTES) -> None:
-        self._tile_bytes = tile_bytes
-
-    def _tile_rows(self, words: int) -> int | None:
-        """Rows per tile so gather temp + target rows fit the L2 budget."""
-        if self._tile_bytes is None:
-            return None
-        return max(32, self._tile_bytes // (2 * words * _WORD_BYTES))
 
     def run(
         self,
@@ -436,7 +430,7 @@ class VectorizedEngine(CheckpointingMixin):
         # source-map kernel; a larger one lives in an internal row order
         # chosen for memory locality.  Item bit columns keep the public
         # vertex indexing in both regimes.
-        tile_rows = self._tile_rows(words)
+        tile_rows = _tile_rows(words)
         knowledge = _pack_rows(start, words)
         if _uses_source_map(n, words):
             old_to_new = None
@@ -599,7 +593,7 @@ class VectorizedEngine(CheckpointingMixin):
         *,
         base: int,
         track_history: bool,
-        tile_rows: int | None,
+        tile_rows: int,
         wanted: list[int],
         ci: int,
         capture,
@@ -664,7 +658,7 @@ class VectorizedEngine(CheckpointingMixin):
         mask: np.ndarray,
         *,
         base: int,
-        tile_rows: int | None,
+        tile_rows: int,
         telem_counts: dict | None = None,
         wanted: list[int] = (),
         ci: int = 0,

@@ -76,17 +76,12 @@ from repro.gossip.model import Mode, Round, SystolicSchedule
 from repro.search.local_search import (
     STRATEGIES,
     SearchResult,
-    _Evaluator,
     _key,
-    _portfolio_seeds,
+    _scored_portfolio,
     hill_climb,
     simulated_annealing,
 )
-from repro.search.objective import (
-    ObjectiveValue,
-    RobustnessSpec,
-    resolve_objective_engine,
-)
+from repro.search.objective import ObjectiveValue, RobustnessSpec
 from repro.topologies.base import Digraph
 
 __all__ = [
@@ -263,21 +258,10 @@ def run_island_search(
     _islands_span_id = telemetry.next_span_id() if _t0 else None
     _worker_stats = telemetry.RunStats() if _t0 else None
 
-    rng = random.Random(seed)
-    seeds = _portfolio_seeds(graph, mode, rng, random_seeds)
-    resolved = resolve_objective_engine(
-        engine, graph, tuple(seeds[0].base_rounds), objective=objective,
-        incremental=incremental,
+    scored, resolved, seed_evaluations, seed_stats = _scored_portfolio(
+        graph, mode, random.Random(seed), random_seeds, engine, objective,
+        robustness, incremental,
     )
-    evaluator = _Evaluator(
-        graph, resolved, objective, robustness, incremental=incremental
-    )
-    with telemetry.span("search.seed_scoring", graph=graph.name, seeds=len(seeds)):
-        scored = sorted(
-            ((evaluator(tuple(s.base_rounds)), s) for s in seeds),
-            key=lambda pair: _key(pair[0], tuple(pair[1].base_rounds)),
-        )
-    seed_evaluations = evaluator.evaluations
 
     # The whole parallel schedule is fixed up front: island i's generation-g
     # driver seed is word g of its own SeedSequence stream.
@@ -378,6 +362,8 @@ def run_island_search(
         rec.gauge("search.islands.best_score", best_value.score)
         run_stats = telemetry.RunStats.single("search.islands", counts)
         run_stats.set_gauge("search.islands.best_score", best_value.score)
+        if seed_stats is not None:
+            run_stats.merge(seed_stats)
         if _worker_stats is not None:
             # Every island generation's counters, histograms and
             # (re-parented) spans — workers=N accounts exactly as workers=1.

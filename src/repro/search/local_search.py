@@ -192,6 +192,61 @@ def _portfolio_seeds(
     return seeds
 
 
+def _scored_portfolio(
+    graph: Digraph,
+    mode: Mode,
+    rng: random.Random,
+    random_seeds: int,
+    engine,
+    objective: str,
+    robustness,
+    incremental: bool,
+) -> tuple[
+    list[tuple[ObjectiveValue, SystolicSchedule]],
+    SimulationEngine,
+    int,
+    "telemetry.RunStats | None",
+]:
+    """The seed portfolio, scored best first, for both synthesis drivers.
+
+    Returns ``(scored, engine, evaluations, run_stats)``.  One workload-aware
+    resolution serves the whole synthesis: the resolved instance scores the
+    seeds as one batch and is then threaded through every driver pass, so
+    every candidate runs on the same backend.  The seed evaluator's
+    telemetry — its ``search.incremental`` counters and per-evaluation
+    histograms — is flushed here, once, and returned as ``run_stats`` for
+    the caller's roll-up (``None`` when no recorder is active).
+    """
+    seeds = _portfolio_seeds(graph, mode, rng, random_seeds)
+    resolved = resolve_objective_engine(
+        engine, graph, tuple(seeds[0].base_rounds), objective=objective,
+        incremental=incremental,
+    )
+    evaluator = _Evaluator(
+        graph, resolved, objective, robustness, incremental=incremental
+    )
+    with telemetry.span(
+        "search.seed_scoring", graph=graph.name, seeds=len(seeds)
+    ):
+        scored = sorted(
+            ((evaluator(tuple(s.base_rounds)), s) for s in seeds),
+            key=lambda pair: _key(pair[0], tuple(pair[1].base_rounds)),
+        )
+    rec = telemetry.get_recorder()
+    run_stats = None
+    if rec.enabled:
+        run_stats = telemetry.RunStats()
+        if evaluator._cached is not None:
+            seed_counts = evaluator._cached.stats_counters()
+            rec.counters("search.incremental", seed_counts)
+            run_stats.add_counters("search.incremental", seed_counts)
+        for name, hist in evaluator.stats_histograms().items():
+            if hist.count:
+                rec.histogram(name, hist)
+                run_stats.add_histogram(name, hist)
+    return scored, resolved, evaluator.evaluations, run_stats
+
+
 def _finalize(
     schedule: SystolicSchedule,
     best_rounds: tuple[Round, ...],
@@ -488,30 +543,9 @@ def synthesize_schedule(
             incremental=incremental,
         )
     rng = random.Random(seed)
-
-    seeds = _portfolio_seeds(graph, mode, rng, random_seeds)
-
-    # One workload-aware resolution for the whole synthesis: the resolved
-    # instance is threaded through seed scoring and every driver pass, so
-    # every candidate runs on the same backend.
-    resolved = resolve_objective_engine(
-        engine, graph, tuple(seeds[0].base_rounds), objective=objective,
-        incremental=incremental,
+    scored, resolved, seed_evaluations, run_stats = _scored_portfolio(
+        graph, mode, rng, random_seeds, engine, objective, robustness, incremental
     )
-    evaluator = _Evaluator(
-        graph, resolved, objective, robustness, incremental=incremental
-    )
-    with telemetry.span(
-        "search.seed_scoring", graph=graph.name, seeds=len(seeds)
-    ):
-        scored = sorted(
-            (
-                (evaluator(tuple(s.base_rounds)), s)
-                for s in seeds
-            ),
-            key=lambda pair: _key(pair[0], tuple(pair[1].base_rounds)),
-        )
-    seed_evaluations = evaluator.evaluations
 
     moves = neighborhood or Neighborhood(graph, mode)
     # Each entry keeps the *originating* seed's name: a hill pass re-walked
@@ -549,20 +583,8 @@ def synthesize_schedule(
         results, key=lambda pair: _key(pair[1].objective, tuple(pair[1].schedule.base_rounds))
     )
     total_evaluations = seed_evaluations + sum(r.evaluations for _, r in results)
-    rec = telemetry.get_recorder()
-    run_stats = None
-    if rec.enabled:
-        # Roll the driver passes' stats up into the synthesis-level summary;
-        # the seed evaluator's incremental counters are flushed here, once.
-        run_stats = telemetry.RunStats()
-        if evaluator._cached is not None:
-            seed_counts = evaluator._cached.stats_counters()
-            rec.counters("search.incremental", seed_counts)
-            run_stats.add_counters("search.incremental", seed_counts)
-        for name, hist in evaluator.stats_histograms().items():
-            if hist.count:
-                rec.histogram(name, hist)
-                run_stats.add_histogram(name, hist)
+    if run_stats is not None:
+        # Roll the driver passes' stats up into the synthesis-level summary.
         for _, r in results:
             run_stats.merge(r.run_stats)
     return SearchResult(

@@ -44,11 +44,7 @@ from dataclasses import dataclass
 
 from repro.exceptions import SimulationError
 from repro.faults.models import FaultModel
-from repro.faults.montecarlo import (
-    _run_batched,
-    _run_batched_stacked,
-    default_horizon,
-)
+from repro.faults.montecarlo import _fault_sample, _run_batched_stacked
 from repro.gossip.engines import SimulationEngine, resolve_engine, supports_checkpointing
 from repro.gossip.engines.base import RoundProgram
 from repro.gossip.model import Round, SystolicSchedule
@@ -220,42 +216,6 @@ def resolve_objective_engine(
     )
 
 
-def _robust_score(
-    program: RoundProgram,
-    engine: SimulationEngine,
-    spec: RobustnessSpec,
-    result,
-) -> ObjectiveValue:
-    """Mean per-trial cost over the spec's seeded fault sample.
-
-    ``result`` is the candidate's fault-free nominal run.  An incomplete
-    candidate is graded exactly like ``gossip_rounds`` (no trials are spent
-    on it); a completing candidate scores the mean over trials of its
-    completion round, failed trials contributing the horizon plus their
-    missing (vertex, item) pairs so that likelier-to-complete candidates
-    always sort ahead.  The trials always run through the batched
-    Monte-Carlo kernel (the looped per-engine path replays the identical
-    realisation, so the score is engine-independent regardless).
-    """
-    n = program.graph.n
-    if result.completion_round is None:
-        return ObjectiveValue(_incomplete_score(result, n), False, None, engine.name)
-    nominal = result.completion_round
-    horizon = _robust_horizon(program, spec, nominal)
-    sample = spec.model.sample(program, horizon, spec.trials, seed=spec.seed)
-    completion, knowledge = _run_batched(program, sample)
-    score = _robust_mean_cost(n, horizon, completion, knowledge, spec.trials)
-    return ObjectiveValue(score, True, nominal, engine.name)
-
-
-def _robust_horizon(program: RoundProgram, spec: RobustnessSpec, nominal: int) -> int:
-    horizon = default_horizon(nominal, len(program.rounds), spec.horizon_factor)
-    if not program.cyclic:
-        # A finite program has no rounds beyond its own length to grant.
-        horizon = min(horizon, len(program.rounds))
-    return horizon
-
-
 def _robust_mean_cost(n, horizon, completion, knowledge, trials) -> float:
     total = 0.0
     for rounds, bits in zip(completion, knowledge):
@@ -273,17 +233,22 @@ def _robust_scores_stacked(
     engine: SimulationEngine,
     spec: RobustnessSpec,
 ) -> list[ObjectiveValue]:
-    """Batched :func:`_robust_score` over one candidate set.
+    """Robust scores of one candidate set from its nominal runs.
 
-    Incomplete candidates are graded without spending trials, exactly as
-    the per-candidate path; the completing ones run their trials through
-    the candidate-stacked Monte-Carlo kernel in one invocation.  Horizons
-    and fault samples are derived per candidate from the shared spec, so
-    every score is bit-identical to :func:`_robust_score` on that
-    candidate alone.
+    ``results`` are the candidates' fault-free nominal runs.  An incomplete
+    candidate is graded exactly like ``gossip_rounds`` (no trials are spent
+    on it); a completing candidate scores the mean over trials of its
+    completion round, failed trials contributing the horizon plus their
+    missing (vertex, item) pairs so that likelier-to-complete candidates
+    always sort ahead.  The completing candidates' trials run through the
+    candidate-stacked Monte-Carlo kernel in one invocation (the looped
+    per-engine path replays the identical realisation, so the score is
+    engine-independent regardless).  Horizons and fault samples are derived
+    per candidate from the shared spec, so a candidate's score does not
+    depend on the rest of the set.
     """
     values: list[ObjectiveValue | None] = [None] * len(programs)
-    stacked: list[tuple[int, RoundProgram, int, int]] = []
+    stacked: list[tuple[int, RoundProgram, int]] = []
     samples = []
     for i, (program, result) in enumerate(zip(programs, results)):
         if result.completion_round is None:
@@ -291,17 +256,23 @@ def _robust_scores_stacked(
                 _incomplete_score(result, program.graph.n), False, None, engine.name
             )
             continue
-        nominal = result.completion_round
-        horizon = _robust_horizon(program, spec, nominal)
-        stacked.append((i, program, nominal, horizon))
-        samples.append(spec.model.sample(program, horizon, spec.trials, seed=spec.seed))
+        nominal, sample = _fault_sample(
+            program,
+            spec.model,
+            spec.trials,
+            spec.seed,
+            nominal=result.completion_round,
+            factor=spec.horizon_factor,
+        )
+        stacked.append((i, program, nominal))
+        samples.append(sample)
     if stacked:
         outcomes = _run_batched_stacked([entry[1] for entry in stacked], samples)
-        for (i, program, nominal, horizon), (completion, knowledge) in zip(
-            stacked, outcomes
+        for (i, program, nominal), sample, (completion, knowledge) in zip(
+            stacked, samples, outcomes
         ):
             score = _robust_mean_cost(
-                program.graph.n, horizon, completion, knowledge, spec.trials
+                program.graph.n, sample.horizon, completion, knowledge, spec.trials
             )
             values[i] = ObjectiveValue(score, True, nominal, engine.name)
     return values
@@ -330,7 +301,7 @@ def _score_result(
             float(result.completion_round), True, result.completion_round, engine.name
         )
     if objective == "robust_gossip_rounds":
-        return _robust_score(program, engine, robustness, result)
+        return _robust_scores_stacked([program], [result], engine, robustness)[0]
     times = result.item_completion_rounds
     assert times is not None
     if result.completion_round is None:

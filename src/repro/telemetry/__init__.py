@@ -8,9 +8,9 @@ disabled telemetry near-free.  See :mod:`repro.telemetry.core` for the
 overhead contract and the shared bucket layout, :mod:`repro.telemetry.sinks`
 for the JSONL stream format (schema ``repro-telemetry/2``),
 :mod:`repro.telemetry.trace` for validation / summaries / the Chrome
-trace-event exporter, :mod:`repro.telemetry.ledger` for the persistent
-sqlite run ledger, and :mod:`repro.telemetry.regress` for the
-trailing-median perf-regression detector.
+trace-event exporter, and :mod:`repro.telemetry.regress` for the
+trailing-median perf-regression detector over ``BENCH_trajectory.json``
+(which ``repro-gossip report`` and ``repro-gossip compare`` also read).
 
 Quick start::
 
@@ -32,9 +32,8 @@ its own span tree (:func:`reparented`) and replays them through the active
 recorder (:meth:`Recorder.absorb`) — so merged accounting is identical for
 any worker count.
 
-The environment variables consulted by the CLI: ``REPRO_TRACE`` names a
-JSONL trace destination when ``--trace`` is absent; ``REPRO_LEDGER`` names
-the sqlite run-ledger path (default ``.repro/ledger.db``).
+``REPRO_TRACE`` names a JSONL trace destination the CLI writes when
+``--trace`` is absent.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from repro.telemetry.core import (
     reparented,
     span,
 )
-from repro.telemetry.ledger import Ledger, LedgerError, ledger_path, record_entry
 from repro.telemetry.sinks import FLUSH_POLICIES, SCHEMA_TAG, JsonlRecorder
 from repro.telemetry.trace import (
     EVENT_TYPES,
@@ -78,9 +76,6 @@ from repro.telemetry.trace import (
 #: Environment variable naming a JSONL trace path (CLI fallback for --trace).
 TRACE_ENV_VAR = "REPRO_TRACE"
 
-#: Environment variable naming the sqlite run-ledger path.
-LEDGER_ENV_VAR = "REPRO_LEDGER"
-
 
 def trace_path_from_env() -> str | None:
     """The ``REPRO_TRACE`` trace destination, if configured and non-empty."""
@@ -94,9 +89,6 @@ __all__ = [
     "FLUSH_POLICIES",
     "Histogram",
     "JsonlRecorder",
-    "LEDGER_ENV_VAR",
-    "Ledger",
-    "LedgerError",
     "NULL_RECORDER",
     "NullRecorder",
     "Recorder",
@@ -115,9 +107,7 @@ __all__ = [
     "get_recorder",
     "histogram",
     "iter_trace",
-    "ledger_path",
     "next_span_id",
-    "record_entry",
     "read_stats",
     "record_span",
     "recording",

@@ -115,7 +115,7 @@ class Histogram:
     value (no per-histogram configuration), histograms of the same name
     merge **bucket-wise**: summing counts per bucket index is exact, which
     is what lets island workers ship their distributions back to the
-    driver and the run ledger aggregate them across processes and dates.
+    driver and lets trajectory rows be summed across dates.
 
     Exact ``count`` / ``total`` / ``min`` / ``max`` ride along, so means
     are exact and quantile estimates (:meth:`quantile`) are clamped to the
@@ -143,9 +143,10 @@ class Histogram:
 
     @classmethod
     def from_buckets(cls, buckets: Mapping[int, int]) -> "Histogram":
-        """Rebuild a histogram from bare bucket counts (the run ledger's
-        storage form).  The exact ``total``/``min``/``max`` are gone, so the
-        mean is approximated from bucket midpoints and the observed range is
+        """Rebuild a histogram from bare bucket counts (the form the
+        per-section ``histograms`` of ``BENCH_trajectory.json`` rows keep).
+        The exact ``total``/``min``/``max`` are gone, so the mean is
+        approximated from bucket midpoints and the observed range is
         synthesised from the occupied buckets' boundaries — within one
         sub-bucket (12.5 %) of the truth by the layout's construction.
         """

@@ -150,62 +150,3 @@ class TestFrontierEmptyFixedPoint:
         assert gossip_time(schedule, engine=ENGINE) == gossip_time(
             schedule, engine="reference"
         )
-
-
-class TestPresplitWindows:
-    """The pre-split pending path must be bit-identical to the ring rescan."""
-
-    def _schedules(self):
-        yield coloring_systolic_schedule(cycle_graph(16), Mode.HALF_DUPLEX)
-        yield coloring_systolic_schedule(grid_2d(4, 5), Mode.HALF_DUPLEX)
-        yield coloring_systolic_schedule(grid_2d(3, 4), Mode.FULL_DUPLEX)
-        for seed in range(3):
-            yield random_systolic_schedule(
-                grid_2d(3, 4), 5, Mode.DIRECTED, seed=seed, activation_probability=0.5
-            )
-
-    def test_registered_engine_presplits(self):
-        assert get_engine(ENGINE).presplit_windows is True
-
-    @pytest.mark.parametrize(
-        "track",
-        [{}, {"track_item_completion": True}, {"track_arrivals": True}],
-        ids=["plain", "items", "arrivals"],
-    )
-    def test_presplit_matches_rescan(self, track):
-        from test_engines_differential import assert_results_identical
-
-        presplit = FrontierEngine(presplit_windows=True)
-        rescan = FrontierEngine(presplit_windows=False)
-        for schedule in self._schedules():
-            program = RoundProgram.from_schedule(schedule, 80)
-            a = presplit.run(program, track_history=True, **track)
-            b = rescan.run(program, track_history=True, **track)
-            assert_results_identical(a, b, (schedule.name, track))
-
-    def test_presplit_matches_rescan_on_saturating_schedule(self):
-        from test_engines_differential import assert_results_identical
-
-        # Exercises the fixed-point early exit and empty pending windows.
-        n = 7
-        graph = path_graph(n)
-        rounds = [[(i, i + 1)] for i in range(n - 1)]
-        schedule = SystolicSchedule(graph, rounds, mode=Mode.DIRECTED)
-        program = RoundProgram.from_schedule(schedule, 120)
-        a = FrontierEngine(presplit_windows=True).run(program, track_history=True)
-        b = FrontierEngine(presplit_windows=False).run(program, track_history=True)
-        assert_results_identical(a, b, "saturating")
-
-    def test_presplit_matches_rescan_on_resume(self):
-        # A resumed run must stay bit-exact on both window layouts.
-        schedule = coloring_systolic_schedule(cycle_graph(14), Mode.HALF_DUPLEX)
-        program = RoundProgram.from_schedule(schedule, 60)
-        results = []
-        for flag in (True, False):
-            engine = FrontierEngine(presplit_windows=flag)
-            first = engine.run_checkpointed(program, checkpoint_rounds=(3,))
-            (state,) = first.checkpoints
-            results.append(engine.run_checkpointed(program, resume_from=state).result)
-        from test_engines_differential import assert_results_identical
-
-        assert_results_identical(results[0], results[1], "resume")

@@ -59,21 +59,15 @@ def engine_constructions(draw):
     """Freshly constructed engine instances with drawn constructor kwargs.
 
     The registry holds one default-configured singleton per backend; this
-    strategy additionally sweeps the knobs the constructors expose — the
-    hybrid engine's dense-fallback threshold (0.0 = always dense, 1.0 =
-    always sparse) and batched-completion mode (which must be metamorphic
-    under every drawn program and option set), and the vectorized kernel's
-    tile size (``None`` = the untiled PR 1 kernel, small values force many
-    tiles even on tiny instances).
+    strategy additionally sweeps the hybrid engine's dense-fallback
+    threshold (0.0 = always dense, 1.0 = always sparse).  A fresh
+    vectorized engine rides along so it, too, gets the forced-arrivals
+    re-check below.
     """
-    engines = [
-        HybridEngine(
-            dense_threshold=draw(st.sampled_from([0.0, 0.125, 0.5, 1.0])),
-            batched_completion=draw(st.booleans()),
-        ),
-        VectorizedEngine(tile_bytes=draw(st.sampled_from([None, 1 << 10]))),
+    return [
+        HybridEngine(dense_threshold=draw(st.sampled_from([0.0, 0.125, 0.5, 1.0]))),
+        VectorizedEngine(),
     ]
-    return engines
 
 
 def check_constructed_engines(program: RoundProgram, engines, options: dict, context=""):

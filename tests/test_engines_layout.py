@@ -7,7 +7,9 @@ into one module.  These tests pin the transforms' contracts directly, along
 with the row packing every packed engine starts from and the matrix sizes
 at which the vectorized engine switches from its source-map kernel to the
 row-permuted one; the registry-wide differential suites already certify
-that the engines using them stay bit-exact.
+that the engines using them stay bit-exact.  The permuted kernel's L2-tiled
+gather, which test-sized matrices never reach at the default tile budget,
+is checked against the reference engine here with the budget shrunk.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.gossip.engines import VectorizedEngine, vectorized
+from repro.gossip.builders import random_systolic_schedule
+from repro.gossip.engines import VectorizedEngine, get_engine, vectorized
 from repro.gossip.engines._bitops import pack_int, pack_rows, unpack_rows
 from repro.gossip.engines.base import RoundProgram
 from repro.gossip.engines.layout import (
@@ -27,7 +30,7 @@ from repro.gossip.engines.layout import (
     packed_words,
     row_locality_permutation,
 )
-from repro.gossip.model import Mode
+from repro.gossip.model import Mode, SystolicSchedule
 from repro.protocols.generic import coloring_systolic_schedule
 from repro.topologies.base import Digraph
 from repro.topologies.classic import cycle_graph, grid_2d, hypercube, path_graph
@@ -194,3 +197,73 @@ class TestVectorizedRegime:
         assert key_types() == {int}
         monkeypatch.setattr(vectorized, "_SOURCE_MAP_MAX_BYTES", 0)
         assert key_types() == {tuple}
+
+
+class TestTiledGather:
+    """The permuted kernel's tiled gather and chunked completion scan match
+    the reference engine.
+
+    Irregular matching rounds longer than one tile take the tiled gather;
+    colouring rounds make the schedules complete, so the chunked scan also
+    answers "complete".  The regime threshold is patched to 0 and the tile
+    budget to 1 KiB, the 32-row floor of :func:`vectorized._tile_rows`.
+    """
+
+    GRAPHS = {"C(200)": lambda: cycle_graph(200), "grid 10x20": lambda: grid_2d(10, 20)}
+
+    @pytest.fixture(autouse=True)
+    def small_tiles(self, monkeypatch):
+        monkeypatch.setattr(vectorized, "_SOURCE_MAP_MAX_BYTES", 0)
+        monkeypatch.setattr(vectorized, "_TILE_TARGET_BYTES", 1 << 10)
+
+    def _program(self, name):
+        graph = self.GRAPHS[name]()
+        rounds = [
+            *coloring_systolic_schedule(graph, Mode.HALF_DUPLEX).base_rounds,
+            *random_systolic_schedule(graph, 3, Mode.HALF_DUPLEX, seed=0).base_rounds,
+        ]
+        program = RoundProgram.from_schedule(
+            SystolicSchedule(graph, rounds, mode=Mode.HALF_DUPLEX)
+        )
+        words = packed_words(graph.n)
+        assert not vectorized._uses_source_map(graph.n, words)
+        tile_rows = vectorized._tile_rows(words)
+        _, old_to_new = row_locality_permutation(graph, program.rounds)
+        compiled = [
+            vectorized._compile_round(graph, arcs, old_to_new) for arcs in program.rounds
+        ]
+        assert any(
+            disjoint and segments is None and heads.size > tile_rows
+            for _, heads, disjoint, segments in compiled
+        ), "no round takes the tiled gather"
+        return program
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    @pytest.mark.parametrize(
+        "options",
+        [{"track_history": False}, {"track_history": True, "track_arrivals": True}],
+        ids=["plain", "tracked"],
+    )
+    def test_matches_reference(self, name, options):
+        from test_engines_differential import assert_results_identical
+
+        program = self._program(name)
+        ref = get_engine("reference").run(program, **options)
+        got = VectorizedEngine().run(program, **options)
+        assert ref.completion_round is not None
+        assert_results_identical(ref, got, (name, options))
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_checkpoint_resume_roundtrip(self, name):
+        from test_engines_differential import assert_results_identical
+
+        program = self._program(name)
+        engine = VectorizedEngine()
+        ref = get_engine("reference").run_checkpointed(
+            program, checkpoint_rounds=(35,), track_history=False
+        )
+        first = engine.run_checkpointed(program, checkpoint_rounds=(35,), track_history=False)
+        (state,) = first.checkpoints
+        assert state.knowledge == ref.checkpoints[0].knowledge
+        resumed = engine.run_checkpointed(program, resume_from=state, track_history=False)
+        assert_results_identical(ref.result, resumed.result, name)

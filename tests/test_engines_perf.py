@@ -106,10 +106,11 @@ class TestVectorizedPerformance:
 class TestTilingRegressionGuard:
     """The L2-tiled kernel must never be slower than the PR 1 (untiled) kernel.
 
-    ``VectorizedEngine(tile_bytes=None)`` reproduces the untiled kernel
-    exactly.  The workload is a random (irregular) matching schedule on
-    C(8192): irregular rounds defeat the strided-segment fast path, so both
-    engines run the gather/scatter path whose temporary the tiling bounds —
+    Patching ``_TILE_TARGET_BYTES`` to ``1 << 62`` makes one tile span the
+    whole matrix, which reproduces the untiled kernel exactly.  The workload
+    is a random (irregular) matching schedule on C(8192): irregular rounds
+    defeat the strided-segment fast path, so both configurations run the
+    gather/scatter path whose temporary the tiling bounds —
     the knowledge matrix (8 MiB) plus an untiled gather temporary are far
     beyond L2 at this size.
 
@@ -118,14 +119,15 @@ class TestTilingRegressionGuard:
     runners would make a 1.25× wall-clock comparison flaky.
     """
 
-    def test_tiled_no_slower_than_untiled_at_8192(self):
+    def test_tiled_no_slower_than_untiled_at_8192(self, monkeypatch):
         n = 8192
         schedule = random_systolic_schedule(cycle_graph(n), 4, Mode.HALF_DUPLEX, seed=3)
         program = RoundProgram.from_schedule(schedule, 256)
-        tiled = VectorizedEngine()
-        untiled = VectorizedEngine(tile_bytes=None)
+        engine = VectorizedEngine()
+        default_tile_bytes = vectorized._TILE_TARGET_BYTES
 
-        def best_of(engine, repeats=3):
+        def best_of(tile_target_bytes, repeats=3):
+            monkeypatch.setattr(vectorized, "_TILE_TARGET_BYTES", tile_target_bytes)
             result = None
             best = float("inf")
             for _ in range(repeats):
@@ -134,8 +136,8 @@ class TestTilingRegressionGuard:
                 best = min(best, time.perf_counter() - start)
             return best, result
 
-        untiled_s, untiled_result = best_of(untiled)
-        tiled_s, tiled_result = best_of(tiled)
+        untiled_s, untiled_result = best_of(1 << 62)
+        tiled_s, tiled_result = best_of(default_tile_bytes)
 
         # Large-instance differential check rides along for free.
         assert tiled_result.knowledge == untiled_result.knowledge

@@ -186,7 +186,8 @@ def test_stacked_rejects_mismatched_vertex_counts():
 
 def test_robust_batch_scoring_routes_through_stacked_kernel():
     """The non-incremental robust_gossip_rounds batch scores bit-identically
-    to per-candidate evaluation (the batch rides the stacked kernel)."""
+    to per-candidate evaluation (the batch rides the stacked kernel), and
+    both equal the mean trial cost of the looped reference oracle."""
     from repro.search.objective import (
         RobustnessSpec,
         evaluate_candidates,
@@ -205,3 +206,17 @@ def test_robust_batch_scoring_routes_through_stacked_kernel():
         assert got.score == solo.score
         assert got.complete == solo.complete
         assert got.rounds == solo.rounds
+        # The spec's horizon factor is monte_carlo's default, so the looped
+        # oracle replays the very trials the objective scored.
+        oracle = monte_carlo(
+            candidate, spec.model, trials=spec.trials, seed=spec.seed,
+            engine="reference", method="looped",
+        )
+        n = candidate.graph.n
+        costs = [
+            rounds if rounds is not None
+            else oracle.horizon + n * n - sum(bits.bit_count() for bits in knowledge)
+            for rounds, knowledge in zip(oracle.completion_rounds, oracle.knowledge)
+        ]
+        assert solo.complete and solo.rounds == oracle.nominal_rounds
+        assert solo.score == sum(costs) / spec.trials

@@ -147,8 +147,8 @@ def test_island_telemetry_conservation_across_worker_counts():
     identical counters (except the ``workers`` knob itself), identical
     buckets for deterministic histograms, and the per-evaluation timing
     histogram — whose bucket *contents* are wall-clock and therefore
-    nondeterministic — must still hold exactly one sample per island
-    evaluation.
+    nondeterministic — must still hold exactly one sample per evaluation
+    the result reports, seed scoring included.
     """
 
     def run(workers):
@@ -180,8 +180,8 @@ def test_island_telemetry_conservation_across_worker_counts():
         else:
             assert pool.histograms[name].buckets == solo.histograms[name].buckets
 
-    evaluations = solo.counters["search.islands"]["island_evaluations"]
-    assert solo.histograms["search.eval_ns"].count == evaluations
+    evaluations = pool_result.evaluations
+    assert solo.histograms["search.eval_ns"].count == solo_result.evaluations
     assert pool.histograms["search.eval_ns"].count == evaluations
     assert pool.gauges["search.islands.best_score"] == pool_result.objective.score
 
@@ -192,7 +192,10 @@ def test_island_telemetry_conservation_across_worker_counts():
 
     # The merged result-level RunStats carries the same totals.
     pool_rs = pool_result.run_stats
-    assert pool_rs.counters["search.islands"]["island_evaluations"] == evaluations
+    assert (
+        pool_rs.counters["search.islands"]["island_evaluations"]
+        == pool.counters["search.islands"]["island_evaluations"]
+    )
     assert pool_rs.histograms["search.eval_ns"].count == evaluations
 
 

@@ -1,6 +1,6 @@
-"""Tests for the persistent run ledger, the regression detector, and the
-trajectory recorder's dedupe/ledger integration (no benchmark battery is
-run — entries are synthesised).
+"""Tests for the regression detector, the trajectory recorder's dedupe,
+and the ``report``/``compare`` commands that read the trajectory (no
+benchmark battery is run — entries are synthesised).
 """
 
 from __future__ import annotations
@@ -8,24 +8,11 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
-import sqlite3
-import sys
 
 import pytest
 
-from repro.telemetry.core import Histogram
-from repro.telemetry.ledger import (
-    DEFAULT_LEDGER_PATH,
-    LEDGER_ENV_VAR,
-    Ledger,
-    LedgerError,
-    SCHEMA_VERSION,
-    ledger_path,
-    record_entry,
-)
 from repro.telemetry.regress import (
     Observation,
-    analyze_ledger,
     analyze_section,
     analyze_trajectory,
     main as regress_main,
@@ -60,118 +47,6 @@ def _entry(date, rev, seconds=1.0, counters=None, section="bench"):
         },
         "telemetry": dict(counters or {"work": 100}),
     }
-
-
-# --------------------------------------------------------------------- #
-# Ledger
-
-
-def test_ledger_created_and_migrated_from_empty(tmp_path):
-    path = tmp_path / "sub" / "ledger.db"
-    with Ledger(str(path)) as ledger:
-        assert ledger.sections() == []
-    # Schema version stamped; WAL mode on; tables exist.
-    conn = sqlite3.connect(str(path))
-    (version,) = conn.execute("PRAGMA user_version").fetchone()
-    assert version == SCHEMA_VERSION
-    tables = {
-        name
-        for (name,) in conn.execute(
-            "SELECT name FROM sqlite_master WHERE type='table'"
-        )
-    }
-    assert {"runs", "counters", "histogram_buckets"} <= tables
-    conn.close()
-    # Re-opening an already-migrated ledger is a no-op.
-    with Ledger(str(path)) as ledger:
-        assert ledger.sections() == []
-
-
-def test_ledger_refuses_newer_schema(tmp_path):
-    path = tmp_path / "future.db"
-    conn = sqlite3.connect(str(path))
-    conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION + 1}")
-    conn.commit()
-    conn.close()
-    with pytest.raises(LedgerError):
-        Ledger(str(path))
-
-
-def test_ledger_round_trip(tmp_path):
-    path = str(tmp_path / "ledger.db")
-    hist = Histogram.of(2, 2, 50)
-    with Ledger(path) as ledger:
-        ledger.record_run(
-            date="2026-08-01",
-            rev="abc1234",
-            section="bench",
-            seconds=1.25,
-            counters={"work": 7, "rounds": 32},
-            histograms={"lat": hist},
-            attrs={"instance": "C(8)"},
-        )
-    with Ledger(path) as ledger:
-        (row,) = ledger.runs(section="bench")
-        assert (row.date, row.rev, row.section) == ("2026-08-01", "abc1234", "bench")
-        assert row.seconds == 1.25
-        assert row.counters == {"rounds": 32, "work": 7}
-        assert row.attrs == {"instance": "C(8)"}
-        assert row.histograms["lat"].buckets == hist.buckets
-        assert row.histograms["lat"].count == hist.count
-
-
-def test_ledger_upsert_replaces_same_key(tmp_path):
-    path = str(tmp_path / "ledger.db")
-    with Ledger(path) as ledger:
-        ledger.record_run(
-            date="2026-08-01", rev="abc", section="bench", seconds=1.0,
-            counters={"work": 1}, histograms={"lat": Histogram.of(1)},
-        )
-        ledger.record_run(
-            date="2026-08-01", rev="abc", section="bench", seconds=2.0,
-            counters={"work": 2},
-        )
-        rows = ledger.runs(section="bench")
-        assert len(rows) == 1
-        assert rows[0].seconds == 2.0
-        assert rows[0].counters == {"work": 2}
-        # The replaced row's counters/buckets cascaded away.
-        orphans = ledger._conn.execute("SELECT COUNT(*) FROM histogram_buckets").fetchone()
-        assert orphans == (0,)
-
-
-def test_ledger_path_resolution(tmp_path, monkeypatch):
-    monkeypatch.delenv(LEDGER_ENV_VAR, raising=False)
-    assert ledger_path() == DEFAULT_LEDGER_PATH
-    assert ledger_path("/x/y.db") == "/x/y.db"
-    monkeypatch.setenv(LEDGER_ENV_VAR, str(tmp_path / "env.db"))
-    assert ledger_path() == str(tmp_path / "env.db")
-    assert ledger_path("/x/y.db") == "/x/y.db"
-
-
-def test_record_entry_maps_sections(tmp_path):
-    path = str(tmp_path / "ledger.db")
-    entry = _entry("2026-08-01", "abc", seconds=0.5)
-    entry["sections"]["engines"] = {
-        "instance": "C(1024)",
-        "seconds": {"vectorized": 0.2, "frontier": 0.4},
-        "best_engine": "vectorized",
-        "best_seconds": 0.2,
-        "counters": {"engine.vectorized.runs": 1},
-        "histograms": {},
-    }
-    with Ledger(path) as ledger:
-        record_entry(ledger, entry, entry["rev"])
-        assert ledger.sections() == ["bench", "engines"]
-        (engines,) = ledger.runs(section="engines")
-        # Engine sections store their best timing as the scalar and keep
-        # the per-backend dict in attrs.
-        assert engines.seconds == 0.2
-        assert engines.attrs["seconds_vectorized"] == 0.2
-        assert engines.attrs["best_engine"] == "vectorized"
-        (bench,) = ledger.runs(section="bench")
-        assert bench.histograms["lat"].buckets == {1: 3, 9: 1}
-        assert ledger.revisions() == ["abc"]
 
 
 # --------------------------------------------------------------------- #
@@ -236,7 +111,7 @@ def test_regression_with_matching_workload_is_not_doubly_reported():
 
 
 def test_analyze_trajectory_old_format_rows():
-    # Pre-ledger rows: no rev, no per-section counters -> timing-only.
+    # Early rows: no rev, no per-section counters -> timing-only.
     rows = [
         {"date": "2026-08-01", "sections": {"bench": {"seconds": 1.0}}},
         {"date": "2026-08-02", "sections": {"bench": {"seconds": 2.0}}},
@@ -281,23 +156,9 @@ def test_regress_cli_check(tmp_path, capsys):
     assert "timing_regression" in out
 
 
-def test_regress_cli_ledger_mode(tmp_path):
-    db = str(tmp_path / "ledger.db")
-    with Ledger(db) as ledger:
-        record_entry(ledger, _entry("2026-08-01", "a"), "a")
-        record_entry(ledger, _entry("2026-08-02", "b", seconds=2.5), "b")
-    assert regress_main(["--ledger", db]) == 1
-    findings = []
-    with Ledger(db) as ledger:
-        findings = analyze_ledger(ledger)
-    assert [f.kind for f in findings] == ["timing_regression"]
-
-
-def test_regress_cli_requires_one_input(tmp_path):
+def test_regress_cli_requires_a_trajectory():
     with pytest.raises(SystemExit):
         regress_main([])
-    with pytest.raises(SystemExit):
-        regress_main(["--check", "x.json", "--ledger", "y.db"])
 
 
 # --------------------------------------------------------------------- #
@@ -344,35 +205,47 @@ def _cli(argv):
     return main(argv)
 
 
+def _trajectory(tmp_path, *entries):
+    path = tmp_path / "traj.json"
+    path.write_text(json.dumps(list(entries)))
+    return str(path)
+
+
 def test_cli_report_empty_and_populated(tmp_path, capsys):
-    db = str(tmp_path / "ledger.db")
-    assert _cli(["report", "--ledger", db]) == 0
+    empty = _trajectory(tmp_path)
+    assert _cli(["report", "--trajectory", empty]) == 0
     assert "no recorded runs" in capsys.readouterr().out
-    with Ledger(db) as ledger:
-        record_entry(ledger, _entry("2026-08-01", "a"), "a")
-        record_entry(ledger, _entry("2026-08-02", "b", seconds=2.5), "b")
-    assert _cli(["report", "--ledger", db]) == 0
+    path = _trajectory(
+        tmp_path, _entry("2026-08-01", "a"), _entry("2026-08-02", "b", seconds=2.5)
+    )
+    assert _cli(["report", "--trajectory", path]) == 0
     out = capsys.readouterr().out
     assert "section bench" in out
     assert "2026-08-01" in out and "2026-08-02" in out
     assert "timing_regression" in out
-    assert _cli(["report", "--ledger", db, "--section", "bench", "--last", "1"]) == 0
+    assert _cli(["report", "--trajectory", path, "--section", "bench", "--last", "1"]) == 0
     out = capsys.readouterr().out
     assert "2026-08-01" not in out  # --last 1 keeps only the newest row
 
 
+def test_cli_report_rejects_unreadable_trajectory(tmp_path, capsys):
+    assert _cli(["report", "--trajectory", str(tmp_path / "missing.json")]) == 1
+    assert "cannot read trajectory" in capsys.readouterr().err
+    not_a_list = tmp_path / "object.json"
+    not_a_list.write_text(json.dumps({"not": "a list"}))
+    assert _cli(["report", "--trajectory", str(not_a_list)]) == 1
+    assert "cannot read trajectory" in capsys.readouterr().err
+
+
 def test_cli_compare(tmp_path, capsys):
-    db = str(tmp_path / "ledger.db")
-    with Ledger(db) as ledger:
-        record_entry(ledger, _entry("2026-08-01", "aaa", counters={"work": 100}), "aaa")
-        record_entry(
-            ledger,
-            _entry("2026-08-02", "bbb", seconds=2.0, counters={"work": 300}),
-            "bbb",
-        )
-    assert _cli(["compare", "aaa", "bbb", "--ledger", db]) == 0
+    path = _trajectory(
+        tmp_path,
+        _entry("2026-08-01", "aaa", counters={"work": 100}),
+        _entry("2026-08-02", "bbb", seconds=2.0, counters={"work": 300}),
+    )
+    assert _cli(["compare", "aaa", "bbb", "--trajectory", path]) == 0
     out = capsys.readouterr().out
     assert "2.00x" in out
     assert "work: 100 -> 300" in out
-    assert _cli(["compare", "aaa", "nosuch", "--ledger", db]) == 1
+    assert _cli(["compare", "aaa", "nosuch", "--trajectory", path]) == 1
     assert "nosuch" in capsys.readouterr().err
