@@ -30,7 +30,8 @@ counters are analysed on timings alone).  ``repro-gossip report`` and
 
 which exits 1 when a ``timing_regression`` is found, 0 otherwise (a
 trajectory with fewer than two observations for every section passes
-vacuously — there is nothing to compare yet).
+vacuously — there is nothing to compare yet), and 2 with a one-line
+error when the file is missing, not JSON or not a list of rows.
 """
 
 from __future__ import annotations
@@ -285,8 +286,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="timing ratio that counts as a regression",
     )
     args = parser.parse_args(argv)
+    try:
+        rows = read_trajectory(args.check)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read trajectory: {exc}")
     findings = analyze_trajectory(
-        read_trajectory(args.check), window=args.window, timing_threshold=args.threshold
+        rows, window=args.window, timing_threshold=args.threshold
     )
 
     if not findings:

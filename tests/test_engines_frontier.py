@@ -150,3 +150,44 @@ class TestFrontierEmptyFixedPoint:
         assert gossip_time(schedule, engine=ENGINE) == gossip_time(
             schedule, engine="reference"
         )
+
+
+class TestIrregularSchedules:
+    """The pre-split pending windows against the reference engine on
+    schedules whose rounds fire sparse, irregular arc sets: directed random
+    rounds leave many windows empty, and duplex colourings fill them."""
+
+    def _schedules(self):
+        yield coloring_systolic_schedule(cycle_graph(16), Mode.HALF_DUPLEX)
+        yield coloring_systolic_schedule(grid_2d(4, 5), Mode.HALF_DUPLEX)
+        yield coloring_systolic_schedule(grid_2d(3, 4), Mode.FULL_DUPLEX)
+        for seed in range(3):
+            yield random_systolic_schedule(
+                grid_2d(3, 4), 5, Mode.DIRECTED, seed=seed, activation_probability=0.5
+            )
+
+    @pytest.mark.parametrize(
+        "track",
+        [{}, {"track_item_completion": True}, {"track_arrivals": True}],
+        ids=["plain", "items", "arrivals"],
+    )
+    def test_matches_reference(self, track):
+        from test_engines_differential import assert_results_identical
+
+        for schedule in self._schedules():
+            program = RoundProgram.from_schedule(schedule, 80)
+            ref = get_engine("reference").run(program, track_history=True, **track)
+            got = get_engine(ENGINE).run(program, track_history=True, **track)
+            assert_results_identical(ref, got, (schedule.name, track))
+
+    def test_resume_matches_cold_run(self):
+        from test_engines_differential import assert_results_identical
+
+        schedule = coloring_systolic_schedule(cycle_graph(14), Mode.HALF_DUPLEX)
+        program = RoundProgram.from_schedule(schedule, 60)
+        engine = get_engine(ENGINE)
+        (state,) = engine.run_checkpointed(program, checkpoint_rounds=(3,)).checkpoints
+        resumed = engine.run_checkpointed(program, resume_from=state).result
+        cold = get_engine("reference").run(program)
+        assert cold.completion_round is not None
+        assert_results_identical(cold, resumed, "resume")

@@ -18,7 +18,10 @@ any oracle, so they would still catch a bug shared by both implementations
   any changed word, knowledge can never grow again: doubling the round
   budget leaves the final state untouched and the coverage tail constant,
   while ``rounds_executed`` still reports the full budget (the engine's
-  early exit must be unobservable).
+  early exit must be unobservable);
+* **tracking invariance** — recording history, item completions or
+  arrivals only adds records: the untracked run reaches the same
+  completion round, executed rounds, knowledge and checkpoint states.
 """
 
 from __future__ import annotations
@@ -175,3 +178,96 @@ class TestActiveWordsEmptyFixedPoint:
         assert gossip_time(schedule, engine=ENGINE) == gossip_time(
             schedule, engine="reference"
         )
+
+
+class TestTrackingInvariance:
+    """Tracking only adds records.  The untracked run — the path every
+    ``gossip_time`` call takes — must reach the same completion round,
+    executed rounds and knowledge as a fully tracked run, at every dense
+    threshold, and capture the same checkpoint states.  The untracked side
+    is also pinned to the reference engine, which shares none of the
+    hybrid engine's completion accounting."""
+
+    CASES = TestDensePathEquivalence.CASES
+    TRACK_ALL = {
+        "track_history": True,
+        "track_item_completion": True,
+        "track_arrivals": True,
+    }
+
+    @staticmethod
+    def _same_outcome(plain, tracked, context):
+        assert plain.completion_round == tracked.completion_round, context
+        assert plain.rounds_executed == tracked.rounds_executed, context
+        assert plain.knowledge == tracked.knowledge, context
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("threshold", [0.0, 0.25, 1.0])
+    def test_untracked_matches_tracked_and_reference(self, case, threshold):
+        program = RoundProgram.from_schedule(self.CASES[case]())
+        engine = HybridEngine(dense_threshold=threshold)
+        plain = engine.run(program, track_history=False)
+        tracked = engine.run(program, **self.TRACK_ALL)
+        self._same_outcome(plain, tracked, (case, threshold))
+        ref = get_engine("reference").run(program, track_history=False)
+        assert_results_identical(ref, plain, (case, threshold, "reference"))
+
+    def test_untracked_never_completing_run(self):
+        # Forward-only path rounds saturate without completing: the
+        # post-loop completeness check must answer "no" on an untracked run
+        # and still report the full budget.
+        n = 7
+        graph = path_graph(n)
+        rounds = [[(i, i + 1)] for i in range(n - 1)]
+        schedule = SystolicSchedule(graph, rounds, mode=Mode.DIRECTED)
+        program = RoundProgram.from_schedule(schedule, 90)
+        plain = get_engine(ENGINE).run(program, track_history=False)
+        assert plain.completion_round is None
+        assert plain.rounds_executed == 90
+        self._same_outcome(
+            plain, get_engine(ENGINE).run(program, **self.TRACK_ALL), "never-completing"
+        )
+        ref = get_engine("reference").run(program, track_history=False)
+        assert_results_identical(ref, plain, "never-completing")
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"track_history": True},
+            {"track_history": False, "track_arrivals": True},
+            {"track_history": False, "track_item_completion": True},
+            {"track_history": True, "target_mask": 0b1011},
+        ],
+        ids=["history", "arrivals", "items", "subset-mask"],
+    )
+    def test_each_tracking_option_leaves_the_outcome(self, options):
+        program = RoundProgram.from_schedule(
+            coloring_systolic_schedule(cycle_graph(9), Mode.HALF_DUPLEX)
+        )
+        mask = {"target_mask": options["target_mask"]} if "target_mask" in options else {}
+        plain = get_engine(ENGINE).run(program, track_history=False, **mask)
+        tracked = get_engine(ENGINE).run(program, **options)
+        assert plain.completion_round is not None
+        self._same_outcome(plain, tracked, options)
+        ref = get_engine("reference").run(program, **options)
+        assert_results_identical(ref, tracked, options)
+
+    def test_untracked_checkpoints_match_tracked(self):
+        # A checkpoint after every round: no state past the completion
+        # round, the completing round's state carries the stamp, and the
+        # captured knowledge does not depend on what the run records.
+        program = RoundProgram.from_schedule(
+            coloring_systolic_schedule(cycle_graph(9), Mode.HALF_DUPLEX)
+        )
+        every = range(program.max_rounds + 1)
+        engine = get_engine(ENGINE)
+        plain = engine.run_checkpointed(program, checkpoint_rounds=every, track_history=False)
+        tracked = engine.run_checkpointed(program, checkpoint_rounds=every, track_history=True)
+        completion = plain.result.completion_round
+        assert completion is not None
+        assert [s.round for s in plain.checkpoints] == list(range(completion + 1))
+        assert [s.round for s in tracked.checkpoints] == list(range(completion + 1))
+        for sp, st in zip(plain.checkpoints, tracked.checkpoints):
+            assert sp.knowledge == st.knowledge, sp.round
+            expected = completion if sp.round == completion else None
+            assert sp.completion_round == st.completion_round == expected, sp.round

@@ -199,6 +199,17 @@ class TestVectorizedRegime:
         assert key_types() == {tuple}
 
 
+def test_tile_rows_read_the_budget_when_called(monkeypatch):
+    # No engine binds the tile budget at construction: patching the module
+    # constant is how tests shrink tiles, so it must take effect at once.
+    words = 4
+    row_bytes = 2 * words * vectorized._WORD_BYTES
+    monkeypatch.setattr(vectorized, "_TILE_TARGET_BYTES", 1 << 20)
+    assert vectorized._tile_rows(words) == (1 << 20) // row_bytes
+    monkeypatch.setattr(vectorized, "_TILE_TARGET_BYTES", 1 << 10)
+    assert vectorized._tile_rows(words) == 32  # the row floor
+
+
 class TestTiledGather:
     """The permuted kernel's tiled gather and chunked completion scan match
     the reference engine.
@@ -241,8 +252,13 @@ class TestTiledGather:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     @pytest.mark.parametrize(
         "options",
-        [{"track_history": False}, {"track_history": True, "track_arrivals": True}],
-        ids=["plain", "tracked"],
+        [
+            {"track_history": False},
+            {"track_history": True, "track_arrivals": True},
+            {"track_history": False, "track_item_completion": True},
+            {"track_history": False, "target_mask": (1 << 150) - 1},
+        ],
+        ids=["plain", "tracked", "items", "subset-mask"],
     )
     def test_matches_reference(self, name, options):
         from test_engines_differential import assert_results_identical

@@ -199,6 +199,21 @@ def test_island_telemetry_conservation_across_worker_counts():
     assert pool_rs.histograms["search.eval_ns"].count == evaluations
 
 
+def test_incremental_island_search_records_seed_scoring():
+    """The seed portfolio's scoring is flushed with the islands' own work:
+    every evaluation the result reports left one ``search.eval_ns`` sample
+    and one incremental-evaluator count."""
+    recorder = telemetry.StatsRecorder()
+    with telemetry.recording(recorder):
+        result = run_island_search(
+            cycle_graph(12), Mode.HALF_DUPLEX, strategy="hill",
+            seed=3, max_iters=40, workers=1, incremental=True,
+        )
+    stats = recorder.stats
+    assert stats.histograms["search.eval_ns"].count == result.evaluations
+    assert stats.counters["search.incremental"]["evaluations"] == result.evaluations
+
+
 def test_island_argument_validation():
     graph = cycle_graph(8)
     with pytest.raises(SimulationError):

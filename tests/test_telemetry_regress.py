@@ -8,6 +8,8 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -16,12 +18,14 @@ from repro.telemetry.regress import (
     analyze_section,
     analyze_trajectory,
     main as regress_main,
+    trajectory_observations,
 )
 
 _BENCHMARKS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
 _TRAJECTORY = os.path.join(
     os.path.dirname(__file__), os.pardir, "BENCH_trajectory.json"
 )
+_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def _load_record_trajectory():
@@ -135,6 +139,31 @@ def test_analyze_trajectory_engine_sections_use_best_seconds():
     assert [f.kind for f in regressed] == ["timing_regression"]
 
 
+def test_trajectory_observations_map_sections():
+    bench = _entry("2026-08-01", "abc", seconds=0.5)
+    bench["sections"]["engines"] = {
+        "instance": "C(1024)",
+        "seconds": {"vectorized": 0.2, "frontier": 0.4},
+        "best_engine": "vectorized",
+        "best_seconds": 0.2,
+        "counters": {"engine.vectorized.runs": 1},
+        "histograms": {},
+    }
+    early = {"date": "2026-07-01", "sections": {"bench": {"seconds": 0.7}}}
+    sections = trajectory_observations([early, bench])
+    assert sorted(sections) == ["bench", "engines"]
+    # Rows keep their file order; an early row without rev or counters
+    # reads as rev "?" with no counters.
+    assert sections["bench"] == [
+        Observation(date="2026-07-01", rev="?", seconds=0.7, counters={}),
+        Observation(date="2026-08-01", rev="abc", seconds=0.5, counters={"work": 100}),
+    ]
+    # Engine sections time each backend; their scalar is the best one.
+    (engines,) = sections["engines"]
+    assert engines.seconds == 0.2
+    assert engines.counters == {"engine.vectorized.runs": 1}
+
+
 def test_committed_trajectory_is_quiet():
     with open(_TRAJECTORY) as handle:
         rows = json.load(handle)
@@ -159,6 +188,37 @@ def test_regress_cli_check(tmp_path, capsys):
 def test_regress_cli_requires_a_trajectory():
     with pytest.raises(SystemExit):
         regress_main([])
+
+
+def test_regress_cli_rejects_unreadable_trajectory(tmp_path, capsys):
+    not_a_list = tmp_path / "object.json"
+    not_a_list.write_text(json.dumps({"not": "a list"}))
+    not_json = tmp_path / "broken.json"
+    not_json.write_text("[{")
+    for path in (tmp_path / "missing.json", not_a_list, not_json):
+        with pytest.raises(SystemExit) as info:
+            regress_main(["--check", str(path)])
+        # Exit 2 (unusable input) is distinct from 1 (regression found).
+        assert info.value.code == 2, path
+        assert "cannot read trajectory" in capsys.readouterr().err, path
+
+
+def test_import_loads_no_sqlite3():
+    # The trajectory JSON is the only history store; importing the package
+    # and its report/compare/regress entry points must not pull in sqlite3.
+    script = (
+        "import sys, repro, repro.cli, repro.telemetry.regress; "
+        "print('sqlite3' in sys.modules)"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": _SRC},
+        timeout=120,
+    )
+    assert completed.stdout.strip() == "False"
 
 
 # --------------------------------------------------------------------- #
@@ -249,3 +309,22 @@ def test_cli_compare(tmp_path, capsys):
     assert "work: 100 -> 300" in out
     assert _cli(["compare", "aaa", "nosuch", "--trajectory", path]) == 1
     assert "nosuch" in capsys.readouterr().err
+
+
+def test_cli_compare_needs_a_shared_section(tmp_path, capsys):
+    path = _trajectory(
+        tmp_path,
+        _entry("2026-08-01", "aaa", section="plain"),
+        _entry("2026-08-02", "bbb", section="tracked"),
+    )
+    assert _cli(["compare", "aaa", "bbb", "--trajectory", path]) == 1
+    assert "no section recorded under both 'aaa' and 'bbb'" in capsys.readouterr().err
+    # The latest row of a revision recorded twice is the one compared.
+    path = _trajectory(
+        tmp_path,
+        _entry("2026-08-01", "aaa"),
+        _entry("2026-08-02", "bbb", seconds=3.0),
+        _entry("2026-08-03", "bbb", seconds=1.5),
+    )
+    assert _cli(["compare", "aaa", "bbb", "--trajectory", path]) == 0
+    assert "1.0000 -> 1.5000  (1.50x)" in capsys.readouterr().out
