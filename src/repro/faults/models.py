@@ -45,6 +45,7 @@ except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
 
 from repro.exceptions import SimulationError
 from repro.gossip.engines import SimulationEngine, resolve_engine
+from repro.gossip.engines._bitops import arc_indices
 from repro.gossip.engines.base import RoundProgram
 from repro.gossip.model import Round
 
@@ -210,13 +211,7 @@ class _CrashSample(FaultSample):
                 victims = rng.choice(n, size=k, replace=False)
                 self.crash_round[t, victims] = rng.integers(1, horizon + 1, size=k)
         # (tails, heads) vertex-index arrays per distinct base round slot.
-        index = program.graph.index
-        self._slots = []
-        for arcs in program.rounds:
-            m = len(arcs)
-            tails = np.fromiter((index(t) for t, _ in arcs), dtype=np.int64, count=m)
-            heads = np.fromiter((index(h) for _, h in arcs), dtype=np.int64, count=m)
-            self._slots.append((tails, heads))
+        self._slots = [arc_indices(program.graph, arcs) for arcs in program.rounds]
 
     def _slot(self, round_number: int) -> tuple[np.ndarray, np.ndarray]:
         if not 1 <= round_number <= self.horizon:

@@ -94,6 +94,7 @@ from repro.gossip.engines._bitops import (
     WORD_MASK as _WORD_MASK,
     WORD_SHIFT as _WORD_SHIFT,
     ap_segments as _ap_segments,
+    arc_indices as _arc_indices,
     compile_head_groups as _compile_head_groups,
     numpy_available,
     pack_int as _pack_int,
@@ -445,7 +446,8 @@ def _run_batched_stacked(
     target = n * n
 
     groups_by_c = [
-        [_compile_head_groups(p.graph, arcs) for arcs in p.rounds] for p in programs
+        [_compile_head_groups(*_arc_indices(p.graph, arcs)) for arcs in p.rounds]
+        for p in programs
     ]
     segments_by_c = [_slot_segments(groups) for groups in groups_by_c]
     scratch_by_c = [

@@ -81,7 +81,9 @@ dependency is missing.
 
 Checkpoint/resume
 -----------------
-All four registered engines implement the checkpoint/resume protocol
+All four registered engines run through one driver,
+:class:`~repro.gossip.engines.checkpoint.CheckpointingMixin`, and so all
+implement the checkpoint/resume protocol
 (:mod:`repro.gossip.engines.checkpoint`): ``run_checkpointed`` captures
 :class:`EngineState` snapshots after requested rounds,
 ``checkpoint``/``resume`` are the single-state conveniences, and
@@ -108,16 +110,18 @@ Every backend self-reports through :mod:`repro.telemetry` when a recorder
 is active (``--trace PATH`` / ``REPRO_TRACE`` stream JSONL; ``--metrics``
 prints the in-memory roll-up; both install a recorder around the run).
 With the default ``NullRecorder`` the whole layer costs one context-variable
-read per run — counters are accumulated as plain local ints behind a single
-``enabled`` check and flushed once at run end, never per-slot.
+read per run — counters are accumulated as plain local ints in the round
+loop and the run driver flushes them once at run end, never per-slot.
 
 Counter vocabulary (component ``engine.<name>``):
 
 * ``runs`` — engine invocations;
-* ``rounds_simulated`` — rounds actually executed by the loop;
+* ``rounds_simulated`` — rounds actually executed by the loop: the
+  result's ``rounds_executed`` minus the resume round minus
+  ``rounds_synthesized``, for every engine;
 * ``rounds_synthesized`` — rounds *not* executed because a sparse engine
-  proved a fixed point (its ``idle >= s`` early exit) and synthesized the
-  remainder;
+  proved a fixed point (its ``idle >= s`` early exit) and the run driver
+  synthesized the remainder;
 * ``slots_fired_sparse`` / ``slots_fired_dense`` — slot firings by path
   (for the frontier engine "dense" means first firings; for the hybrid
   engine it means over-threshold fallbacks are counted separately in
@@ -142,17 +146,24 @@ bit-identical to telemetry-off runs for every registered backend.
 
 Adding a fifth backend
 ----------------------
-Implement the :class:`~repro.gossip.engines.base.SimulationEngine` protocol
-(a ``name`` attribute plus a ``run(program, ...)`` method returning a
-:class:`~repro.gossip.engines.base.SimulationResult`), then call
-:func:`register_engine`.  Run ``tests/test_engines_differential.py`` and
+Subclass the run driver,
+:class:`~repro.gossip.engines.checkpoint.CheckpointingMixin`, give the
+class a ``name`` and implement its one hook, ``_execute(run)``, which
+executes the rounds (the contract is in the
+:mod:`~repro.gossip.engines.checkpoint` docstring), then call
+:func:`register_engine`.  The driver supplies ``run``,
+``run_checkpointed``, ``checkpoint`` and ``resume``, the resume checks,
+the tracked prefixes, the snapshots, the telemetry and the result.  A
+backend that only implements the
+:class:`~repro.gossip.engines.base.SimulationEngine` protocol (a ``name``
+attribute plus a ``run(program, ...)`` method returning a
+:class:`~repro.gossip.engines.base.SimulationResult`) still registers; it
+just cannot checkpoint.  Run ``tests/test_engines_differential.py`` and
 the randomized fuzz suite ``tests/test_engines_fuzz.py`` with your engine
 registered to certify bit-for-bit agreement with the reference engine —
 both suites iterate over the registry, so new backends get coverage for
-free; implement ``run_checkpointed`` (see
-:class:`~repro.gossip.engines.checkpoint.CheckpointableEngine`) and
-``tests/test_engines_resume.py`` certifies the resume contract the same
-way.
+free, and ``tests/test_engines_resume.py`` certifies the resume contract
+of every checkpointable one the same way.
 """
 
 from __future__ import annotations

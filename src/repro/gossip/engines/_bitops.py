@@ -7,13 +7,16 @@ row lives in word ``j // 64`` at position ``j % 64``), so that a row
 reinterpreted as little-endian bytes equals the reference engine's Python
 integer exactly.  The helpers here convert between that layout and Python
 integers and expand packed words into bit coordinates,
-:class:`HeadGroups` / :func:`dense_apply_grouped` hold the one copy of the
-head-grouped gather/``reduceat``/diff slot core (whose snapshot-semantics
-subtleties — gather every tail row before any head row is written — live
-here once), and :func:`ap_segments` is the strided decomposition of
-matching rounds shared by the vectorized engine and the fault kernel.  Any
-future packed-bitset backend should build on these rather than reaching
-into another engine's internals.
+:func:`arc_indices` is the one conversion of a round's arcs to row index
+arrays, :class:`HeadGroups` / :func:`dense_apply_grouped` hold the one copy
+of the head-grouped gather/``reduceat``/diff slot core (whose
+snapshot-semantics subtleties — gather every tail row before any head row
+is written — live here once), :func:`tail_filter_groups` groups the window
+slots of the frontier and hybrid engines by tail set, and
+:func:`ap_segments` is the strided decomposition of matching rounds shared
+by the vectorized engine and the fault kernel.  Any future packed-bitset
+backend should build on these rather than reaching into another engine's
+internals.
 """
 
 from __future__ import annotations
@@ -39,9 +42,11 @@ __all__ = [
     "unpack_bits",
     "set_bit_positions",
     "expand_delta_words",
+    "arc_indices",
     "HeadGroups",
     "compile_head_groups",
     "dense_apply_grouped",
+    "tail_filter_groups",
     "ap_segments",
 ]
 
@@ -187,18 +192,25 @@ class HeadGroups:
         self.arc_order = arc_order
 
 
-def compile_head_groups(graph, arcs) -> HeadGroups:
-    """Precompile one round's arcs into the head-grouped dense layout.
-
-    ``graph`` provides the vertex → row index mapping; ``arcs`` is the
-    round's ``(tail, head)`` label pairs in schedule order.
-    """
-    m = len(arcs)
-    if m == 0:
-        return HeadGroups(0, None, None, None, True, None)
+def arc_indices(graph, arcs) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices ``(tails, heads)`` of a round's ``(tail, head)`` arcs, in
+    arc order (``graph`` provides the vertex → row index mapping)."""
     index = graph.index
+    m = len(arcs)
     tails = np.fromiter((index(t) for t, _ in arcs), dtype=np.int64, count=m)
     heads = np.fromiter((index(h) for _, h in arcs), dtype=np.int64, count=m)
+    return tails, heads
+
+
+def compile_head_groups(tails: np.ndarray, heads: np.ndarray) -> HeadGroups:
+    """Precompile one round into the head-grouped dense layout.
+
+    ``tails`` and ``heads`` are the round's row index arrays in arc order,
+    as :func:`arc_indices` returns them.
+    """
+    m = tails.size
+    if m == 0:
+        return HeadGroups(0, None, None, None, True, None)
     order = np.argsort(heads, kind="stable")
     uheads, group_starts = np.unique(heads[order], return_index=True)
     return HeadGroups(m, tails[order], uheads, group_starts, uheads.size == m, order)
@@ -230,6 +242,31 @@ def dense_apply_grouped(
     receivers = groups.uheads[changed]
     knowledge[receivers] |= sub
     return receivers, sub
+
+
+def tail_filter_groups(tail_masks) -> list[tuple[np.ndarray | None, list[int]]]:
+    """Group window slots by identical tail masks.
+
+    ``tail_masks[k]`` is slot ``k``'s boolean is-a-tail row vector, or
+    ``None`` for a slot that takes no window.  Returns ``[(mask, members),
+    ...]`` with one entry per distinct mask, where ``mask`` is ``None`` when
+    it is all-``True`` (every produced row is relevant — no filter needed).
+    The windowed engines split each round's delta at production time with
+    one boolean gather per entry, not per slot, and append the result to
+    every member slot's pending window.
+    """
+    groups: list[tuple[np.ndarray | None, list[int]]] = []
+    by_key: dict[bytes, int] = {}
+    for k, mask in enumerate(tail_masks):
+        if mask is None:
+            continue
+        key = mask.tobytes()
+        gi = by_key.get(key)
+        if gi is None:
+            gi = by_key[key] = len(groups)
+            groups.append((None if mask.all() else mask, []))
+        groups[gi][1].append(k)
+    return groups
 
 
 def expand_delta_words(words: np.ndarray, word_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Checkpoint/resume layer of the engine protocol.
+"""Checkpoint/resume layer of the engine protocol, and the one run driver.
 
 A *checkpoint* freezes a run mid-program: :class:`EngineState` is the
 engine-agnostic snapshot of everything a backend needs to continue the run
@@ -40,41 +40,88 @@ modified round.
 
 Surface
 -------
-Checkpointable engines implement :class:`CheckpointableEngine`:
+Every shipped engine inherits :class:`CheckpointingMixin`, which defines
+these methods once for all of them:
 
-``run_checkpointed(program, checkpoint_rounds=..., resume_from=...)``
+``run(program, **options) -> SimulationResult``
+    A plain run: ``run_checkpointed(program, **options).result``.
+``run_checkpointed(program, checkpoint_rounds=..., resume_from=..., **options)``
     The one primitive: run (or resume) a program, capturing a state after
     each requested round, and return a :class:`CheckpointedRun`.
     Checkpoint rounds that the run never reaches (it completed earlier)
     are silently skipped; rounds inside a fixed-point early-exit region
-    are synthesized exactly.
+    are synthesized exactly.  ``slot_cache`` is a caller-owned ``dict``
+    that memoizes compiled round slots across runs of one engine on one
+    graph (:func:`compiled_slots`); an engine that compiles nothing
+    ignores it.
 ``checkpoint(program, at, **options) -> EngineState``
     Convenience: run until round ``at`` and return that one state.
 ``resume(state, program, from_round=None, **options) -> SimulationResult``
     Convenience: continue ``state`` to the end of ``program``'s budget.
 
-All four registered engines — reference, vectorized, frontier and hybrid —
-support checkpointing (via :class:`CheckpointingMixin`); use
-:func:`supports_checkpointing` to probe a backend, e.g. when iterating the
-registry, since third-party registrations may not implement the protocol.
+Use :func:`supports_checkpointing` to probe a backend, e.g. when iterating
+the registry, since a third-party registration may implement only ``run``.
+
+The run driver
+--------------
+``run_checkpointed`` owns everything around an engine's round loop.
+Before the first round it validates the start (:func:`check_resume_state`
+or the initial vector), resolves the target mask and the wanted checkpoint
+rounds, builds the tracked prefixes at the start round — from the state,
+or from the start knowledge — tests completion and captures the start
+round.  It then calls the engine's one hook, ``_execute``, with an
+:class:`EngineRun`; a start that is already complete skips the hook.
+After the last round it synthesizes the rounds a fixed-point exit
+skipped, flushes the telemetry and assembles the result.  None of this
+runs per round.
+
+A backend subclasses :class:`CheckpointingMixin` and implements
+``_execute(run) -> (knowledge, executed, completion, counters)``: execute
+rounds ``run.base + 1`` onwards from the incomplete start, stopping at
+completion or at ``run.program.max_rounds``, and return the final
+knowledge in public row and bit order (a packed ``uint64`` matrix, or a
+list of Python ints), the last executed round, the completion round (or
+``None``) and a dict of the engine's own counters, named in its
+``engine_counters``.  Along the way the loop extends ``run``'s tracked
+prefixes in place and calls :meth:`EngineRun.capture` after round
+``run.next_capture``.  An engine that sets ``stops_at_fixed_point`` may
+return early once a full period brought no news: the driver fills in the
+remaining no-op rounds and reports ``rounds_synthesized`` and
+``early_exit_round`` for it.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from functools import reduce
+from operator import and_
+from typing import Protocol, runtime_checkable
 
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
+    np = None  # type: ignore[assignment] - only the reference engine runs then
+
+from repro import telemetry
 from repro.exceptions import SimulationError
-from repro.gossip.engines.base import RoundProgram, SimulationResult, full_mask
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
+from repro.gossip.engines._bitops import numpy_available, unpack_rows
+from repro.gossip.engines.base import (
+    ArrivalRounds,
+    RoundProgram,
+    SimulationResult,
+    check_initial,
+    full_mask,
+    initial_knowledge,
+    iter_set_bits,
+)
 
 __all__ = [
     "EngineState",
     "CheckpointedRun",
     "CheckpointableEngine",
     "CheckpointingMixin",
+    "EngineRun",
     "supports_checkpointing",
 ]
 
@@ -151,10 +198,11 @@ def check_resume_state(
     """Validate that ``state`` can seed a run of ``program`` under these options.
 
     Catches signature mismatches (vertex count, target mask, tracking
-    flags) and budgets that end before the resume point.  The round-prefix
-    contract — ``program``'s rounds ``1 … state.round`` must equal the
-    producing run's — is the caller's responsibility and is *not* checked
-    here (doing so would require storing the whole executed prefix).
+    flags), budgets that end before the resume point, and tracked prefixes
+    of the wrong shape.  The round-prefix contract — ``program``'s rounds
+    ``1 … state.round`` must equal the producing run's — is the caller's
+    responsibility and is *not* checked here (doing so would require
+    storing the whole executed prefix).
     """
     n = program.graph.n
     if state.n != n:
@@ -186,6 +234,21 @@ def check_resume_state(
             "cannot resume: the state's coverage-history prefix does not cover "
             "its own round"
         )
+    if track_item_completion and (
+        state.item_completion is None or len(state.item_completion) != n
+    ):
+        raise SimulationError(
+            f"cannot resume: the state's item-completion prefix does not have "
+            f"one entry for each of the {n} items"
+        )
+    if track_arrivals and (
+        state.arrivals is None
+        or len(state.arrivals) != n
+        or any(len(row) != n for row in state.arrivals)
+    ):
+        raise SimulationError(
+            f"cannot resume: the state's arrival prefix is not {n} rows of {n} entries"
+        )
 
 
 def normalize_checkpoint_rounds(checkpoint_rounds, base: int) -> list[int]:
@@ -194,6 +257,245 @@ def normalize_checkpoint_rounds(checkpoint_rounds, base: int) -> list[int]:
     if wanted and wanted[0] < 0:
         raise SimulationError(f"checkpoint rounds must be >= 0, got {wanted[0]}")
     return [r for r in wanted if r >= base]
+
+
+#: Compiled-slot caches are cleared past this size so a long search walk
+#: cannot grow one without bound (distinct rounds accumulate with every
+#: insert/mutate move).
+_SLOT_CACHE_LIMIT = 4096
+
+
+def compiled_slots(
+    rounds, compile_slot, slot_cache: dict | None, *, anchored: bool = False
+) -> list:
+    """``compile_slot(arcs)`` for every round, memoized in ``slot_cache`` when given.
+
+    Entries are keyed by round *identity*: ``make_round`` interns rounds, so
+    one search walk sees the same tuple objects over and over, and an
+    identity key avoids re-hashing a whole arc tuple per slot per run.  An
+    ``anchored`` compilation also depends on the program's first non-empty
+    round (the permuted vectorized kernel's row order is a function of its
+    head set), so its key is the ``(id(round), id(anchor))`` pair: a move
+    that changes the anchor forces recompilation, and the two key kinds
+    never collide.  Each entry holds the objects its key identifies, which
+    keeps those ids valid for the entry's lifetime.  The dict is opaque to
+    callers and must not be shared across graphs or engines.
+    """
+    if slot_cache is None:
+        return [compile_slot(arcs) for arcs in rounds]
+    anchor = next((arcs for arcs in rounds if arcs), None) if anchored else None
+    slots = []
+    for arcs in rounds:
+        key = (id(arcs), id(anchor)) if anchored else id(arcs)
+        entry = slot_cache.get(key)
+        if entry is None:
+            if len(slot_cache) >= _SLOT_CACHE_LIMIT:
+                slot_cache.clear()
+            entry = slot_cache[key] = (arcs, anchor, compile_slot(arcs))
+        slots.append(entry[2])
+    return slots
+
+
+def _canonical_knowledge(knowledge) -> tuple[int, ...]:
+    """Python-int rows from an engine's list or packed ``uint64`` matrix."""
+    return tuple(knowledge) if isinstance(knowledge, list) else unpack_rows(knowledge)
+
+
+def _canonical_rounds(values) -> tuple[int | None, ...]:
+    """Tracked rounds with ``None`` for "not yet", from a list (``None``
+    entries) or an int64 array (``-1`` entries)."""
+    if not isinstance(values, list):
+        values = values.tolist()
+    return tuple(x if x is None or x >= 0 else None for x in values)
+
+
+def _canonical_arrivals(rows) -> tuple[tuple[int | None, ...], ...]:
+    if not isinstance(rows, list):
+        rows = rows.tolist()
+    return tuple(_canonical_rounds(row) for row in rows)
+
+
+def _int64_rounds(values) -> np.ndarray:
+    """The NumPy engines' form of tracked rounds: int64, ``-1`` = not yet."""
+    return np.array([-1 if x is None else x for x in values], dtype=np.int64)
+
+
+class EngineRun:
+    """One run as the driver hands it to an engine's ``_execute`` hook.
+
+    For the hook to read: ``program``; ``base``, the round the run starts
+    after (0, or the resumed state's round); ``start``, the knowledge after
+    ``base`` as a fresh list of Python ints in public vertex order, which
+    the hook may reuse as its own state; ``identity_start``, whether that is
+    the paper's each-vertex-knows-itself start; the resolved
+    ``target_mask``; ``slot_cache`` (see :func:`compiled_slots`); and
+    ``counting``, whether a telemetry recorder will take the engine's
+    counters.
+
+    The tracked prefixes, indexed by public vertex and public item, are the
+    driver's own containers and the loop extends them in place:
+    ``history`` takes one coverage count per executed round when
+    ``track_history`` is on (and stays empty otherwise); ``item_rounds``
+    (``n`` entries) and ``arrivals`` (``n`` rows of ``n``) are ``None``
+    when untracked, int64 arrays with ``-1`` for "not yet" for an engine
+    with ``uses_numpy``, and lists with ``None`` for "not yet" otherwise.
+
+    ``next_capture`` is the next wanted checkpoint round, or a round past
+    the budget when none is left; the loop calls :meth:`capture` right
+    after executing it.
+    """
+
+    __slots__ = (
+        "program",
+        "base",
+        "start",
+        "identity_start",
+        "target_mask",
+        "track_history",
+        "history",
+        "item_rounds",
+        "arrivals",
+        "completion",
+        "next_capture",
+        "slot_cache",
+        "counting",
+        "checkpoints",
+        "_wanted",
+        "_engine_name",
+    )
+
+    def __init__(
+        self,
+        engine,
+        program: RoundProgram,
+        *,
+        checkpoint_rounds,
+        resume_from: EngineState | None,
+        slot_cache: dict | None,
+        initial: list[int] | None,
+        target_mask: int | None,
+        track_history: bool,
+        track_item_completion: bool,
+        track_arrivals: bool,
+        counting: bool,
+    ) -> None:
+        n = program.graph.n
+        state = resume_from
+        if state is not None:
+            if initial is not None:
+                raise SimulationError(
+                    "resume_from and initial are mutually exclusive "
+                    "(the state carries the knowledge vector)"
+                )
+            check_resume_state(
+                state,
+                program,
+                target_mask=target_mask,
+                track_history=track_history,
+                track_item_completion=track_item_completion,
+                track_arrivals=track_arrivals,
+            )
+            start = list(state.knowledge)
+            base = state.round
+        else:
+            start = initial_knowledge(n) if initial is None else list(initial)
+            base = 0
+        check_initial(start, n)
+        full = _resolved_mask(program, target_mask)
+
+        self.program = program
+        self.base = base
+        self.start = start
+        self.identity_start = state is None and initial is None
+        self.target_mask = full
+        self.track_history = track_history
+        self.slot_cache = slot_cache
+        self.counting = counting
+        self.checkpoints: list[EngineState] = []
+        self._engine_name = engine.name
+
+        arrays = engine.uses_numpy
+        if state is not None:
+            self.completion = state.completion_round
+            self.history = list(state.coverage_history) if track_history else []
+            items = state.item_completion
+            if track_item_completion:
+                self.item_rounds = _int64_rounds(items) if arrays else list(items)
+            else:
+                self.item_rounds = None
+            if not track_arrivals:
+                self.arrivals = None
+            elif arrays:
+                # One row at a time: never an n x n nested list on top of
+                # the matrix.
+                self.arrivals = np.empty((n, n), dtype=np.int64)
+                for v, row in enumerate(state.arrivals):
+                    self.arrivals[v] = [-1 if x is None else x for x in row]
+            else:
+                self.arrivals = [list(row) for row in state.arrivals]
+        else:
+            self.completion = 0 if all(v & full == full for v in start) else None
+            self.history = [sum(v.bit_count() for v in start)] if track_history else []
+            vertex_items = full_mask(n)
+            self.item_rounds = None
+            if track_item_completion:
+                # Round 0 for every item that all start rows hold.
+                items = [None] * n
+                for j in iter_set_bits(reduce(and_, start) & vertex_items):
+                    items[j] = 0
+                self.item_rounds = _int64_rounds(items) if arrays else items
+            self.arrivals = None
+            if track_arrivals:
+                # Round 0 wherever a start row holds a vertex item.
+                if arrays:
+                    self.arrivals = np.full((n, n), -1, dtype=np.int64)
+                else:
+                    self.arrivals = [[None] * n for _ in range(n)]
+                for v, bits in enumerate(start):
+                    for j in iter_set_bits(bits & vertex_items):
+                        self.arrivals[v][j] = 0
+
+        # Wanted rounds as a stack with the next one on top, above a round
+        # past the budget: no run reaches that one, so the stack never runs
+        # dry.
+        self._wanted = [program.max_rounds + 1]
+        self._wanted.extend(reversed(normalize_checkpoint_rounds(checkpoint_rounds, base)))
+        self.next_capture = self._wanted.pop()
+
+    def capture(self, round_number: int, completion: int | None, knowledge) -> int:
+        """Snapshot the run after ``round_number``; return the next wanted round.
+
+        ``knowledge`` is the engine's state after that round in public row
+        and bit order — a packed ``uint64`` matrix or a list of Python ints;
+        the tracked prefixes come from the run itself.
+        """
+        self.checkpoints.append(
+            EngineState(
+                round=round_number,
+                knowledge=_canonical_knowledge(knowledge),
+                completion_round=completion,
+                target_mask=self.target_mask,
+                track_history=self.track_history,
+                track_item_completion=self.item_rounds is not None,
+                track_arrivals=self.arrivals is not None,
+                coverage_history=(
+                    tuple(self.history[: round_number + 1])
+                    if self.track_history
+                    else None
+                ),
+                item_completion=(
+                    None
+                    if self.item_rounds is None
+                    else _canonical_rounds(self.item_rounds)
+                ),
+                arrivals=(
+                    None if self.arrivals is None else _canonical_arrivals(self.arrivals)
+                ),
+                engine_name=self._engine_name,
+            )
+        )
+        self.next_capture = self._wanted.pop()
+        return self.next_capture
 
 
 @runtime_checkable
@@ -210,6 +512,7 @@ class CheckpointableEngine(Protocol):
         *,
         checkpoint_rounds=(),
         resume_from: EngineState | None = None,
+        slot_cache: dict | None = None,
         **options,
     ) -> CheckpointedRun: ...
 
@@ -231,7 +534,152 @@ def supports_checkpointing(engine) -> bool:
 
 
 class CheckpointingMixin:
-    """`checkpoint`/`resume` conveniences on top of ``run_checkpointed``."""
+    """The run driver: ``run``, ``run_checkpointed``, ``checkpoint`` and
+    ``resume`` around one engine hook, ``_execute`` (see the module
+    docstring for the hook's contract).
+
+    Class attributes an engine sets:
+
+    ``engine_counters``
+        The names of the counters ``_execute`` returns, flushed under
+        ``engine.<name>`` after ``runs`` and ``rounds_simulated``.
+    ``uses_numpy``
+        The engine needs NumPy and takes its tracked prefixes as int64
+        arrays; otherwise they are lists.
+    ``stops_at_fixed_point``
+        The round loop may stop after a full period without news; the
+        driver synthesizes the remaining rounds and also reports
+        ``rounds_synthesized`` and ``early_exit_round``.
+    """
+
+    name: str
+    engine_counters: tuple[str, ...] = ()
+    uses_numpy = False
+    stops_at_fixed_point = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # Bind both entry points on every engine class itself, so tools that
+        # wrap them per class (a profiler, the benchmark's layer tracer in
+        # perfbench/tracer.py) reach exactly one backend, and can restore it.
+        for attr in ("run", "run_checkpointed"):
+            if attr not in cls.__dict__:
+                setattr(cls, attr, getattr(cls, attr))
+
+    def _execute(self, run: EngineRun):
+        """Execute the rounds after ``run.base``; see the module docstring."""
+        raise NotImplementedError
+
+    def run(
+        self,
+        program: RoundProgram,
+        *,
+        initial: list[int] | None = None,
+        target_mask: int | None = None,
+        track_history: bool = True,
+        track_item_completion: bool = False,
+        track_arrivals: bool = False,
+    ) -> SimulationResult:
+        """Execute ``program`` (see
+        :class:`~repro.gossip.engines.base.SimulationEngine`)."""
+        return self.run_checkpointed(
+            program,
+            initial=initial,
+            target_mask=target_mask,
+            track_history=track_history,
+            track_item_completion=track_item_completion,
+            track_arrivals=track_arrivals,
+        ).result
+
+    def run_checkpointed(
+        self,
+        program: RoundProgram,
+        *,
+        checkpoint_rounds=(),
+        resume_from: EngineState | None = None,
+        slot_cache: dict | None = None,
+        initial: list[int] | None = None,
+        target_mask: int | None = None,
+        track_history: bool = True,
+        track_item_completion: bool = False,
+        track_arrivals: bool = False,
+    ) -> CheckpointedRun:
+        """Run (or resume) ``program``, capturing a state after each wanted
+        round; see the module docstring."""
+        recorder = telemetry.get_recorder()
+        counting = recorder.enabled
+        t0 = time.perf_counter_ns() if counting else 0
+        if self.uses_numpy and not numpy_available():  # pragma: no cover - a hard dep
+            raise SimulationError(f"the {self.name} engine requires NumPy >= 2.0")
+        run = EngineRun(
+            self,
+            program,
+            checkpoint_rounds=checkpoint_rounds,
+            resume_from=resume_from,
+            slot_cache=slot_cache,
+            initial=initial,
+            target_mask=target_mask,
+            track_history=track_history,
+            track_item_completion=track_item_completion,
+            track_arrivals=track_arrivals,
+            counting=counting,
+        )
+        base = run.base
+        if run.next_capture == base:
+            run.capture(base, run.completion, run.start)
+        if run.completion is None:
+            knowledge, executed, completion, counts = self._execute(run)
+        else:
+            knowledge, executed, completion = run.start, base, run.completion
+            counts = dict.fromkeys(self.engine_counters, 0)
+
+        synthesized = early_exit = 0
+        if completion is None and executed < program.max_rounds:
+            # The loop stopped at a fixed point: every later round is a no-op,
+            # so the remaining rounds, and the checkpoints among them, come
+            # from the frozen state, indistinguishable from running them out.
+            early_exit = executed
+            synthesized = program.max_rounds - executed
+            executed = program.max_rounds
+            if track_history:
+                run.history.extend([run.history[-1]] * synthesized)
+            while run.next_capture <= executed:
+                run.capture(run.next_capture, None, knowledge)
+
+        run_stats = None
+        if counting:
+            if self.stops_at_fixed_point:
+                counts = {
+                    "rounds_synthesized": synthesized,
+                    **counts,
+                    "early_exit_round": early_exit,
+                }
+            simulated = executed - base - synthesized
+            counts = {"runs": 1, "rounds_simulated": simulated, **counts}
+            component = "engine." + self.name
+            hist = telemetry.Histogram.of(simulated)
+            recorder.counters(component, counts)
+            recorder.histogram(component + ".rounds", hist)
+            telemetry.record_span(
+                "engine.run", t0, engine=self.name, n=program.graph.n, resumed_round=base
+            )
+            run_stats = telemetry.RunStats.single(component, counts)
+            run_stats.add_histogram(component + ".rounds", hist)
+
+        result = SimulationResult(
+            graph=program.graph,
+            rounds_executed=executed,
+            completion_round=completion,
+            knowledge=_canonical_knowledge(knowledge),
+            coverage_history=tuple(run.history),
+            item_completion_rounds=(
+                None if run.item_rounds is None else _canonical_rounds(run.item_rounds)
+            ),
+            arrival_rounds=None if run.arrivals is None else ArrivalRounds(run.arrivals),
+            engine_name=self.name,
+            run_stats=run_stats,
+        )
+        return CheckpointedRun(result, tuple(run.checkpoints))
 
     def checkpoint(self, program: RoundProgram, at: int, **options) -> EngineState:
         """The state of ``program``'s run after round ``at``.
@@ -269,17 +717,3 @@ class CheckpointingMixin:
                 f"{state.round}"
             )
         return self.run_checkpointed(program, resume_from=state, **options).result
-
-
-def encode_arrivals(rows) -> tuple[tuple[int | None, ...], ...]:
-    """Canonical nested-tuple arrival encoding from an engine's int64 matrix
-    (``-1`` = never arrived) or nested ``int | None`` lists."""
-    out = []
-    for row in rows:
-        out.append(tuple(x if x is None or x >= 0 else None for x in row))
-    return tuple(out)
-
-
-def decode_arrivals_lists(arrivals) -> list[list[int | None]]:
-    """Mutable nested-list arrivals for the reference engine's resume path."""
-    return [list(row) for row in arrivals]

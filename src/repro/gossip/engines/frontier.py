@@ -54,36 +54,28 @@ first firings, whose full-knowledge transmission supersedes anything
 pending.
 
 When a full period passes without any new pair the knowledge state is a
-fixed point (every future window is empty), so the engine stops early and
-synthesizes the remaining no-op rounds: ``rounds_executed``,
-``coverage_history`` and every other field still match the reference engine
-exactly.
+fixed point (every future window is empty), so the loop stops early and
+the run driver synthesizes the remaining no-op rounds:
+``rounds_executed``, ``coverage_history`` and every other field still
+match the reference engine exactly.
 
 Checkpoint/resume
 -----------------
-The engine implements the checkpoint/resume protocol
-(:mod:`repro.gossip.engines.checkpoint`).  A resumed run at round ``r``
-is treated exactly like a program start: the first firing of each slot
-after ``r`` (rounds ``r+1 … r+s``) takes the dense full-knowledge path —
-there is no pre-resume delta window to build on — and the pending lists
-thereafter hold only post-resume deltas, so the window induction never
-references history the resumed run has not seen.  That is what makes resume bit-exact
-for *any* program suffix, which incremental schedule search relies on.
-All incremental counters are recomputed from the snapshot (the union of
-knowledge bits is time-invariant, so derived constants like the
-reachable-bit set match the cold run's).
-
-``run_checkpointed`` additionally accepts ``slot_cache``, a caller-owned
-``dict`` memoizing compiled round slots by their arc tuple.  Slot
-compilation dominates per-candidate cost on long periods, so a search walk
-passing one shared cache per (graph, engine) pays it only for rounds it
-has never seen.  The cache must not be shared across graphs.
+A resumed run at round ``r`` is treated exactly like a program start: the
+first firing of each slot after ``r`` (rounds ``r+1 … r+s``) takes the
+dense full-knowledge path — there is no pre-resume delta window to build
+on — and the pending lists thereafter hold only post-resume deltas, so the
+window induction never references history the resumed run has not seen.
+That is what makes resume bit-exact for *any* program suffix, which
+incremental schedule search relies on.  All incremental counters are
+recomputed from the snapshot (the union of knowledge bits is
+time-invariant, so derived constants like the reachable-bit set match the
+cold run's).
 """
 
 from __future__ import annotations
 
-import time
-from functools import reduce
+from functools import partial, reduce
 from operator import or_
 
 try:
@@ -91,36 +83,23 @@ try:
 except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
     np = None  # type: ignore[assignment]
 
-from repro import telemetry
-from repro.exceptions import SimulationError
-from repro.gossip.engines.base import (
-    ArrivalRounds,
-    RoundProgram,
-    SimulationResult,
-    check_initial,
-    full_mask,
-    initial_knowledge,
-)
 from repro.gossip.engines.checkpoint import (
-    CheckpointedRun,
     CheckpointingMixin,
-    EngineState,
-    check_resume_state,
-    encode_arrivals,
-    normalize_checkpoint_rounds,
+    EngineRun,
+    compiled_slots,
 )
 from repro.gossip.engines._bitops import (
     BIT_LUT as _BIT_LUT,
     WORD_MASK as _WORD_MASK,
     WORD_SHIFT as _WORD_SHIFT,
+    arc_indices as _arc_indices,
     compile_head_groups as _compile_head_groups,
     dense_apply_grouped as _dense_apply_grouped,
-    numpy_available,
     pack_int as _pack_int,
     pack_rows as _pack_rows,
     packed_width as _packed_width,
     set_bit_positions as _set_bit_positions,
-    unpack_rows as _unpack_rows,
+    tail_filter_groups as _tail_filter_groups,
 )
 from repro.topologies.base import Digraph
 
@@ -152,15 +131,12 @@ class _Slot:
 
 def _compile_slot(graph: Digraph, arcs, n: int) -> _Slot:
     slot = _Slot()
-    m = len(arcs)
-    slot.m = m
+    tails, heads = _arc_indices(graph, arcs)
+    m = slot.m = tails.size
     # Dense layout: the shared head-grouped gather/reduceat/diff core.
-    slot.groups = _compile_head_groups(graph, arcs)
+    slot.groups = _compile_head_groups(tails, heads)
     if m == 0:
         return slot
-    index = graph.index
-    tails = np.fromiter((index(t) for t, _ in arcs), dtype=np.int64, count=m)
-    heads = np.fromiter((index(h) for _, h in arcs), dtype=np.int64, count=m)
 
     # Sparse layout.  For a matching (each tail sends to one head) a single
     # routing table folds the is-a-tail test and the head lookup into one
@@ -255,59 +231,11 @@ def _sparse_apply(
     return h_new, j_new
 
 
-def _tail_filter_groups(slots, n):
-    """Group slot indices by identical tail masks for pre-split distribution.
-
-    Returns ``[(mask, members), ...]`` where ``mask`` is the boolean
-    is-a-tail vector shared by every slot index in ``members``, or ``None``
-    when that mask is all-``True`` (every produced pair is relevant — no
-    filter needed).  Grouping means each round's delta pays one boolean
-    gather per *distinct* mask instead of one per slot.
-    """
-    groups: list[tuple[np.ndarray | None, list[int]]] = []
-    by_key: dict[bytes, int] = {}
-    for k, slot in enumerate(slots):
-        if slot.m == 0:
-            mask = np.zeros(n, dtype=bool)
-        elif slot.single:
-            mask = slot.route >= 0
-        else:
-            mask = slot.is_tail
-        key = mask.tobytes()
-        gi = by_key.get(key)
-        if gi is None:
-            gi = by_key[key] = len(groups)
-            groups.append((None if mask.all() else mask, []))
-        groups[gi][1].append(k)
-    return groups
-
-
-#: Compiled-slot caches are cleared past this size so a long search walk
-#: cannot grow one without bound (distinct rounds accumulate with every
-#: insert/mutate move).
-_SLOT_CACHE_LIMIT = 4096
-
-
-def _compiled_slots(graph, rounds, n, slot_cache):
-    """Per-round compiled slots, memoized in ``slot_cache`` when given.
-
-    The cache is keyed by round *identity* — ``make_round`` interns rounds,
-    so one search walk sees the same tuple objects over and over, and the
-    identity key avoids re-hashing a whole arc tuple per slot per run.  The
-    entry keeps a strong reference to its round, which is what makes the
-    ``id`` stable for the entry's lifetime.  The dict is opaque to callers.
-    """
-    if slot_cache is None:
-        return [_compile_slot(graph, arcs, n) for arcs in rounds]
-    slots = []
-    for arcs in rounds:
-        entry = slot_cache.get(id(arcs))
-        if entry is None:
-            if len(slot_cache) >= _SLOT_CACHE_LIMIT:
-                slot_cache.clear()
-            entry = slot_cache[id(arcs)] = (arcs, _compile_slot(graph, arcs, n))
-        slots.append(entry[1])
-    return slots
+def _tail_mask(slot: _Slot) -> np.ndarray | None:
+    """The slot's boolean is-a-tail row vector (``None`` for an empty slot)."""
+    if slot.m == 0:
+        return None
+    return slot.route >= 0 if slot.single else slot.is_tail
 
 
 class FrontierEngine(CheckpointingMixin):
@@ -322,72 +250,24 @@ class FrontierEngine(CheckpointingMixin):
     """
 
     name = "frontier"
+    engine_counters = (
+        "slots_fired_sparse",
+        "slots_fired_dense",
+        "window_elements_routed",
+        "pairs_delivered",
+    )
+    uses_numpy = True
+    stops_at_fixed_point = True
 
-    def run(
-        self,
-        program: RoundProgram,
-        *,
-        initial: list[int] | None = None,
-        target_mask: int | None = None,
-        track_history: bool = True,
-        track_item_completion: bool = False,
-        track_arrivals: bool = False,
-    ) -> SimulationResult:
-        return self.run_checkpointed(
-            program,
-            initial=initial,
-            target_mask=target_mask,
-            track_history=track_history,
-            track_item_completion=track_item_completion,
-            track_arrivals=track_arrivals,
-        ).result
+    def _execute(self, run: EngineRun):
+        telem = run.counting
+        sparse_fired = dense_fired = routed = 0
 
-    def run_checkpointed(
-        self,
-        program: RoundProgram,
-        *,
-        checkpoint_rounds=(),
-        resume_from: EngineState | None = None,
-        slot_cache: dict | None = None,
-        initial: list[int] | None = None,
-        target_mask: int | None = None,
-        track_history: bool = True,
-        track_item_completion: bool = False,
-        track_arrivals: bool = False,
-    ) -> CheckpointedRun:
-        if not numpy_available():  # pragma: no cover - numpy is a hard dep today
-            raise SimulationError("the frontier engine requires NumPy >= 2.0")
-        _rec = telemetry.get_recorder()
-        _telem = _rec.enabled
-        _t0 = time.perf_counter_ns() if _telem else 0
-        _sparse_fired = _dense_fired = _routed = 0
-        _early_exit = _synthesized = 0
-
+        program = run.program
         graph = program.graph
         n = graph.n
-        state = resume_from
-        if state is not None:
-            if initial is not None:
-                raise SimulationError(
-                    "resume_from and initial are mutually exclusive "
-                    "(the state carries the knowledge vector)"
-                )
-            check_resume_state(
-                state,
-                program,
-                target_mask=target_mask,
-                track_history=track_history,
-                track_item_completion=track_item_completion,
-                track_arrivals=track_arrivals,
-            )
-            start = list(state.knowledge)
-            base = state.round
-        else:
-            start = list(initial) if initial is not None else initial_knowledge(n)
-            base = 0
-        check_initial(start, n)
-        full = full_mask(n) if target_mask is None else target_mask
-
+        start = run.start
+        full = run.target_mask
         words = _packed_width(n, full, start)
         bit_capacity = words * 64
         knowledge = _pack_rows(start, words)
@@ -408,235 +288,129 @@ class FrontierEngine(CheckpointingMixin):
         target_pop = full.bit_count()
         target_total = n * target_pop
         mask_total = sum(int(v & full).bit_count() for v in start)
-        coverage = sum(int(v).bit_count() for v in start)
+        coverage = start_coverage = sum(int(v).bit_count() for v in start)
 
-        item_rounds: np.ndarray | None = None
+        history = run.history if run.track_history else None
+        item_rounds = run.item_rounds
+        arrivals = run.arrivals
         item_count: np.ndarray | None = None
-        arrivals: np.ndarray | None = None
-        if track_item_completion or track_arrivals:
-            init_rows, init_cols = _set_bit_positions(knowledge)
-            init_vertex_items = init_cols < n
-            if track_item_completion:
-                item_count = np.bincount(init_cols[init_vertex_items], minlength=n)
-                item_rounds = np.full(n, -1, dtype=np.int64)
-                if state is not None:
-                    for j, r in enumerate(state.item_completion):
-                        if r is not None:
-                            item_rounds[j] = r
-                else:
-                    item_rounds[item_count == n] = 0
-            if track_arrivals:
-                arrivals = np.full((n, n), -1, dtype=np.int64)
-                if state is not None:
-                    for v, row in enumerate(state.arrivals):
-                        for j, r in enumerate(row):
-                            if r is not None:
-                                arrivals[v, j] = r
-                else:
-                    arrivals[
-                        init_rows[init_vertex_items], init_cols[init_vertex_items]
-                    ] = 0
+        if item_rounds is not None:
+            _, init_cols = _set_bit_positions(knowledge)
+            item_count = np.bincount(init_cols[init_cols < n], minlength=n)
 
-        history: list[int] = []
-        if track_history:
-            if state is not None:
-                history = list(state.coverage_history)
-            else:
-                history.append(coverage)
-
-        slots = _compiled_slots(graph, program.rounds, n, slot_cache)
+        compile_slot = partial(_compile_slot, graph, n=n)
+        slots = compiled_slots(program.rounds, compile_slot, run.slot_cache)
         s = len(slots)
         cyclic = program.cyclic
+        next_capture = run.next_capture
+        completion: int | None = None
+        executed = run.base
 
-        wanted = normalize_checkpoint_rounds(checkpoint_rounds, base)
-        captured: list[EngineState] = []
-
-        def capture(round_number: int, completion: int | None) -> None:
-            captured.append(
-                EngineState(
-                    round=round_number,
-                    knowledge=_unpack_rows(knowledge),
-                    completion_round=completion,
-                    target_mask=full,
-                    track_history=track_history,
-                    track_item_completion=track_item_completion,
-                    track_arrivals=track_arrivals,
-                    coverage_history=(
-                        tuple(history[: round_number + 1]) if track_history else None
-                    ),
-                    item_completion=None
-                    if item_rounds is None
-                    else tuple(
-                        int(x) if x >= 0 else None for x in item_rounds.tolist()
-                    ),
-                    arrivals=None
-                    if arrivals is None
-                    else encode_arrivals(arrivals.tolist()),
-                    engine_name=self.name,
+        # Window bookkeeping for cyclic programs: per-slot pending lists
+        # filled at delta production time, consumed (and cleared) at every
+        # firing.  After a resume they start empty, so the first s
+        # post-resume rounds take the dense path (see the module docstring's
+        # resume section).
+        windowed = cyclic and s > 0
+        if windowed:
+            filter_groups = _tail_filter_groups([_tail_mask(slot) for slot in slots])
+            pending_v: list[list[np.ndarray]] = [[] for _ in range(s)]
+            pending_j: list[list[np.ndarray]] = [[] for _ in range(s)]
+        idle = 0
+        for i in range(run.base + 1, program.max_rounds + 1):
+            if s == 0:
+                h_new, j_new = _empty_delta()
+            elif cyclic and i > run.base + s:
+                k = (i - 1) % s
+                parts_v = pending_v[k]
+                if len(parts_v) == 1:
+                    window_v, window_j = parts_v[0], pending_j[k][0]
+                elif parts_v:
+                    window_v = np.concatenate(parts_v)
+                    window_j = np.concatenate(pending_j[k])
+                else:
+                    window_v, window_j = _empty_delta()
+                pending_v[k] = []
+                pending_j[k] = []
+                if telem:
+                    sparse_fired += 1
+                    routed += window_v.size
+                h_new, j_new = _sparse_apply(
+                    flat_knowledge, words, slots[k],
+                    window_v, window_j, bit_capacity,
                 )
-            )
-
-        if state is not None:
-            completion: int | None = state.completion_round
-        else:
-            completion = 0 if mask_total == target_total else None
-        ci = 0
-        if ci < len(wanted) and wanted[ci] == base:
-            capture(base, completion)
-            ci += 1
-
-        executed = base
-        _coverage0 = coverage
-        if completion is None:
-            # Window bookkeeping for cyclic programs: per-slot pending lists
-            # filled at delta production time, consumed (and cleared) at
-            # every firing.  After a resume they start empty, so the first
-            # s post-resume rounds take the dense path (see the module
-            # docstring's resume section).
-            windowed = cyclic and s > 0
-            if windowed:
-                filter_groups = _tail_filter_groups(slots, n)
-                pending_v: list[list[np.ndarray]] = [[] for _ in range(s)]
-                pending_j: list[list[np.ndarray]] = [[] for _ in range(s)]
-            idle = 0
-            for i in range(base + 1, program.max_rounds + 1):
-                if s == 0:
-                    h_new, j_new = _empty_delta()
-                elif cyclic and i > base + s:
+            else:
+                # First firing of this slot (or a finite program, where
+                # every firing is the first): no previous delivery to
+                # build on, transmit full knowledge.  The full matrix
+                # supersedes anything pending for the slot — consume it.
+                slot = slots[(i - 1) % s] if cyclic else slots[i - 1]
+                if windowed:
                     k = (i - 1) % s
-                    parts_v = pending_v[k]
-                    if len(parts_v) == 1:
-                        window_v, window_j = parts_v[0], pending_j[k][0]
-                    elif parts_v:
-                        window_v = np.concatenate(parts_v)
-                        window_j = np.concatenate(pending_j[k])
-                    else:
-                        window_v, window_j = _empty_delta()
                     pending_v[k] = []
                     pending_j[k] = []
-                    if _telem:
-                        _sparse_fired += 1
-                        _routed += window_v.size
-                    h_new, j_new = _sparse_apply(
-                        flat_knowledge, words, slots[k],
-                        window_v, window_j, bit_capacity,
-                    )
-                else:
-                    # First firing of this slot (or a finite program, where
-                    # every firing is the first): no previous delivery to
-                    # build on, transmit full knowledge.  The full matrix
-                    # supersedes anything pending for the slot — consume it.
-                    slot = slots[(i - 1) % s] if cyclic else slots[i - 1]
-                    if windowed:
-                        k = (i - 1) % s
-                        pending_v[k] = []
-                        pending_j[k] = []
-                    if _telem:
-                        _dense_fired += 1
-                    h_new, j_new = _dense_apply(knowledge, slot)
-                executed = i
+                if telem:
+                    dense_fired += 1
+                h_new, j_new = _dense_apply(knowledge, slot)
+            executed = i
 
-                fresh = h_new.size
-                if fresh:
-                    idle = 0
-                    coverage += fresh
-                    if mask_covers_all:
-                        mask_total += fresh
-                    elif target_pop:
-                        in_mask = (mask_words[j_new >> _WORD_SHIFT] & _BIT_LUT[j_new & _WORD_MASK]) != 0
-                        mask_total += int(np.count_nonzero(in_mask))
-                    if mask_total == target_total:
-                        completion = i
-                    if item_count is not None or arrivals is not None:
-                        if items_only:
-                            hm, jm = h_new, j_new
-                        else:
-                            vertex_items = j_new < n
-                            hm = h_new[vertex_items]
-                            jm = j_new[vertex_items]
-                        if item_count is not None and jm.size:
-                            item_count += np.bincount(jm, minlength=n)
-                            item_rounds[jm[item_count[jm] == n]] = i
-                        if arrivals is not None:
-                            arrivals[hm, jm] = i
-                else:
-                    idle += 1
+            fresh = h_new.size
+            if fresh:
+                idle = 0
+                coverage += fresh
+                if mask_covers_all:
+                    mask_total += fresh
+                elif target_pop:
+                    in_mask = (
+                        mask_words[j_new >> _WORD_SHIFT] & _BIT_LUT[j_new & _WORD_MASK]
+                    ) != 0
+                    mask_total += int(np.count_nonzero(in_mask))
+                if mask_total == target_total:
+                    completion = i
+                if item_count is not None or arrivals is not None:
+                    if items_only:
+                        hm, jm = h_new, j_new
+                    else:
+                        vertex_items = j_new < n
+                        hm = h_new[vertex_items]
+                        jm = j_new[vertex_items]
+                    if item_count is not None and jm.size:
+                        item_count += np.bincount(jm, minlength=n)
+                        item_rounds[jm[item_count[jm] == n]] = i
+                    if arrivals is not None:
+                        arrivals[hm, jm] = i
+            else:
+                idle += 1
 
-                if windowed and fresh:
-                    # Split this round's delta by destination slot now, so
-                    # firings never rescan pairs routed nowhere.  One
-                    # boolean gather per distinct tail mask; chunks are
-                    # shared by reference across a group's members.
-                    for mask, members in filter_groups:
-                        if mask is None:
-                            fv, fj = h_new, j_new
-                        else:
-                            keep = mask[h_new]
-                            fv = h_new[keep]
-                            if fv.size == 0:
-                                continue
-                            fj = j_new[keep]
-                        for k in members:
-                            pending_v[k].append(fv)
-                            pending_j[k].append(fj)
-                if track_history:
-                    history.append(coverage)
-                if ci < len(wanted) and wanted[ci] == i:
-                    capture(i, completion)
-                    ci += 1
-                if completion is not None:
-                    break
-                if cyclic and idle >= s and i < program.max_rounds:
-                    # A full period without news: every future window is
-                    # empty, so knowledge is a fixed point.  Synthesize the
-                    # remaining no-op rounds instead of executing them; the
-                    # result is indistinguishable from running them out —
-                    # including the checkpoint states, which are captured
-                    # from the (frozen) matrix for every remaining wanted
-                    # round inside the budget.
-                    if _telem:
-                        _early_exit = i
-                        _synthesized = program.max_rounds - i
-                    if track_history:
-                        history.extend([coverage] * (program.max_rounds - i))
-                    executed = program.max_rounds
-                    while ci < len(wanted) and wanted[ci] <= program.max_rounds:
-                        capture(wanted[ci], None)
-                        ci += 1
-                    break
-
-        run_stats = None
-        if _telem:
-            counts = {
-                "runs": 1,
-                "rounds_simulated": executed - base - _synthesized,
-                "rounds_synthesized": _synthesized,
-                "slots_fired_sparse": _sparse_fired,
-                "slots_fired_dense": _dense_fired,
-                "window_elements_routed": _routed,
-                "pairs_delivered": coverage - _coverage0,
-                "early_exit_round": _early_exit,
-            }
-            _rec.counters("engine.frontier", counts)
-            _hist = telemetry.Histogram.of(counts["rounds_simulated"])
-            _rec.histogram("engine.frontier.rounds", _hist)
-            telemetry.record_span(
-                "engine.run", _t0, engine=self.name, n=n, resumed_round=base
-            )
-            run_stats = telemetry.RunStats.single("engine.frontier", counts)
-            run_stats.add_histogram("engine.frontier.rounds", _hist)
-
-        result = SimulationResult(
-            graph=graph,
-            rounds_executed=executed,
-            completion_round=completion,
-            knowledge=_unpack_rows(knowledge),
-            coverage_history=tuple(history),
-            item_completion_rounds=None
-            if item_rounds is None
-            else tuple(int(x) if x >= 0 else None for x in item_rounds.tolist()),
-            arrival_rounds=None if arrivals is None else ArrivalRounds(arrivals),
-            engine_name=self.name,
-            run_stats=run_stats,
-        )
-        return CheckpointedRun(result, tuple(captured))
+            if windowed and fresh:
+                # Split this round's delta by destination slot now, so
+                # firings never rescan pairs routed nowhere.  One
+                # boolean gather per distinct tail mask; chunks are
+                # shared by reference across a group's members.
+                for mask, members in filter_groups:
+                    if mask is None:
+                        fv, fj = h_new, j_new
+                    else:
+                        keep = mask[h_new]
+                        fv = h_new[keep]
+                        if fv.size == 0:
+                            continue
+                        fj = j_new[keep]
+                    for k in members:
+                        pending_v[k].append(fv)
+                        pending_j[k].append(fj)
+            if history is not None:
+                history.append(coverage)
+            if i == next_capture:
+                next_capture = run.capture(i, completion, knowledge)
+            if completion is not None or (cyclic and idle >= s):
+                # Complete, or a full period without news: every future
+                # window is empty, so knowledge is a fixed point and the run
+                # driver synthesizes the remaining no-op rounds.
+                break
+        return knowledge, executed, completion, {
+            "slots_fired_sparse": sparse_fired,
+            "slots_fired_dense": dense_fired,
+            "window_elements_routed": routed,
+            "pairs_delivered": coverage - start_coverage,
+        }

@@ -85,26 +85,22 @@ with thousands of vertices.  Coverage counts use the hardware popcount
 
 Checkpoint/resume
 -----------------
-The engine implements the checkpoint/resume protocol
-(:mod:`repro.gossip.engines.checkpoint`).  Snapshots are canonical: capture
-unpacks the ``uint64`` matrix back to Python-int knowledge rows (restoring
-public row order first in the permuted regime), so a state captured here
-resumes on any backend and in either regime, and vice versa.  The batched
-fast path treats requested checkpoint rounds as forced batch boundaries, so
-captures are exact without giving up the doubling-batch completion scan;
-resume restarts the doubling from the resume point.  ``run_checkpointed``
-accepts the same caller-owned ``slot_cache`` dict as the sparse engines.
-Source maps are in public row order, so their entries are keyed by the
-round's identity alone.  Permuted index arrays are expressed in the
-internal row order — a function of the first non-empty round's head set —
-so those entries are additionally keyed by that anchor round's identity,
-and a search walk that changes the permutation can never reuse a stale
-compilation.
+The run driver (:mod:`repro.gossip.engines.checkpoint`) captures states
+from the matrix in public row order, which the engine restores first in the
+permuted regime; the arrival matrix keeps public row order in both regimes.
+The batched fast path treats requested checkpoint rounds as forced batch
+boundaries, so captures are exact without giving up the doubling-batch
+completion scan; resume restarts the doubling from the resume point.
+Source maps are in public row order, so their ``slot_cache`` entries are
+keyed by the round's identity alone.  Permuted index arrays are expressed
+in the internal row order — a function of the first non-empty round's
+head set — so those entries are additionally keyed by that anchor round's
+identity, and a search walk that changes the permutation can never reuse
+a stale compilation.
 """
 
 from __future__ import annotations
 
-import time
 from functools import partial
 
 try:
@@ -112,36 +108,23 @@ try:
 except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
     np = None  # type: ignore[assignment] - "auto" then resolves to the reference engine
 
-from repro import telemetry
-from repro.exceptions import SimulationError
-from repro.gossip.engines.base import (
-    ArrivalRounds,
-    RoundProgram,
-    SimulationResult,
-    check_initial,
-    full_mask,
-    initial_knowledge,
-    iter_set_bits,
-)
+from repro.gossip.engines.base import iter_set_bits
 from repro.gossip.engines._bitops import (
     WORD_BYTES as _WORD_BYTES,
     ap_segments as _ap_segments,
+    arc_indices as _arc_indices,
     numpy_available,
     pack_int as _pack_int,
     pack_rows as _pack_rows,
     packed_width as _packed_width,
     popcount_total as _popcount_total,
     set_bit_positions as _set_bit_positions,
-    unpack_rows as _unpack_rows,
     unpack_words as _unpack_words,
 )
 from repro.gossip.engines.checkpoint import (
-    CheckpointedRun,
     CheckpointingMixin,
-    EngineState,
-    check_resume_state,
-    encode_arrivals,
-    normalize_checkpoint_rounds,
+    EngineRun,
+    compiled_slots,
 )
 from repro.gossip.engines.layout import (
     row_locality_permutation as _row_permutation,
@@ -175,15 +158,6 @@ def _uses_source_map(n: int, words: int) -> bool:
 def _tile_rows(words: int) -> int:
     """Rows per tile so gather temp + target rows fit the L2 budget."""
     return max(32, _TILE_TARGET_BYTES // (2 * words * _WORD_BYTES))
-
-
-def _arc_indices(graph: Digraph, arcs: Round) -> tuple[np.ndarray, np.ndarray]:
-    """Public row indices ``(tails, heads)`` of a round's arcs, in arc order."""
-    index = graph.index
-    m = len(arcs)
-    tails = np.fromiter((index(t) for t, _ in arcs), dtype=np.int64, count=m)
-    heads = np.fromiter((index(h) for _, h in arcs), dtype=np.int64, count=m)
-    return tails, heads
 
 
 def _compile_source_map(
@@ -290,46 +264,6 @@ def _apply_round(
         np.bitwise_or.at(knowledge, heads, knowledge.take(tails, axis=0))
 
 
-#: Compiled-round caches are cleared past this size so a long search walk
-#: cannot grow one without bound (distinct rounds accumulate with every
-#: insert/mutate move).
-_SLOT_CACHE_LIMIT = 4096
-
-
-def _compiled_rounds(graph, rounds, old_to_new, slot_cache):
-    """Per-round compiled kernels, memoized in ``slot_cache`` when given.
-
-    ``old_to_new`` is ``None`` in the source-map regime.  Entries are
-    identity-keyed on the interned round tuples, like the sparse engines'
-    caches.  Source maps are in public row order, so the round's identity is
-    the whole key.  Permuted index arrays live in the internal row order,
-    and the permutation is a function of the first non-empty round's head
-    set, so those entries also key on that anchor round's identity: a move
-    that changes the first non-empty round changes the key and forces
-    recompilation.  References to the keyed objects are held in the value,
-    so the ids stay valid; the two regimes' keys (an int and a pair) never
-    collide.
-    """
-    if old_to_new is None:
-        anchor = None
-        compile_round = partial(_compile_source_map, graph)
-    else:
-        anchor = next((arcs for arcs in rounds if arcs), None)
-        compile_round = partial(_compile_round, graph, old_to_new=old_to_new)
-    if slot_cache is None:
-        return [compile_round(arcs) for arcs in rounds]
-    compiled = []
-    for arcs in rounds:
-        key = id(arcs) if old_to_new is None else (id(arcs), id(anchor))
-        entry = slot_cache.get(key)
-        if entry is None:
-            if len(slot_cache) >= _SLOT_CACHE_LIMIT:
-                slot_cache.clear()
-            entry = slot_cache[key] = (arcs, anchor, compile_round(arcs))
-        compiled.append(entry[2])
-    return compiled
-
-
 def _is_complete(knowledge: np.ndarray, mask: np.ndarray, tile_rows: int) -> bool:
     """Does every row contain every bit of ``mask``?
 
@@ -347,6 +281,11 @@ def _is_complete(knowledge: np.ndarray, mask: np.ndarray, tile_rows: int) -> boo
     return True
 
 
+def _public_rows(matrix: np.ndarray, old_to_new: np.ndarray | None) -> np.ndarray:
+    """The matrix in public row order (a copy in the permuted regime)."""
+    return matrix if old_to_new is None else matrix[old_to_new]
+
+
 class VectorizedEngine(CheckpointingMixin):
     """Bulk OR kernel over a packed ``(n, ceil(n/64)) uint64`` matrix: one
     source-map gather-OR per round on cache-resident matrices, row-permuted
@@ -354,252 +293,100 @@ class VectorizedEngine(CheckpointingMixin):
 
     The permuted irregular-round gather path and the completion scan are
     blocked to the ``_TILE_TARGET_BYTES`` L2 budget (module docstring,
-    "Tiling").  Supports the checkpoint/resume protocol (see the module
-    docstring for how captures interact with the batched fast path).
+    "Tiling").  Checkpoint rounds are batch boundaries of the fast path
+    (module docstring, "Checkpoint/resume").
     """
 
     name = "vectorized"
+    engine_counters = ("batches", "replayed_rounds")
+    uses_numpy = True
 
-    def run(
-        self,
-        program: RoundProgram,
-        *,
-        initial: list[int] | None = None,
-        target_mask: int | None = None,
-        track_history: bool = True,
-        track_item_completion: bool = False,
-        track_arrivals: bool = False,
-    ) -> SimulationResult:
-        return self.run_checkpointed(
-            program,
-            initial=initial,
-            target_mask=target_mask,
-            track_history=track_history,
-            track_item_completion=track_item_completion,
-            track_arrivals=track_arrivals,
-        ).result
-
-    def run_checkpointed(
-        self,
-        program: RoundProgram,
-        *,
-        checkpoint_rounds=(),
-        resume_from: EngineState | None = None,
-        slot_cache: dict | None = None,
-        initial: list[int] | None = None,
-        target_mask: int | None = None,
-        track_history: bool = True,
-        track_item_completion: bool = False,
-        track_arrivals: bool = False,
-    ) -> CheckpointedRun:
-        _rec = telemetry.get_recorder()
-        _telem = _rec.enabled
-        _t0 = time.perf_counter_ns() if _telem else 0
-        _counts = {"batches": 0, "replayed_rounds": 0} if _telem else None
-
+    def _execute(self, run: EngineRun):
+        program = run.program
         graph = program.graph
         n = graph.n
-        state = resume_from
-        if state is not None:
-            if initial is not None:
-                raise SimulationError(
-                    "resume_from and initial are mutually exclusive "
-                    "(the state carries the knowledge vector)"
-                )
-            check_resume_state(
-                state,
-                program,
-                target_mask=target_mask,
-                track_history=track_history,
-                track_item_completion=track_item_completion,
-                track_arrivals=track_arrivals,
-            )
-            start = list(state.knowledge)
-            base = state.round
-        else:
-            start = list(initial) if initial is not None else initial_knowledge(n)
-            base = 0
-        check_initial(start, n)
-        full = full_mask(n) if target_mask is None else target_mask
 
         # Word width: enough for the n item bits, widened if a caller-supplied
         # initial state or target mask carries higher bits.
-        words = _packed_width(n, full, start)
+        words = _packed_width(n, run.target_mask, run.start)
 
         # A cache-resident matrix keeps public row order and runs the
         # source-map kernel; a larger one lives in an internal row order
         # chosen for memory locality.  Item bit columns keep the public
         # vertex indexing in both regimes.
         tile_rows = _tile_rows(words)
-        knowledge = _pack_rows(start, words)
+        knowledge = _pack_rows(run.start, words)
         if _uses_source_map(n, words):
-            old_to_new = None
+            new_to_old = old_to_new = None
             apply_round = _apply_source_map
+            compile_round = partial(_compile_source_map, graph)
         else:
             new_to_old, old_to_new = _row_permutation(graph, program.rounds)
             knowledge = knowledge[new_to_old]
             apply_round = partial(_apply_round, tile_rows=tile_rows)
-        mask = _pack_int(full, words)
+            compile_round = partial(_compile_round, graph, old_to_new=old_to_new)
+        mask = _pack_int(run.target_mask, words)
 
-        def public_rows(matrix: np.ndarray) -> np.ndarray:
-            return matrix if old_to_new is None else matrix[old_to_new]
-
-        compiled = _compiled_rounds(graph, program.rounds, old_to_new, slot_cache)
+        compiled = compiled_slots(
+            program.rounds, compile_round, run.slot_cache, anchored=old_to_new is not None
+        )
 
         def compiled_at(round_number: int):
             if program.cyclic:
                 return compiled[(round_number - 1) % len(compiled)]
             return compiled[round_number - 1]
 
-        history: list[int] = []
-        if track_history:
-            if state is not None:
-                history = list(state.coverage_history)
-            else:
-                history.append(_popcount_total(knowledge))
+        tracked = run.item_rounds is not None or run.arrivals is not None
+        if run.track_history or tracked or not compiled:
+            receivers = None
+            if run.arrivals is not None:
+                # Each round can only change its receiver rows; resolve them
+                # once per distinct compiled round, not once per executed
+                # round, as internal rows (to diff the matrix) and public
+                # rows (to index the arrival matrix).
+                receivers = []
+                for c in compiled:
+                    rows = np.unique(c[1])
+                    public = rows if new_to_old is None else new_to_old[rows]
+                    receivers.append((rows, public) if rows.size else None)
 
-        item_rounds: list[int | None] | None = None
-        if track_item_completion:
-            if state is not None:
-                item_rounds = list(state.item_completion)
-            else:
-                item_rounds = [None] * n
-                known = np.bitwise_and.reduce(knowledge, axis=0)
-                for j in iter_set_bits(_unpack_words(known)):
-                    if j < n:
-                        item_rounds[j] = 0
+            def receivers_at(round_number: int):
+                if program.cyclic:
+                    return receivers[(round_number - 1) % len(receivers)]
+                return receivers[round_number - 1]
 
-        arrivals: np.ndarray | None = None
-        receivers: list[np.ndarray | None] | None = None
-        if track_arrivals:
-            # First-arrival matrix in the engine's internal row order; item
-            # columns keep public indexing (only the n vertex items count).
-            arrivals = np.full((n, n), -1, dtype=np.int64)
-            if state is not None:
-                # The snapshot's rows use public vertex order; load each into
-                # its internal row so in-run updates index consistently.
-                internal_row = range(n) if old_to_new is None else old_to_new.tolist()
-                for v, row in enumerate(state.arrivals):
-                    target_row = arrivals[internal_row[v]]
-                    for j, r in enumerate(row):
-                        if r is not None:
-                            target_row[j] = r
-            else:
-                rows, cols = _set_bit_positions(knowledge)
-                vertex_items = cols < n
-                arrivals[rows[vertex_items], cols[vertex_items]] = 0
-            # Each round can only change its receiver rows; resolve them once
-            # per distinct compiled round, not once per executed round.
-            receivers = [
-                np.unique(c[1]) if c[1].size else None for c in compiled
-            ]
-
-        def receivers_at(round_number: int):
-            if program.cyclic:
-                return receivers[(round_number - 1) % len(receivers)]
-            return receivers[round_number - 1]
-
-        if state is not None:
-            completion: int | None = state.completion_round
-        else:
-            completion = base if _is_complete(knowledge, mask, tile_rows) else None
-
-        wanted = normalize_checkpoint_rounds(checkpoint_rounds, base)
-        captured: list[EngineState] = []
-
-        def capture(matrix: np.ndarray, round_number: int, completed: int | None) -> None:
-            # Canonical snapshot: public row order, unpacked to Python ints.
-            captured.append(
-                EngineState(
-                    round=round_number,
-                    knowledge=_unpack_rows(public_rows(matrix)),
-                    completion_round=completed,
-                    target_mask=full,
-                    track_history=track_history,
-                    track_item_completion=track_item_completion,
-                    track_arrivals=track_arrivals,
-                    coverage_history=(
-                        tuple(history[: round_number + 1]) if track_history else None
-                    ),
-                    item_completion=None if item_rounds is None else tuple(item_rounds),
-                    arrivals=None
-                    if arrivals is None
-                    else encode_arrivals(public_rows(arrivals).tolist()),
-                    engine_name=self.name,
-                )
-            )
-
-        ci = 0
-        if ci < len(wanted) and wanted[ci] == base:
-            capture(knowledge, base, completion)
-            ci += 1
-
-        if completion is not None:
-            executed = base
-        elif (
-            track_history or item_rounds is not None or arrivals is not None or not compiled
-        ):
             knowledge, executed, completion = self._run_tracked(
-                program, apply_round, compiled_at, receivers_at, knowledge, mask,
-                history, item_rounds, arrivals,
-                base=base, track_history=track_history, tile_rows=tile_rows,
-                wanted=wanted, ci=ci, capture=capture,
+                run, apply_round, compiled_at, receivers_at, knowledge, mask,
+                tile_rows=tile_rows, old_to_new=old_to_new,
             )
+            counts = dict.fromkeys(self.engine_counters, 0)
         else:
-            knowledge, executed, completion = self._run_fast(
-                program, apply_round, compiled_at, knowledge, mask,
-                base=base, tile_rows=tile_rows, telem_counts=_counts,
-                wanted=wanted, ci=ci, capture=capture,
+            knowledge, executed, completion, counts = self._run_fast(
+                run, apply_round, compiled_at, knowledge, mask,
+                tile_rows=tile_rows, old_to_new=old_to_new,
             )
-
-        run_stats = None
-        if _telem:
-            counts = {"runs": 1, "rounds_simulated": executed - base}
-            counts.update(_counts)
-            _rec.counters("engine.vectorized", counts)
-            _hist = telemetry.Histogram.of(counts["rounds_simulated"])
-            _rec.histogram("engine.vectorized.rounds", _hist)
-            telemetry.record_span(
-                "engine.run", _t0, engine=self.name, n=n, resumed_round=base
-            )
-            run_stats = telemetry.RunStats.single("engine.vectorized", counts)
-            run_stats.add_histogram("engine.vectorized.rounds", _hist)
-
-        result = SimulationResult(
-            graph=graph,
-            rounds_executed=executed,
-            completion_round=completion,
-            knowledge=_unpack_rows(public_rows(knowledge)),
-            coverage_history=tuple(history),
-            item_completion_rounds=None if item_rounds is None else tuple(item_rounds),
-            arrival_rounds=None if arrivals is None else ArrivalRounds(public_rows(arrivals)),
-            engine_name=self.name,
-            run_stats=run_stats,
-        )
-        return CheckpointedRun(result, tuple(captured))
+        return _public_rows(knowledge, old_to_new), executed, completion, counts
 
     # ------------------------------------------------------------------ #
     def _run_tracked(
         self,
-        program: RoundProgram,
+        run: EngineRun,
         apply_round,
         compiled_at,
         receivers_at,
         knowledge: np.ndarray,
         mask: np.ndarray,
-        history: list[int],
-        item_rounds: list[int | None] | None,
-        arrivals: np.ndarray | None,
         *,
-        base: int,
-        track_history: bool,
         tile_rows: int,
-        wanted: list[int],
-        ci: int,
-        capture,
+        old_to_new: np.ndarray | None,
     ) -> tuple[np.ndarray, int, int | None]:
         """Round-by-round loop recording coverage, item completion, arrivals."""
+        program = run.program
         n = program.graph.n
+        history = run.history if run.track_history else None
+        item_rounds = run.item_rounds
+        arrivals = run.arrivals
+        next_capture = run.next_capture
         known_by_all = np.zeros(knowledge.shape[1], dtype=np.uint64)
         if item_rounds is not None:
             # Recomputed from the (possibly resumed) snapshot: the already-
@@ -608,9 +395,9 @@ class VectorizedEngine(CheckpointingMixin):
             known_by_all = np.bitwise_and.reduce(knowledge, axis=0)
 
         completion: int | None = None
-        executed = base
+        executed = run.base
         has_rounds = bool(program.rounds)
-        for round_number in range(base + 1, program.max_rounds + 1):
+        for round_number in range(run.base + 1, program.max_rounds + 1):
             if has_rounds:
                 compiled = compiled_at(round_number)
                 receivers = receivers_at(round_number) if arrivals is not None else None
@@ -618,19 +405,20 @@ class VectorizedEngine(CheckpointingMixin):
                     # Only this round's receiver rows can change: snapshot
                     # them, apply, and record the freshly set bits (word
                     # scan + expansion of the nonzero words only).
-                    before = knowledge[receivers]
+                    rows, public = receivers
+                    before = knowledge[rows]
                     apply_round(knowledge, compiled)
-                    fresh = knowledge[receivers] & ~before
-                    rows, cols = _set_bit_positions(fresh)
-                    if rows.size:
+                    fresh = knowledge[rows] & ~before
+                    hit, cols = _set_bit_positions(fresh)
+                    if hit.size:
                         vertex_items = cols < n
                         arrivals[
-                            receivers[rows[vertex_items]], cols[vertex_items]
+                            public[hit[vertex_items]], cols[vertex_items]
                         ] = round_number
                 else:
                     apply_round(knowledge, compiled)
             executed = round_number
-            if track_history:
+            if history is not None:
                 history.append(_popcount_total(knowledge))
             if item_rounds is not None:
                 now_known = np.bitwise_and.reduce(knowledge, axis=0)
@@ -642,28 +430,25 @@ class VectorizedEngine(CheckpointingMixin):
                 known_by_all = now_known
             if _is_complete(knowledge, mask, tile_rows):
                 completion = round_number
-            if ci < len(wanted) and wanted[ci] == round_number:
-                capture(knowledge, round_number, completion)
-                ci += 1
+            if round_number == next_capture:
+                next_capture = run.capture(
+                    round_number, completion, _public_rows(knowledge, old_to_new)
+                )
             if completion is not None:
                 break
         return knowledge, executed, completion
 
     def _run_fast(
         self,
-        program: RoundProgram,
+        run: EngineRun,
         apply_round,
         compiled_at,
         knowledge: np.ndarray,
         mask: np.ndarray,
         *,
-        base: int,
         tile_rows: int,
-        telem_counts: dict | None = None,
-        wanted: list[int] = (),
-        ci: int = 0,
-        capture=None,
-    ) -> tuple[np.ndarray, int, int | None]:
+        old_to_new: np.ndarray | None,
+    ) -> tuple[np.ndarray, int, int | None, dict]:
         """Batched loop: completion checked per batch, replayed for exactness.
 
         Executes rounds in batches of doubling size (capped at
@@ -678,16 +463,15 @@ class VectorizedEngine(CheckpointingMixin):
         otherwise unchanged, so runs without checkpoints execute the exact
         same batches as before.
         """
-        max_rounds = program.max_rounds
-        executed = base
+        max_rounds = run.program.max_rounds
+        next_capture = run.next_capture
+        executed = run.base
+        batches = replayed = 0
         batch = 1
         while executed < max_rounds:
-            size = min(batch, max_rounds - executed)
-            if ci < len(wanted):
-                size = min(size, wanted[ci] - executed)
+            size = min(batch, max_rounds - executed, next_capture - executed)
             saved = knowledge.copy()
-            if telem_counts is not None:
-                telem_counts["batches"] += 1
+            batches += 1
             for offset in range(1, size + 1):
                 apply_round(knowledge, compiled_at(executed + offset))
             if _is_complete(knowledge, mask, tile_rows):
@@ -695,17 +479,18 @@ class VectorizedEngine(CheckpointingMixin):
                 knowledge = saved
                 for offset in range(1, size + 1):
                     apply_round(knowledge, compiled_at(executed + offset))
-                    if telem_counts is not None:
-                        telem_counts["replayed_rounds"] += 1
+                    replayed += 1
                     if _is_complete(knowledge, mask, tile_rows):
                         executed += offset
-                        if ci < len(wanted) and wanted[ci] == executed:
-                            capture(knowledge, executed, executed)
-                            ci += 1
-                        return knowledge, executed, executed
+                        if executed == next_capture:
+                            public = _public_rows(knowledge, old_to_new)
+                            run.capture(executed, executed, public)
+                        counts = {"batches": batches, "replayed_rounds": replayed}
+                        return knowledge, executed, executed, counts
             executed += size
-            if ci < len(wanted) and wanted[ci] == executed:
-                capture(knowledge, executed, None)
-                ci += 1
+            if executed == next_capture:
+                public = _public_rows(knowledge, old_to_new)
+                next_capture = run.capture(executed, None, public)
             batch = min(batch * 2, _BATCH_CAP)
-        return knowledge, executed, None
+        counts = {"batches": batches, "replayed_rounds": replayed}
+        return knowledge, executed, None, counts

@@ -36,7 +36,6 @@ nominal rounds for fault tolerance.
 
 from __future__ import annotations
 
-import inspect
 import math
 import time
 from collections.abc import Iterable, Sequence
@@ -372,9 +371,9 @@ class _CachedObjective:
       the deepest state its common prefix with a cached period still
       covers, so a move touching slot ``k`` re-simulates only rounds
       ``> k``.  Resume is bit-exact by the engines' contract, so scores
-      are identical to cold evaluation by construction.  Engines whose
-      ``run_checkpointed`` accepts a ``slot_cache`` additionally share
-      compiled per-round firing plans across the walk.
+      are identical to cold evaluation by construction.  One
+      ``slot_cache`` per walk also shares the engine's compiled per-round
+      firing plans across the walk.
     * **bounded cutoff** — under the ``gossip_rounds`` objective a caller
       holding a complete incumbent at round ``C`` may pass ``cutoff=C``:
       the candidate's budget drops to ``C``, and a run that fails to
@@ -404,9 +403,6 @@ class _CachedObjective:
         self.max_rounds = max_rounds
         self._options = _nominal_run_options(objective)
         self._incremental = supports_checkpointing(engine)
-        self._accepts_slot_cache = self._incremental and (
-            "slot_cache" in inspect.signature(engine.run_checkpointed).parameters
-        )
         self._slot_cache: dict = {}
         self.cache = CheckpointCache()
         self._memo: dict[PeriodKey, ObjectiveValue] = {}
@@ -488,16 +484,14 @@ class _CachedObjective:
         _t0 = time.perf_counter_ns() if self._telem else 0
         if self._incremental:
             base, usable = self.cache.lookup(key, max_round=budget)
-            kwargs = dict(self._options)
-            if self._accepts_slot_cache:
-                kwargs["slot_cache"] = self._slot_cache
             run = self.engine.run_checkpointed(
                 program,
                 checkpoint_rounds=[
                     r for r in self._checkpoint_grid(budget) if r not in usable
                 ],
                 resume_from=base,
-                **kwargs,
+                slot_cache=self._slot_cache,
+                **self._options,
             )
             # The reused prefix states are equally states of this period.
             self.cache.record(key, [*usable.values(), *run.checkpoints])

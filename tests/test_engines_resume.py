@@ -402,6 +402,35 @@ class TestResumeValidation:
                     bad, PROGRAMS["cycle-coloring"](), track_history=True
                 )
 
+    @pytest.mark.parametrize("name", CHECKPOINTABLE)
+    @pytest.mark.parametrize(
+        "field, corrupt",
+        [
+            ("item_completion", lambda prefix: None),
+            ("item_completion", lambda prefix: prefix[:-2]),
+            ("arrivals", lambda prefix: None),
+            ("arrivals", lambda prefix: prefix[:-1]),
+            ("arrivals", lambda prefix: (prefix[0][:-1], *prefix[1:])),
+        ],
+        ids=[
+            "items-missing",
+            "items-short",
+            "arrivals-missing",
+            "arrivals-row-missing",
+            "arrivals-row-short",
+        ],
+    )
+    def test_malformed_tracked_prefix_rejected(self, name, field, corrupt):
+        # A corrupted item or arrival prefix is rejected up front, never
+        # turned into a raw TypeError/IndexError or a wrong continuation.
+        tracked = dict(
+            track_history=True, track_item_completion=True, track_arrivals=True
+        )
+        state = self._state(**tracked)
+        bad = dataclasses.replace(state, **{field: corrupt(getattr(state, field))})
+        with pytest.raises(SimulationError, match="cannot resume"):
+            get_engine(name).resume(bad, PROGRAMS["cycle-coloring"](), **tracked)
+
     def test_from_round_mismatch_rejected(self):
         state = self._state()
         for name in CHECKPOINTABLE:

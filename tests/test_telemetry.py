@@ -32,7 +32,7 @@ from repro.gossip.engines import (
     resolve_engine,
 )
 from repro.gossip.engines.base import RoundProgram
-from repro.gossip.model import Mode
+from repro.gossip.model import Mode, make_round
 from repro.search import hill_climb, synthesize_schedule
 from repro.telemetry.trace import (
     EVENT_TYPES,
@@ -126,13 +126,73 @@ def test_record_span_attributes_to_enclosing_span():
 # Counters and RunStats
 
 
-def test_engine_flushes_counters_once_per_run():
+@pytest.mark.parametrize("name", available_engines())
+def test_engine_flushes_counters_once_per_run(name):
     program = _cycle_program(12)
-    engine = get_engine("reference")
+    engine = get_engine(name)
     recorder = _CountingRecorder()
     with telemetry.recording(recorder):
         engine.run(program, track_history=False)
-    assert recorder.flushes == [("engine.reference", 1)]
+    assert recorder.flushes == [(f"engine.{name}", 1)]
+
+
+def _one_arc_program() -> RoundProgram:
+    """One arc per period on C(8), 20 rounds: nothing moves after round 1."""
+    return RoundProgram(
+        cycle_graph(8), (make_round([(0, 1)]),), cyclic=True, max_rounds=20
+    )
+
+
+@pytest.mark.parametrize("name", available_engines())
+@pytest.mark.parametrize("case", ["cold", "resumed", "fixed-point"])
+def test_engine_round_counters_cover_the_executed_rounds(name, case):
+    # Every executed round is either simulated or synthesized after a
+    # fixed-point exit, and the run's span names the round it resumed at.
+    engine = get_engine(name)
+    program = _one_arc_program() if case == "fixed-point" else _cycle_program(12)
+    state = None
+    if case == "resumed":
+        state = engine.checkpoint(program, 3, track_history=False)
+    base = 0 if state is None else state.round
+    recorder = telemetry.StatsRecorder()
+    with telemetry.recording(recorder):
+        result = engine.run_checkpointed(
+            program, resume_from=state, track_history=False
+        ).result
+    counts = result.run_stats.counters[f"engine.{name}"]
+    assert counts["runs"] == 1
+    synthesized = counts.get("rounds_synthesized", 0)
+    assert counts["rounds_simulated"] + synthesized == result.rounds_executed - base
+    if case == "fixed-point":
+        assert (result.rounds_executed, result.completion_round) == (20, None)
+        if "rounds_synthesized" in counts:  # the engine stops at a fixed point
+            assert (counts["rounds_simulated"], synthesized) == (2, 18)
+            assert counts["early_exit_round"] == 2
+    else:
+        assert result.completion_round is not None and synthesized == 0
+    (span,) = [s for s in recorder.stats.spans if s.name == "engine.run"]
+    assert span.attrs == {"engine": name, "n": program.graph.n, "resumed_round": base}
+
+
+@pytest.mark.parametrize("name", available_engines())
+def test_engine_counter_names_do_not_depend_on_the_start(name):
+    # A run resumed from its completed state never enters the round loop,
+    # yet it flushes the same counters as the run that reached completion.
+    engine = get_engine(name)
+    program = _cycle_program(12)
+    done = engine.run(program, track_history=False).completion_round
+    recorder = telemetry.StatsRecorder()
+    with telemetry.recording(recorder):
+        cold = engine.run_checkpointed(
+            program, checkpoint_rounds=(done,), track_history=False
+        )
+        finished = engine.resume(cold.checkpoints[0], program, track_history=False)
+    component = f"engine.{name}"
+    assert finished.rounds_executed == done
+    assert finished.run_stats.counters[component] == {
+        **dict.fromkeys(cold.result.run_stats.counters[component], 0),
+        "runs": 1,
+    }
 
 
 class _CountingRecorder(telemetry.Recorder):
