@@ -310,18 +310,26 @@ def test_hybrid_plain_crossover_report(report_sink, bench_json):
 
 
 #: How much slower than the best explicitly-named backend ``"auto"`` may be
-#: on any tracked-arrivals table row.  Auto resolves to one of the named
-#: candidates, so the ratio is pure dispatch overhead plus timing noise.
+#: on any tracked table row.  Auto resolves to one of the named candidates,
+#: so the ratio is pure dispatch overhead plus timing noise.
 AUTO_SELECTION_CEILING = 1.1
 
 #: Named candidates the auto pick competes against on tracked workloads.
 AUTO_CANDIDATES = ("vectorized", "frontier", "hybrid")
 
+#: The tracked workloads the auto gate runs on every ``TRACKED_INSTANCES``
+#: row: (label, run options, result field the candidates must agree on).
+AUTO_TRACKING = (
+    ("arrivals", {"track_arrivals": True}, "arrival_rounds"),
+    ("items", {"track_item_completion": True}, "item_completion_rounds"),
+)
+
 
 def test_auto_selection_report(report_sink, bench_json):
-    """Workload-aware ``"auto"`` vs. every named backend, tracked arrivals.
+    """Workload-aware ``"auto"`` vs. every named backend, tracked runs.
 
-    For each tracked-instance table row, runs all named candidates and the
+    For each tracked-instance table row, under arrival tracking and under
+    item-completion tracking, runs all named candidates and the
     program-aware auto resolution.  Asserts the resolved pick is a concrete
     registered backend, its results are bit-identical to the named runs,
     and its measured time lands within ``AUTO_SELECTION_CEILING`` of the
@@ -335,60 +343,63 @@ def test_auto_selection_report(report_sink, bench_json):
     from repro.gossip.engines import available_engines, get_engine, resolve_engine
 
     rows = []
-    for label, build, _, _ in TRACKED_INSTANCES:
-        schedule = coloring_systolic_schedule(build(), Mode.HALF_DUPLEX)
-        program = RoundProgram.from_schedule(schedule)
+    for tracking, options, field in AUTO_TRACKING:
+        for label, build, _, _ in TRACKED_INSTANCES:
+            schedule = coloring_systolic_schedule(build(), Mode.HALF_DUPLEX)
+            program = RoundProgram.from_schedule(schedule)
 
-        named: dict[str, float] = {}
-        baseline = None
-        for candidate in AUTO_CANDIDATES:
-            seconds, result = _timed_run(candidate, program, track_arrivals=True)
-            named[candidate] = seconds
-            assert result.engine_name == candidate
-            if baseline is None:
-                baseline = result
-            else:
-                assert result.completion_round == baseline.completion_round
-                assert result.arrival_rounds == baseline.arrival_rounds
+            named: dict[str, float] = {}
+            baseline = None
+            for candidate in AUTO_CANDIDATES:
+                seconds, result = _timed_run(candidate, program, **options)
+                named[candidate] = seconds
+                assert result.engine_name == candidate
+                if baseline is None:
+                    baseline = result
+                else:
+                    assert result.completion_round == baseline.completion_round
+                    assert getattr(result, field) == getattr(baseline, field)
 
-        resolved = resolve_engine("auto", program, track_arrivals=True)
-        assert resolved.name in available_engines()
-        assert resolved.name != "auto"
-        # The resolved pick IS one of the registered named candidates (same
-        # instance), so its measurement doubles as auto's.
-        assert resolved is get_engine(resolved.name)
-        assert resolved.name in named
+            resolved = resolve_engine("auto", program, **options)
+            assert resolved.name in available_engines()
+            assert resolved.name != "auto"
+            # The resolved pick IS one of the registered named candidates
+            # (same instance), so its measurement doubles as auto's.
+            assert resolved is get_engine(resolved.name)
+            assert resolved.name in named
 
-        def ratio_now():
-            best = min(named, key=named.get)
-            return best, named[resolved.name] / named[best]
+            def ratio_now():
+                best = min(named, key=named.get)
+                return best, named[resolved.name] / named[best]
 
-        best, ratio = ratio_now()
-        for _ in range(2):
-            if ratio <= AUTO_SELECTION_CEILING:
-                break
-            # Noise check: re-time the pick and the current best, keep minima.
-            for candidate in {resolved.name, best}:
-                seconds, _ = _timed_run(candidate, program, track_arrivals=True)
-                named[candidate] = min(named[candidate], seconds)
             best, ratio = ratio_now()
-        rows.append(
-            {
-                "instance": label,
-                "auto_engine": resolved.name,
-                "best_named": best,
-                "auto_s": named[resolved.name],
-                "best_named_s": named[best],
-                "auto_over_best": ratio,
-                **{f"{name}_s": named[name] for name in AUTO_CANDIDATES},
-            }
-        )
+            for _ in range(2):
+                if ratio <= AUTO_SELECTION_CEILING:
+                    break
+                # Noise check: re-time the pick and the current best, keep minima.
+                for candidate in {resolved.name, best}:
+                    seconds, _ = _timed_run(candidate, program, **options)
+                    named[candidate] = min(named[candidate], seconds)
+                best, ratio = ratio_now()
+            rows.append(
+                {
+                    "tracking": tracking,
+                    "instance": label,
+                    "auto_engine": resolved.name,
+                    "best_named": best,
+                    "auto_s": named[resolved.name],
+                    "best_named_s": named[best],
+                    "auto_over_best": ratio,
+                    **{f"{name}_s": named[name] for name in AUTO_CANDIDATES},
+                }
+            )
 
     report_sink(
-        "ENGINES: workload-aware auto selection vs. named backends (tracked arrivals)",
+        "ENGINES: workload-aware auto selection vs. named backends (tracked runs)",
         format_table(
             rows,
             [
+                "tracking",
                 "instance",
                 "auto_engine",
                 "best_named",
@@ -402,7 +413,7 @@ def test_auto_selection_report(report_sink, bench_json):
     for row in rows:
         assert row["auto_over_best"] <= AUTO_SELECTION_CEILING, (
             f"auto pick ({row['auto_engine']}) is {row['auto_over_best']:.2f}x the "
-            f"best named backend ({row['best_named']}) on tracked "
+            f"best named backend ({row['best_named']}) on {row['tracking']}-tracked "
             f"{row['instance']} (allowed: {AUTO_SELECTION_CEILING}x)"
         )
 

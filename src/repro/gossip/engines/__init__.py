@@ -40,10 +40,14 @@ arc degree, cyclicity:
 
 * *finite (aperiodic) programs* → **vectorized**: every sparse-path firing
   would be a first firing, so frontier/active-word windows never pay off.
-* *tracked cyclic runs* (``track_arrivals`` or ``track_item_completion``)
-  → the dense kernel always loses (its per-round rescans cost 3–13× at
-  n = 4096): **frontier** when news is item-thin (mean arc degree ≤ 3 —
+* *arrival-tracked cyclic runs* (``track_arrivals``, with or without item
+  tracking) → the dense kernel diffs its receiver rows every round and
+  loses: **frontier** when news is item-thin (mean arc degree ≤ 3 —
   cycles, paths, trees), **hybrid** when word-thick (grids and denser).
+* *item-tracked cyclic runs* (``track_item_completion`` alone) →
+  **vectorized** at any degree, incremental or not: item completion is
+  monotone, so the kernel scans it once per doubling batch and replays
+  only the word columns of the items that completed in a batch.
 * *plain cyclic runs* → **vectorized** while the packed matrix is
   cache-resident (≤ 4 MiB, i.e. n ≲ 4–6k), **hybrid** past the cache
   crossover (measured from n ≈ 4096 on paths, n ≈ 8192 on cycles and
@@ -100,7 +104,7 @@ versa).  This is what lets incremental schedule search
 (:mod:`repro.search.incremental`) re-simulate only the rounds a move
 changed while provably visiting the same walk as full re-evaluation —
 ``engine="auto"`` stays on the dense vectorized kernel inside untracked
-incremental searches (pass ``incremental=True`` to
+and item-tracked incremental searches (pass ``incremental=True`` to
 :func:`select_engine_name` / :func:`resolve_engine`), since resumed
 suffixes are too short for the sparse engines' windows to warm up.
 
@@ -131,7 +135,10 @@ Counter vocabulary (component ``engine.<name>``):
 * ``early_exit_round`` — the round at which the fixed point was detected
   (0 when the run never early-exited);
 * ``batches`` / ``replayed_rounds`` — the vectorized kernel's doubling
-  batches and post-completion replay rounds.
+  batches and replay rounds: the rounds a completing batch is replayed at
+  full width, plus the rounds an item-tracked batch is replayed on the word
+  columns of the items that completed in it (both 0 when the run takes the
+  round-by-round loop for history or arrivals).
 
 Each run also records an ``engine.run`` span (wall time, attributed to the
 enclosing CLI/search span) and attaches a
@@ -284,11 +291,12 @@ def is_auto_spec(spec: str | SimulationEngine | None) -> bool:
     )
 
 
-#: Tracked-workload crossover: at or below this mean arc degree each
-#: round's news stays item-thin and the frontier engine's per-pair routing
-#: wins (cycles and paths are 2.0); above it knowledge words are shared by
+#: Arrival-tracked crossover: at or below this mean arc degree each round's
+#: news stays item-thin and the frontier engine's per-pair routing wins
+#: (cycles and paths are 2.0); above it knowledge words are shared by
 #: enough items that the hybrid active-word windows win (a 16×256 grid is
-#: ≈ 3.87).  From the measured table in ROADMAP.md.
+#: ≈ 3.87).  From the measured table in ROADMAP.md.  Item-tracked runs
+#: without arrivals go to the vectorized engine at every degree.
 _TRACKED_DEGREE_CROSSOVER = 3.0
 
 #: Plain-run cache crossover: once the packed ``(n, W)`` matrix outgrows
@@ -327,6 +335,9 @@ def select_engine_name(
     post-resume firing is dense — and resumed evaluations rarely outlive
     that warm-up period, so on untracked workloads the plain cache
     crossover does not apply and the dense kernel is picked outright.
+    Item-tracked runs without arrivals take the dense kernel whether
+    incremental or not; arrival-tracked runs follow the degree rule either
+    way.
     """
     return explain_engine_selection(
         program,
@@ -362,7 +373,33 @@ def explain_engine_selection(
             VectorizedEngine.name,
             "finite (aperiodic) program: sparse windows never pay off",
         )
-    if incremental and not (track_item_completion or track_arrivals):
+    if track_arrivals:
+        degree = mean_arc_degree(program.graph)
+        if (
+            degree <= _TRACKED_DEGREE_CROSSOVER
+            and FrontierEngine.name in _REGISTRY
+        ):
+            return (
+                FrontierEngine.name,
+                f"arrival-tracked cyclic run with mean_arc_degree {degree:.2f} <= "
+                f"{_TRACKED_DEGREE_CROSSOVER:g} (item-thin news)",
+            )
+        if HybridEngine.name in _REGISTRY:
+            return (
+                HybridEngine.name,
+                f"arrival-tracked cyclic run with mean_arc_degree {degree:.2f} > "
+                f"{_TRACKED_DEGREE_CROSSOVER:g} (word-thick news)",
+            )
+        return VectorizedEngine.name, "arrival-tracked cyclic run; no sparse backend registered"
+    if track_item_completion:
+        # Item completion is monotone, so the dense kernel scans it once per
+        # doubling batch and replays only the word columns of the items that
+        # completed in it: no per-round rescan is left to lose on.
+        return (
+            VectorizedEngine.name,
+            "item-tracked cyclic run: items are scanned once per batch",
+        )
+    if incremental:
         # Checkpoint-resumed evaluations execute short suffixes: the sparse
         # engines' first post-resume firing of every slot is dense (resume
         # is treated like a program start), and an incremental-search run
@@ -373,24 +410,6 @@ def explain_engine_selection(
             "incremental (checkpoint-resumed) untracked runs: sparse windows "
             "stay cold across short resumed suffixes",
         )
-    if track_item_completion or track_arrivals:
-        degree = mean_arc_degree(program.graph)
-        if (
-            degree <= _TRACKED_DEGREE_CROSSOVER
-            and FrontierEngine.name in _REGISTRY
-        ):
-            return (
-                FrontierEngine.name,
-                f"tracked cyclic run with mean_arc_degree {degree:.2f} <= "
-                f"{_TRACKED_DEGREE_CROSSOVER:g} (item-thin news)",
-            )
-        if HybridEngine.name in _REGISTRY:
-            return (
-                HybridEngine.name,
-                f"tracked cyclic run with mean_arc_degree {degree:.2f} > "
-                f"{_TRACKED_DEGREE_CROSSOVER:g} (word-thick news)",
-            )
-        return VectorizedEngine.name, "tracked cyclic run; no sparse backend registered"
     matrix_bytes = packed_matrix_bytes(program.graph.n)
     if (
         matrix_bytes > _PLAIN_CACHE_CROSSOVER_BYTES

@@ -83,6 +83,22 @@ engine an order of magnitude faster than the reference loop on instances
 with thousands of vertices.  Coverage counts use the hardware popcount
 (``np.bitwise_count``).
 
+Per-item completion is monotone too, so an item-tracked run without
+history or arrivals stays in the batched loop.  After each batch one
+AND-reduce over the rows gives the items every vertex holds; the item bits
+it adds are the items that completed inside the batch.  Such a batch is
+replayed from its saved pre-batch state on only the word columns holding
+those items, AND-reducing the columns each round to stamp the exact
+rounds, and the run then continues from the batch-end matrix it already
+holds.  The replay is exact because a round ORs whole rows word by word:
+word column ``w`` after a round depends only on column ``w`` before it.
+The columns are copied column-major, so each replayed round's AND-reduce
+reads contiguous memory.  Item completions cluster (on a cycle colouring
+every item completes in the last few rounds), so most batches need no
+replay at all.  A batch that also completes the run is replayed at full
+width, stamping items on the way.  Runs that track history or arrivals
+need every round and take the round-by-round loop.
+
 Checkpoint/resume
 -----------------
 The run driver (:mod:`repro.gossip.engines.checkpoint`) captures states
@@ -108,18 +124,18 @@ try:
 except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
     np = None  # type: ignore[assignment] - "auto" then resolves to the reference engine
 
-from repro.gossip.engines.base import iter_set_bits
+from repro.gossip.engines.base import full_mask
 from repro.gossip.engines._bitops import (
     WORD_BYTES as _WORD_BYTES,
     ap_segments as _ap_segments,
     arc_indices as _arc_indices,
+    expand_delta_words as _expand_delta_words,
     numpy_available,
     pack_int as _pack_int,
     pack_rows as _pack_rows,
     packed_width as _packed_width,
     popcount_total as _popcount_total,
     set_bit_positions as _set_bit_positions,
-    unpack_words as _unpack_words,
 )
 from repro.gossip.engines.checkpoint import (
     CheckpointingMixin,
@@ -286,6 +302,79 @@ def _public_rows(matrix: np.ndarray, old_to_new: np.ndarray | None) -> np.ndarra
     return matrix if old_to_new is None else matrix[old_to_new]
 
 
+def _item_scan_start(
+    knowledge: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(item_words, cols, known)`` for :func:`_scan_items` over the whole
+    matrix: the mask of the vertex items (bits below ``n``), every word
+    column, and the items every row holds at the start.
+
+    ``known`` comes from the (possibly resumed) start itself: the items
+    already in it carry their rounds in the run's prefix, so a scan never
+    stamps them again.
+    """
+    item_words = _pack_int(full_mask(n), knowledge.shape[1])
+    known = np.bitwise_and.reduce(knowledge, axis=0) & item_words
+    return item_words, np.arange(knowledge.shape[1]), known
+
+
+def _scan_items(
+    matrix: np.ndarray,
+    known: np.ndarray,
+    item_words: np.ndarray,
+    cols: np.ndarray,
+    item_rounds: np.ndarray,
+    round_number: int,
+) -> np.ndarray:
+    """Stamp ``round_number`` on the items every row of ``matrix`` newly holds.
+
+    ``matrix`` holds the word columns ``cols`` of the knowledge matrix;
+    ``item_words`` masks those columns to the vertex items (bits below
+    ``n``) and ``known`` holds the items every row held before.  Returns
+    the items every row holds now, the next call's ``known``.
+    """
+    now = np.bitwise_and.reduce(matrix, axis=0) & item_words
+    fresh = now & ~known
+    (hit,) = np.nonzero(fresh)
+    if hit.size:
+        _, items = _expand_delta_words(fresh[hit], cols[hit])
+        item_rounds[items] = round_number
+    return now
+
+
+def _replay_item_columns(
+    apply_round,
+    compiled_at,
+    saved: np.ndarray,
+    base: int,
+    size: int,
+    cols: np.ndarray,
+    known: np.ndarray,
+    target: np.ndarray,
+    item_words: np.ndarray,
+    item_rounds: np.ndarray,
+) -> int:
+    """Replay rounds ``base + 1 … base + size`` on the word columns ``cols``
+    of the pre-batch state ``saved`` to stamp the items that completed in
+    the batch; return the number of rounds replayed.
+
+    ``known`` and ``target`` are the items of those columns that every row
+    held before and after the batch, and ``item_words`` their item mask.  A
+    round ORs whole rows word by word, so a column after the round depends
+    only on the same column before it, and the replay reproduces the
+    batch's columns exactly.  It runs on a column-major copy, so each
+    round's AND-reduce reads contiguous memory, and stops once every item
+    of ``target`` is stamped.
+    """
+    block = np.asfortranarray(saved[:, cols])
+    for offset in range(1, size + 1):
+        apply_round(block, compiled_at(base + offset))
+        known = _scan_items(block, known, item_words, cols, item_rounds, base + offset)
+        if np.array_equal(known, target):
+            return offset
+    return size
+
+
 class VectorizedEngine(CheckpointingMixin):
     """Bulk OR kernel over a packed ``(n, ceil(n/64)) uint64`` matrix: one
     source-map gather-OR per round on cache-resident matrices, row-permuted
@@ -336,8 +425,9 @@ class VectorizedEngine(CheckpointingMixin):
                 return compiled[(round_number - 1) % len(compiled)]
             return compiled[round_number - 1]
 
-        tracked = run.item_rounds is not None or run.arrivals is not None
-        if run.track_history or tracked or not compiled:
+        # Item completion is monotone like completion itself, so the batched
+        # loop scans it once per batch; history and arrivals need every round.
+        if run.track_history or run.arrivals is not None or not compiled:
             receivers = None
             if run.arrivals is not None:
                 # Each round can only change its receiver rows; resolve them
@@ -387,12 +477,8 @@ class VectorizedEngine(CheckpointingMixin):
         item_rounds = run.item_rounds
         arrivals = run.arrivals
         next_capture = run.next_capture
-        known_by_all = np.zeros(knowledge.shape[1], dtype=np.uint64)
         if item_rounds is not None:
-            # Recomputed from the (possibly resumed) snapshot: the already-
-            # complete items carry their rounds in ``item_rounds``, so fresh
-            # detection below can never double-stamp them.
-            known_by_all = np.bitwise_and.reduce(knowledge, axis=0)
+            item_words, all_cols, known_by_all = _item_scan_start(knowledge, n)
 
         completion: int | None = None
         executed = run.base
@@ -421,13 +507,9 @@ class VectorizedEngine(CheckpointingMixin):
             if history is not None:
                 history.append(_popcount_total(knowledge))
             if item_rounds is not None:
-                now_known = np.bitwise_and.reduce(knowledge, axis=0)
-                fresh = now_known & ~known_by_all
-                if fresh.any():
-                    for j in iter_set_bits(_unpack_words(fresh)):
-                        if j < n:
-                            item_rounds[j] = round_number
-                known_by_all = now_known
+                known_by_all = _scan_items(
+                    knowledge, known_by_all, item_words, all_cols, item_rounds, round_number
+                )
             if _is_complete(knowledge, mask, tile_rows):
                 completion = round_number
             if round_number == next_capture:
@@ -457,6 +539,13 @@ class VectorizedEngine(CheckpointingMixin):
         round by round to find the exact completion round, so results are
         indistinguishable from the reference engine's.
 
+        With item tracking on, the items every row holds are AND-reduced
+        once per batch as well.  A batch that completes items but not the
+        run is replayed on the word columns of those items only
+        (:func:`_replay_item_columns`), then the run continues from the
+        batch-end matrix; a completing batch stamps items during its
+        full-width replay.
+
         Requested checkpoint rounds are forced batch boundaries: a batch is
         clipped so it never crosses the next wanted round, and the capture
         happens on the exact post-batch state — the doubling sequence is
@@ -465,6 +554,9 @@ class VectorizedEngine(CheckpointingMixin):
         """
         max_rounds = run.program.max_rounds
         next_capture = run.next_capture
+        item_rounds = run.item_rounds
+        if item_rounds is not None:
+            item_words, all_cols, known = _item_scan_start(knowledge, run.program.graph.n)
         executed = run.base
         batches = replayed = 0
         batch = 1
@@ -480,6 +572,11 @@ class VectorizedEngine(CheckpointingMixin):
                 for offset in range(1, size + 1):
                     apply_round(knowledge, compiled_at(executed + offset))
                     replayed += 1
+                    if item_rounds is not None:
+                        known = _scan_items(
+                            knowledge, known, item_words, all_cols, item_rounds,
+                            executed + offset,
+                        )
                     if _is_complete(knowledge, mask, tile_rows):
                         executed += offset
                         if executed == next_capture:
@@ -487,6 +584,15 @@ class VectorizedEngine(CheckpointingMixin):
                             run.capture(executed, executed, public)
                         counts = {"batches": batches, "replayed_rounds": replayed}
                         return knowledge, executed, executed, counts
+            if item_rounds is not None:
+                now = np.bitwise_and.reduce(knowledge, axis=0) & item_words
+                (cols,) = np.nonzero(now & ~known)
+                if cols.size:
+                    replayed += _replay_item_columns(
+                        apply_round, compiled_at, saved, executed, size, cols,
+                        known[cols], now[cols], item_words[cols], item_rounds,
+                    )
+                known = now
             executed += size
             if executed == next_capture:
                 public = _public_rows(knowledge, old_to_new)

@@ -9,7 +9,9 @@ at which the vectorized engine switches from its source-map kernel to the
 row-permuted one; the registry-wide differential suites already certify
 that the engines using them stay bit-exact.  The permuted kernel's L2-tiled
 gather, which test-sized matrices never reach at the default tile budget,
-is checked against the reference engine here with the budget shrunk.
+is checked against the reference engine here with the budget shrunk, and
+so is the vectorized engine's per-batch item scan with its column
+replays, in both kernel regimes.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from repro.gossip.engines.layout import (
     packed_words,
     row_locality_permutation,
 )
-from repro.gossip.model import Mode, SystolicSchedule
+from repro.gossip.model import Mode, SystolicSchedule, make_round
 from repro.protocols.generic import coloring_systolic_schedule
 from repro.topologies.base import Digraph
 from repro.topologies.classic import cycle_graph, grid_2d, hypercube, path_graph
@@ -283,3 +285,161 @@ class TestTiledGather:
         assert state.knowledge == ref.checkpoints[0].knowledge
         resumed = engine.run_checkpointed(program, resume_from=state, track_history=False)
         assert_results_identical(ref.result, resumed.result, name)
+
+
+@pytest.mark.usefixtures("vectorized_regime")
+class TestBatchedItemScan:
+    """Item-tracked runs stay in the vectorized engine's batched loop.
+
+    The items every row holds are AND-reduced once per batch, and a batch
+    in which items complete, but not the run, is replayed on the word
+    columns of those items only.  Every instance has n ≥ 130, so rows span
+    at least three words and a replayed column set can be a strict subset;
+    each result is checked against the reference engine, in both kernel
+    regimes.
+    """
+
+    OPTIONS = {"track_history": False, "track_item_completion": True}
+
+    @pytest.fixture
+    def replays(self, monkeypatch):
+        """``(cols, words, rounds)`` of every column replay: the replayed
+        word columns, the row width and the rounds replayed."""
+        log = []
+        replay = vectorized._replay_item_columns
+
+        def spy(apply_round, compiled_at, saved, base, size, cols, *rest):
+            done = replay(apply_round, compiled_at, saved, base, size, cols, *rest)
+            log.append((cols.tolist(), saved.shape[1], done))
+            return done
+
+        monkeypatch.setattr(vectorized, "_replay_item_columns", spy)
+        return log
+
+    @staticmethod
+    def _path(n):
+        schedule = coloring_systolic_schedule(path_graph(n), Mode.HALF_DUPLEX)
+        return RoundProgram.from_schedule(schedule)
+
+    @staticmethod
+    def _sink_program(n):
+        """A half-duplex path on ``n - 1`` vertices plus a vertex that only
+        listens to vertex 0: its own item never leaves it."""
+        line = n - 1
+        arcs = [(i, i + 1) for i in range(line - 1)] + [(i + 1, i) for i in range(line - 1)]
+        graph = Digraph(range(n), [*arcs, (0, line)], name=f"P({line})+sink")
+        rounds = [
+            *coloring_systolic_schedule(path_graph(line), Mode.HALF_DUPLEX).base_rounds,
+            make_round([(0, line)]),
+        ]
+        return RoundProgram(graph, rounds, cyclic=True, max_rounds=3 * n)
+
+    def _check(self, program, **options):
+        from test_engines_differential import assert_results_identical
+
+        options = {**self.OPTIONS, **options}
+        ref = get_engine("reference").run(program, **options)
+        got = VectorizedEngine().run(program, **options)
+        assert_results_identical(ref, got, (program.graph.name, options))
+        return ref
+
+    def test_path_items_complete_over_many_batches(self, replays):
+        ref = self._check(self._path(600))
+        assert len(set(ref.item_completion_rounds)) > 200
+        assert len(replays) >= 4
+        assert all(0 < len(cols) < words for cols, words, _ in replays)
+        assert len({tuple(cols) for cols, _, _ in replays}) > 1
+
+    def test_items_complete_but_subset_target_never_does(self, replays):
+        n = 140
+        program = self._sink_program(n)
+        target = (1 << (n - 1)) | ((1 << 64) - 1)  # the sink's item never spreads
+        ref = self._check(program, target_mask=target)
+        assert ref.completion_round is None
+        assert ref.rounds_executed == program.max_rounds
+        assert sum(r is not None for r in ref.item_completion_rounds) == n - 1
+        assert replays, "every item stamp should come from a column replay"
+
+    @pytest.mark.parametrize("high_target", [False, True], ids=["item-target", "high-target"])
+    def test_initial_state_with_bits_above_n(self, high_target):
+        n = 150  # items end inside word 2, which the high bits share
+        program = self._path(n)
+        high = [n + 3, n + 40, n + 170]
+        initial = [
+            (1 << v) | (1 << high[v % 3] if v % 4 == 0 else 0) for v in range(n)
+        ]
+        target = (1 << n) - 1
+        if high_target:
+            target |= sum(1 << bit for bit in high)
+        ref = self._check(program, initial=initial, target_mask=target)
+        assert len(ref.item_completion_rounds) == n
+        assert None not in ref.item_completion_rounds
+
+    def test_every_round_checkpoint_resumes_on_every_engine(self):
+        from test_engines_differential import assert_results_identical
+        from test_engines_resume import CHECKPOINTABLE, assert_states_identical
+
+        # A checkpoint after every round makes every batch one round long,
+        # so each item completes in a one-round column replay.
+        program = self._path(130)
+        every = range(program.max_rounds + 1)
+        ref = get_engine("reference").run_checkpointed(
+            program, checkpoint_rounds=every, **self.OPTIONS
+        )
+        got = VectorizedEngine().run_checkpointed(
+            program, checkpoint_rounds=every, **self.OPTIONS
+        )
+        assert_results_identical(ref.result, got.result)
+        assert len(got.checkpoints) == len(ref.checkpoints)
+        for expected, state in zip(ref.checkpoints, got.checkpoints):
+            assert_states_identical(expected, state)
+        first_item = min(ref.result.item_completion_rounds)
+        for state in got.checkpoints:
+            if state.round < first_item - 1:
+                continue
+            for name in CHECKPOINTABLE:
+                resumed = get_engine(name).resume(state, program, **self.OPTIONS)
+                assert_results_identical(ref.result, resumed, (name, state.round))
+
+    def test_sparse_checkpoints_inside_replayed_batches(self, replays):
+        from test_engines_differential import assert_results_identical
+        from test_engines_resume import CHECKPOINTABLE, assert_states_identical
+
+        program = self._path(300)
+        wanted = range(0, program.max_rounds + 1, 37)
+        ref = get_engine("reference").run_checkpointed(
+            program, checkpoint_rounds=wanted, **self.OPTIONS
+        )
+        got = VectorizedEngine().run_checkpointed(
+            program, checkpoint_rounds=wanted, **self.OPTIONS
+        )
+        assert any(rounds > 1 for _, _, rounds in replays)
+        assert_results_identical(ref.result, got.result)
+        assert len(got.checkpoints) == len(ref.checkpoints)
+        for expected, state in zip(ref.checkpoints, got.checkpoints):
+            assert_states_identical(expected, state)
+            for name in CHECKPOINTABLE:
+                resumed = get_engine(name).resume(state, program, **self.OPTIONS)
+                assert_results_identical(ref.result, resumed, (name, state.round))
+
+    def test_item_tracked_runs_flush_batches(self):
+        from repro import telemetry
+
+        program = self._path(300)
+
+        def counters(**options):
+            recorder = telemetry.StatsRecorder()
+            with telemetry.recording(recorder):
+                VectorizedEngine().run(program, **options)
+            stats = recorder.stats
+            return tuple(
+                stats.counter("engine.vectorized", name)
+                for name in ("batches", "replayed_rounds")
+            )
+
+        batches, replayed = counters(**self.OPTIONS)
+        plain_batches, plain_replayed = counters(track_history=False)
+        assert batches == plain_batches > 0
+        assert replayed > plain_replayed > 0
+        # History still needs every round: the round-by-round loop runs.
+        assert counters(track_history=True, track_item_completion=True) == (0, 0)

@@ -60,13 +60,14 @@ class TestDecisionFunction:
     """Pins on crossover-table fixtures (ROADMAP.md)."""
 
     def test_tracked_cyclic_thin_degree_goes_frontier(self):
-        # Cycles and paths have mean arc degree 2.0 ≤ 3.0; tracked runs on
-        # them measured fastest on the frontier engine.
+        # Cycles and paths have mean arc degree 2.0 ≤ 3.0; arrival-tracked
+        # runs on them measured fastest on the frontier engine.  Item-tracked
+        # runs scan items once per batch and stay on the dense kernel.
         for graph in (cycle_graph(64), path_graph(64)):
             program = _program(graph)
             assert select_engine_name(program, track_arrivals=True) == "frontier"
             assert (
-                select_engine_name(program, track_item_completion=True) == "frontier"
+                select_engine_name(program, track_item_completion=True) == "vectorized"
             )
 
     def test_tracked_cyclic_thick_degree_goes_hybrid(self):
@@ -76,9 +77,71 @@ class TestDecisionFunction:
         assert select_engine_name(program, track_arrivals=True) == "hybrid"
 
     def test_grid_crossover_row(self):
-        # The measured grid row itself: tracked 16×256 went to hybrid.
+        # The measured grid row itself: item-tracked 16×256 runs fastest on
+        # the dense kernel (0.41 s against hybrid's 1.25 s at n = 4096).
         program = _program(grid_2d(16, 256))
-        assert select_engine_name(program, track_item_completion=True) == "hybrid"
+        assert select_engine_name(program, track_item_completion=True) == "vectorized"
+
+    @pytest.mark.parametrize(
+        "graph", [cycle_graph(64), hypercube(4)], ids=lambda graph: graph.name
+    )
+    def test_incremental_item_tracked_goes_vectorized(self, graph):
+        program = _program(graph)
+        assert (
+            select_engine_name(program, track_item_completion=True, incremental=True)
+            == "vectorized"
+        )
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_items_with_arrivals_keep_the_arrival_rule(self, incremental):
+        for graph, expected in ((cycle_graph(64), "frontier"), (hypercube(4), "hybrid")):
+            program = _program(graph)
+            both = select_engine_name(
+                program,
+                track_item_completion=True,
+                track_arrivals=True,
+                incremental=incremental,
+            )
+            assert both == expected
+            assert both == select_engine_name(
+                program, track_arrivals=True, incremental=incremental
+            )
+
+    #: Arrival-tracked and plain picks, as recorded before item-tracked runs
+    #: moved to the dense kernel: that move must not shift any of them.
+    UNCHANGED_PICKS = {
+        "C(64)": ("vectorized", "frontier"),
+        "P(64)": ("vectorized", "frontier"),
+        "Q(4)": ("vectorized", "hybrid"),
+        "Grid(16x256)": ("vectorized", "hybrid"),
+        "C(8192)": ("hybrid", "frontier"),
+    }
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_arrival_and_plain_picks_are_unchanged(self, incremental):
+        graphs = (
+            cycle_graph(64),
+            path_graph(64),
+            hypercube(4),
+            grid_2d(16, 256),
+            cycle_graph(8192),
+        )
+        for graph in graphs:
+            program = _program(graph)
+            plain, arrivals = self.UNCHANGED_PICKS[graph.name]
+            if incremental:
+                plain = "vectorized"  # resumed untracked suffixes never warm up
+            assert select_engine_name(program, incremental=incremental) == plain
+            for history in (False, True):
+                assert (
+                    select_engine_name(
+                        program,
+                        track_arrivals=True,
+                        track_history=history,
+                        incremental=incremental,
+                    )
+                    == arrivals
+                ), graph.name
 
     def test_plain_cyclic_cache_resident_goes_vectorized(self):
         # n = 64: packed matrix is tiny; the dense kernel wins plain runs.
@@ -176,8 +239,9 @@ class TestAutoObservability:
         assert result.engine_name in available_engines()
 
     def test_tracked_analyses_dispatch_identically_to_reference(self):
-        # auto sends tracked cyclic cycle runs to the frontier engine; the
-        # values must match the oracle exactly (dispatch changes speed only).
+        # auto sends arrival-tracked cycle runs to the frontier engine and
+        # item-tracked ones to the vectorized engine; the values must match
+        # the oracle exactly (dispatch changes speed only).
         schedule = coloring_systolic_schedule(cycle_graph(10), Mode.HALF_DUPLEX)
         assert arrival_times(schedule, 0, engine="auto") == arrival_times(
             schedule, 0, engine="reference"
