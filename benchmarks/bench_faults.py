@@ -47,7 +47,8 @@ SPEEDUP_TRIALS = 256
 #: enough that every round carries real fault plumbing.
 SPEEDUP_P = 0.02
 
-#: Minimum batched-over-looped speedup (measured ≈ 26× on the dev box; the
+#: Minimum batched-over-looped speedup (measured 29–34× on a 2-core Xeon in
+#: two runs, 26× before finished trials were replayed as one batch; the
 #: floor leaves headroom for slower shared CI runners).
 SPEEDUP_FLOOR = 5.0
 
@@ -58,9 +59,10 @@ STACKED_N = 256
 STACKED_CANDIDATES = 8
 STACKED_TRIALS = 64
 
-#: Minimum stacked-over-looped-per-candidate speedup (measured ≈ 26× on
-#: the dev box; the conservative floor absorbs shared-runner noise while
-#: still catching a stacking collapse back to per-candidate dispatch).
+#: Minimum stacked-over-looped-per-candidate speedup (measured 23–28× on a
+#: 2-core Xeon in two runs, 19.5× before batched replay; the conservative
+#: floor absorbs shared-runner noise while still catching a stacking
+#: collapse back to per-candidate dispatch).
 STACKED_FLOOR = 3.0
 
 

@@ -14,7 +14,7 @@ answer it at scale:
   (worst-case per-period link deletion, exact for small budgets, greedy
   beyond);
 * :mod:`repro.faults.montecarlo` — the trial driver: a batched
-  ``(trials, n, W)`` bitset tensor kernel advancing *all* trials one round
+  ``(n, trials, W)`` bitset tensor kernel advancing *all* trials one round
   per NumPy pass, plus a looped per-engine fallback; both consume the same
   seeded fault realisation, so results are bit-identical across paths and
   engines — and :func:`~repro.faults.montecarlo.monte_carlo_stacked`

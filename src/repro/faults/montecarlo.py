@@ -10,19 +10,17 @@ rounds and final knowledge.  Two execution paths consume the *same*
   ``(n, cols, W)`` tensor, one column per trial (trials on the *middle*
   axis, so a round's row gathers are contiguous block copies).  Each round
   slot is precompiled once per period into the shared head-grouped layout
-  (:class:`~repro.gossip.engines._bitops.HeadGroups`); one NumPy
-  gather/mask/OR/scatter sequence then advances *all* still-active trials
-  a round.  Two further ideas are lifted from the vectorized engine:
-  vertex-disjoint matching rounds with an arithmetic-progression structure
-  are applied *densely* through copy-free strided views with only the
-  sparse set of faulted transmissions snapshot/restored around the OR
-  (exact because a failed arc's head receives from nobody else and feeds
-  nobody this round), and completion runs on doubling-size round batches
-  with per-trial exact replay from the saved pre-batch state, after which
-  completed trials are compacted out of the tensor.  Together this is what
-  makes thousands of perturbed trials per schedule a cheap workload
-  (``benchmarks/bench_faults.py`` asserts ≥ 5× over the looped path at
-  n = 1024, trials = 256; measured ≈ 26×).
+  (:class:`~repro.gossip.engines._bitops.HeadGroups`); one round step — a
+  NumPy gather/mask/OR/scatter sequence per candidate block — then
+  advances *all* still-active trials a round.  Vertex-disjoint matching
+  rounds with an arithmetic-progression structure are applied *densely*
+  through copy-free strided views with only the sparse set of faulted
+  transmissions snapshot/restored around the OR (exact because a failed
+  arc's head receives from nobody else and feeds nobody this round).
+  Completion detection (below) compacts finished trials out of the tensor.
+  Together this is what makes thousands of perturbed trials per schedule a
+  cheap workload (``benchmarks/bench_faults.py`` asserts ≥ 5× over the
+  looped path at n = 1024, trials = 256; measured 29–34× on a 2-core Xeon).
 * **looped** — the reference fallback: per trial, materialise the perturbed
   finite round sequence and run it through any engine of the registry.
   Slower (per-trial round compilation and per-round Python overhead are
@@ -34,6 +32,30 @@ bit-for-bit — not just statistically — and the looped path inherits the
 engine registry's own differential guarantees, giving cross-engine
 bit-exactness of fault trials for free (enforced by
 ``tests/test_faults_differential.py``).
+
+Completion detection
+--------------------
+* **No scan before the fault-free completion round.**  A fault mask can
+  only silence scheduled arcs, and a round only ORs rows together, so a
+  faulted trial's knowledge after round ``r`` is a subset of the fault-free
+  run's knowledge after round ``r``: no trial completes before its
+  program's fault-free completion round (its *nominal* round, which
+  :func:`monte_carlo` measures to derive the default horizon anyway).
+  Rounds ``1 … nominal − 1`` therefore run as one stretch, with no saved
+  state and no scan.  A caller that passes ``max_rounds`` skips the nominal
+  run, and its scans start at round 1.
+* **Doubling batches.**  From there on rounds run in batches of doubling
+  size (1, 2, 4, …, capped at ``_BATCH_CAP``), each followed by one
+  completion scan: ``np.bitwise_and.reduce`` over the row axis gives, per
+  column, the items every vertex holds, and a column is complete when that
+  equals the full row.  The tensor is copied before each batch.
+* **Batched replay.**  The columns a scan finds complete are gathered from
+  the pre-batch copy into one ``(n, d, W)`` tensor, the copy is dropped,
+  the main tensor is compacted, and the batch's rounds run again on the
+  ``d`` columns with the same round step.  A scan after every replayed
+  round stamps each column's first complete round and drops it.  Rounds
+  past a candidate's own horizon are skipped by the step, so a stamp never
+  exceeds the horizon.
 
 Candidate stacking
 ------------------
@@ -47,12 +69,13 @@ own seeded :class:`~repro.faults.models.FaultSample` (fault draws depend on
 the candidate's own horizon and arc count), so every candidate's results
 are bit-identical to a standalone :func:`monte_carlo` call — growing the
 candidate set never perturbs the trials of the candidates already in it.
-Batch bookkeeping (doubling round batches, one completion scan, compaction
-of finished columns) is shared across the whole stack, which is what makes
-scoring a search neighbourhood's robustness one kernel invocation instead
-of one per candidate (``benchmarks/bench_faults.py`` gates the speed-up).
-Candidates past their own horizon simply freeze (their columns ride along
-untouched) until the stack drains.
+Batch bookkeeping (the unscanned stretch, which ends at the stack's
+earliest nominal round, the doubling batches, one completion scan and the
+compaction of finished columns) is shared across the whole stack, which is
+what makes scoring a search neighbourhood's robustness one kernel
+invocation instead of one per candidate (``benchmarks/bench_faults.py``
+gates the speed-up).  Candidates past their own horizon simply freeze
+(their columns ride along untouched) until the stack drains.
 
 Scope: trials start from the paper's initial state (vertex ``i`` knows item
 ``i``) and target complete gossip — the robustness questions this subsystem
@@ -62,11 +85,14 @@ subset targets.
 When a :mod:`repro.telemetry` recorder is active, every :func:`monte_carlo`
 call records one ``faults.monte_carlo`` span (method, engine, tensor shape)
 plus a single ``faults.montecarlo`` counter flush — ``trials``,
-``completed``, ``horizon``, and on the batched path ``batches``,
-``exact_replays`` and ``compactions`` — and one ``faults.compaction`` event
-per tensor shrink.  All counters are plain gated ints accumulated locally;
-with the default ``NullRecorder`` the whole layer costs one context-variable
-read per call and never changes results (``tests/test_telemetry.py``).
+``completed``, ``horizon``, and on the batched path ``batches`` (completion
+scans; the unscanned stretch is not a batch), ``exact_replays`` (trials
+whose completion round a replay stamped) and ``compactions`` (scans that
+found finished trials) — and one ``faults.compaction`` event per tensor
+shrink, at the round that ended the batch.  All counters are plain gated
+ints accumulated locally; with the default ``NullRecorder`` the whole layer
+costs one context-variable read per call and never changes results
+(``tests/test_telemetry.py``).
 """
 
 from __future__ import annotations
@@ -251,7 +277,7 @@ def monte_carlo(
             raise SimulationError("the batched Monte-Carlo path requires NumPy >= 2.0")
         _counts = {"batches": 0, "exact_replays": 0, "compactions": 0} if _telem else None
         ((completion, knowledge),) = _run_batched_stacked(
-            [program], [sample], telem_counts=_counts
+            [program], [sample], [nominal], telem_counts=_counts
         )
         engine_name = "montecarlo-batched"
     else:
@@ -328,9 +354,9 @@ _BATCH_CAP = 64
 
 
 def _apply_masked_round(
-    tensor: np.ndarray, g, fails_sorted: np.ndarray, buffer: np.ndarray | None = None
+    tensor: np.ndarray, g, fails_sorted: np.ndarray, scratch: np.ndarray
 ) -> None:
-    """One faulted round on a ``(n, cols, W)`` tensor (or one trial's matrix).
+    """One faulted round on an ``(n, cols, W)`` tensor.
 
     ``fails_sorted`` is the per-column *failure* mask in the group's
     head-sorted arc order (leading axes of the gathered source block).  The
@@ -338,26 +364,25 @@ def _apply_masked_round(
     entries — under realistic fault rates a sparse write, far cheaper than
     multiplying the whole block by a success mask.  The tail rows are
     gathered before the single head-row write, so the paper's snapshot
-    semantics hold even when a head also appears as a tail.  ``buffer`` is
-    an optional preallocated ``(≥m, cols, W)`` scratch block (two gathers
-    per round would otherwise pay a fresh multi-megabyte allocation each).
+    semantics hold even when a head also appears as a tail.  ``scratch`` is
+    the kernel's flat uint64 block of at least ``(m + heads) · cols · W``
+    words; both gathers land in reshaped prefixes of it (``np.take``'s
+    ``out=`` wants a plain C-ordered target, and two fresh multi-megabyte
+    allocations per round would cost more than the gathers).
     """
-    if buffer is None:
-        src = tensor.take(g.src_tails, axis=0)
-    else:
-        src = buffer[: g.m]
-        np.take(tensor, g.src_tails, axis=0, out=src)
+    cols, words = tensor.shape[1:]
+    block = cols * words
+    m, heads = g.m, g.uheads.size
+    src = scratch[: m * block].reshape(m, cols, words)
+    np.take(tensor, g.src_tails, axis=0, out=src)
     if fails_sorted.any():
         src[fails_sorted] = 0
     if g.heads_distinct:
         agg = src
     else:
         agg = np.bitwise_or.reduceat(src, g.group_starts, axis=0)
-    if buffer is None:
-        old = tensor.take(g.uheads, axis=0)
-    else:
-        old = buffer[g.m : g.m + g.uheads.size]
-        np.take(tensor, g.uheads, axis=0, out=old)
+    old = scratch[m * block : (m + heads) * block].reshape(heads, cols, words)
+    np.take(tensor, g.uheads, axis=0, out=old)
     np.bitwise_or(old, agg, out=old)
     tensor[g.uheads] = old
 
@@ -390,6 +415,7 @@ def _slot_segments(groups: list) -> list:
 def _run_batched_stacked(
     programs: list[RoundProgram],
     samples: list[FaultSample],
+    nominals: list[int | None],
     *,
     telem_counts: dict | None = None,
 ) -> list[tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...]]]:
@@ -402,21 +428,22 @@ def _run_batched_stacked(
     volume — m·cols·W words per round — is the inherent cost; this layout
     moves it at streaming bandwidth instead of strided-access speed).
     Columns are grouped into candidate-major blocks (candidate ``c``'s
-    trials occupy one contiguous column slice), and every round applies
+    trials occupy one contiguous column slice), and one round step applies
     each candidate's own precompiled slot — its head groups, AP segments and
     fault mask — to its block *view*.
 
-    Completion is detected as in the vectorized engine's fast path: rounds
-    run in batches of doubling size (capped at ``_BATCH_CAP``) with one full
-    completion scan per batch, and each newly-completed trial is replayed
-    alone from the saved pre-batch state to pin its exact completion round,
-    clamped to its candidate's own horizon.  Applying extra rounds to an
-    already-complete trial cannot change its state (its rows hold every
-    item bit, OR is idempotent), so the replay is purely about the round
-    *number* — results stay bit-identical to the looped path.  Completed
-    trials are then compacted out of the tensor, preserving column order so
-    the blocks stay contiguous slices and the per-round cost tracks the
-    surviving trial count.
+    ``nominals`` are the candidates' fault-free completion rounds (``None``
+    when the caller skipped the nominal run).  Completion is found as the
+    module docstring's "Completion detection" describes: rounds up to
+    ``min(nominals) − 1`` run unscanned, then doubling batches each end in
+    one AND-reduce scan, whose finished columns are replayed as one
+    ``(n, d, W)`` batch from the saved pre-batch state with the same round
+    step.  Applying extra rounds to an already-complete trial cannot change
+    its state (its rows hold every item bit, OR is idempotent), so the
+    replay is purely about the round *number* — results stay bit-identical
+    to the looped path.  Completed trials are compacted out of the tensor,
+    preserving column order so the blocks stay contiguous slices and the
+    per-round cost tracks the surviving trial count.
 
     Each candidate runs against its own :class:`FaultSample` (horizon and
     draws included), so its results do not depend on which other candidates
@@ -443,17 +470,12 @@ def _run_batched_stacked(
     words = max(1, (n + _WORD_MASK) >> _WORD_SHIFT)
     full_value = (1 << n) - 1
     full_words = _pack_int(full_value, words)
-    target = n * n
 
     groups_by_c = [
         [_compile_head_groups(*_arc_indices(p.graph, arcs)) for arcs in p.rounds]
         for p in programs
     ]
     segments_by_c = [_slot_segments(groups) for groups in groups_by_c]
-    scratch_by_c = [
-        max((g.m + g.uheads.size for g in groups if g.m), default=0)
-        for groups in groups_by_c
-    ]
 
     def group_at(c: int, r: int):
         groups = groups_by_c[c]
@@ -463,111 +485,125 @@ def _run_batched_stacked(
         segments = segments_by_c[c]
         return segments[(r - 1) % len(segments)] if programs[c].cyclic else segments[r - 1]
 
-    completions = [np.full(s.trials, -1, dtype=np.int64) for s in samples]
-    if n == 1:
-        for completion in completions:
-            completion[:] = 0
-
     # Candidate-major column layout: candidate c's live trials are one
     # contiguous block, recovered after any compaction by searchsorted.
+    # ``completion`` is indexed by offsets[c] + trial.
+    offsets = np.cumsum([0] + [s.trials for s in samples])
+    completion = np.full(int(offsets[-1]), -1, dtype=np.int64)
     col_cand = np.repeat(np.arange(k), [s.trials for s in samples])
     col_trial = np.concatenate([np.arange(s.trials) for s in samples])
-    live_mask = np.concatenate([completion < 0 for completion in completions])
-    col_cand = col_cand[live_mask]
-    col_trial = col_trial[live_mask]
+    if n == 1:  # the start state is already complete
+        completion[:] = 0
+        col_cand, col_trial = col_cand[:0], col_trial[:0]
 
     tensor = np.zeros((n, col_cand.size, words), dtype=np.uint64)
     rows = np.arange(n)
     if col_cand.size:
         tensor[rows, :, (rows >> _WORD_SHIFT)] = _BIT_LUT[rows & _WORD_MASK][:, None]
 
-    def block_bounds() -> list[int]:
-        return [int(b) for b in np.searchsorted(col_cand, np.arange(k + 1))]
+    def block_bounds(cands: np.ndarray) -> list[int]:
+        return np.searchsorted(cands, np.arange(k + 1)).tolist()
 
-    def block_buffers(bounds: list[int]) -> list[np.ndarray | None]:
-        # Per-candidate contiguous scratch (np.take's ``out=`` wants a plain
-        # C-ordered target; the block views are not).
-        return [
-            np.empty((scratch_by_c[c], bounds[c + 1] - bounds[c], words), dtype=np.uint64)
-            if bounds[c + 1] > bounds[c] and scratch_by_c[c]
-            else None
-            for c in range(k)
-        ]
+    bounds = block_bounds(col_cand)
+    # One flat scratch block for every gather: candidate blocks are applied
+    # one after another and only ever shrink (compaction and the replay both
+    # take column subsets), so the largest block at the start bounds them all.
+    scratch = np.empty(
+        words
+        * max(
+            max((g.m + g.uheads.size for g in groups if g.m), default=0)
+            * (bounds[c + 1] - bounds[c])
+            for c, groups in enumerate(groups_by_c)
+        ),
+        dtype=np.uint64,
+    )
 
-    def replay_trial(c: int, trial: int, saved_column: np.ndarray, start: int, stop: int) -> int:
-        """Exact completion round of one trial over rounds start+1 … stop,
-        clamped to the candidate's own horizon (rounds past it never touched
-        the column)."""
-        matrix = saved_column.copy()
-        sample = samples[c]
-        for r in range(start + 1, min(stop, sample.horizon) + 1):
+    def step(tensor: np.ndarray, bounds: list[int], trials: np.ndarray, r: int) -> None:
+        """Round ``r`` on every candidate block of ``tensor`` (columns
+        ``bounds[c]:bounds[c + 1]`` hold candidate ``c``'s ``trials``)."""
+        for c in range(k):
+            start, stop = bounds[c], bounds[c + 1]
+            if start == stop or r > samples[c].horizon:
+                continue
             g = group_at(c, r)
             if g.m == 0:
                 continue
-            fails = ~sample.trial_mask(trial, r)[g.arc_order]
-            _apply_masked_round(matrix, g, fails)
-            if int(np.bitwise_count(matrix).sum()) == target:
-                return r
+            rmask = samples[c].round_mask(r)[trials[start:stop]][:, g.arc_order]
+            if not rmask.any():
+                continue
+            view = tensor[:, start:stop]
+            seg = segment_at(c, r)
+            if seg is not None:
+                fails_arc, fails_col = np.nonzero(~rmask.T)
+                if fails_arc.size:
+                    kept_rows = view[g.uheads[fails_arc], fails_col]
+                for tail_part, head_slice in seg:
+                    targets = view[head_slice]
+                    sources = (
+                        view[tail_part]
+                        if isinstance(tail_part, slice)
+                        else view.take(tail_part, axis=0)
+                    )
+                    np.bitwise_or(targets, sources, out=targets)
+                if fails_arc.size:
+                    view[g.uheads[fails_arc], fails_col] = kept_rows
+            else:
+                _apply_masked_round(view, g, np.ascontiguousarray(~rmask.T), scratch)
+
+    def complete(tensor: np.ndarray) -> np.ndarray:
+        """Which columns hold every item (bits ≥ n are never set)."""
+        return (np.bitwise_and.reduce(tensor, axis=0) == full_words).all(axis=1)
+
+    def replay(
+        finished: np.ndarray, cands: np.ndarray, trials: np.ndarray, start: int, stop: int
+    ) -> None:
+        """Stamp the first complete round of each ``finished`` column (the
+        pre-batch states of candidates ``cands``' ``trials``) by running
+        rounds start+1 … stop on them again, dropping stamped columns."""
+        ids = offsets[cands] + trials
+        bounds = block_bounds(cands)
+        for r in range(start + 1, stop + 1):
+            step(finished, bounds, trials, r)
+            done = complete(finished)
+            if not done.any():
+                continue
+            completion[ids[done]] = r
+            if done.all():
+                return
+            keep = ~done
+            finished = finished.compress(keep, axis=1)
+            cands, trials, ids = cands[keep], trials[keep], ids[keep]
+            bounds = block_bounds(cands)
         raise SimulationError(  # pragma: no cover - scan/replay disagreement
-            f"replay of candidate {c} trial {trial} did not reach completion "
-            f"by round {min(stop, sample.horizon)}"
+            f"replay of {ids.size} finished trials did not reach completion by round {stop}"
         )
 
-    max_horizon = max((s.horizon for s in samples), default=0)
-    bounds = block_bounds()
-    buffers = block_buffers(bounds)
-    executed = 0
+    max_horizon = max(s.horizon for s in samples)
+    # Faults only silence scheduled arcs, so nothing completes before the
+    # earliest nominal round: run up to it unscanned and unsaved.
+    executed = 0 if None in nominals else max(min(nominals) - 1, 0)
+    for r in range(1, executed + 1):
+        step(tensor, bounds, col_trial, r)
     batch = 1
     while executed < max_horizon and col_cand.size:
         size = min(batch, max_horizon - executed)
         if telem_counts is not None:
             telem_counts["batches"] += 1
         saved = tensor.copy()
-        for offset in range(1, size + 1):
-            r = executed + offset
-            for c in range(k):
-                start, stop = bounds[c], bounds[c + 1]
-                if start == stop or r > samples[c].horizon:
-                    continue
-                g = group_at(c, r)
-                if g.m == 0:
-                    continue
-                rmask = samples[c].round_mask(r)[col_trial[start:stop]][:, g.arc_order]
-                if not rmask.any():
-                    continue
-                view = tensor[:, start:stop]
-                seg = segment_at(c, r)
-                if seg is not None:
-                    fails_arc, fails_col = np.nonzero(~rmask.T)
-                    if fails_arc.size:
-                        kept_rows = view[g.uheads[fails_arc], fails_col]
-                    for tail_part, head_slice in seg:
-                        targets = view[head_slice]
-                        sources = (
-                            view[tail_part]
-                            if isinstance(tail_part, slice)
-                            else view.take(tail_part, axis=0)
-                        )
-                        np.bitwise_or(targets, sources, out=targets)
-                    if fails_arc.size:
-                        view[g.uheads[fails_arc], fails_col] = kept_rows
-                else:
-                    _apply_masked_round(view, g, np.ascontiguousarray(~rmask.T), buffers[c])
-        done = ((tensor & full_words) == full_words).all(axis=(0, 2))
+        for r in range(executed + 1, executed + size + 1):
+            step(tensor, bounds, col_trial, r)
+        done = complete(tensor)
         if done.any():
-            for position in np.flatnonzero(done):
-                c = int(col_cand[position])
-                completions[c][int(col_trial[position])] = replay_trial(
-                    c, int(col_trial[position]), saved[:, position], executed, executed + size
-                )
+            finished = saved.compress(done, axis=1)
+            del saved
             keep = ~done
-            dropped = int(done.sum())
-            col_cand = col_cand[keep]
-            col_trial = col_trial[keep]
-            tensor = np.ascontiguousarray(tensor[:, keep])
-            bounds = block_bounds()
-            buffers = block_buffers(bounds)
+            finished_cand, finished_trial = col_cand[done], col_trial[done]
+            col_cand, col_trial = col_cand[keep], col_trial[keep]
+            tensor = tensor.compress(keep, axis=1)
+            bounds = block_bounds(col_cand)
+            replay(finished, finished_cand, finished_trial, executed, executed + size)
             if telem_counts is not None:
+                dropped = int(finished_cand.size)
                 telem_counts["exact_replays"] += dropped
                 telem_counts["compactions"] += 1
                 telemetry.event(
@@ -580,20 +616,13 @@ def _run_batched_stacked(
         batch = min(batch * 2, _BATCH_CAP)
 
     complete_row = (full_value,) * n
-    knowledge_by_c: list[list] = [
-        [complete_row if completions[c][t] >= 0 else None for t in range(s.trials)]
-        for c, s in enumerate(samples)
-    ]
-    for position in range(col_cand.size):
-        knowledge_by_c[int(col_cand[position])][int(col_trial[position])] = _unpack_rows(
-            np.ascontiguousarray(tensor[:, position])
-        )
+    knowledge = [complete_row if r >= 0 else None for r in completion.tolist()]
+    for position, column in enumerate((offsets[col_cand] + col_trial).tolist()):
+        knowledge[column] = _unpack_rows(np.ascontiguousarray(tensor[:, position]))
+    rounds = [r if r >= 0 else None for r in completion.tolist()]
     return [
-        (
-            tuple(int(x) if x >= 0 else None for x in completions[c].tolist()),
-            tuple(knowledge_by_c[c]),
-        )
-        for c in range(k)
+        (tuple(rounds[lo:hi]), tuple(knowledge[lo:hi]))
+        for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist())
     ]
 
 
@@ -639,7 +668,9 @@ def monte_carlo_stacked(
     horizons = [sample.horizon for sample in fault_samples]
 
     _counts = {"batches": 0, "exact_replays": 0, "compactions": 0} if _telem else None
-    outcomes = _run_batched_stacked(programs, fault_samples, telem_counts=_counts)
+    outcomes = _run_batched_stacked(
+        programs, fault_samples, nominals, telem_counts=_counts
+    )
     results = tuple(
         FaultTrialResult(
             graph=programs[i].graph,

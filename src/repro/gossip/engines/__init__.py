@@ -71,7 +71,7 @@ tensor path (``monte_carlo(..., method="batched")``, the default under
 ``engine="auto"``) whenever you run tens of trials or more of the same
 program: it stacks all trials into one ``(n, trials, W)`` tensor, compiles
 each round slot once for the whole ensemble, and advances every trial per
-NumPy pass — measured ≈ 26× over 256 independent runs at n = 1024.  Prefer
+NumPy pass — measured 29–34× over 256 independent runs at n = 1024.  Prefer
 **looped single runs** (``method="looped"`` with any engine above) when
 trials are few, when you need a non-default backend's strengths (e.g. the
 frontier engine on a huge sparse instance that dwarfs the trial count), or

@@ -266,7 +266,9 @@ def _robust_scores_stacked(
         stacked.append((i, program, nominal))
         samples.append(sample)
     if stacked:
-        outcomes = _run_batched_stacked([entry[1] for entry in stacked], samples)
+        outcomes = _run_batched_stacked(
+            [entry[1] for entry in stacked], samples, [entry[2] for entry in stacked]
+        )
         for (i, program, nominal), sample, (completion, knowledge) in zip(
             stacked, samples, outcomes
         ):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.exceptions import SimulationError
 from repro.faults import (
     AdversarialArcFaults,
@@ -249,6 +250,52 @@ class TestMonteCarloDriver:
         result = monte_carlo(protocol, BernoulliArcFaults(0.9), trials=3, seed=0)
         assert result.completion_rounds == (0, 0, 0)
         assert result.knowledge == ((1,),) * 3
+
+
+def _capped_doubling_batches(rounds: int) -> int:
+    """Doubling batches (1, 2, 4, … capped at 64) from round 1 to ``rounds``."""
+    batches, covered = 0, 0
+    while covered < rounds:
+        covered += min(1 << batches, 64)
+        batches += 1
+    return batches
+
+
+class TestBatchCounters:
+    """The kernel's counter contract: ``batches`` counts completion scans,
+    and the stretch before the fault-free completion round is not one."""
+
+    SCHEDULES = (_schedule(10), cycle_systolic_schedule(130, Mode.HALF_DUPLEX))
+
+    @staticmethod
+    def _recorded(schedule, trials, **kwargs):
+        recorder = telemetry.StatsRecorder()
+        with telemetry.recording(recorder):
+            result = monte_carlo(
+                schedule, BernoulliArcFaults(0.0), trials=trials, seed=3, **kwargs
+            )
+        events = [e for e in recorder.stats.events if e.name == "faults.compaction"]
+        return result, recorder.stats.counters["faults.montecarlo"], events
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=("C10", "C130"))
+    def test_fault_free_trials_take_one_scan_at_the_nominal_round(self, schedule):
+        nominal = gossip_time(schedule)
+        result, counters, events = self._recorded(schedule, trials=5)
+        assert result.completion_rounds == (nominal,) * 5
+        assert counters["batches"] == 1
+        assert counters["compactions"] == 1
+        assert counters["exact_replays"] == 5
+        assert [e.attrs["round"] for e in events] == [nominal]
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=("C10", "C130"))
+    def test_explicit_horizon_scans_doubling_batches_from_round_one(self, schedule):
+        nominal = gossip_time(schedule)
+        result, counters, events = self._recorded(schedule, trials=5, max_rounds=3 * nominal)
+        assert result.completion_rounds == (nominal,) * 5
+        assert counters["batches"] == _capped_doubling_batches(nominal)
+        assert counters["compactions"] == 1
+        assert counters["exact_replays"] == 5
+        assert len(events) == 1 and events[0].attrs["round"] >= nominal
 
 
 class TestMetrics:

@@ -220,3 +220,158 @@ def test_robust_batch_scoring_routes_through_stacked_kernel():
         ]
         assert solo.complete and solo.rounds == oracle.nominal_rounds
         assert solo.score == sum(costs) / spec.trials
+
+
+# --------------------------------------------------------------------- #
+# Rows of ≥ 3 words: the unscanned stretch before the nominal round, the
+# AND-reduce completion scan and the batched replay, each checked trial for
+# trial against the looped reference oracle.
+# --------------------------------------------------------------------- #
+from repro import telemetry  # noqa: E402
+from repro.protocols.cycle import cycle_systolic_schedule  # noqa: E402
+
+WIDE_TRIALS = 40
+
+
+def _assert_matches_oracle(subject, model, result, *, seed, max_rounds=None):
+    oracle = monte_carlo(
+        subject, model, trials=result.trials, seed=seed, max_rounds=max_rounds,
+        engine="reference", method="looped",
+    )
+    assert oracle.horizon == result.horizon
+    for t in range(result.trials):
+        assert result.completion_rounds[t] == oracle.completion_rounds[t], t
+        assert result.knowledge[t] == oracle.knowledge[t], t
+
+
+#: (name, schedule, seed): n ≥ 130, so every packed row spans ≥ 3 words;
+#: the half-duplex cycle runs the AP-segment path, the full-duplex grid the
+#: gathered masked-round path.  The seeds spread completions over ≥ 2
+#: scanned batches (asserted below).
+WIDE_CASES = (
+    ("cycle-130-half", cycle_systolic_schedule(130, Mode.HALF_DUPLEX), 3),
+    ("grid-10x13-full", coloring_systolic_schedule(grid_2d(10, 13), Mode.FULL_DUPLEX), 11),
+)
+
+
+@pytest.mark.parametrize("max_rounds", (None, 256), ids=("from-nominal", "explicit-horizon"))
+@pytest.mark.parametrize("case", WIDE_CASES, ids=lambda c: c[0])
+def test_multiword_trials_match_the_looped_oracle(case, max_rounds):
+    _, schedule, seed = case
+    assert schedule.graph.n >= 130
+    model = BernoulliArcFaults(0.1)
+    recorder = telemetry.StatsRecorder()
+    with telemetry.recording(recorder):
+        batched = monte_carlo(
+            schedule, model, trials=WIDE_TRIALS, seed=seed, max_rounds=max_rounds
+        )
+    assert recorder.stats.counters["faults.montecarlo"]["compactions"] >= 2
+    assert batched.completed == WIDE_TRIALS
+    _assert_matches_oracle(schedule, model, batched, seed=seed, max_rounds=max_rounds)
+
+
+def test_multiword_crash_trials_complete_at_nominal_or_never():
+    """A crash after the nominal round changes nothing, so those trials
+    complete exactly at it — the first scanned round; an earlier crash
+    starves its vertex for good."""
+    schedule = coloring_systolic_schedule(cycle_graph(130), Mode.HALF_DUPLEX)
+    model = CrashFaults(1)
+    batched = monte_carlo(schedule, model, trials=WIDE_TRIALS, seed=11)
+    assert batched.nominal_rounds in batched.completion_rounds
+    assert None in batched.completion_rounds
+    _assert_matches_oracle(schedule, model, batched, seed=11)
+
+
+def test_stacked_multiword_candidates_with_different_nominals_match_the_oracle():
+    """The unscanned stretch ends at the stack's earliest nominal round (the
+    grid's): a stretch running on to a later candidate's nominal round
+    would carry the grid's trials past their completion unseen."""
+    candidates = [
+        coloring_systolic_schedule(cycle_graph(130), Mode.HALF_DUPLEX),
+        coloring_systolic_schedule(cycle_graph(130), Mode.FULL_DUPLEX),
+        coloring_systolic_schedule(grid_2d(10, 13), Mode.FULL_DUPLEX),
+    ]
+    model = BernoulliArcFaults(0.1)
+    stacked = monte_carlo_stacked(candidates, model, trials=WIDE_TRIALS, seed=11)
+    assert len({result.nominal_rounds for result in stacked}) == len(candidates)
+    for candidate, result in zip(candidates, stacked):
+        _assert_matches_oracle(candidate, model, result, seed=11)
+
+
+# --------------------------------------------------------------------- #
+# The lemma behind the unscanned stretch, for any fault model: a mask only
+# silences scheduled arcs, so no trial completes before the fault-free
+# gossip time — and the kernel must not rely on anything more.
+# --------------------------------------------------------------------- #
+import numpy as np  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.faults.models import FaultModel, FaultSample  # noqa: E402
+from repro.gossip.simulation import gossip_time  # noqa: E402
+
+
+class _SubsetSample(FaultSample):
+    def __init__(self, program, horizon, trials, masks):
+        super().__init__(program, horizon, trials)
+        self._masks = masks
+
+    def round_mask(self, round_number):
+        return self._masks[round_number - 1]
+
+
+class _SubsetFaults:
+    """Fires an arbitrary subset of each round's arcs: trial ``t`` keeps
+    each arc with probability ``densities[t % len(densities)]``, drawn from
+    one seeded stream (so both kernel paths see the same realisation)."""
+
+    name = "subset"
+
+    def __init__(self, densities):
+        self.densities = densities
+
+    def sample(self, program, horizon, trials, *, seed=0):
+        rng = np.random.default_rng(seed)
+        keep = np.resize(np.asarray(self.densities), trials)[:, None]
+        masks = [
+            rng.random((trials, len(program.arcs_at(r)))) < keep
+            for r in range(1, horizon + 1)
+        ]
+        return _SubsetSample(program, horizon, trials, masks)
+
+
+@st.composite
+def _small_schedules(draw):
+    mode = draw(st.sampled_from((Mode.HALF_DUPLEX, Mode.FULL_DUPLEX)))
+    family = draw(st.sampled_from(("cycle", "path", "grid")))
+    if family == "cycle":
+        graph = cycle_graph(draw(st.integers(3, 70)))
+    elif family == "path":
+        graph = path_graph(draw(st.integers(2, 70)))
+    else:
+        graph = grid_2d(draw(st.integers(2, 5)), draw(st.integers(2, 13)))
+    return coloring_systolic_schedule(graph, mode)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    schedule=_small_schedules(),
+    densities=st.lists(
+        st.sampled_from((1.0, 0.98, 0.9, 0.7, 0.4, 0.0)), min_size=1, max_size=4
+    ),
+    trials=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_any_arc_subset_model_matches_the_oracle_and_never_beats_nominal(
+    schedule, densities, trials, seed
+):
+    model = _SubsetFaults(densities)
+    assert isinstance(model, FaultModel)
+    batched = monte_carlo(schedule, model, trials=trials, seed=seed)
+    looped = monte_carlo(
+        schedule, model, trials=trials, seed=seed, engine="reference", method="looped"
+    )
+    assert batched.completion_rounds == looped.completion_rounds
+    assert batched.knowledge == looped.knowledge
+    nominal = gossip_time(schedule, engine="reference")
+    assert all(r is None or r >= nominal for r in batched.completion_rounds)
