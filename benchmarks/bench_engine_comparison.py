@@ -1,29 +1,23 @@
-"""Benchmark ENGINES — reference vs. vectorized vs. frontier vs. hybrid.
+"""Benchmark ENGINES — reference vs. vectorized vs. frontier.
 
 Three headline comparisons, all recorded in the session report (and, when
 ``BENCH_JSON`` points at a file, dumped as JSON so CI can archive the
 timing trajectory):
 
-* **vectorized vs. reference** (kept from PR 1): plain systolic cycle
-  gossip on ``C(2048)``; the packed-bitset kernel must stay ≥5× faster
-  than the pure-Python loop.
-* **tracked: frontier & hybrid vs. vectorized**: *arrival-tracked*
-  systolic gossip — the batched all-pairs arrival analysis behind
-  :func:`repro.gossip.analysis.all_arrival_times` — on large sparse
+* **vectorized vs. reference**: plain systolic cycle gossip on
+  ``C(2048)``; the packed-bitset kernel must stay ≥5× faster than the
+  pure-Python loop.
+* **tracked: frontier vs. vectorized**: *arrival-tracked* systolic gossip
+  — the batched all-pairs arrival analysis behind
+  :func:`repro.gossip.analysis.all_arrival_times` — on large deep
   instances (cycle / path / elongated grid at n = 4096).  The dense kernel
   must rescan O(n·W) words per round to diff the knowledge matrix, while
-  the sparse engines emit arrival events for free from their per-round
-  deltas; both must beat the vectorized kernel on all three topologies.
-* **plain crossover: hybrid vs. vectorized** (new in PR 4): *untracked*
-  completion runs, the vectorized kernel's home turf.  The active-word
-  engine must already win on ``P(4096)``, stay within 2.2× on ``C(4096)``
-  and 1.8× on the 16×256 grid (where the L3-resident dense matrix still
-  streams at memory bandwidth), win outright on the 16×512 grid past the
-  cache crossover, and hold at least parity-within-noise on ``C(8192)``
-  (measured 0.98×; the 1.15× bound absorbs CI jitter) — the measured
-  crossover the engine-selection heuristics in
-  :mod:`repro.gossip.engines` document.  It must also beat the frontier
-  engine on plain word-thick runs (the 16×256 grid by ≥2×).
+  the frontier engine emits arrival events for free from its per-round
+  deltas; it must beat the vectorized kernel on all three topologies.
+* **auto selection**: the workload-aware ``"auto"`` pick must land within
+  ``AUTO_SELECTION_CEILING`` of the better named backend on tracked runs,
+  including arrival-tracked rows on both sides of the BFS-depth rule
+  documented in :mod:`repro.gossip.engines`.
 
 Every comparison also asserts the engines agree on the results, so the
 benchmark doubles as a large-instance differential check.
@@ -42,7 +36,14 @@ from repro.gossip.engines.base import RoundProgram
 from repro.gossip.model import Mode
 from repro.gossip.simulation import gossip_time
 from repro.protocols.generic import coloring_systolic_schedule
-from repro.topologies.classic import cycle_graph, grid_2d, path_graph
+from repro.topologies.classic import (
+    complete_binary_tree,
+    cycle_graph,
+    grid_2d,
+    path_graph,
+    torus_2d,
+)
+from repro.topologies.kautz import kautz
 
 #: Instance for the pytest-benchmark fixtures (kept moderate so the
 #: calibrated multi-iteration timing stays fast).
@@ -56,33 +57,13 @@ SPEEDUP_N = 2048
 SPEEDUP_FLOOR = 5.0
 
 #: Instances for the arrival-tracked comparison: (label, graph builder,
-#: required frontier speedup over vectorized, required hybrid speedup over
-#: vectorized).  Floors leave headroom for noisy CI runners — locally the
-#: frontier margins are ≈6×, ≈13×, ≈2.3× and the hybrid margins ≈1.9×,
-#: ≈3.9×, ≈2.6×.
+#: required frontier speedup over vectorized).  Floors leave headroom for
+#: noisy CI runners — locally the frontier margins are ≈6×, ≈13×, ≈2.3×.
 TRACKED_INSTANCES = (
-    ("C(4096)", lambda: cycle_graph(4096), 2.0, 1.4),
-    ("P(4096)", lambda: path_graph(4096), 2.0, 2.0),
-    ("grid(16x256)", lambda: grid_2d(16, 256), 1.1, 1.6),
+    ("C(4096)", lambda: cycle_graph(4096), 2.0),
+    ("P(4096)", lambda: path_graph(4096), 2.0),
+    ("grid(16x256)", lambda: grid_2d(16, 256), 1.1),
 )
-
-#: Instances for the plain (untracked) hybrid-vs-vectorized comparison:
-#: (label, graph builder, maximum allowed hybrid/vectorized time ratio).
-#: Ratios < 1 are required wins; ratios > 1 bound the regression below the
-#: crossover.  Locally measured: P(4096) ≈ 0.87×, C(4096) ≈ 1.8×,
-#: grid(16x256) ≈ 1.5×, grid(16x512) ≈ 0.76×, C(8192) ≈ 0.98×.
-PLAIN_INSTANCES = (
-    ("P(4096)", lambda: path_graph(4096), 1.00),
-    ("C(4096)", lambda: cycle_graph(4096), 2.20),
-    ("grid(16x256)", lambda: grid_2d(16, 256), 1.80),
-    ("grid(16x512)", lambda: grid_2d(16, 512), 0.95),
-    ("C(8192)", lambda: cycle_graph(8192), 1.15),
-)
-
-#: Plain-run floor for hybrid over frontier on the word-thick grid
-#: (locally ≈4×): one routed word carries many items there, so the
-#: word-granular engine must clearly beat the pair-granular one.
-HYBRID_OVER_FRONTIER_GRID_FLOOR = 2.0
 
 
 def _cycle_schedule(n: int):
@@ -114,12 +95,6 @@ def test_engine_frontier_cycle(benchmark):
     assert result == gossip_time(schedule, engine="vectorized")
 
 
-def test_engine_hybrid_cycle(benchmark):
-    schedule = _cycle_schedule(BENCH_N)
-    result = benchmark(lambda: gossip_time(schedule, engine="hybrid"))
-    assert result == gossip_time(schedule, engine="vectorized")
-
-
 def test_vectorized_speedup_report(report_sink, bench_json):
     """Single-shot wall-clock comparison on C(2048); asserts the ≥5× bar."""
     schedule = _cycle_schedule(SPEEDUP_N)
@@ -133,14 +108,10 @@ def test_vectorized_speedup_report(report_sink, bench_json):
     frontier_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    hybrid_rounds = gossip_time(schedule, engine="hybrid")
-    hybrid_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
     reference_rounds = gossip_time(schedule, engine="reference")
     reference_seconds = time.perf_counter() - start
 
-    assert vectorized_rounds == reference_rounds == frontier_rounds == hybrid_rounds
+    assert vectorized_rounds == reference_rounds == frontier_rounds
     speedup = reference_seconds / vectorized_seconds
 
     rows = [
@@ -150,12 +121,11 @@ def test_vectorized_speedup_report(report_sink, bench_json):
             "reference_s": reference_seconds,
             "vectorized_s": vectorized_seconds,
             "frontier_s": frontier_seconds,
-            "hybrid_s": hybrid_seconds,
             "speedup": speedup,
         }
     ]
     report_sink(
-        "ENGINES: plain systolic cycle gossip, all four backends",
+        "ENGINES: plain systolic cycle gossip, all three backends",
         format_table(
             rows,
             [
@@ -164,7 +134,6 @@ def test_vectorized_speedup_report(report_sink, bench_json):
                 "reference_s",
                 "vectorized_s",
                 "frontier_s",
-                "hybrid_s",
                 "speedup",
             ],
         ),
@@ -177,16 +146,16 @@ def test_vectorized_speedup_report(report_sink, bench_json):
 
 
 def test_tracked_speedup_report(report_sink, bench_json):
-    """Arrival-tracked gossip at n = 4096: frontier & hybrid vs. vectorized.
+    """Arrival-tracked gossip at n = 4096: frontier vs. vectorized.
 
     This is the batched per-source arrival workload
     (:func:`repro.gossip.analysis.all_arrival_times`) run at engine level.
-    Asserts that both sparse engines beat the dense kernel on cycle, path
-    and grid, and that all three engines return identical arrival matrices
+    Asserts that the frontier engine beats the dense kernel on cycle, path
+    and grid, and that both engines return identical arrival matrices
     (a 16M-entry differential check per instance).
     """
     rows = []
-    for label, build, frontier_floor, hybrid_floor in TRACKED_INSTANCES:
+    for label, build, frontier_floor in TRACKED_INSTANCES:
         schedule = coloring_systolic_schedule(build(), Mode.HALF_DUPLEX)
         program = RoundProgram.from_schedule(schedule)
 
@@ -196,28 +165,22 @@ def test_tracked_speedup_report(report_sink, bench_json):
         frontier_seconds, frontier = _timed_run(
             "frontier", program, track_arrivals=True
         )
-        hybrid_seconds, hybrid = _timed_run("hybrid", program, track_arrivals=True)
 
         assert frontier.completion_round == vectorized.completion_round
-        assert hybrid.completion_round == vectorized.completion_round
         assert frontier.arrival_rounds == vectorized.arrival_rounds
-        assert hybrid.arrival_rounds == vectorized.arrival_rounds
         rows.append(
             {
                 "instance": label,
                 "gossip_rounds": vectorized.completion_round,
                 "vectorized_s": vectorized_seconds,
                 "frontier_s": frontier_seconds,
-                "hybrid_s": hybrid_seconds,
                 "frontier_speedup": vectorized_seconds / frontier_seconds,
-                "hybrid_speedup": vectorized_seconds / hybrid_seconds,
                 "frontier_floor": frontier_floor,
-                "hybrid_floor": hybrid_floor,
             }
         )
 
     report_sink(
-        "ENGINES: arrival-tracked systolic gossip, sparse engines vs. vectorized (n = 4096)",
+        "ENGINES: arrival-tracked systolic gossip, frontier vs. vectorized (n = 4096)",
         format_table(
             rows,
             [
@@ -225,9 +188,7 @@ def test_tracked_speedup_report(report_sink, bench_json):
                 "gossip_rounds",
                 "vectorized_s",
                 "frontier_s",
-                "hybrid_s",
                 "frontier_speedup",
-                "hybrid_speedup",
             ],
         ),
     )
@@ -238,75 +199,6 @@ def test_tracked_speedup_report(report_sink, bench_json):
             f"vectorized on arrival-tracked {row['instance']} "
             f"(required: {row['frontier_floor']}x)"
         )
-        assert row["hybrid_speedup"] >= row["hybrid_floor"], (
-            f"hybrid engine is only {row['hybrid_speedup']:.2f}x faster than "
-            f"vectorized on arrival-tracked {row['instance']} "
-            f"(required: {row['hybrid_floor']}x)"
-        )
-
-
-def test_hybrid_plain_crossover_report(report_sink, bench_json):
-    """Plain (untracked) completion runs: hybrid vs. vectorized vs. frontier.
-
-    The dense kernel's best case.  Asserts the hybrid engine already beats
-    it on P(4096), stays within the documented ratios on C(4096) and the
-    16×256 grid, wins outright on the 16×512 grid past the cache
-    crossover, holds parity-within-noise on C(8192), and beats the
-    frontier engine clearly on the word-thick grid — plus a full
-    differential check of every completion round.
-    """
-    rows = []
-    for label, build, max_ratio in PLAIN_INSTANCES:
-        schedule = coloring_systolic_schedule(build(), Mode.HALF_DUPLEX)
-        program = RoundProgram.from_schedule(schedule)
-
-        vectorized_seconds, vectorized = _timed_run("vectorized", program)
-        hybrid_seconds, hybrid = _timed_run("hybrid", program)
-        frontier_seconds, frontier = _timed_run("frontier", program)
-
-        assert hybrid.completion_round == vectorized.completion_round
-        assert frontier.completion_round == vectorized.completion_round
-        assert hybrid.knowledge == vectorized.knowledge
-        rows.append(
-            {
-                "instance": label,
-                "gossip_rounds": vectorized.completion_round,
-                "vectorized_s": vectorized_seconds,
-                "hybrid_s": hybrid_seconds,
-                "frontier_s": frontier_seconds,
-                "hybrid_over_vectorized": hybrid_seconds / vectorized_seconds,
-                "max_ratio": max_ratio,
-            }
-        )
-
-    report_sink(
-        "ENGINES: plain completion runs, hybrid crossover vs. vectorized",
-        format_table(
-            rows,
-            [
-                "instance",
-                "gossip_rounds",
-                "vectorized_s",
-                "hybrid_s",
-                "frontier_s",
-                "hybrid_over_vectorized",
-                "max_ratio",
-            ],
-        ),
-    )
-    bench_json("plain_hybrid_crossover", rows)
-    for row in rows:
-        assert row["hybrid_over_vectorized"] <= row["max_ratio"], (
-            f"hybrid engine is {row['hybrid_over_vectorized']:.2f}x the vectorized "
-            f"time on plain {row['instance']} (allowed: {row['max_ratio']}x)"
-        )
-    by_label = {row["instance"]: row for row in rows}
-    grid = by_label["grid(16x256)"]
-    grid_margin = grid["frontier_s"] / grid["hybrid_s"]
-    assert grid_margin >= HYBRID_OVER_FRONTIER_GRID_FLOOR, (
-        f"hybrid engine is only {grid_margin:.2f}x faster than frontier on the "
-        f"plain 16x256 grid (required: {HYBRID_OVER_FRONTIER_GRID_FLOOR}x)"
-    )
 
 
 #: How much slower than the best explicitly-named backend ``"auto"`` may be
@@ -315,7 +207,7 @@ def test_hybrid_plain_crossover_report(report_sink, bench_json):
 AUTO_SELECTION_CEILING = 1.1
 
 #: Named candidates the auto pick competes against on tracked workloads.
-AUTO_CANDIDATES = ("vectorized", "frontier", "hybrid")
+AUTO_CANDIDATES = ("vectorized", "frontier")
 
 #: The tracked workloads the auto gate runs on every ``TRACKED_INSTANCES``
 #: row: (label, run options, result field the candidates must agree on).
@@ -324,12 +216,22 @@ AUTO_TRACKING = (
     ("items", {"track_item_completion": True}, "item_completion_rounds"),
 )
 
+#: Extra arrival-tracked auto-gate rows on both sides of the BFS-depth
+#: rule: the torus is deep enough for the frontier engine (depth 64 ≥ √n
+#: ≈ 55), the Kautz network and the binary tree are not (depth 11 on both).
+AUTO_ARRIVAL_INSTANCES = (
+    ("torus(32x96)", lambda: torus_2d(32, 96)),
+    ("K(2,11)", lambda: kautz(2, 11)),
+    ("binary tree h=11", lambda: complete_binary_tree(11)),
+)
+
 
 def test_auto_selection_report(report_sink, bench_json):
     """Workload-aware ``"auto"`` vs. every named backend, tracked runs.
 
     For each tracked-instance table row, under arrival tracking and under
-    item-completion tracking, runs all named candidates and the
+    item-completion tracking, and for each ``AUTO_ARRIVAL_INSTANCES`` row
+    under arrival tracking, runs all named candidates and the
     program-aware auto resolution.  Asserts the resolved pick is a concrete
     registered backend, its results are bit-identical to the named runs,
     and its measured time lands within ``AUTO_SELECTION_CEILING`` of the
@@ -343,56 +245,62 @@ def test_auto_selection_report(report_sink, bench_json):
     from repro.gossip.engines import available_engines, get_engine, resolve_engine
 
     rows = []
-    for tracking, options, field in AUTO_TRACKING:
-        for label, build, _, _ in TRACKED_INSTANCES:
-            schedule = coloring_systolic_schedule(build(), Mode.HALF_DUPLEX)
-            program = RoundProgram.from_schedule(schedule)
+    cases = [
+        (workload, label, build)
+        for workload in AUTO_TRACKING
+        for label, build, _ in TRACKED_INSTANCES
+    ]
+    arrivals = AUTO_TRACKING[0]
+    cases += [(arrivals, label, build) for label, build in AUTO_ARRIVAL_INSTANCES]
+    for (tracking, options, field), label, build in cases:
+        schedule = coloring_systolic_schedule(build(), Mode.HALF_DUPLEX)
+        program = RoundProgram.from_schedule(schedule)
 
-            named: dict[str, float] = {}
-            baseline = None
-            for candidate in AUTO_CANDIDATES:
-                seconds, result = _timed_run(candidate, program, **options)
-                named[candidate] = seconds
-                assert result.engine_name == candidate
-                if baseline is None:
-                    baseline = result
-                else:
-                    assert result.completion_round == baseline.completion_round
-                    assert getattr(result, field) == getattr(baseline, field)
+        named: dict[str, float] = {}
+        baseline = None
+        for candidate in AUTO_CANDIDATES:
+            seconds, result = _timed_run(candidate, program, **options)
+            named[candidate] = seconds
+            assert result.engine_name == candidate
+            if baseline is None:
+                baseline = result
+            else:
+                assert result.completion_round == baseline.completion_round
+                assert getattr(result, field) == getattr(baseline, field)
 
-            resolved = resolve_engine("auto", program, **options)
-            assert resolved.name in available_engines()
-            assert resolved.name != "auto"
-            # The resolved pick IS one of the registered named candidates
-            # (same instance), so its measurement doubles as auto's.
-            assert resolved is get_engine(resolved.name)
-            assert resolved.name in named
+        resolved = resolve_engine("auto", program, **options)
+        assert resolved.name in available_engines()
+        assert resolved.name != "auto"
+        # The resolved pick IS one of the registered named candidates
+        # (same instance), so its measurement doubles as auto's.
+        assert resolved is get_engine(resolved.name)
+        assert resolved.name in named
 
-            def ratio_now():
-                best = min(named, key=named.get)
-                return best, named[resolved.name] / named[best]
+        def ratio_now():
+            best = min(named, key=named.get)
+            return best, named[resolved.name] / named[best]
 
+        best, ratio = ratio_now()
+        for _ in range(2):
+            if ratio <= AUTO_SELECTION_CEILING:
+                break
+            # Noise check: re-time the pick and the current best, keep minima.
+            for candidate in {resolved.name, best}:
+                seconds, _ = _timed_run(candidate, program, **options)
+                named[candidate] = min(named[candidate], seconds)
             best, ratio = ratio_now()
-            for _ in range(2):
-                if ratio <= AUTO_SELECTION_CEILING:
-                    break
-                # Noise check: re-time the pick and the current best, keep minima.
-                for candidate in {resolved.name, best}:
-                    seconds, _ = _timed_run(candidate, program, **options)
-                    named[candidate] = min(named[candidate], seconds)
-                best, ratio = ratio_now()
-            rows.append(
-                {
-                    "tracking": tracking,
-                    "instance": label,
-                    "auto_engine": resolved.name,
-                    "best_named": best,
-                    "auto_s": named[resolved.name],
-                    "best_named_s": named[best],
-                    "auto_over_best": ratio,
-                    **{f"{name}_s": named[name] for name in AUTO_CANDIDATES},
-                }
-            )
+        rows.append(
+            {
+                "tracking": tracking,
+                "instance": label,
+                "auto_engine": resolved.name,
+                "best_named": best,
+                "auto_s": named[resolved.name],
+                "best_named_s": named[best],
+                "auto_over_best": ratio,
+                **{f"{name}_s": named[name] for name in AUTO_CANDIDATES},
+            }
+        )
 
     report_sink(
         "ENGINES: workload-aware auto selection vs. named backends (tracked runs)",

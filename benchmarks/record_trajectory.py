@@ -93,7 +93,7 @@ def _engine_section(options: dict) -> dict:
     schedule = coloring_systolic_schedule(cycle_graph(ENGINE_N), Mode.HALF_DUPLEX)
     program = RoundProgram.from_schedule(schedule)
     seconds = {}
-    for name in ("vectorized", "frontier", "hybrid"):
+    for name in ("vectorized", "frontier"):
         engine = get_engine(name)
         seconds[name], _ = _timed(
             lambda e=engine: e.run(program, track_history=False, **options)

@@ -10,13 +10,13 @@ Every simulation-backed helper here runs exactly **one** engine pass.  The
 arrival/eccentricity analyses used to be per-source workloads (one
 simulation per source vertex); they now batch through a single tracked run
 (``track_arrivals`` / ``track_item_completion``) and take an ``engine=``
-keyword, so any registered backend can serve them.  The sparse engines
-maintain the tracked matrices incrementally from their own deltas — the
-frontier engine from (vertex, item) pair events, the hybrid engine from
-word-level deltas expanded to items only on the rounds that changed
-something — which is why both beat the dense kernel (it must diff O(n·W)
-words per round) on every tracked workload measured; see the crossover
-table in :mod:`repro.gossip.engines` before picking one explicitly.
+keyword, so any registered backend can serve them.  The frontier engine
+maintains the arrival matrix incrementally from its (vertex, item) pair
+events, while the dense kernel must diff O(n·W) words per round: the
+frontier engine wins arrival-tracked runs on deep graphs, where gossip
+takes many rounds, and the dense kernel wins them on low-diameter ones;
+see the decision function in :mod:`repro.gossip.engines` before picking
+one explicitly.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Pluggable simulation engines and their registry.
 
-Four backends ship with the library:
+Three backends ship with the library:
 
 * ``"reference"`` — the pure-Python arbitrary-precision-integer loop
   (:mod:`repro.gossip.engines.reference`), the semantic oracle;
@@ -11,13 +11,7 @@ Four backends ship with the library:
   instances with thousands of vertices;
 * ``"frontier"`` — the sparse frontier-propagation engine
   (:mod:`repro.gossip.engines.frontier`), which transmits only
-  newly-learned (vertex, item) pairs each round;
-* ``"hybrid"`` — the active-word engine
-  (:mod:`repro.gossip.engines.hybrid`), which keeps the vectorized
-  kernel's packed matrix but routes only the uint64 words that changed
-  since each slot's arcs last fired, with per-slot windows pre-split at
-  production time and a dense-path fallback above a tunable active
-  fraction.
+  newly-learned (vertex, item) pairs each round.
 
 Selection
 ---------
@@ -35,23 +29,19 @@ threading a flag through every call site.
 the compiled :class:`RoundProgram` and the tracking flags to
 :func:`resolve_engine`, and a coded decision function
 (:func:`select_engine_name`) reproduces the measured crossover table in
-ROADMAP.md from cheap statistics — ``n``, the packed matrix size, the mean
-arc degree, cyclicity:
+ROADMAP.md from one statistic, computed for arrival-tracked runs only:
 
-* *finite (aperiodic) programs* → **vectorized**: every sparse-path firing
-  would be a first firing, so frontier/active-word windows never pay off.
 * *arrival-tracked cyclic runs* (``track_arrivals``, with or without item
-  tracking) → the dense kernel diffs its receiver rows every round and
-  loses: **frontier** when news is item-thin (mean arc degree ≤ 3 —
-  cycles, paths, trees), **hybrid** when word-thick (grids and denser).
-* *item-tracked cyclic runs* (``track_item_completion`` alone) →
-  **vectorized** at any degree, incremental or not: item completion is
-  monotone, so the kernel scans it once per doubling batch and replays
-  only the word columns of the items that completed in a batch.
-* *plain cyclic runs* → **vectorized** while the packed matrix is
-  cache-resident (≤ 4 MiB, i.e. n ≲ 4–6k), **hybrid** past the cache
-  crossover (measured from n ≈ 4096 on paths, n ≈ 8192 on cycles and
-  elongated grids).
+  tracking) → **frontier** when the BFS depth of the program's graph from
+  vertex 0 is at least √n (``depth² ≥ n``: cycles, paths, grids, tori),
+  **vectorized** below it (trees, hypercubes, cube-connected cycles and
+  the de Bruijn, Kautz and butterfly networks).  The dense kernel diffs
+  every receiver row each round, so its cost grows with the number of
+  rounds, which the depth tracks; the frontier engine pays per delivered
+  (vertex, item) pair instead, which only a long run amortises.
+* *every other run* → **vectorized**: finite programs (no slot refires,
+  so sparse windows never pay off), item-tracked runs (item completion is
+  scanned once per doubling batch), and plain runs at any size.
 * no NumPy → **reference** (also the differential oracle; never fast).
 
 Callers that resolve without a program (``resolve_engine()`` bare) keep
@@ -85,7 +75,7 @@ dependency is missing.
 
 Checkpoint/resume
 -----------------
-All four registered engines run through one driver,
+All three registered engines run through one driver,
 :class:`~repro.gossip.engines.checkpoint.CheckpointingMixin`, and so all
 implement the checkpoint/resume protocol
 (:mod:`repro.gossip.engines.checkpoint`): ``run_checkpointed`` captures
@@ -99,14 +89,12 @@ prefix matches the producing run's returns a result **bit-identical to the
 cold run** — final knowledge, completion round, coverage history, item
 completion and arrival matrices all agree exactly, for any program suffix.
 States are stored in the canonical integer encoding, so they are portable
-across backends (checkpoint on vectorized, resume on hybrid, and vice
+across backends (checkpoint on vectorized, resume on frontier, and vice
 versa).  This is what lets incremental schedule search
 (:mod:`repro.search.incremental`) re-simulate only the rounds a move
-changed while provably visiting the same walk as full re-evaluation —
-``engine="auto"`` stays on the dense vectorized kernel inside untracked
-and item-tracked incremental searches (pass ``incremental=True`` to
-:func:`select_engine_name` / :func:`resolve_engine`), since resumed
-suffixes are too short for the sparse engines' windows to warm up.
+changed while provably visiting the same walk as full re-evaluation.
+Search runs are plain or item-tracked, so ``engine="auto"`` puts them on
+the vectorized kernel whether they resume or not.
 
 Telemetry
 ---------
@@ -123,15 +111,13 @@ Counter vocabulary (component ``engine.<name>``):
 * ``rounds_simulated`` — rounds actually executed by the loop: the
   result's ``rounds_executed`` minus the resume round minus
   ``rounds_synthesized``, for every engine;
-* ``rounds_synthesized`` — rounds *not* executed because a sparse engine
-  proved a fixed point (its ``idle >= s`` early exit) and the run driver
-  synthesized the remainder;
-* ``slots_fired_sparse`` / ``slots_fired_dense`` — slot firings by path
-  (for the frontier engine "dense" means first firings; for the hybrid
-  engine it means over-threshold fallbacks are counted separately in
-  ``dense_fallbacks``);
-* ``window_elements_routed`` — sparse-path routing volume: (vertex, item)
-  pairs for the frontier engine, pending window words for the hybrid one;
+* ``rounds_synthesized`` — rounds *not* executed because the frontier
+  engine proved a fixed point (its ``idle >= s`` early exit) and the run
+  driver synthesized the remainder;
+* ``slots_fired_sparse`` / ``slots_fired_dense`` — the frontier engine's
+  slot firings by path ("dense" means first firings);
+* ``window_elements_routed`` — the frontier engine's sparse-path routing
+  volume, in (vertex, item) pairs;
 * ``early_exit_round`` — the round at which the fixed point was detected
   (0 when the run never early-exited);
 * ``batches`` / ``replayed_rounds`` — the vectorized kernel's doubling
@@ -151,8 +137,8 @@ threshold.  Telemetry can only change what is *recorded*, never results:
 the neutrality suite (``tests/test_telemetry.py``) certifies recorded runs
 bit-identical to telemetry-off runs for every registered backend.
 
-Adding a fifth backend
-----------------------
+Adding a fourth backend
+-----------------------
 Subclass the run driver,
 :class:`~repro.gossip.engines.checkpoint.CheckpointingMixin`, give the
 class a ``name`` and implement its one hook, ``_execute(run)``, which
@@ -192,14 +178,10 @@ from repro.gossip.engines.checkpoint import (
     supports_checkpointing,
 )
 from repro.gossip.engines.frontier import FrontierEngine
-from repro.gossip.engines.hybrid import HybridEngine
-from repro.gossip.engines.layout import (
-    mean_arc_degree,
-    packed_matrix_bytes,
-    workload_summary,
-)
+from repro.gossip.engines.layout import workload_summary
 from repro.gossip.engines.reference import ReferenceEngine
 from repro.gossip.engines.vectorized import VectorizedEngine, numpy_available
+from repro.topologies.properties import distances_from
 
 __all__ = [
     "ArrivalRounds",
@@ -213,7 +195,6 @@ __all__ = [
     "ReferenceEngine",
     "VectorizedEngine",
     "FrontierEngine",
-    "HybridEngine",
     "ENGINE_ENV_VAR",
     "AUTO_ENGINE",
     "register_engine",
@@ -291,60 +272,32 @@ def is_auto_spec(spec: str | SimulationEngine | None) -> bool:
     )
 
 
-#: Arrival-tracked crossover: at or below this mean arc degree each round's
-#: news stays item-thin and the frontier engine's per-pair routing wins
-#: (cycles and paths are 2.0); above it knowledge words are shared by
-#: enough items that the hybrid active-word windows win (a 16×256 grid is
-#: ≈ 3.87).  From the measured table in ROADMAP.md.  Item-tracked runs
-#: without arrivals go to the vectorized engine at every degree.
-_TRACKED_DEGREE_CROSSOVER = 3.0
-
-#: Plain-run cache crossover: once the packed ``(n, W)`` matrix outgrows
-#: this many bytes the dense kernel's full re-streams turn DRAM-bound and
-#: the hybrid engine overtakes it.  4 MiB puts the flip between the
-#: measured n = 4096 (2 MiB, vectorized wins cycles/grids) and n = 8192
-#: (8 MiB, hybrid wins everywhere).
-_PLAIN_CACHE_CROSSOVER_BYTES = 4 << 20
-
-
 def select_engine_name(
     program: RoundProgram,
     *,
     track_history: bool = False,
     track_item_completion: bool = False,
     track_arrivals: bool = False,
-    incremental: bool = False,
 ) -> str:
     """The coded decision function behind workload-aware ``"auto"``.
 
-    Reproduces the measured crossover table (ROADMAP.md) from statistics
-    that cost O(1) to read: whether the program is cyclic, the packed
-    matrix footprint, and the mean arc degree.  Returns a registered
-    engine *name* — callers wanting an instance go through
-    :func:`resolve_engine`, which also applies the env override.
+    Reproduces the measured crossover table (ROADMAP.md).  Arrival-tracked
+    cyclic runs go to the frontier engine when the BFS depth of the
+    program's graph from vertex 0 is at least √n, and every other run goes
+    to the vectorized kernel.  The depth costs one O(n + m) search, run
+    for arrival-tracked cyclic programs only.  Returns a registered engine
+    *name* — callers wanting an instance go through :func:`resolve_engine`,
+    which also applies the env override.
 
-    ``track_history`` does not influence the pick today (coverage history
-    is maintained incrementally by every candidate backend); it is
-    accepted so call sites can forward their full tracking signature and
-    future refinements need no threading changes.
-
-    ``incremental=True`` declares that the runs will be checkpoint-resumed
-    suffixes (incremental schedule search).  All four backends checkpoint,
-    so correctness never constrains the pick; but a resumed sparse engine
-    treats the resume point like a program start — every slot's first
-    post-resume firing is dense — and resumed evaluations rarely outlive
-    that warm-up period, so on untracked workloads the plain cache
-    crossover does not apply and the dense kernel is picked outright.
-    Item-tracked runs without arrivals take the dense kernel whether
-    incremental or not; arrival-tracked runs follow the degree rule either
-    way.
+    ``track_history`` and ``track_item_completion`` do not influence the
+    pick; they are accepted so call sites can forward their full tracking
+    signature.
     """
     return explain_engine_selection(
         program,
         track_history=track_history,
         track_item_completion=track_item_completion,
         track_arrivals=track_arrivals,
-        incremental=incremental,
     )[0]
 
 
@@ -354,7 +307,6 @@ def explain_engine_selection(
     track_history: bool = False,
     track_item_completion: bool = False,
     track_arrivals: bool = False,
-    incremental: bool = False,
 ) -> tuple[str, str]:
     """:func:`select_engine_name` plus its rationale, as ``(name, why)``.
 
@@ -362,68 +314,37 @@ def explain_engine_selection(
     threshold it was compared against; the telemetry ``engine.resolve``
     event carries it so a trace explains every automatic dispatch.
     """
-    del track_history  # accepted for signature parity; does not affect the pick
+    del track_history, track_item_completion  # accepted for signature parity
     if not numpy_available() or VectorizedEngine.name not in _REGISTRY:
         return ReferenceEngine.name, "numpy unavailable; reference is the only backend"
     if not program.cyclic:
-        # Finite programs never reuse a round slot, so the sparse engines'
-        # windows never pay off: every firing would take the dense path
-        # anyway, with extra bookkeeping on top.
+        # Finite programs never reuse a round slot, so the frontier
+        # engine's windows never pay off: every firing would take the
+        # dense path anyway, with extra bookkeeping on top.
         return (
             VectorizedEngine.name,
             "finite (aperiodic) program: sparse windows never pay off",
         )
-    if track_arrivals:
-        degree = mean_arc_degree(program.graph)
-        if (
-            degree <= _TRACKED_DEGREE_CROSSOVER
-            and FrontierEngine.name in _REGISTRY
-        ):
-            return (
-                FrontierEngine.name,
-                f"arrival-tracked cyclic run with mean_arc_degree {degree:.2f} <= "
-                f"{_TRACKED_DEGREE_CROSSOVER:g} (item-thin news)",
-            )
-        if HybridEngine.name in _REGISTRY:
-            return (
-                HybridEngine.name,
-                f"arrival-tracked cyclic run with mean_arc_degree {degree:.2f} > "
-                f"{_TRACKED_DEGREE_CROSSOVER:g} (word-thick news)",
-            )
-        return VectorizedEngine.name, "arrival-tracked cyclic run; no sparse backend registered"
-    if track_item_completion:
-        # Item completion is monotone, so the dense kernel scans it once per
-        # doubling batch and replays only the word columns of the items that
-        # completed in it: no per-round rescan is left to lose on.
+    if not track_arrivals:
         return (
             VectorizedEngine.name,
-            "item-tracked cyclic run: items are scanned once per batch",
+            "cyclic run without arrival tracking: the dense kernel wins at every size",
         )
-    if incremental:
-        # Checkpoint-resumed evaluations execute short suffixes: the sparse
-        # engines' first post-resume firing of every slot is dense (resume
-        # is treated like a program start), and an incremental-search run
-        # seldom outlives that first period, so the windows that justify
-        # them past the cache crossover never engage.
+    # The largest finite distance: a graph that is not strongly connected
+    # still gets a depth, from the vertices that vertex 0 reaches.
+    graph = program.graph
+    depth = max(distances_from(graph, graph.vertex(0)).values())
+    root = graph.n**0.5
+    if depth * depth >= graph.n:
         return (
-            VectorizedEngine.name,
-            "incremental (checkpoint-resumed) untracked runs: sparse windows "
-            "stay cold across short resumed suffixes",
-        )
-    matrix_bytes = packed_matrix_bytes(program.graph.n)
-    if (
-        matrix_bytes > _PLAIN_CACHE_CROSSOVER_BYTES
-        and HybridEngine.name in _REGISTRY
-    ):
-        return (
-            HybridEngine.name,
-            f"plain cyclic run with packed_matrix_bytes {matrix_bytes} > "
-            f"{_PLAIN_CACHE_CROSSOVER_BYTES} (past cache crossover)",
+            FrontierEngine.name,
+            f"arrival-tracked cyclic run with BFS depth {depth} >= sqrt(n) "
+            f"{root:.1f} (long run: per-round row diffs dominate)",
         )
     return (
         VectorizedEngine.name,
-        f"plain cyclic run with packed_matrix_bytes {matrix_bytes} <= "
-        f"{_PLAIN_CACHE_CROSSOVER_BYTES} (cache-resident)",
+        f"arrival-tracked cyclic run with BFS depth {depth} < sqrt(n) "
+        f"{root:.1f} (short run: per-pair routing dominates)",
     )
 
 
@@ -440,7 +361,6 @@ def resolve_engine(
     track_history: bool = False,
     track_item_completion: bool = False,
     track_arrivals: bool = False,
-    incremental: bool = False,
 ) -> SimulationEngine:
     """Resolve an ``engine=`` argument to a concrete engine instance.
 
@@ -485,7 +405,6 @@ def resolve_engine(
             track_history=track_history,
             track_item_completion=track_item_completion,
             track_arrivals=track_arrivals,
-            incremental=incremental,
         )
         if telem:
             telemetry.event(
@@ -512,4 +431,3 @@ register_engine(ReferenceEngine())
 if numpy_available():
     register_engine(VectorizedEngine())
     register_engine(FrontierEngine())
-    register_engine(HybridEngine())

@@ -1,6 +1,6 @@
 """Packed-bitset utilities shared by the NumPy-backed engines.
 
-Every packed engine (vectorized, frontier, hybrid, and the batched
+Every packed engine (vectorized, frontier, and the batched
 fault-injection kernel in :mod:`repro.faults.montecarlo`) stores knowledge
 as an ``(n, W) uint64`` matrix in little-endian word order (bit ``j`` of a
 row lives in word ``j // 64`` at position ``j % 64``), so that a row
@@ -12,7 +12,7 @@ arrays, :class:`HeadGroups` / :func:`dense_apply_grouped` hold the one copy
 of the head-grouped gather/``reduceat``/diff slot core (whose
 snapshot-semantics subtleties — gather every tail row before any head row
 is written — live here once), :func:`tail_filter_groups` groups the window
-slots of the frontier and hybrid engines by tail set, and
+slots of the frontier engine by tail set, and
 :func:`ap_segments` is the strided decomposition of matching rounds shared
 by the vectorized engine and the fault kernel.  Any future packed-bitset
 backend should build on these rather than reaching into another engine's
@@ -36,10 +36,8 @@ __all__ = [
     "packed_width",
     "pack_int",
     "pack_rows",
-    "unpack_words",
     "unpack_rows",
     "popcount_total",
-    "unpack_bits",
     "set_bit_positions",
     "expand_delta_words",
     "arc_indices",
@@ -100,11 +98,6 @@ def pack_rows(values, words: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").reshape(-1, words)
 
 
-def unpack_words(row: np.ndarray) -> int:
-    """One little-endian uint64 array back into a Python integer."""
-    return int.from_bytes(np.ascontiguousarray(row, dtype="<u8").tobytes(), "little")
-
-
 def unpack_rows(matrix: np.ndarray) -> tuple[int, ...]:
     """Reverse of :func:`pack_rows`, one Python integer per row."""
     rows, words = matrix.shape
@@ -121,16 +114,6 @@ def unpack_rows(matrix: np.ndarray) -> tuple[int, ...]:
 def popcount_total(matrix: np.ndarray) -> int:
     """Total number of set bits in the knowledge matrix."""
     return int(np.bitwise_count(matrix).sum())
-
-
-def unpack_bits(matrix: np.ndarray) -> np.ndarray:
-    """Expand a packed ``(rows, W) uint64`` matrix into ``(rows, W·64)`` bits."""
-    rows, words = matrix.shape
-    return np.unpackbits(
-        np.ascontiguousarray(matrix, dtype="<u8").view(np.uint8).reshape(rows, words * WORD_BYTES),
-        axis=1,
-        bitorder="little",
-    )
 
 
 def set_bit_positions(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,8 +136,8 @@ def set_bit_positions(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class HeadGroups:
     """Head-grouped layout of one round's arc list.
 
-    The dense full-knowledge transmission path used by the frontier and
-    hybrid engines (and the batched fault-injection kernel) applies a round
+    The dense full-knowledge transmission path used by the frontier engine
+    (and the batched fault-injection kernel) applies a round
     by gathering the pre-round tail rows, OR-ing them per receiving head,
     and diffing against the heads' current rows.  This object is the
     precompiled layout that makes that a handful of bulk NumPy calls:
@@ -251,8 +234,8 @@ def tail_filter_groups(tail_masks) -> list[tuple[np.ndarray | None, list[int]]]:
     ``None`` for a slot that takes no window.  Returns ``[(mask, members),
     ...]`` with one entry per distinct mask, where ``mask`` is ``None`` when
     it is all-``True`` (every produced row is relevant — no filter needed).
-    The windowed engines split each round's delta at production time with
-    one boolean gather per entry, not per slot, and append the result to
+    The frontier engine splits each round's delta at production time with
+    one boolean gather per entry, not per slot, and appends the result to
     every member slot's pending window.
     """
     groups: list[tuple[np.ndarray | None, list[int]]] = []
@@ -276,8 +259,8 @@ def expand_delta_words(words: np.ndarray, word_cols: np.ndarray) -> tuple[np.nda
     ``word_cols`` their word-column indices.  Returns ``(elements, items)``
     where ``elements`` indexes back into ``words`` (so callers can map each
     item to its producing row) and ``items`` is the absolute bit position
-    ``word_cols[element] * 64 + bit``.  This is the word-level engines' way
-    of lowering word-granular deltas to (vertex, item) events only when an
+    ``word_cols[element] * 64 + bit``.  This is how the vectorized engine
+    lowers word-granular deltas to (vertex, item) events, only when an
     analysis actually needs them.
     """
     bits = (words[:, None] & BIT_LUT[None, :]) != 0

@@ -321,9 +321,9 @@ class SimulationEngine(Protocol):
 
     A new backend (GPU, bit-sliced C extension, distributed, …) only needs
     a ``name`` attribute and a :meth:`run` method with these exact semantics,
-    plus a ``register_engine`` call — see :mod:`repro.gossip.engines`.  Four
-    backends implement the protocol today (reference, vectorized, frontier,
-    hybrid); the registry-parametrized differential and fuzz suites hold all
+    plus a ``register_engine`` call — see :mod:`repro.gossip.engines`.  Three
+    backends implement the protocol today (reference, vectorized,
+    frontier); the registry-parametrized differential and fuzz suites hold all
     of them — and anything registered later — to bit-for-bit agreement,
     including the ``arrival_rounds`` matrix under every tracking-flag
     combination.

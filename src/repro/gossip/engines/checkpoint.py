@@ -23,11 +23,10 @@ history:
   union of knowledge bits is time-invariant (bits only spread, never
   appear), so derived quantities like the reachable-bit set are identical
   to the cold run's;
-* the sparse engines (frontier, hybrid) treat the resume point like a
-  program start: for the first ``s`` rounds after round ``r`` every slot
-  fires through the dense full-knowledge path (it has no delta window
-  yet), after which windows built purely from post-resume deltas take
-  over.  The induction that justifies window transmission therefore never
+* the sparse frontier engine treats the resume point like a program
+  start: for the first ``s`` rounds after round ``r`` every slot fires
+  through the dense full-knowledge path (it has no delta window yet),
+  after which windows built purely from post-resume deltas take over.  The induction that justifies window transmission therefore never
   references pre-resume history, which is what makes resume exact for
   *any* program suffix — including a suffix the original run never saw,
   the case incremental schedule search exercises on every move.

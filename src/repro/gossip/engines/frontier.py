@@ -241,12 +241,11 @@ def _tail_mask(slot: _Slot) -> np.ndarray | None:
 class FrontierEngine(CheckpointingMixin):
     """Sparse frontier propagation over the packed ``uint64`` bitset matrix.
 
-    Fastest backend for *periodic* schedules on sparse topologies whenever
-    per-round tracking (item completion, arrival matrices) is on, and for
-    thin-knowledge runs such as single-item arrival analyses; see the module
-    and :mod:`repro.gossip.engines` docstrings for the crossover against the
-    dense vectorized kernel.  Supports the checkpoint/resume protocol (see
-    the module docstring).
+    Fastest backend for arrival-tracked *periodic* schedules on deep
+    topologies (BFS depth at least √n: cycles, paths, grids, tori); see the
+    module and :mod:`repro.gossip.engines` docstrings for the crossover
+    against the dense vectorized kernel.  Supports the checkpoint/resume
+    protocol (see the module docstring).
     """
 
     name = "frontier"

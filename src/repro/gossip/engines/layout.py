@@ -1,38 +1,27 @@
-"""Shared memory-layout transforms and cheap workload statistics.
+"""Shared memory-layout transform and workload statistics.
 
 The engines agree on the *logical* encoding — knowledge is an ``(n, W)``
 packed ``uint64`` matrix whose row ``i``, read as a little-endian integer,
 equals the reference engine's Python integer — but each backend is free to
-reorder rows or bit columns internally for locality, as long as results are
-translated back to the public indexing on the way out.  The two transforms
-that matter were grown independently inside two engines and are factored
-here so every backend (including future GPU/sharded ones) draws from one
-implementation:
+reorder rows internally for locality, as long as results are translated
+back to the public indexing on the way out.
 
-* :func:`bfs_item_positions` — the hybrid engine's *item-bit* permutation.
-  Under systolic gossip a vertex's known set is a metric ball, contiguous
-  in breadth-first vertex order; permuting bit columns into BFS order keeps
-  those balls word-contiguous, which is what makes word-granular frontier
-  windows thin.  Rows (and arc routing) are untouched.
-* :func:`row_locality_permutation` — the vectorized engine's *row*
-  permutation for matrices too large for its source-map kernel.  Grouping
-  the non-heads of the first non-empty round before its heads turns the
-  matching rounds of cycle/path-like colourings into operations on two
-  contiguous row blocks that run at streaming memory bandwidth.  Item
-  columns are untouched.
-
-Both are pure relabelings: bit-exactness is unaffected, and the
+:func:`row_locality_permutation` is the vectorized engine's *row*
+permutation for matrices too large for its source-map kernel.  Grouping the
+non-heads of the first non-empty round before its heads turns the matching
+rounds of cycle/path-like colourings into operations on two contiguous row
+blocks that run at streaming memory bandwidth.  Item columns are untouched.
+It is a pure relabeling: bit-exactness is unaffected, and the
 registry-wide differential suites certify as much.
 
-The statistics helpers at the bottom are the inputs to the workload-aware
-``"auto"`` decision function in :mod:`repro.gossip.engines` — deliberately
-cheap (O(1) from stored counts) so engine resolution stays negligible next
-to even a single simulated round.
+The statistics helpers at the bottom describe a workload for the telemetry
+``engine.resolve`` event.  They cost O(1) from stored counts.  The one
+statistic the ``"auto"`` decision function reads, the BFS depth of an
+arrival-tracked program's graph, is computed in :mod:`repro.gossip.engines`
+itself, and only on that branch.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 try:
     import numpy as np
@@ -42,61 +31,10 @@ except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
 from repro.topologies.base import Digraph
 
 __all__ = [
-    "bfs_item_positions",
-    "gather_bit_columns",
     "row_locality_permutation",
-    "mean_arc_degree",
     "packed_words",
-    "packed_matrix_bytes",
+    "workload_summary",
 ]
-
-
-def bfs_item_positions(graph: Digraph) -> "np.ndarray | None":
-    """``pos[j]`` = BFS-order bit position of item ``j``, or ``None`` if BFS
-    order is the identity (nothing to permute).
-
-    Breadth-first over the *underlying undirected* structure (knowledge can
-    flow along an arc in either schedule direction across a period), seeded
-    from every component so disconnected graphs get a total order.
-    """
-    n = graph.n
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    index = graph.index
-    for tail, head in graph.arcs:
-        t, h = index(tail), index(head)
-        adjacency[t].append(h)
-        adjacency[h].append(t)
-    pos = np.empty(n, dtype=np.int64)
-    visited = bytearray(n)
-    counter = 0
-    identity = True
-    for root in range(n):
-        if visited[root]:
-            continue
-        visited[root] = 1
-        queue = deque((root,))
-        while queue:
-            v = queue.popleft()
-            if v != counter:
-                identity = False
-            pos[v] = counter
-            counter += 1
-            for w in adjacency[v]:
-                if not visited[w]:
-                    visited[w] = 1
-                    queue.append(w)
-    return None if identity else pos
-
-
-def gather_bit_columns(rows: "np.ndarray", colmap: "np.ndarray") -> "np.ndarray":
-    """Reorder the bit columns of packed ``rows``: output bit ``c`` is input
-    bit ``colmap[c]``.  ``np.take`` rather than fancy indexing — an order of
-    magnitude faster on the (n, n·W) unpacked bit matrix."""
-    bits = np.unpackbits(
-        np.ascontiguousarray(rows).view(np.uint8), axis=1, bitorder="little"
-    )
-    out = np.take(bits, colmap, axis=1)
-    return np.packbits(out, axis=1, bitorder="little").view(np.uint64)
 
 
 def row_locality_permutation(
@@ -127,15 +65,8 @@ def row_locality_permutation(
 
 
 # --------------------------------------------------------------------- #
-# Workload statistics for engine selection.  Pure-Python O(1) helpers —
-# usable (and used) even when NumPy is absent.
-
-
-def mean_arc_degree(graph: Digraph) -> float:
-    """Arcs per vertex (``m / n``; both directions of an undirected edge
-    count, matching the crossover table's convention: a cycle is 2.0, a
-    16×256 grid ≈ 3.87)."""
-    return graph.m / graph.n if graph.n else 0.0
+# Workload statistics for the ``engine.resolve`` event.  Pure-Python O(1)
+# helpers — usable (and used) even when NumPy is absent.
 
 
 def packed_words(n: int) -> int:
@@ -143,21 +74,8 @@ def packed_words(n: int) -> int:
     return (n + 63) // 64 if n else 1
 
 
-def packed_matrix_bytes(n: int) -> int:
-    """Bytes of the packed ``(n, W)`` uint64 knowledge matrix — the quantity
-    the plain-run cache crossover is expressed in."""
-    return n * packed_words(n) * 8
-
-
-def workload_summary(graph: Digraph) -> dict[str, float | int]:
-    """The O(1) statistics the ``auto`` decision function consults, in one
-    dict — also what the telemetry ``engine.resolve`` event attaches so a
-    trace records *which* statistic crossed *which* threshold."""
+def workload_summary(graph: Digraph) -> dict[str, int]:
+    """The O(1) size statistics the telemetry ``engine.resolve`` event
+    attaches to a workload-aware pick."""
     n = graph.n
-    return {
-        "n": n,
-        "m": graph.m,
-        "mean_arc_degree": mean_arc_degree(graph),
-        "packed_words": packed_words(n),
-        "packed_matrix_bytes": packed_matrix_bytes(n),
-    }
+    return {"n": n, "m": graph.m, "packed_words": packed_words(n)}

@@ -20,14 +20,16 @@ The actual execution is delegated to a *simulation engine* selected by the
   bulk gather + scatter-OR operations with hardware-popcount coverage
   tracking.
 * ``"frontier"`` — a sparse engine that transmits only the newly-learned
-  (vertex, item) pairs of each round; the fastest backend for periodic
-  schedules on sparse topologies (cycles, paths, grids, trees) at large n.
+  (vertex, item) pairs of each round; the fastest backend for
+  arrival-tracked periodic schedules on deep topologies (cycles, paths,
+  grids, tori) at large n.
 * ``"auto"`` (default) — workload-aware selection: every function here
   hands the compiled program and its tracking flags to
   :func:`repro.gossip.engines.resolve_engine`, whose decision function
-  picks per workload (dense kernel on cache-resident plain runs, sparse
-  frontier/active-word backends on tracked or cache-spilling runs);
-  overridable globally via the ``REPRO_SIM_ENGINE`` environment variable.
+  picks per workload (the frontier engine for arrival-tracked runs on
+  graphs whose BFS depth is at least √n, the dense kernel for everything
+  else); overridable globally via the ``REPRO_SIM_ENGINE`` environment
+  variable.
   See :mod:`repro.gossip.engines` for the decision function.
 
 All backends return bit-for-bit identical results (enforced by

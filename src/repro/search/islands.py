@@ -232,10 +232,10 @@ def run_island_search(
     pure function of the search configuration (see the module docstring),
     so any worker count reproduces the ``workers=1`` run bit for bit.
 
-    The engine is resolved once (workload- and ``incremental``-aware) and
-    pinned *by name* in every worker, so all islands score on the same
-    backend.  ``restarts`` is forwarded to each annealing generation
-    (reheats); hill-climb islands restart implicitly through migration.
+    The engine is resolved once (workload-aware) and pinned *by name* in
+    every worker, so all islands score on the same backend.  ``restarts``
+    is forwarded to each annealing generation (reheats); hill-climb islands
+    restart implicitly through migration.
     """
     if strategy not in STRATEGIES:
         raise SimulationError(

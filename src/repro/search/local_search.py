@@ -122,9 +122,7 @@ class _Evaluator:
         # representative workload shape; an explicit engine or an instance
         # resolves the same either way.
         self.engine: SimulationEngine = (
-            resolve_objective_engine(
-                engine, graph, seed_rounds, objective=objective, incremental=incremental
-            )
+            resolve_objective_engine(engine, graph, seed_rounds, objective=objective)
             if seed_rounds is not None
             else resolve_engine(engine)
         )
@@ -219,8 +217,7 @@ def _scored_portfolio(
     """
     seeds = _portfolio_seeds(graph, mode, rng, random_seeds)
     resolved = resolve_objective_engine(
-        engine, graph, tuple(seeds[0].base_rounds), objective=objective,
-        incremental=incremental,
+        engine, graph, tuple(seeds[0].base_rounds), objective=objective
     )
     evaluator = _Evaluator(
         graph, resolved, objective, robustness, incremental=incremental

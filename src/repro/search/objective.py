@@ -192,18 +192,16 @@ def resolve_objective_engine(
     *,
     objective: str = "gossip_rounds",
     max_rounds: int | None = None,
-    incremental: bool = False,
 ) -> SimulationEngine:
     """Resolve ``engine`` against the workload shape the objective will run.
 
     Search scores candidates by running them, so ``"auto"`` should see what
     the runs will look like: a cyclic program over ``rounds`` (a seed or
-    representative candidate period) with the objective's tracking flags —
-    and, via ``incremental``, whether evaluations will be checkpoint-resumed
-    suffixes rather than cold full runs (which shifts the crossover toward
-    the dense kernel; see :func:`~repro.gossip.engines.select_engine_name`).
-    One resolution serves a whole walk or batch — every candidate then runs
-    on the same backend, keeping scores comparable.
+    representative candidate period) with the objective's tracking flags
+    (see :func:`~repro.gossip.engines.select_engine_name`).  Whether the
+    evaluations resume checkpoints does not change the pick.  One
+    resolution serves a whole walk or batch — every candidate then runs on
+    the same backend, keeping scores comparable.
     """
     options = _nominal_run_options(objective)
     program = program_for_rounds(graph, rounds, max_rounds)
@@ -211,7 +209,6 @@ def resolve_objective_engine(
         engine,
         program,
         track_item_completion=options.get("track_item_completion", False),
-        incremental=incremental,
     )
 
 
@@ -580,7 +577,6 @@ def evaluate_candidates(
         first.base_rounds,
         objective=objective,
         max_rounds=max_rounds,
-        incremental=incremental,
     )
     if not incremental:
         _check_objective(objective, robustness)

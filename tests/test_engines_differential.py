@@ -7,9 +7,11 @@ must reproduce its ``knowledge``, ``completion_round``, ``rounds_executed``,
 ``coverage_history``, ``item_completion_rounds`` and ``arrival_rounds``
 exactly — on every topology builder, both duplex modes, explicit and
 systolic protocols, complete and incomplete runs, matching and deliberately
-non-matching rounds.  The engine lists below are drawn from the registry,
-so newly registered backends are covered automatically, and the suite runs
-once per vectorized kernel regime (source map and row-permuted).
+non-matching rounds.  An untracked run must also reach the outcome of a
+fully tracked one (``TestTrackingInvariance``).  The engine lists below are
+drawn from the registry, so newly registered backends are covered
+automatically, and the suite runs once per vectorized kernel regime
+(source map and row-permuted).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import pytest
 from repro.gossip.builders import random_systolic_schedule
 from repro.gossip.engines import available_engines, get_engine
 from repro.gossip.engines.base import RoundProgram
-from repro.gossip.model import GossipProtocol, Mode
+from repro.gossip.model import GossipProtocol, Mode, SystolicSchedule
 from repro.gossip.simulation import (
     broadcast_time,
     broadcast_times_all,
@@ -28,8 +30,18 @@ from repro.gossip.simulation import (
     simulate_systolic,
 )
 from repro.protocols.generic import coloring_systolic_schedule
-from repro.topologies.butterfly import wrapped_butterfly
-from repro.topologies.classic import cycle_graph, grid_2d, hypercube, path_graph
+from repro.topologies.butterfly import butterfly, wrapped_butterfly
+from repro.topologies.classic import (
+    complete_binary_tree,
+    complete_graph,
+    cube_connected_cycles,
+    cycle_graph,
+    grid_2d,
+    hypercube,
+    path_graph,
+    star_graph,
+    torus_2d,
+)
 from repro.topologies.debruijn import de_bruijn, de_bruijn_digraph
 from repro.topologies.kautz import kautz, kautz_digraph
 
@@ -39,14 +51,23 @@ assert set(ENGINES) >= {"reference", "vectorized", "frontier"}
 #: Every registered engine that must be held to the reference's results.
 CANDIDATES = tuple(name for name in ENGINES if name != "reference")
 
-#: One builder per topology family used by the paper's experiments.
+#: One builder per topology family: the paper's networks, plus the torus,
+#: tree and cube-connected-cycles families that ``auto``'s BFS-depth rule
+#: sends to different engines at scale, and the dense and hub-centred
+#: extremes (complete graph, star).
 TOPOLOGIES = {
     "path": lambda: path_graph(7),
     "cycle-even": lambda: cycle_graph(8),
     "cycle-odd": lambda: cycle_graph(9),
     "grid": lambda: grid_2d(3, 4),
+    "torus": lambda: torus_2d(3, 4),
     "hypercube": lambda: hypercube(3),
+    "binary-tree": lambda: complete_binary_tree(3),
+    "ccc": lambda: cube_connected_cycles(3),
+    "complete": lambda: complete_graph(5),
+    "star": lambda: star_graph(6),
     "butterfly": lambda: wrapped_butterfly(2, 3),
+    "butterfly-unwrapped": lambda: butterfly(2, 2),
     "debruijn": lambda: de_bruijn(2, 3),
     "kautz": lambda: kautz(2, 3),
 }
@@ -180,3 +201,102 @@ class TestEdgeCases:
         g = path_graph(3)
         protocol = GossipProtocol(g, [[(0, 1)], [(1, 2)]])
         assert broadcast_time(protocol, 0, engine=engine) == 2
+
+
+@pytest.mark.parametrize("candidate", CANDIDATES)
+class TestTrackingInvariance:
+    """Tracking only adds records.  The untracked run — the path every
+    ``gossip_time`` call takes, and the vectorized engine's batched loop —
+    must reach the same completion round, executed rounds and knowledge as
+    a fully tracked run, which takes the round-by-round loop, and capture
+    the same checkpoint states.  The untracked side is also pinned to the
+    reference engine, which shares none of the candidates' completion
+    accounting."""
+
+    CASES = {
+        "cycle": lambda: coloring_systolic_schedule(cycle_graph(9), Mode.HALF_DUPLEX),
+        "grid-full-duplex": lambda: coloring_systolic_schedule(
+            grid_2d(3, 4), Mode.FULL_DUPLEX
+        ),
+        "random-sparse": lambda: random_systolic_schedule(
+            grid_2d(3, 5), 5, Mode.HALF_DUPLEX, seed=11, activation_probability=0.6
+        ),
+    }
+    TRACK_ALL = {
+        "track_history": True,
+        "track_item_completion": True,
+        "track_arrivals": True,
+    }
+
+    @staticmethod
+    def _same_outcome(plain, tracked, context):
+        assert plain.completion_round == tracked.completion_round, context
+        assert plain.rounds_executed == tracked.rounds_executed, context
+        assert plain.knowledge == tracked.knowledge, context
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_untracked_matches_tracked_and_reference(self, case, candidate):
+        program = RoundProgram.from_schedule(self.CASES[case]())
+        engine = get_engine(candidate)
+        plain = engine.run(program, track_history=False)
+        tracked = engine.run(program, **self.TRACK_ALL)
+        self._same_outcome(plain, tracked, (case, candidate))
+        ref = get_engine("reference").run(program, track_history=False)
+        assert_results_identical(ref, plain, (case, candidate, "reference"))
+
+    def test_untracked_never_completing_run(self, candidate):
+        # Forward-only path rounds saturate without completing: the
+        # post-loop completeness check must answer "no" on an untracked run
+        # and still report the full budget.
+        n = 7
+        rounds = [[(i, i + 1)] for i in range(n - 1)]
+        schedule = SystolicSchedule(path_graph(n), rounds, mode=Mode.DIRECTED)
+        program = RoundProgram.from_schedule(schedule, 90)
+        engine = get_engine(candidate)
+        plain = engine.run(program, track_history=False)
+        assert plain.completion_round is None
+        assert plain.rounds_executed == 90
+        self._same_outcome(
+            plain, engine.run(program, **self.TRACK_ALL), (candidate, "never-completing")
+        )
+        ref = get_engine("reference").run(program, track_history=False)
+        assert_results_identical(ref, plain, (candidate, "never-completing"))
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"track_history": True},
+            {"track_history": False, "track_arrivals": True},
+            {"track_history": False, "track_item_completion": True},
+            {"track_history": True, "target_mask": 0b1011},
+        ],
+        ids=["history", "arrivals", "items", "subset-mask"],
+    )
+    def test_each_tracking_option_leaves_the_outcome(self, options, candidate):
+        program = RoundProgram.from_schedule(self.CASES["cycle"]())
+        engine = get_engine(candidate)
+        mask = {"target_mask": options["target_mask"]} if "target_mask" in options else {}
+        plain = engine.run(program, track_history=False, **mask)
+        tracked = engine.run(program, **options)
+        assert plain.completion_round is not None
+        self._same_outcome(plain, tracked, (candidate, options))
+        ref = get_engine("reference").run(program, **options)
+        assert_results_identical(ref, tracked, (candidate, options))
+
+    def test_untracked_checkpoints_match_tracked(self, candidate):
+        # A checkpoint after every round: no state past the completion
+        # round, the completing round's state carries the stamp, and the
+        # captured knowledge does not depend on what the run records.
+        program = RoundProgram.from_schedule(self.CASES["cycle"]())
+        every = range(program.max_rounds + 1)
+        engine = get_engine(candidate)
+        plain = engine.run_checkpointed(program, checkpoint_rounds=every, track_history=False)
+        tracked = engine.run_checkpointed(program, checkpoint_rounds=every, track_history=True)
+        completion = plain.result.completion_round
+        assert completion is not None
+        assert [s.round for s in plain.checkpoints] == list(range(completion + 1))
+        assert [s.round for s in tracked.checkpoints] == list(range(completion + 1))
+        for sp, st in zip(plain.checkpoints, tracked.checkpoints):
+            assert sp.knowledge == st.knowledge, sp.round
+            expected = completion if sp.round == completion else None
+            assert sp.completion_round == st.completion_round == expected, sp.round

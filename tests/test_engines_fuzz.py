@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.gossip.builders import random_systolic_schedule
 from repro.gossip.engines import (
-    HybridEngine,
     VectorizedEngine,
     available_engines,
     get_engine,
@@ -37,7 +36,7 @@ from repro.topologies.classic import cycle_graph, grid_2d, path_graph
 from test_engines_differential import assert_results_identical
 
 CANDIDATES = tuple(name for name in available_engines() if name != "reference")
-assert {"vectorized", "frontier", "hybrid"} <= set(CANDIDATES)
+assert {"vectorized", "frontier"} <= set(CANDIDATES)
 
 FUZZ = settings(max_examples=120, deadline=None, derandomize=True)
 
@@ -54,20 +53,14 @@ def check_all_engines(program: RoundProgram, options: dict, context=""):
         assert_results_identical(reference, got, (context, candidate, options))
 
 
-@st.composite
-def engine_constructions(draw):
-    """Freshly constructed engine instances with drawn constructor kwargs.
+def engine_constructions():
+    """Freshly constructed engine instances.
 
-    The registry holds one default-configured singleton per backend; this
-    strategy additionally sweeps the hybrid engine's dense-fallback
-    threshold (0.0 = always dense, 1.0 = always sparse).  A fresh
-    vectorized engine rides along so it, too, gets the forced-arrivals
-    re-check below.
+    The registry holds one default-configured singleton per backend; a
+    fresh vectorized engine is checked besides it, so it, too, gets the
+    forced-arrivals re-check below.
     """
-    return [
-        HybridEngine(dense_threshold=draw(st.sampled_from([0.0, 0.125, 0.5, 1.0]))),
-        VectorizedEngine(),
-    ]
+    return st.builds(lambda: [VectorizedEngine()])
 
 
 def check_constructed_engines(program: RoundProgram, engines, options: dict, context=""):

@@ -1,9 +1,8 @@
-"""Unit tests for the shared layout transforms and workload statistics.
+"""Unit tests for the shared layout transform and workload statistics.
 
-``repro.gossip.engines.layout`` factors the hybrid engine's BFS item-bit
-permutation and the vectorized engine's row-locality permutation (plus the
-O(1) statistics feeding the workload-aware ``"auto"`` decision function)
-into one module.  These tests pin the transforms' contracts directly, along
+``repro.gossip.engines.layout`` holds the vectorized engine's row-locality
+permutation and the O(1) size statistics the ``engine.resolve`` telemetry
+event attaches.  These tests pin the transform's contract directly, along
 with the row packing every packed engine starts from and the matrix sizes
 at which the vectorized engine switches from its source-map kernel to the
 row-permuted one; the registry-wide differential suites already certify
@@ -24,72 +23,11 @@ from repro.gossip.builders import random_systolic_schedule
 from repro.gossip.engines import VectorizedEngine, get_engine, vectorized
 from repro.gossip.engines._bitops import pack_int, pack_rows, unpack_rows
 from repro.gossip.engines.base import RoundProgram
-from repro.gossip.engines.layout import (
-    bfs_item_positions,
-    gather_bit_columns,
-    mean_arc_degree,
-    packed_matrix_bytes,
-    packed_words,
-    row_locality_permutation,
-)
+from repro.gossip.engines.layout import packed_words, row_locality_permutation
 from repro.gossip.model import Mode, SystolicSchedule, make_round
 from repro.protocols.generic import coloring_systolic_schedule
 from repro.topologies.base import Digraph
-from repro.topologies.classic import cycle_graph, grid_2d, hypercube, path_graph
-
-
-class TestBfsItemPositions:
-    def test_identity_order_returns_none(self):
-        # A path in natural vertex order IS its own BFS order from vertex 0.
-        assert bfs_item_positions(path_graph(9)) is None
-
-    def test_cycle_is_permuted(self):
-        # BFS on a cycle alternates directions (0, 1, n-1, 2, ...), so the
-        # map is a genuine non-identity permutation of the bit positions.
-        n = 8
-        pos = bfs_item_positions(cycle_graph(n))
-        assert pos is not None
-        assert sorted(pos.tolist()) == list(range(n))
-        assert pos.tolist() != list(range(n))
-
-    def test_disconnected_components_get_total_order(self):
-        # Two disjoint 2-paths: every vertex must receive exactly one slot.
-        graph = Digraph(range(4), [(0, 1), (1, 0), (2, 3), (3, 2)], name="2xP2")
-        pos = bfs_item_positions(graph)
-        assert pos is None or sorted(pos.tolist()) == list(range(4))
-
-    def test_bfs_neighbours_are_close(self):
-        # The transform exists for locality: in BFS order, the two cycle
-        # neighbours of any vertex sit within distance 2 of it.
-        n = 16
-        pos = bfs_item_positions(cycle_graph(n))
-        assert pos is not None
-        for v in range(n):
-            for w in ((v + 1) % n, (v - 1) % n):
-                assert abs(int(pos[v]) - int(pos[w])) <= 2
-
-
-class TestGatherBitColumns:
-    def test_permutes_bits_exactly(self):
-        rng = np.random.default_rng(7)
-        rows = rng.integers(0, 2**63, size=(5, 1), dtype=np.uint64)
-        colmap = rng.permutation(64).astype(np.int64)
-        out = gather_bit_columns(rows, colmap)
-        for i in range(rows.shape[0]):
-            value = int(rows[i, 0])
-            permuted = int(out[i, 0])
-            for c in range(64):
-                assert (permuted >> c) & 1 == (value >> int(colmap[c])) & 1
-
-    def test_round_trips_through_inverse(self):
-        rng = np.random.default_rng(11)
-        rows = rng.integers(0, 2**63, size=(4, 2), dtype=np.uint64)
-        colmap = rng.permutation(128).astype(np.int64)
-        inverse = np.empty_like(colmap)
-        inverse[colmap] = np.arange(128, dtype=np.int64)
-        assert np.array_equal(
-            gather_bit_columns(gather_bit_columns(rows, colmap), inverse), rows
-        )
+from repro.topologies.classic import cycle_graph, grid_2d, path_graph
 
 
 class TestRowLocalityPermutation:
@@ -117,27 +55,12 @@ class TestRowLocalityPermutation:
 
 
 class TestWorkloadStatistics:
-    def test_mean_arc_degree_known_values(self):
-        assert mean_arc_degree(cycle_graph(16)) == 2.0
-        assert mean_arc_degree(path_graph(16)) == pytest.approx(30 / 16)
-        assert mean_arc_degree(hypercube(4)) == 4.0
-        # The crossover table's grid convention: 16×256 ≈ 3.87.
-        grid = grid_2d(16, 256)
-        assert mean_arc_degree(grid) == pytest.approx(grid.m / grid.n)
-        assert 3.0 < mean_arc_degree(grid) < 4.0
-
     def test_packed_words(self):
         assert packed_words(0) == 1
         assert packed_words(1) == 1
         assert packed_words(64) == 1
         assert packed_words(65) == 2
         assert packed_words(4096) == 64
-
-    def test_packed_matrix_bytes_crossover_rows(self):
-        # The plain-run cache crossover separates the measured table rows:
-        # n = 4096 is 2 MiB (vectorized wins), n = 8192 is 8 MiB (hybrid).
-        assert packed_matrix_bytes(4096) == 2 << 20
-        assert packed_matrix_bytes(8192) == 8 << 20
 
 
 class TestPackRows:

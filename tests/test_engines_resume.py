@@ -168,7 +168,7 @@ def check_roundtrip(program: RoundProgram, options: dict, context="") -> None:
 
 def test_registry_checkpoint_support():
     """Every registered backend — tiled kernel included — checkpoints."""
-    assert set(CHECKPOINTABLE) == {"reference", "vectorized", "frontier", "hybrid"}
+    assert set(CHECKPOINTABLE) == {"reference", "vectorized", "frontier"}
     assert all(supports_checkpointing(get_engine(name)) for name in CHECKPOINTABLE)
 
 

@@ -20,24 +20,37 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from repro.exceptions import SimulationError
+from repro.exceptions import SimulationError, TopologyError
 from repro.faults import BernoulliArcFaults, monte_carlo
+from repro.gossip import engines
 from repro.gossip.analysis import all_arrival_times, arrival_times, eccentricities
 from repro.gossip.engines import (
     ENGINE_ENV_VAR,
     FrontierEngine,
     available_engines,
     engine_override,
+    explain_engine_selection,
     get_engine,
     is_auto_spec,
     resolve_engine,
     select_engine_name,
 )
 from repro.gossip.engines.base import RoundProgram
-from repro.gossip.model import Mode
+from repro.gossip.model import Mode, make_round
 from repro.gossip.simulation import gossip_time, simulate, simulate_systolic
 from repro.protocols.generic import coloring_systolic_schedule
-from repro.topologies.classic import cycle_graph, grid_2d, hypercube, path_graph
+from repro.topologies.base import Digraph
+from repro.topologies.classic import (
+    complete_binary_tree,
+    cycle_graph,
+    grid_2d,
+    hypercube,
+    path_graph,
+    torus_2d,
+)
+from repro.topologies.debruijn import de_bruijn
+from repro.topologies.kautz import kautz
+from repro.topologies.properties import distances_from, eccentricity
 
 
 @pytest.fixture(autouse=True)
@@ -57,99 +70,120 @@ def _program(graph, *, cyclic=True):
 
 
 class TestDecisionFunction:
-    """Pins on crossover-table fixtures (ROADMAP.md)."""
+    """Pins of the depth rule on small members of the crossover-table
+    families (ROADMAP.md)."""
 
-    def test_tracked_cyclic_thin_degree_goes_frontier(self):
-        # Cycles and paths have mean arc degree 2.0 ≤ 3.0; arrival-tracked
-        # runs on them measured fastest on the frontier engine.  Item-tracked
-        # runs scan items once per batch and stay on the dense kernel.
-        for graph in (cycle_graph(64), path_graph(64)):
+    #: Arrival-tracked cyclic runs whose BFS depth from vertex 0 is at least
+    #: √n: the frontier engine's side of the rule.
+    DEEP = {
+        "C(64)": lambda: cycle_graph(64),  # depth 32, √n 8
+        "P(64)": lambda: path_graph(64),  # depth 63
+        "grid 8x32": lambda: grid_2d(8, 32),  # depth 38, √n 16
+        "torus 8x24": lambda: torus_2d(8, 24),  # depth 16, √n 13.9
+    }
+
+    #: Arrival-tracked cyclic runs below √n: the vectorized kernel's side.
+    SHALLOW = {
+        "binary tree h=6": lambda: complete_binary_tree(6),  # depth 6, √n 11.3
+        "K(2,6)": lambda: kautz(2, 6),  # depth 6, √n 9.8
+        "DB(2,7)": lambda: de_bruijn(2, 7),  # depth 7, √n 11.3
+        "Q(6)": lambda: hypercube(6),  # depth 6, √n 8
+    }
+
+    @pytest.mark.parametrize("name", sorted(DEEP))
+    def test_deep_graphs_go_frontier(self, name):
+        program = _program(self.DEEP[name]())
+        assert select_engine_name(program, track_arrivals=True) == "frontier"
+
+    @pytest.mark.parametrize("name", sorted(SHALLOW))
+    def test_shallow_graphs_go_vectorized(self, name):
+        program = _program(self.SHALLOW[name]())
+        assert select_engine_name(program, track_arrivals=True) == "vectorized"
+
+    def test_items_with_arrivals_follow_the_depth_rule(self):
+        for graph, expected in ((cycle_graph(64), "frontier"), (hypercube(6), "vectorized")):
             program = _program(graph)
-            assert select_engine_name(program, track_arrivals=True) == "frontier"
-            assert (
-                select_engine_name(program, track_item_completion=True) == "vectorized"
+            both = select_engine_name(
+                program, track_item_completion=True, track_arrivals=True
             )
+            assert both == expected
+            assert both == select_engine_name(program, track_arrivals=True)
 
-    def test_tracked_cyclic_thick_degree_goes_hybrid(self):
-        # Hypercube(4) has mean arc degree 4.0 > 3.0 (the 16×256 grid of the
-        # table is ≈ 3.87): word-granular windows beat per-pair routing.
-        program = _program(hypercube(4))
-        assert select_engine_name(program, track_arrivals=True) == "hybrid"
+    def test_rationale_carries_depth_and_sqrt_n(self):
+        name, why = explain_engine_selection(
+            _program(cycle_graph(64)), track_arrivals=True
+        )
+        assert name == "frontier"
+        assert "BFS depth 32 >= sqrt(n) 8.0" in why
+        name, why = explain_engine_selection(_program(hypercube(6)), track_arrivals=True)
+        assert name == "vectorized"
+        assert "BFS depth 6 < sqrt(n) 8.0" in why
+
+    def test_digraph_that_is_not_strongly_connected_resolves(self):
+        # Forward-only arcs: vertex 0 reaches every vertex but none reaches
+        # it back, and reversed, vertex 0 reaches nothing.  The depth is the
+        # largest finite distance in both cases (15, then 0), where the
+        # eccentricity of vertex 0 is undefined.
+        n = 16
+        forward = [(i, i + 1) for i in range(n - 1)]
+        for arcs, expected in (
+            (forward, "frontier"),
+            ([(h, t) for t, h in forward], "vectorized"),
+        ):
+            graph = Digraph(range(n), arcs, name="directed path")
+            program = RoundProgram(
+                graph, [make_round([arc]) for arc in arcs], cyclic=True, max_rounds=3 * n
+            )
+            assert select_engine_name(program, track_arrivals=True) == expected
+            resolved = resolve_engine("auto", program, track_arrivals=True)
+            got = resolved.run(program, track_history=False, track_arrivals=True)
+            ref = get_engine("reference").run(
+                program, track_history=False, track_arrivals=True
+            )
+            assert got.engine_name == expected
+            assert got.arrival_rounds == ref.arrival_rounds
+        with pytest.raises(TopologyError):
+            eccentricity(graph, 0)
+
+    def test_depth_is_computed_for_arrival_tracked_cyclic_runs_only(self, monkeypatch):
+        calls = []
+
+        def counting(graph, source):
+            calls.append(graph.name)
+            return distances_from(graph, source)
+
+        monkeypatch.setattr(engines, "distances_from", counting)
+        program = _program(cycle_graph(64))
+        select_engine_name(program)
+        select_engine_name(program, track_history=True, track_item_completion=True)
+        select_engine_name(_program(cycle_graph(64), cyclic=False), track_arrivals=True)
+        assert calls == []
+        select_engine_name(program, track_arrivals=True)
+        assert calls == ["C(64)"]
 
     def test_grid_crossover_row(self):
         # The measured grid row itself: item-tracked 16×256 runs fastest on
-        # the dense kernel (0.41 s against hybrid's 1.25 s at n = 4096).
+        # the dense kernel (0.41 s against frontier's 1.29 s at n = 4096).
         program = _program(grid_2d(16, 256))
         assert select_engine_name(program, track_item_completion=True) == "vectorized"
-
-    @pytest.mark.parametrize(
-        "graph", [cycle_graph(64), hypercube(4)], ids=lambda graph: graph.name
-    )
-    def test_incremental_item_tracked_goes_vectorized(self, graph):
-        program = _program(graph)
-        assert (
-            select_engine_name(program, track_item_completion=True, incremental=True)
-            == "vectorized"
-        )
-
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_items_with_arrivals_keep_the_arrival_rule(self, incremental):
-        for graph, expected in ((cycle_graph(64), "frontier"), (hypercube(4), "hybrid")):
-            program = _program(graph)
-            both = select_engine_name(
-                program,
-                track_item_completion=True,
-                track_arrivals=True,
-                incremental=incremental,
-            )
-            assert both == expected
-            assert both == select_engine_name(
-                program, track_arrivals=True, incremental=incremental
-            )
-
-    #: Arrival-tracked and plain picks, as recorded before item-tracked runs
-    #: moved to the dense kernel: that move must not shift any of them.
-    UNCHANGED_PICKS = {
-        "C(64)": ("vectorized", "frontier"),
-        "P(64)": ("vectorized", "frontier"),
-        "Q(4)": ("vectorized", "hybrid"),
-        "Grid(16x256)": ("vectorized", "hybrid"),
-        "C(8192)": ("hybrid", "frontier"),
-    }
-
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_arrival_and_plain_picks_are_unchanged(self, incremental):
-        graphs = (
-            cycle_graph(64),
-            path_graph(64),
-            hypercube(4),
-            grid_2d(16, 256),
-            cycle_graph(8192),
-        )
-        for graph in graphs:
-            program = _program(graph)
-            plain, arrivals = self.UNCHANGED_PICKS[graph.name]
-            if incremental:
-                plain = "vectorized"  # resumed untracked suffixes never warm up
-            assert select_engine_name(program, incremental=incremental) == plain
-            for history in (False, True):
-                assert (
-                    select_engine_name(
-                        program,
-                        track_arrivals=True,
-                        track_history=history,
-                        incremental=incremental,
-                    )
-                    == arrivals
-                ), graph.name
 
     def test_plain_cyclic_cache_resident_goes_vectorized(self):
         # n = 64: packed matrix is tiny; the dense kernel wins plain runs.
         assert select_engine_name(_program(cycle_graph(64))) == "vectorized"
 
-    def test_plain_cyclic_cache_spilling_goes_hybrid(self):
-        # n = 8192: packed matrix is 8 MiB > the 4 MiB crossover.
-        assert select_engine_name(_program(cycle_graph(8192))) == "hybrid"
+    def test_every_other_run_goes_vectorized(self):
+        # Plain and item-tracked cyclic runs at every size and depth,
+        # including C(8192) whose packed matrix is 8 MiB.
+        for graph in (cycle_graph(64), grid_2d(16, 256), hypercube(6), cycle_graph(8192)):
+            program = _program(graph)
+            for history in (False, True):
+                assert select_engine_name(program, track_history=history) == "vectorized"
+                assert (
+                    select_engine_name(
+                        program, track_history=history, track_item_completion=True
+                    )
+                    == "vectorized"
+                ), graph.name
 
     def test_finite_program_always_vectorized(self):
         # Finite programs never refire a slot, so sparse windows cannot pay.
@@ -158,10 +192,12 @@ class TestDecisionFunction:
         assert select_engine_name(program, track_arrivals=True) == "vectorized"
 
     def test_track_history_does_not_change_the_pick(self):
-        program = _program(cycle_graph(64))
-        assert select_engine_name(program, track_history=True) == select_engine_name(
-            program
-        )
+        for graph in (cycle_graph(64), hypercube(6)):
+            program = _program(graph)
+            for arrivals in (False, True):
+                assert select_engine_name(
+                    program, track_history=True, track_arrivals=arrivals
+                ) == select_engine_name(program, track_arrivals=arrivals)
 
 
 class TestResolutionPrecedence:
@@ -181,7 +217,17 @@ class TestResolutionPrecedence:
 
     def test_explicit_names_are_casefolded(self):
         assert resolve_engine(" Frontier ").name == "frontier"
-        assert get_engine(" HYBRID ").name == "hybrid"
+        assert get_engine(" VECTORIZED ").name == "vectorized"
+
+    def test_retired_hybrid_name_raises_listing_the_engines(self, monkeypatch):
+        available = "available: frontier, reference, vectorized"
+        with pytest.raises(SimulationError, match=available) as excinfo:
+            resolve_engine("hybrid")
+        assert ENGINE_ENV_VAR not in str(excinfo.value)
+        monkeypatch.setenv(ENGINE_ENV_VAR, "hybrid")
+        with pytest.raises(SimulationError, match=ENGINE_ENV_VAR) as excinfo:
+            resolve_engine("auto", _program(cycle_graph(64)), track_arrivals=True)
+        assert available in str(excinfo.value)
 
     def test_explicit_name_beats_program_aware_auto(self):
         program = _program(cycle_graph(64))

@@ -32,8 +32,7 @@ from hypothesis import strategies as st
 
 from repro.faults import BernoulliArcFaults
 from repro.gossip.builders import random_systolic_schedule
-from repro.gossip import engines
-from repro.gossip.engines import ENGINE_ENV_VAR, get_engine
+from repro.gossip.engines import get_engine
 from repro.gossip.model import Mode
 from repro.search import (
     CheckpointCache,
@@ -51,11 +50,10 @@ from repro.search.objective import (
     _CachedObjective,
     evaluate_program,
     program_for_rounds,
-    resolve_objective_engine,
 )
 from repro.topologies.classic import cycle_graph, grid_2d
 
-ENGINES = ("reference", "vectorized", "frontier", "hybrid")
+ENGINES = ("reference", "vectorized", "frontier")
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -161,7 +159,7 @@ class TestDriverDeterminism:
 
     @pytest.mark.parametrize("strategy", ["hill", "anneal"])
     def test_synthesize_schedule_identical(self, strategy):
-        kwargs = dict(strategy=strategy, seed=2, max_iters=50, engine="hybrid")
+        kwargs = dict(strategy=strategy, seed=2, max_iters=50, engine="frontier")
         full = synthesize_schedule(cycle_graph(10), Mode.HALF_DUPLEX, **kwargs)
         fast = synthesize_schedule(
             cycle_graph(10), Mode.HALF_DUPLEX, incremental=True, **kwargs
@@ -204,26 +202,6 @@ class TestDriverDeterminism:
         plain = evaluate_candidates(candidates, engine="frontier")
         incremental = evaluate_candidates(candidates, engine="frontier", incremental=True)
         assert plain == incremental
-
-    def test_evaluate_candidates_resolves_auto_for_incremental_runs(self, monkeypatch):
-        """``auto`` picks the engine for checkpoint-resumed runs, like the
-        search drivers do, not the one a cold run would get."""
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        # Put C(16) past the plain-run cache crossover: cold plain runs
-        # resolve to hybrid, incremental ones to vectorized.
-        monkeypatch.setattr(engines, "_PLAIN_CACHE_CROSSOVER_BYTES", 0)
-        graph = cycle_graph(16)
-        candidates = [
-            random_systolic_schedule(graph, 3, Mode.HALF_DUPLEX, seed=i) for i in range(3)
-        ]
-        expected = resolve_objective_engine(
-            "auto", graph, candidates[0].base_rounds, incremental=True
-        ).name
-        assert expected == "vectorized"
-        scored = evaluate_candidates(candidates, engine="auto", incremental=True)
-        assert [value.engine_name for value in scored] == [expected] * len(candidates)
-        cold = evaluate_candidates(candidates, engine="auto")
-        assert [value.engine_name for value in cold] == ["hybrid"] * len(candidates)
 
 
 class TestCachedObjective:
