@@ -14,11 +14,12 @@ JSON so CI can archive the trajectory alongside the engine timings):
   instance: evaluations/second is the number search budgets are sized
   from, and the per-engine comparison doubles as a differential check
   (identical scores across backends).
-* **incremental** — hill-climbing with checkpoint/resume evaluation
-  (``incremental=True``) against full replay on long-period C(256)
-  frontier walks: the speedup ratio is the regression guard for the
-  incremental evaluation layer, and the runs are asserted bit-identical
-  (same winning period, objective and acceptance history) first.
+* **incremental** — hill-climbing with the search evaluator (memo,
+  cutoff and checkpoint/resume) against full replay (a cold stand-in that
+  runs every candidate from round 0) on long-period C(256) frontier
+  walks: the speedup ratio is the regression guard for the evaluation
+  layer, and the runs are asserted bit-identical (same winning period,
+  objective and acceptance history) first.
 * **islands** — multi-process island search
   (:func:`repro.search.run_island_search`) with a 4-worker process pool
   against the same configuration in-process: the determinism contract is
@@ -40,7 +41,8 @@ from repro.experiments.search_gaps import search_gaps_table
 from repro.gossip.builders import edge_coloring_schedule, random_systolic_schedule
 from repro.gossip.engines import available_engines
 from repro.gossip.model import Mode, SystolicSchedule
-from repro.search import evaluate_candidates, hill_climb, run_island_search
+from repro.search import evaluate_candidates, hill_climb, local_search, run_island_search
+from repro.search.objective import _ColdObjective
 from repro.topologies.classic import cycle_graph
 
 #: Instance and batch size of the per-engine throughput measurement.
@@ -166,14 +168,15 @@ def test_search_evaluation_throughput(report_sink, bench_json):
 
 @pytest.mark.slow
 @pytest.mark.perf_regression
-def test_incremental_hill_climb_speedup(report_sink, bench_json):
+def test_incremental_hill_climb_speedup(report_sink, bench_json, monkeypatch):
     """Checkpoint-resume evaluation vs full replay: bit-identical, and faster.
 
     Two frontier hill climbs on C(256) with period 1024 — a *refinement*
     walk seeded with a tiled edge-colouring schedule (completes far below
     the period length, so most moves resume from the completion state) and
     a *random* walk seeded with a random matching schedule.  Each walk runs
-    once with full replay and once incrementally; the winning schedule,
+    once with full replay (:class:`_ColdObjective` patched in for the
+    search evaluator) and once as search runs it; the winning schedule,
     its objective value and the per-acceptance history must match exactly
     (incremental evaluation changes cost, never outcomes), and the
     evals/s ratio must clear the per-workload floor.
@@ -201,15 +204,14 @@ def test_incremental_hill_climb_speedup(report_sink, bench_json):
     for label, schedule in workloads.items():
         outcomes = {}
         for incremental in (False, True):
-            start = time.perf_counter()
-            result = hill_climb(
-                schedule,
-                seed=0,
-                engine="frontier",
-                max_iters=INCREMENTAL_ITERS,
-                incremental=incremental,
-            )
-            elapsed = time.perf_counter() - start
+            with monkeypatch.context() as patch:
+                if not incremental:
+                    patch.setattr(local_search, "_CachedObjective", _ColdObjective)
+                start = time.perf_counter()
+                result = hill_climb(
+                    schedule, seed=0, engine="frontier", max_iters=INCREMENTAL_ITERS
+                )
+                elapsed = time.perf_counter() - start
             outcomes[incremental] = (result, result.evaluations / elapsed)
 
         full, incremental_run = outcomes[False][0], outcomes[True][0]
@@ -292,11 +294,7 @@ def test_incremental_telemetry_overhead(report_sink, bench_json):
 
     def walk():
         return hill_climb(
-            schedule,
-            seed=0,
-            engine="frontier",
-            max_iters=INCREMENTAL_ITERS,
-            incremental=True,
+            schedule, seed=0, engine="frontier", max_iters=INCREMENTAL_ITERS
         )
 
     walk()  # warm the compile caches so both timed runs pay steady-state cost

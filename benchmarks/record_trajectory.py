@@ -5,7 +5,7 @@ Usage (from the repository root)::
     PYTHONPATH=src python benchmarks/record_trajectory.py
 
 Runs a compact battery — one plain and one arrival-tracked engine row, one
-incremental hill climb, one two-worker island search, one batched and one
+hill climb, one two-worker island search, one batched and one
 candidate-stacked Monte-Carlo run — each section under its **own**
 in-memory :class:`repro.telemetry.StatsRecorder`, and records a row of
 the form ::
@@ -108,16 +108,10 @@ def _engine_section(options: dict) -> dict:
 
 
 def _search_section() -> dict:
-    """Incremental frontier hill climb on C(SEARCH_N)."""
+    """Frontier hill climb on C(SEARCH_N)."""
     schedule = coloring_systolic_schedule(cycle_graph(SEARCH_N), Mode.HALF_DUPLEX)
     seconds, result = _timed(
-        lambda: hill_climb(
-            schedule,
-            seed=0,
-            engine="frontier",
-            max_iters=SEARCH_ITERS,
-            incremental=True,
-        )
+        lambda: hill_climb(schedule, seed=0, engine="frontier", max_iters=SEARCH_ITERS)
     )
     return {
         "instance": f"C({SEARCH_N})",

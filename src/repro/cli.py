@@ -213,13 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         "objective (default 8; ignored otherwise)",
     )
     optimize.add_argument(
-        "--incremental",
-        action="store_true",
-        help="evaluate candidates incrementally: resume engine checkpoints "
-        "across candidates sharing a period prefix (bit-identical results, "
-        "fewer simulated rounds per evaluation)",
-    )
-    optimize.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -409,7 +402,6 @@ def _run_optimize(args: argparse.Namespace) -> int:
             restarts=args.restarts,
             engine=args.engine,
             robustness=robustness,
-            incremental=args.incremental,
             workers=args.workers,
         )
     with telemetry.span("cli.certify", graph=graph.name):

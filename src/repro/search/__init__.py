@@ -21,11 +21,13 @@ Layout
 * :mod:`~repro.search.moves` — the validity-preserving neighbourhood over
   periods (resequencing, round surgery, period ± 1);
 * :mod:`~repro.search.objective` — candidate scoring through the engine
-  registry, with the batched ``evaluate_candidates`` path;
+  registry: one memoizing, checkpoint-reusing evaluator per walk, the
+  batched ``evaluate_candidates`` path, and the one-shot
+  ``evaluate_schedule``;
 * :mod:`~repro.search.incremental` — the per-walk :class:`CheckpointCache`
-  behind ``incremental=True`` evaluation: candidates sharing a period
-  prefix resume each other's engine checkpoints instead of re-simulating
-  from round 0, bit-identically by the engines' resume contract;
+  behind every search evaluation: candidates sharing a period prefix
+  resume each other's engine checkpoints instead of re-simulating from
+  round 0, bit-identically by the engines' resume contract;
 * :mod:`~repro.search.local_search` — seeded hill climbing, simulated
   annealing with restarts, and the :func:`synthesize_schedule` driver;
 * :mod:`~repro.search.islands` — the multi-process island layer behind
@@ -57,8 +59,11 @@ Choosing a heuristic
 * **Engines**: the ``engine=`` keyword reaches every evaluation.  Leave it
   on ``"auto"`` (the vectorized kernel) for moderate n; pick ``"frontier"``
   explicitly for large sparse instances, exactly as in the
-  :mod:`repro.gossip.engines` selection notes.  Each candidate evaluation
-  is one engine run, so search cost ≈ evaluations × single-run cost.
+  :mod:`repro.gossip.engines` selection notes.  ``evaluations`` counts
+  engine runs: a repeated period is answered from a memo or, in a hill
+  climb, rejected by a bound an earlier run proved.  Search cost ≈
+  evaluations × single-run cost, less the rounds resumed from
+  checkpoints.
 * **Budgets**: ``max_iters`` is proposals per driver run, not accepted
   moves.  The experiment table (:mod:`repro.experiments.search_gaps`) uses
   ~150 iterations per instance at n ≤ 16; the benchmark

@@ -1,4 +1,4 @@
-"""Per-walk checkpoint reuse for incremental candidate evaluation.
+"""Per-walk checkpoint reuse for candidate evaluation.
 
 Schedule search mutates one period slot at a time, so consecutive
 candidates share long executed prefixes.  The engines' checkpoint/resume
@@ -10,9 +10,12 @@ common_prefix_length(period_a, period_b)``
 (:func:`repro.search.moves.common_prefix_length`).
 
 :class:`CheckpointCache` is the per-walk store the cached objective
-evaluator (:class:`repro.search.objective._CachedObjective`) threads
-through every candidate run: an LRU over the last few distinct periods,
-each holding the engine states captured along that period's evaluation.
+evaluator (:class:`repro.search.objective._CachedObjective`), the one
+way search scores candidates, threads through every candidate run: an
+LRU over the last few distinct periods, each holding the engine states
+captured along that period's evaluation.  The evaluator captures no state
+past its period's length: a deeper state could only resume the identical
+period, which the evaluator's memo and bound table never run again.
 ``lookup`` returns the deepest state whose round the queried period's
 prefix still covers; ``record`` merges the states a resumed run captured —
 plus the reused prefix states, which are equally states *of the new
@@ -86,7 +89,7 @@ def _as_key(period: Sequence[Round] | PeriodKey) -> PeriodKey:
 #: Periods kept per cache.  A first-improvement walk revisits the current
 #: incumbent's prefix on almost every proposal, so a handful of entries
 #: already catches the reuse; more would mostly hold dead branches.
-_DEFAULT_MAX_PERIODS = 8
+_MAX_PERIODS = 8
 
 
 def default_checkpoint_rounds(max_rounds: int) -> list[int]:
@@ -119,10 +122,7 @@ class CheckpointCache:
     ``search.reused_rounds`` histogram.
     """
 
-    def __init__(self, *, max_periods: int = _DEFAULT_MAX_PERIODS) -> None:
-        if max_periods < 1:
-            raise ValueError(f"max_periods must be >= 1, got {max_periods}")
-        self._max_periods = max_periods
+    def __init__(self) -> None:
         # A plain insertion-ordered dict, NOT an OrderedDict: odict item
         # iteration re-hashes every key it yields, and hashing a long
         # period per entry per lookup dwarfed the simulation work it was
@@ -181,17 +181,17 @@ class CheckpointCache:
     ) -> None:
         """Store ``states`` under ``period`` (most-recently-used position).
 
-        Evicts the least-recently-stored period beyond the capacity.  The
-        caller is responsible for only passing states whose executed prefix
-        matches ``period`` — freshly captured ones, and ``lookup``'s usable
-        states, satisfy that by construction.  Callers holding a
+        Evicts the least-recently-stored period beyond ``_MAX_PERIODS``.
+        The caller is responsible for only passing states whose executed
+        prefix matches ``period`` — freshly captured ones, and ``lookup``'s
+        usable states, satisfy that by construction.  Callers holding a
         :class:`PeriodKey` should pass it directly so the period hash paid
         here is the one they already amortise.
         """
         key = _as_key(period)
         entry = self._entries.pop(key, None)
         if entry is None:
-            while len(self._entries) >= self._max_periods:
+            while len(self._entries) >= _MAX_PERIODS:
                 del self._entries[next(iter(self._entries))]
             entry = {}
         self._entries[key] = entry

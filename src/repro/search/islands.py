@@ -140,7 +140,6 @@ class _IslandTask:
     restarts: int
     engine_name: str
     robustness: RobustnessSpec | None
-    incremental: bool
     #: Record worker-side telemetry and ship it home.  Set uniformly for
     #: every task of a search (from the driver's recorder state), never
     #: per-worker — recording must not depend on where a task runs.
@@ -170,7 +169,6 @@ def _run_island_task(task: _IslandTask) -> _IslandReport:
         max_iters=task.max_iters,
         engine=task.engine_name,
         robustness=task.robustness,
-        incremental=task.incremental,
         initial_value=task.initial_value,
     )
 
@@ -218,7 +216,6 @@ def run_island_search(
     workers: int = 1,
     engine="auto",
     robustness: RobustnessSpec | None = None,
-    incremental: bool = False,
 ) -> SearchResult:
     """Synthesize a schedule with a parallel island population.
 
@@ -260,7 +257,7 @@ def run_island_search(
 
     scored, resolved, seed_evaluations, seed_stats = _scored_portfolio(
         graph, mode, random.Random(seed), random_seeds, engine, objective,
-        robustness, incremental,
+        robustness,
     )
 
     # The whole parallel schedule is fixed up front: island i's generation-g
@@ -298,7 +295,6 @@ def run_island_search(
                     restarts=restarts,
                     engine_name=resolved.name,
                     robustness=robustness,
-                    incremental=incremental,
                     record=bool(_t0),
                 )
                 for i in range(islands)

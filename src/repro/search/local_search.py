@@ -1,11 +1,15 @@
 """Local-search drivers: seeded hill climbing and simulated annealing.
 
 Both drivers walk the :class:`~repro.search.moves.Neighborhood` move graph
-over candidate periods, scoring every candidate through the engine registry
-(:mod:`repro.search.objective`).  Everything is deterministic given the
-``seed``: the same seed replays the same move sequence, the same candidate
-stream and therefore the same winner, which is what the reproducibility
-tests pin.
+over candidate periods, scoring every candidate through one
+:class:`~repro.search.objective._CachedObjective` per walk: repeated
+periods are memoized, candidates resume the checkpoints of periods they
+share a prefix with, and under ``gossip_rounds`` the hill climb bounds each
+run at the incumbent's completion round.  None of that changes a score or
+an accept decision, only what an evaluation costs; ``evaluations`` counts
+engine runs.  Everything is deterministic given the ``seed``: the same seed
+replays the same move sequence, the same candidate stream and therefore the
+same winner, which is what the reproducibility tests pin.
 
 :func:`synthesize_schedule` is the one-call entry point: it builds the
 constructive seeds (edge colouring, greedy frontier, plus random schedules
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 from repro import telemetry
 from repro.exceptions import SimulationError
 from repro.gossip.builders import random_systolic_schedule
-from repro.gossip.engines import SimulationEngine, resolve_engine
+from repro.gossip.engines import SimulationEngine
 from repro.gossip.model import Mode, Round, SystolicSchedule
 from repro.search.constructors import edge_coloring_seed, greedy_frontier_schedule
 from repro.search.moves import Neighborhood
@@ -33,8 +37,6 @@ from repro.search.objective import (
     ObjectiveValue,
     RobustnessSpec,
     _CachedObjective,
-    evaluate_program,
-    program_for_rounds,
     resolve_objective_engine,
 )
 from repro.topologies.base import Digraph
@@ -88,88 +90,6 @@ def _key(value: ObjectiveValue, rounds: tuple[Round, ...]) -> tuple[float, int, 
     return (value.score, len(rounds), sum(len(r) for r in rounds))
 
 
-class _Evaluator:
-    """Counts engine runs and owns the resolved backend for one search.
-
-    ``robustness`` (a :class:`~repro.search.objective.RobustnessSpec`) is
-    resolved here once per search, so every candidate of the run is scored
-    against the same seeded fault sample.
-
-    ``incremental=True`` swaps the per-candidate :func:`evaluate_program`
-    call for a per-walk :class:`~repro.search.objective._CachedObjective`:
-    repeated periods are memoized, checkpointable engines resume shared
-    period prefixes instead of re-simulating them, and drivers holding a
-    complete incumbent may pass ``cutoff`` to bound a candidate's budget
-    at the incumbent's completion round.  Every *accepted* candidate is
-    still scored exactly (cutoff rejects return an ``inf`` sentinel whose
-    reject decision matches the exact score's), so a walk visits the
-    identical state sequence either way — incremental mode changes the
-    cost of an evaluation, never its outcome.
-    """
-
-    def __init__(
-        self,
-        graph: Digraph,
-        engine,
-        objective: str,
-        robustness=None,
-        *,
-        incremental: bool = False,
-        seed_rounds: tuple[Round, ...] | None = None,
-    ) -> None:
-        self.graph = graph
-        # ``seed_rounds`` (the walk's starting period) gives "auto" a
-        # representative workload shape; an explicit engine or an instance
-        # resolves the same either way.
-        self.engine: SimulationEngine = (
-            resolve_objective_engine(engine, graph, seed_rounds, objective=objective)
-            if seed_rounds is not None
-            else resolve_engine(engine)
-        )
-        self.objective = objective
-        self.robustness = robustness
-        self.incremental = incremental
-        self._cached = (
-            _CachedObjective(graph, self.engine, objective, robustness)
-            if incremental
-            else None
-        )
-        self._plain_evaluations = 0
-        # Same snapshot discipline as _CachedObjective: per-evaluation
-        # timing is only paid when a recorder was installed at construction.
-        self._telem = telemetry.get_recorder().enabled
-        self._plain_eval_ns = telemetry.Histogram()
-
-    @property
-    def evaluations(self) -> int:
-        if self._cached is not None:
-            return self._cached.evaluations
-        return self._plain_evaluations
-
-    def __call__(
-        self, rounds: tuple[Round, ...], *, cutoff: int | None = None
-    ) -> ObjectiveValue:
-        if self._cached is not None:
-            return self._cached(rounds, cutoff=cutoff)
-        self._plain_evaluations += 1
-        _t0 = time.perf_counter_ns() if self._telem else 0
-        value = evaluate_program(
-            program_for_rounds(self.graph, rounds),
-            self.engine,
-            objective=self.objective,
-            robustness=self.robustness,
-        )
-        if self._telem:
-            self._plain_eval_ns.add(time.perf_counter_ns() - _t0)
-        return value
-
-    def stats_histograms(self) -> dict[str, telemetry.Histogram]:
-        """Per-evaluation distributions, flushed once by the owning search."""
-        if self._cached is not None:
-            return self._cached.stats_histograms()
-        return {"search.eval_ns": self._plain_eval_ns}
-
-
 def _portfolio_seeds(
     graph: Digraph, mode: Mode, rng: random.Random, random_seeds: int
 ) -> list[SystolicSchedule]:
@@ -198,7 +118,6 @@ def _scored_portfolio(
     engine,
     objective: str,
     robustness,
-    incremental: bool,
 ) -> tuple[
     list[tuple[ObjectiveValue, SystolicSchedule]],
     SimulationEngine,
@@ -219,9 +138,7 @@ def _scored_portfolio(
     resolved = resolve_objective_engine(
         engine, graph, tuple(seeds[0].base_rounds), objective=objective
     )
-    evaluator = _Evaluator(
-        graph, resolved, objective, robustness, incremental=incremental
-    )
+    evaluator = _CachedObjective(graph, resolved, objective, robustness)
     with telemetry.span(
         "search.seed_scoring", graph=graph.name, seeds=len(seeds)
     ):
@@ -232,11 +149,9 @@ def _scored_portfolio(
     rec = telemetry.get_recorder()
     run_stats = None
     if rec.enabled:
-        run_stats = telemetry.RunStats()
-        if evaluator._cached is not None:
-            seed_counts = evaluator._cached.stats_counters()
-            rec.counters("search.incremental", seed_counts)
-            run_stats.add_counters("search.incremental", seed_counts)
+        seed_counts = evaluator.stats_counters()
+        rec.counters("search.incremental", seed_counts)
+        run_stats = telemetry.RunStats.single("search.incremental", seed_counts)
         for name, hist in evaluator.stats_histograms().items():
             if hist.count:
                 rec.histogram(name, hist)
@@ -248,7 +163,7 @@ def _finalize(
     schedule: SystolicSchedule,
     best_rounds: tuple[Round, ...],
     best_value: ObjectiveValue,
-    evaluator: _Evaluator,
+    evaluator: _CachedObjective,
     iterations: int,
     restarts: int,
     seed_name: str,
@@ -283,12 +198,11 @@ def _finalize(
         }
         rec.counters(f"search.{driver}", counts)
         run_stats = telemetry.RunStats.single(f"search.{driver}", counts)
-        if evaluator._cached is not None:
-            # The cached objective's cumulative totals for this walk,
-            # flushed exactly once at walk end.
-            inc = evaluator._cached.stats_counters()
-            rec.counters("search.incremental", inc)
-            run_stats.add_counters("search.incremental", inc)
+        # The evaluator's cumulative totals for this walk, flushed exactly
+        # once at walk end.
+        inc = evaluator.stats_counters()
+        rec.counters("search.incremental", inc)
+        run_stats.add_counters("search.incremental", inc)
         for name, hist in evaluator.stats_histograms().items():
             if hist.count:
                 rec.histogram(name, hist)
@@ -322,7 +236,6 @@ def hill_climb(
     engine: str | SimulationEngine | None = "auto",
     robustness: RobustnessSpec | None = None,
     initial_value: ObjectiveValue | None = None,
-    incremental: bool = False,
 ) -> SearchResult:
     """First-improvement hill climbing from one seed schedule.
 
@@ -332,19 +245,22 @@ def hill_climb(
     rejections.  ``initial_value`` skips re-scoring a seed the caller
     already evaluated (``synthesize_schedule`` scores all seeds as a batch).
 
-    ``incremental=True`` evaluates candidates through the checkpoint-
-    reusing cached objective (see :class:`_Evaluator`); the climb
-    additionally bounds each candidate's budget at the incumbent's
-    completion round, which preserves every accept/reject decision and
-    therefore the visited state sequence, the winner and the improvement
-    history bit for bit.
+    Under the ``gossip_rounds`` objective each candidate's budget is
+    bounded at a complete incumbent's completion round (other objectives
+    run every candidate to its full budget), which preserves every
+    accept/reject decision and therefore the visited state sequence, the
+    winner and the improvement history bit for bit.
     """
     _t0 = time.perf_counter_ns() if telemetry.get_recorder().enabled else 0
     rng = rng if rng is not None else random.Random(seed)
     moves = neighborhood or Neighborhood(schedule.graph, schedule.mode)
-    evaluator = _Evaluator(
-        schedule.graph, engine, objective, robustness,
-        incremental=incremental, seed_rounds=tuple(schedule.base_rounds),
+    evaluator = _CachedObjective(
+        schedule.graph,
+        resolve_objective_engine(
+            engine, schedule.graph, schedule.base_rounds, objective=objective
+        ),
+        objective,
+        robustness,
     )
 
     current = tuple(schedule.base_rounds)
@@ -407,7 +323,6 @@ def simulated_annealing(
     engine: str | SimulationEngine | None = "auto",
     robustness: RobustnessSpec | None = None,
     initial_value: ObjectiveValue | None = None,
-    incremental: bool = False,
 ) -> SearchResult:
     """Simulated annealing with geometric cooling and best-state restarts.
 
@@ -420,19 +335,22 @@ def simulated_annealing(
     ``initial_value`` skips re-scoring a pre-evaluated seed, as in
     :func:`hill_climb`.
 
-    ``incremental=True`` enables memoized, checkpoint-resuming candidate
-    evaluation (see :class:`_Evaluator`).  No budget cutoff applies here:
-    the Boltzmann acceptance needs every candidate's *exact* score, not
-    just the reject decision a truncated run can prove.
+    No budget cutoff applies here: the Boltzmann acceptance needs every
+    candidate's *exact* score, not just the reject decision a truncated run
+    can prove.
     """
     if not 0.0 < cooling < 1.0:
         raise SimulationError(f"cooling must lie in (0, 1), got {cooling}")
     _t0 = time.perf_counter_ns() if telemetry.get_recorder().enabled else 0
     rng = rng if rng is not None else random.Random(seed)
     moves = neighborhood or Neighborhood(schedule.graph, schedule.mode)
-    evaluator = _Evaluator(
-        schedule.graph, engine, objective, robustness,
-        incremental=incremental, seed_rounds=tuple(schedule.base_rounds),
+    evaluator = _CachedObjective(
+        schedule.graph,
+        resolve_objective_engine(
+            engine, schedule.graph, schedule.base_rounds, objective=objective
+        ),
+        objective,
+        robustness,
     )
 
     best_rounds = tuple(schedule.base_rounds)
@@ -484,7 +402,6 @@ def synthesize_schedule(
     neighborhood: Neighborhood | None = None,
     engine: str | SimulationEngine | None = "auto",
     robustness: RobustnessSpec | None = None,
-    incremental: bool = False,
     workers: int | None = None,
 ) -> SearchResult:
     """Synthesize an s-systolic gossip schedule for ``graph`` under ``mode``.
@@ -509,9 +426,6 @@ def synthesize_schedule(
 
     Deterministic for a fixed ``(strategy, objective, seed, …)``
     configuration; see :mod:`repro.search` for strategy-selection guidance.
-    ``incremental`` threads checkpoint-reusing evaluation (see
-    :func:`hill_climb`) through seed scoring and every driver pass without
-    changing any outcome.
     """
     if strategy not in STRATEGIES:
         raise SimulationError(
@@ -537,11 +451,10 @@ def synthesize_schedule(
             workers=workers,
             engine=engine,
             robustness=robustness,
-            incremental=incremental,
         )
     rng = random.Random(seed)
     scored, resolved, seed_evaluations, run_stats = _scored_portfolio(
-        graph, mode, rng, random_seeds, engine, objective, robustness, incremental
+        graph, mode, rng, random_seeds, engine, objective, robustness
     )
 
     moves = neighborhood or Neighborhood(graph, mode)
@@ -556,7 +469,6 @@ def synthesize_schedule(
             neighborhood=moves,
             engine=resolved,
             robustness=robustness,
-            incremental=incremental,
         )
         if strategy == "anneal":
             results.append(

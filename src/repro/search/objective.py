@@ -7,10 +7,12 @@ and executed by whichever simulation backend the caller selected
 simulation entry point uses).  Search is exactly the workload the fast
 engines exist for: a single synthesis run evaluates hundreds to thousands
 of candidates, so the per-candidate cost is the product that matters.
-:func:`evaluate_candidates` is the batched path — it resolves the engine
-once and streams all candidates through the same backend instance, so the
-``auto``/environment lookup and any engine-level warm state are paid once
-per batch rather than once per candidate.
+
+Search scores every candidate through one :class:`_CachedObjective` per
+walk (or per graph of an :func:`evaluate_candidates` batch); its
+``evaluations`` count engine runs only.  :func:`evaluate_program` and
+:func:`evaluate_schedule` are the one-shot scorers: one cold run, no
+state, the oracle the cached path is tested against.
 
 Scores are "smaller is better".  A schedule that completes gossip scores
 its completion round; one that does not is pushed far above every
@@ -176,7 +178,7 @@ def _check_objective(objective: str, robustness: RobustnessSpec | None) -> None:
 def _nominal_run_options(objective: str) -> dict:
     """Engine options of the objective's nominal (fault-free) run.
 
-    This is the run incremental evaluation checkpoints and resumes: the
+    This is the run :class:`_CachedObjective` checkpoints and resumes: the
     eccentricity objectives need the per-item completion rounds tracked,
     everything else is a plain completion run.
     """
@@ -223,57 +225,42 @@ def _robust_mean_cost(n, horizon, completion, knowledge, trials) -> float:
     return total / trials
 
 
-def _robust_scores_stacked(
-    programs: list[RoundProgram],
-    results: list,
+def _robust_score(
+    program: RoundProgram,
+    result,
     engine: SimulationEngine,
     spec: RobustnessSpec,
-) -> list[ObjectiveValue]:
-    """Robust scores of one candidate set from its nominal runs.
+) -> ObjectiveValue:
+    """Robust score of one candidate from its nominal run.
 
-    ``results`` are the candidates' fault-free nominal runs.  An incomplete
+    ``result`` is the candidate's fault-free nominal run.  An incomplete
     candidate is graded exactly like ``gossip_rounds`` (no trials are spent
     on it); a completing candidate scores the mean over trials of its
     completion round, failed trials contributing the horizon plus their
     missing (vertex, item) pairs so that likelier-to-complete candidates
-    always sort ahead.  The completing candidates' trials run through the
-    candidate-stacked Monte-Carlo kernel in one invocation (the looped
-    per-engine path replays the identical realisation, so the score is
-    engine-independent regardless).  Horizons and fault samples are derived
-    per candidate from the shared spec, so a candidate's score does not
-    depend on the rest of the set.
+    always sort ahead.  The trials run through the batched Monte-Carlo
+    kernel (the looped per-engine path replays the identical realisation,
+    so the score is engine-independent regardless).  Horizon and fault
+    sample are derived from the shared spec alone, so a candidate's score
+    does not depend on what else was scored before it.
     """
-    values: list[ObjectiveValue | None] = [None] * len(programs)
-    stacked: list[tuple[int, RoundProgram, int]] = []
-    samples = []
-    for i, (program, result) in enumerate(zip(programs, results)):
-        if result.completion_round is None:
-            values[i] = ObjectiveValue(
-                _incomplete_score(result, program.graph.n), False, None, engine.name
-            )
-            continue
-        nominal, sample = _fault_sample(
-            program,
-            spec.model,
-            spec.trials,
-            spec.seed,
-            nominal=result.completion_round,
-            factor=spec.horizon_factor,
+    if result.completion_round is None:
+        return ObjectiveValue(
+            _incomplete_score(result, program.graph.n), False, None, engine.name
         )
-        stacked.append((i, program, nominal))
-        samples.append(sample)
-    if stacked:
-        outcomes = _run_batched_stacked(
-            [entry[1] for entry in stacked], samples, [entry[2] for entry in stacked]
-        )
-        for (i, program, nominal), sample, (completion, knowledge) in zip(
-            stacked, samples, outcomes
-        ):
-            score = _robust_mean_cost(
-                program.graph.n, sample.horizon, completion, knowledge, spec.trials
-            )
-            values[i] = ObjectiveValue(score, True, nominal, engine.name)
-    return values
+    nominal, sample = _fault_sample(
+        program,
+        spec.model,
+        spec.trials,
+        spec.seed,
+        nominal=result.completion_round,
+        factor=spec.horizon_factor,
+    )
+    [(completion, knowledge)] = _run_batched_stacked([program], [sample], [nominal])
+    score = _robust_mean_cost(
+        program.graph.n, sample.horizon, completion, knowledge, spec.trials
+    )
+    return ObjectiveValue(score, True, nominal, engine.name)
 
 
 def _score_result(
@@ -286,8 +273,8 @@ def _score_result(
     """Score a candidate from its already-executed nominal run.
 
     ``result`` must come from a run under :func:`_nominal_run_options` of
-    the same objective; splitting scoring from running is what lets the
-    incremental evaluator substitute a resumed run for a cold one.
+    the same objective; splitting scoring from running is what lets
+    :class:`_CachedObjective` substitute a resumed run for a cold one.
     """
     n = program.graph.n
     if objective == "gossip_rounds":
@@ -299,7 +286,7 @@ def _score_result(
             float(result.completion_round), True, result.completion_round, engine.name
         )
     if objective == "robust_gossip_rounds":
-        return _robust_scores_stacked([program], [result], engine, robustness)[0]
+        return _robust_score(program, result, engine, robustness)
     times = result.item_completion_rounds
     assert times is not None
     if result.completion_round is None:
@@ -357,22 +344,24 @@ def evaluate_schedule(
 class _CachedObjective:
     """Memoizing, checkpoint-reusing objective evaluator for one search walk.
 
-    Wraps one ``(graph, engine, objective)`` context and scores candidate
-    periods through :func:`_score_result`, with three layers the plain
-    :func:`evaluate_program` path does not have:
+    The one way search scores a candidate.  Wraps one ``(graph, engine,
+    objective)`` context, scores candidate periods through
+    :func:`_score_result`, and adds three layers to a cold
+    :func:`evaluate_program` run:
 
     * **memoization** — identical periods (tuples) are scored once; a walk
       that re-proposes a rejected neighbour pays nothing.  Only *exact*
       values are memoized, never cutoff sentinels.
     * **checkpoint reuse** — on a checkpointable engine, every run captures
-      power-of-two round states (:func:`default_checkpoint_rounds`) into a
-      per-walk :class:`CheckpointCache`; the next candidate resumes from
-      the deepest state its common prefix with a cached period still
-      covers, so a move touching slot ``k`` re-simulates only rounds
-      ``> k``.  Resume is bit-exact by the engines' contract, so scores
-      are identical to cold evaluation by construction.  One
-      ``slot_cache`` per walk also shares the engine's compiled per-round
-      firing plans across the walk.
+      states at the rounds of :meth:`_checkpoint_grid` into a per-walk
+      :class:`CheckpointCache`; the next candidate resumes from the
+      deepest state its common prefix with a cached period still covers,
+      so a move touching slot ``k`` re-simulates only rounds ``> k``.
+      Resume is bit-exact by the engines' contract, so scores are
+      identical to cold evaluation by construction.  One ``slot_cache``
+      per walk also shares the engine's compiled per-round firing plans
+      across the walk.  An engine without checkpointing runs each
+      candidate cold through ``engine.run``.
     * **bounded cutoff** — under the ``gossip_rounds`` objective a caller
       holding a complete incumbent at round ``C`` may pass ``cutoff=C``:
       the candidate's budget drops to ``C``, and a run that fails to
@@ -401,7 +390,7 @@ class _CachedObjective:
         self.robustness = robustness
         self.max_rounds = max_rounds
         self._options = _nominal_run_options(objective)
-        self._incremental = supports_checkpointing(engine)
+        self._checkpointing = supports_checkpointing(engine)
         self._slot_cache: dict = {}
         self.cache = CheckpointCache()
         self._memo: dict[PeriodKey, ObjectiveValue] = {}
@@ -433,24 +422,34 @@ class _CachedObjective:
             return self.max_rounds
         return max(4 * len(period) * self.graph.n, 16)
 
-    def _checkpoint_grid(self, budget: int) -> list[int]:
+    def _checkpoint_grid(self, budget: int, period_length: int) -> list[int]:
         """Capture rounds for one run: powers of two, densified near the scale
-        the walk actually runs at.
+        the walk actually runs at, and none past the period length.
 
         The power-of-two grid guarantees a resume from at least half of any
         shared prefix, but its gaps grow with depth while real runs end near
-        the incumbent's completion round — far below the nominal budget.  So
-        once a completion has been observed, evenly spaced captures at an
-        eighth of that horizon are added: a late-slot move then resumes
-        within ``horizon/8`` rounds of its full shared prefix instead of
-        falling back half-way.  The spacing balances per-capture snapshot
-        cost against expected re-simulated rounds; capture rounds the run
-        never reaches cost nothing.
+        the incumbent's completion round.  So once a completion has been
+        observed, evenly spaced captures at an eighth of that horizon are
+        added: a late-slot move then resumes within ``horizon/8`` rounds of
+        its full shared prefix instead of falling back half-way.  The
+        spacing balances per-capture snapshot cost against expected
+        re-simulated rounds; capture rounds the run never reaches cost
+        nothing.
+
+        No capture lands past ``period_length``.  A state after round ``r``
+        seeds a *different* period only when ``r ≤ common_prefix_length(a,
+        b) ≤ min(len(a), len(b))``, so a deeper state could only resume the
+        identical period, and no walk runs one period twice: the memo
+        answers every exact score, and a truncated period proposed again
+        within a hill walk meets a cutoff that never rises, which the bound
+        table rejects without a run.  The deeper captures were paid for and
+        never read.
         """
-        grid = set(default_checkpoint_rounds(budget))
+        last = min(budget, period_length)
+        grid = set(default_checkpoint_rounds(last))
         if self._horizon is not None:
             step = max(8, self._horizon // 8)
-            grid.update(range(step, min(budget, 2 * self._horizon) + 1, step))
+            grid.update(range(step, min(last, 2 * self._horizon) + 1, step))
         return sorted(grid)
 
     def __call__(
@@ -481,12 +480,14 @@ class _CachedObjective:
         program = RoundProgram(self.graph, period, cyclic=True, max_rounds=budget)
         self.evaluations += 1
         _t0 = time.perf_counter_ns() if self._telem else 0
-        if self._incremental:
+        if self._checkpointing:
             base, usable = self.cache.lookup(key, max_round=budget)
             run = self.engine.run_checkpointed(
                 program,
                 checkpoint_rounds=[
-                    r for r in self._checkpoint_grid(budget) if r not in usable
+                    r
+                    for r in self._checkpoint_grid(budget, len(period))
+                    if r not in usable
                 ],
                 resume_from=base,
                 slot_cache=self._slot_cache,
@@ -536,6 +537,25 @@ class _CachedObjective:
         }
 
 
+class _ColdObjective(_CachedObjective):
+    """Full-replay stand-in for :class:`_CachedObjective`: every call is
+    counted and is one cold :func:`evaluate_program` run — no memo, cutoff
+    or checkpoints.  Patched over ``repro.search.local_search._CachedObjective``
+    it replays a walk with no reuse: the oracle the tests compare cached
+    walks against, and the full-replay side of the search benchmark."""
+
+    def __call__(
+        self, rounds: Sequence[Round], *, cutoff: int | None = None
+    ) -> ObjectiveValue:
+        self.evaluations += 1
+        return evaluate_program(
+            program_for_rounds(self.graph, rounds, self.max_rounds),
+            self.engine,
+            objective=self.objective,
+            robustness=self.robustness,
+        )
+
+
 def evaluate_candidates(
     schedules: Iterable[SystolicSchedule],
     *,
@@ -543,7 +563,6 @@ def evaluate_candidates(
     max_rounds: int | None = None,
     engine: str | SimulationEngine | None = "auto",
     robustness: RobustnessSpec | None = None,
-    incremental: bool = False,
 ) -> list[ObjectiveValue]:
     """Score a batch of candidates on one resolved engine instance.
 
@@ -554,18 +573,10 @@ def evaluate_candidates(
     holds for ``robustness``: one spec means one fixed seeded fault
     distribution for the whole batch.
 
-    Under ``robust_gossip_rounds`` the non-incremental batch runs all
-    completing candidates' fault trials through the candidate-stacked
-    Monte-Carlo kernel (one tensor per graph for the whole batch) instead
-    of one kernel invocation per candidate; scores are bit-identical to
-    the per-candidate path because each candidate keeps its own seeded
-    fault sample.
-
-    ``incremental=True`` routes the batch through per-graph
-    :class:`_CachedObjective` evaluators: duplicate candidates are scored
-    once, and on checkpointable engines candidates sharing period prefixes
-    resume each other's runs mid-way.  Scores are bit-identical to the
-    plain path by the engines' resume contract.
+    Candidates go through one :class:`_CachedObjective` per graph, under
+    every objective: duplicates are scored once, and on checkpointable
+    engines candidates sharing period prefixes resume each other's runs
+    mid-way, bit-exactly by the engines' resume contract.
     """
     candidates = list(schedules)
     if not candidates:
@@ -578,41 +589,6 @@ def evaluate_candidates(
         objective=objective,
         max_rounds=max_rounds,
     )
-    if not incremental:
-        _check_objective(objective, robustness)
-        if objective == "robust_gossip_rounds":
-            programs = [
-                program_for_rounds(s.graph, s.base_rounds, max_rounds)
-                for s in candidates
-            ]
-            nominal_results = [
-                resolved.run(p, **_nominal_run_options(objective)) for p in programs
-            ]
-            # The stacked kernel wants one vertex count per invocation;
-            # batches are keyed by graph like the incremental evaluators.
-            by_graph: dict[int, list[int]] = {}
-            for i, s in enumerate(candidates):
-                by_graph.setdefault(id(s.graph), []).append(i)
-            values: list[ObjectiveValue | None] = [None] * len(candidates)
-            for indices in by_graph.values():
-                scored = _robust_scores_stacked(
-                    [programs[i] for i in indices],
-                    [nominal_results[i] for i in indices],
-                    resolved,
-                    robustness,
-                )
-                for i, value in zip(indices, scored):
-                    values[i] = value
-            return values  # type: ignore[return-value]
-        return [
-            evaluate_program(
-                program_for_rounds(s.graph, s.base_rounds, max_rounds),
-                resolved,
-                objective=objective,
-                robustness=robustness,
-            )
-            for s in candidates
-        ]
     evaluators: dict[int, _CachedObjective] = {}
     values = []
     for s in candidates:

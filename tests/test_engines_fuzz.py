@@ -20,12 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gossip.builders import random_systolic_schedule
-from repro.gossip.engines import (
-    VectorizedEngine,
-    available_engines,
-    get_engine,
-    supports_checkpointing,
-)
+from repro.gossip.engines import available_engines, get_engine, supports_checkpointing
 from repro.gossip.engines.base import RoundProgram
 from repro.gossip.model import Mode, make_round
 from repro.topologies.base import Digraph
@@ -45,38 +40,19 @@ pytestmark = pytest.mark.usefixtures("vectorized_regime")
 
 
 def check_all_engines(program: RoundProgram, options: dict, context=""):
-    reference = get_engine("reference").run(program, **options)
-    assert reference.engine_name == "reference"
-    for candidate in CANDIDATES:
-        got = get_engine(candidate).run(program, **options)
-        assert got.engine_name == candidate
-        assert_results_identical(reference, got, (context, candidate, options))
-
-
-def engine_constructions():
-    """Freshly constructed engine instances.
-
-    The registry holds one default-configured singleton per backend; a
-    fresh vectorized engine is checked besides it, so it, too, gets the
-    forced-arrivals re-check below.
-    """
-    return st.builds(lambda: [VectorizedEngine()])
-
-
-def check_constructed_engines(program: RoundProgram, engines, options: dict, context=""):
-    """Drawn-kwargs engines must match the oracle on every field — and on
-    the ``arrival_rounds`` matrix under *every* drawn tracking-flag
-    combination, so arrival tracking is re-checked with the matrix forced
-    on alongside whatever flags the strategy picked."""
-    forced = dict(options, track_arrivals=True)
-    reference = get_engine("reference").run(program, **options)
-    reference_tracked = get_engine("reference").run(program, **forced)
-    assert reference_tracked.arrival_rounds is not None
-    for engine in engines:
-        got = engine.run(program, **options)
-        assert_results_identical(reference, got, (context, engine, options))
-        tracked = engine.run(program, **forced)
-        assert_results_identical(reference_tracked, tracked, (context, engine, forced))
+    """Every candidate matches the oracle on every field, under the drawn
+    options and again with the ``arrival_rounds`` matrix forced on, so
+    arrival tracking is checked under every drawn flag combination."""
+    runs = [options]
+    if not options.get("track_arrivals"):
+        runs.append(dict(options, track_arrivals=True))
+    for run_options in runs:
+        reference = get_engine("reference").run(program, **run_options)
+        assert reference.engine_name == "reference"
+        for candidate in CANDIDATES:
+            got = get_engine(candidate).run(program, **run_options)
+            assert got.engine_name == candidate
+            assert_results_identical(reference, got, (context, candidate, run_options))
 
 
 @st.composite
@@ -186,14 +162,6 @@ def test_cycle_schedule_fuzz_agreement(n, period, seed, max_rounds):
     check_all_engines(program, {"track_history": True}, "cycle")
 
 
-@FUZZ
-@given(case=directed_programs(), engines=engine_constructions())
-def test_directed_fuzz_constructor_kwargs(case, engines):
-    """Arbitrary directed programs under drawn engine-constructor kwargs."""
-    program, options = case
-    check_constructed_engines(program, engines, options, "directed-kwargs")
-
-
 def check_resume_roundtrip(program: RoundProgram, options: dict, prefix_fraction: float, context=""):
     """Checkpoint every checkpointable engine at a drawn round prefix, resume
     on *every* checkpointable engine (cross-engine pairs included), and hold
@@ -238,75 +206,3 @@ def test_duplex_fuzz_resume_roundtrip(case, prefix_fraction):
     """Checkpoint/resume at a drawn prefix of random duplex matchings."""
     program, options = case
     check_resume_roundtrip(program, options, prefix_fraction, "duplex-resume")
-
-
-@FUZZ
-@given(case=duplex_programs(), engines=engine_constructions())
-def test_duplex_fuzz_constructor_kwargs(case, engines):
-    """Random duplex matchings under drawn engine-constructor kwargs."""
-    program, options = case
-    check_constructed_engines(program, engines, options, "duplex-kwargs")
-
-
-def check_constructed_resume_roundtrip(
-    program: RoundProgram, engines, options: dict, prefix_fraction: float, context=""
-):
-    """Resume round-trips for drawn-kwargs engine instances.
-
-    The registry round-trip tests cover the default singletons; here the
-    constructed instances (the tiled vectorized kernel included) capture a
-    drawn prefix state, resume it themselves, hand it to the reference
-    oracle, and resume a reference-captured state of the same round — all
-    bit-identical to the cold reference run.
-    """
-    reference = get_engine("reference")
-    cold = reference.run(program, **options)
-    resume_options = {k: v for k, v in options.items() if k != "initial"}
-    every = range(program.max_rounds + 1)
-    for engine in engines:
-        if not supports_checkpointing(engine):
-            continue
-        run = engine.run_checkpointed(program, checkpoint_rounds=every, **options)
-        assert_results_identical(cold, run.result, (context, engine, options))
-        if not run.checkpoints:
-            continue
-        state = run.checkpoints[
-            min(int(prefix_fraction * len(run.checkpoints)), len(run.checkpoints) - 1)
-        ]
-        resumed = engine.resume(state, program, **resume_options)
-        assert_results_identical(cold, resumed, (context, engine, "self", state.round))
-        portable = reference.resume(state, program, **resume_options)
-        assert_results_identical(cold, portable, (context, engine, "->reference", state.round))
-        ref_state = reference.run_checkpointed(
-            program, checkpoint_rounds=(state.round,), **options
-        ).checkpoints[-1]
-        back = engine.resume(ref_state, program, **resume_options)
-        assert_results_identical(cold, back, (context, engine, "reference->", ref_state.round))
-
-
-@FUZZ
-@given(
-    case=duplex_programs(),
-    engines=engine_constructions(),
-    prefix_fraction=st.floats(0.0, 1.0),
-)
-def test_duplex_fuzz_constructed_resume_roundtrip(case, engines, prefix_fraction):
-    """Drawn-kwargs engines (tiled vectorized included) through checkpoint/resume."""
-    program, options = case
-    check_constructed_resume_roundtrip(
-        program, engines, options, prefix_fraction, "duplex-kwargs-resume"
-    )
-
-
-@FUZZ
-@given(
-    case=directed_programs(),
-    engines=engine_constructions(),
-    prefix_fraction=st.floats(0.0, 1.0),
-)
-def test_directed_fuzz_constructed_resume_roundtrip(case, engines, prefix_fraction):
-    """Arbitrary directed programs under drawn-kwargs checkpoint/resume."""
-    program, options = case
-    check_constructed_resume_roundtrip(
-        program, engines, options, prefix_fraction, "directed-kwargs-resume"
-    )

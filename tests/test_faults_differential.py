@@ -185,9 +185,10 @@ def test_stacked_rejects_mismatched_vertex_counts():
 
 
 def test_robust_batch_scoring_routes_through_stacked_kernel():
-    """The non-incremental robust_gossip_rounds batch scores bit-identically
-    to per-candidate evaluation (the batch rides the stacked kernel), and
-    both equal the mean trial cost of the looped reference oracle."""
+    """The robust_gossip_rounds batch scores bit-identically to
+    per-candidate evaluation (each candidate's trials ride the stacked
+    kernel), and both equal the mean trial cost of the looped reference
+    oracle."""
     from repro.search.objective import (
         RobustnessSpec,
         evaluate_candidates,

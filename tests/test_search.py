@@ -349,6 +349,15 @@ class TestExperimentTable:
         with pytest.raises(SystemExit):
             main(["optimize", "--family", "grid", "--size", "12"])
 
+    def test_cli_optimize_has_no_incremental_flag(self, capsys):
+        """Search has one evaluation path, so there is no flag to pick it."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["optimize", "--family", "cycle", "--size", "8", "--incremental"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --incremental" in capsys.readouterr().err
+
 
 def test_program_for_rounds_budget_matches_schedule_default():
     graph = cycle_graph(8)

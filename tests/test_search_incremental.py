@@ -1,10 +1,11 @@
-"""Incremental (checkpoint-resuming) evaluation must be invisible to search.
+"""Checkpoint-resuming evaluation must be invisible to search.
 
-The incremental layer — :class:`repro.search.incremental.CheckpointCache`
-plus the cached objective evaluator behind ``incremental=True`` — promises
-that reusing engine checkpoints across candidates sharing a period prefix
-changes evaluation *cost* only, never any score or search outcome.  This
-suite pins that promise three ways:
+Search scores every candidate through the cached objective evaluator
+(:class:`repro.search.objective._CachedObjective`) and its
+:class:`repro.search.incremental.CheckpointCache`.  Memoizing scores and
+reusing engine checkpoints across candidates sharing a period prefix
+change evaluation *cost* only, never any score or search outcome.  This
+suite pins that promise four ways:
 
 * **move-chain fuzz** — random :class:`Neighborhood` walks (all engines,
   all objectives including ``robust_gossip_rounds``) must score every
@@ -13,9 +14,12 @@ suite pins that promise three ways:
   chains also pin ``first_modified_round`` / ``common_prefix_length``
   against each other;
 * **driver determinism** — seeded ``hill_climb`` / ``simulated_annealing``
-  / ``synthesize_schedule`` runs with and without ``incremental=True``
-  return bit-identical winners, objective values, improvement histories
-  and iteration counts on every engine;
+  / ``synthesize_schedule`` runs return bit-identical winners, objective
+  values, improvement histories and iteration counts on every engine when
+  a cold stand-in replaces the evaluator;
+* **search contract** — captures stop at the period length, no walk runs
+  one period twice (which is why deeper captures are never missed), and
+  a default synthesis flushes the evaluator's counters;
 * **unit semantics** — prefix arithmetic, power-of-two checkpoint rounds,
   cache LRU/agreement/round-bound rules, memoization and the bounded-
   cutoff sentinel (exact at the cutoff, ``inf`` and unmemoized beyond it).
@@ -30,6 +34,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.search.local_search
+from repro import telemetry
 from repro.faults import BernoulliArcFaults
 from repro.gossip.builders import random_systolic_schedule
 from repro.gossip.engines import get_engine
@@ -43,11 +49,12 @@ from repro.search import (
     simulated_annealing,
     synthesize_schedule,
 )
-from repro.search.incremental import default_checkpoint_rounds
+from repro.search.incremental import _MAX_PERIODS, default_checkpoint_rounds
 from repro.search.moves import common_prefix_length
 from repro.search.objective import (
     OBJECTIVES,
     _CachedObjective,
+    _ColdObjective,
     evaluate_program,
     program_for_rounds,
 )
@@ -124,71 +131,69 @@ def test_fuzz_first_modified_round_bounds_the_shared_prefix(case):
         )
 
 
+@pytest.fixture
+def cold(monkeypatch):
+    """``cold(search, *args, **kwargs)`` runs a search entry point with
+    every evaluator it builds replaced by :class:`_ColdObjective`."""
+
+    def run(search, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.search.local_search, "_CachedObjective", _ColdObjective)
+            return search(*args, **kwargs)
+
+    return run
+
+
 class TestDriverDeterminism:
-    """Incremental and full-replay searches visit identical state sequences:
-    same winner, same objective, same improvement history, same iteration
-    count — on every engine, for the same seed."""
+    """The memoizing, checkpoint-resuming evaluator and a cold run of every
+    candidate visit identical state sequences: same winner, same objective,
+    same improvement history, same iteration count — on every engine, for
+    the same seed."""
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("seed", range(3))
-    def test_hill_climb_identical(self, engine, seed):
+    def test_hill_climb_identical(self, cold, engine, seed):
         schedule = random_systolic_schedule(
             cycle_graph(9), 3, Mode.HALF_DUPLEX, seed=seed
         )
-        full = hill_climb(schedule, seed=seed, engine=engine, max_iters=60)
-        fast = hill_climb(
-            schedule, seed=seed, engine=engine, max_iters=60, incremental=True
-        )
+        full = cold(hill_climb, schedule, seed=seed, engine=engine, max_iters=60)
+        fast = hill_climb(schedule, seed=seed, engine=engine, max_iters=60)
         assert full.schedule.base_rounds == fast.schedule.base_rounds
         assert full.objective == fast.objective
         assert full.history == fast.history
         assert full.iterations == fast.iterations
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_simulated_annealing_identical(self, engine):
+    def test_simulated_annealing_identical(self, cold, engine):
         schedule = random_systolic_schedule(grid_2d(3, 3), 3, Mode.FULL_DUPLEX, seed=4)
-        full = simulated_annealing(
-            schedule, seed=11, engine=engine, max_iters=50, restarts=1
-        )
-        fast = simulated_annealing(
-            schedule, seed=11, engine=engine, max_iters=50, restarts=1, incremental=True
-        )
+        kwargs = dict(seed=11, engine=engine, max_iters=50, restarts=1)
+        full = cold(simulated_annealing, schedule, **kwargs)
+        fast = simulated_annealing(schedule, **kwargs)
         assert full.schedule.base_rounds == fast.schedule.base_rounds
         assert full.objective == fast.objective
         assert full.history == fast.history
 
     @pytest.mark.parametrize("strategy", ["hill", "anneal"])
-    def test_synthesize_schedule_identical(self, strategy):
+    def test_synthesize_schedule_identical(self, cold, strategy):
         kwargs = dict(strategy=strategy, seed=2, max_iters=50, engine="frontier")
-        full = synthesize_schedule(cycle_graph(10), Mode.HALF_DUPLEX, **kwargs)
-        fast = synthesize_schedule(
-            cycle_graph(10), Mode.HALF_DUPLEX, incremental=True, **kwargs
-        )
+        full = cold(synthesize_schedule, cycle_graph(10), Mode.HALF_DUPLEX, **kwargs)
+        fast = synthesize_schedule(cycle_graph(10), Mode.HALF_DUPLEX, **kwargs)
         assert full.schedule.base_rounds == fast.schedule.base_rounds
         assert full.objective == fast.objective
         assert full.history == fast.history
         assert full.seed_name == fast.seed_name
 
-    def test_hill_climb_identical_under_robust_objective(self):
+    def test_hill_climb_identical_under_robust_objective(self, cold):
         schedule = random_systolic_schedule(cycle_graph(8), 3, Mode.HALF_DUPLEX, seed=6)
-        spec = _robustness("robust_gossip_rounds")
-        full = hill_climb(
-            schedule,
+        kwargs = dict(
             seed=6,
             engine="frontier",
             objective="robust_gossip_rounds",
-            robustness=spec,
+            robustness=_robustness("robust_gossip_rounds"),
             max_iters=40,
         )
-        fast = hill_climb(
-            schedule,
-            seed=6,
-            engine="frontier",
-            objective="robust_gossip_rounds",
-            robustness=spec,
-            max_iters=40,
-            incremental=True,
-        )
+        full = cold(hill_climb, schedule, **kwargs)
+        fast = hill_climb(schedule, **kwargs)
         assert full.schedule.base_rounds == fast.schedule.base_rounds
         assert full.objective == fast.objective
         assert full.history == fast.history
@@ -199,9 +204,104 @@ class TestDriverDeterminism:
             random_systolic_schedule(graph, 3, Mode.HALF_DUPLEX, seed=i) for i in range(5)
         ]
         candidates.append(candidates[0])  # duplicates hit the memo
-        plain = evaluate_candidates(candidates, engine="frontier")
-        incremental = evaluate_candidates(candidates, engine="frontier", incremental=True)
-        assert plain == incremental
+        engine = get_engine("frontier")
+        cold_values = [
+            evaluate_program(program_for_rounds(graph, s.base_rounds), engine)
+            for s in candidates
+        ]
+        assert evaluate_candidates(candidates, engine="frontier") == cold_values
+
+
+class TestSearchContract:
+    """What makes the one evaluation path lossless and observable."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_captures_stop_at_the_period_length(self, engine):
+        """Every cached state lies within its period, and a last-slot move
+        still resumes from the deepest state its shared prefix allows."""
+        graph = cycle_graph(9)
+        evaluator = _CachedObjective(graph, get_engine(engine))
+        period = tuple(
+            random_systolic_schedule(graph, 5, Mode.HALF_DUPLEX, seed=1).base_rounds
+        )
+        evaluator(period)
+        mutated = period[:-1] + (period[0],)
+        assert mutated != period
+        evaluator(mutated)
+        assert evaluator.cache.hits == 1
+        assert evaluator.cache.reused_rounds == len(period) - 1
+        rng = random.Random(3)
+        moves = Neighborhood(graph, Mode.HALF_DUPLEX)
+        current = mutated
+        for _ in range(20):
+            current = moves.propose(current, rng)
+            evaluator(current)
+        assert len(evaluator.cache) > 1
+        for key, states in evaluator.cache._entries.items():
+            assert max(states) <= len(key.period), (engine, sorted(states))
+
+    @pytest.mark.parametrize("strategy", ["hill", "anneal"])
+    def test_no_period_reaches_the_engine_twice_in_one_walk(self, monkeypatch, strategy):
+        """Deeper captures could only resume the identical period, and no
+        walk runs one period twice.  Keyed by evaluator object: ``id()``s
+        are reused across a synthesis's passes."""
+        runs: dict[_CachedObjective, list] = {}
+
+        class Recording(_CachedObjective):
+            def __call__(self, rounds, *, cutoff=None):
+                before = self.evaluations
+                value = super().__call__(rounds, cutoff=cutoff)
+                if self.evaluations > before:
+                    runs.setdefault(self, []).append(tuple(rounds))
+                return value
+
+        monkeypatch.setattr(repro.search.local_search, "_CachedObjective", Recording)
+        instances = ((cycle_graph(16), Mode.HALF_DUPLEX), (grid_2d(3, 4), Mode.FULL_DUPLEX))
+        for graph, mode in instances:
+            synthesize_schedule(
+                graph, mode, strategy=strategy, seed=7, max_iters=80, restarts=2
+            )
+        walks = [periods for evaluator, periods in runs.items() if len(periods) > 1]
+        assert len(walks) >= 4
+        for periods in walks:
+            assert len(set(periods)) == len(periods)
+
+    @pytest.mark.parametrize("strategy", ["hill", "anneal"])
+    def test_default_synthesis_flushes_evaluator_counters(self, strategy):
+        """Seed scoring and every pass report ``search.incremental``
+        counters, and their evaluations add up to the result's."""
+        recorder = telemetry.StatsRecorder()
+        with telemetry.recording(recorder):
+            result = synthesize_schedule(
+                cycle_graph(12), Mode.HALF_DUPLEX, strategy=strategy, seed=1, max_iters=40
+            )
+        counters = recorder.stats.counters["search.incremental"]
+        assert counters["evaluations"] == result.evaluations > 0
+        assert counters["checkpoint_hits"] + counters["checkpoint_misses"] > 0
+        assert recorder.stats.histograms["search.eval_ns"].count == result.evaluations
+
+    def test_engine_without_checkpointing_runs_candidates_cold(self):
+        """A backend with ``run`` only takes the evaluator's cold fallback:
+        the same walk as a checkpointing backend, with no cache traffic."""
+
+        class RunOnly:
+            name = "run-only"
+
+            def run(self, program, **options):
+                return get_engine("reference").run(program, **options)
+
+        schedule = random_systolic_schedule(cycle_graph(9), 3, Mode.HALF_DUPLEX, seed=1)
+        recorder = telemetry.StatsRecorder()
+        with telemetry.recording(recorder):
+            plain = hill_climb(schedule, seed=1, engine=RunOnly(), max_iters=40)
+        resumed = hill_climb(schedule, seed=1, engine="reference", max_iters=40)
+        assert plain.schedule.base_rounds == resumed.schedule.base_rounds
+        assert plain.objective.score == resumed.objective.score
+        assert plain.objective.engine_name == "run-only"
+        assert plain.history == resumed.history
+        assert plain.evaluations == resumed.evaluations
+        counters = recorder.stats.counters["search.incremental"]
+        assert counters["checkpoint_hits"] == counters["checkpoint_misses"] == 0
 
 
 class TestCachedObjective:
@@ -312,10 +412,6 @@ class TestCheckpointCache:
             track_arrivals=False,
         )
 
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            CheckpointCache(max_periods=0)
-
     def test_lookup_miss_on_empty_cache(self):
         cache = CheckpointCache()
         deepest, usable = cache.lookup(((0, 1),))
@@ -353,14 +449,14 @@ class TestCheckpointCache:
         assert deepest.round == 2
 
     def test_lru_eviction_keeps_recent_periods(self):
-        cache = CheckpointCache(max_periods=2)
-        p1, p2, p3 = (((0, 1),),), (((1, 2),),), (((2, 3),),)
-        cache.record(p1, [self._state(1)])
-        cache.record(p2, [self._state(1)])
-        cache.record(p3, [self._state(1)])  # evicts p1
-        assert len(cache) == 2
-        assert cache.lookup(p1)[0] is None
-        assert cache.lookup(p3)[0] is not None
+        cache = CheckpointCache()
+        periods = [(((0, i + 1),),) for i in range(_MAX_PERIODS + 1)]
+        for period in periods:
+            cache.record(period, [self._state(1)])  # the last one evicts the first
+        assert len(cache) == _MAX_PERIODS
+        assert cache.lookup(periods[0])[0] is None
+        assert cache.lookup(periods[1])[0] is not None
+        assert cache.lookup(periods[-1])[0] is not None
 
     def test_record_merges_states_under_one_period(self):
         cache = CheckpointCache()

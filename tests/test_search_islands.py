@@ -60,8 +60,8 @@ def test_worker_count_never_changes_the_result(strategy):
 
 
 def test_worker_count_never_changes_incremental_robust_result():
-    """The contract holds with incremental evaluation and the robust
-    objective threaded through the workers."""
+    """The contract holds with the robust objective threaded through the
+    workers."""
     graph = grid_2d(3, 3)
     spec = RobustnessSpec(BernoulliArcFaults(0.15), trials=4, seed=2)
     runs = [
@@ -73,7 +73,6 @@ def test_worker_count_never_changes_incremental_robust_result():
             robustness=spec,
             seed=5,
             max_iters=15,
-            incremental=True,
             workers=workers,
         )
         for workers in (1, 2)
@@ -202,12 +201,12 @@ def test_island_telemetry_conservation_across_worker_counts():
 def test_incremental_island_search_records_seed_scoring():
     """The seed portfolio's scoring is flushed with the islands' own work:
     every evaluation the result reports left one ``search.eval_ns`` sample
-    and one incremental-evaluator count."""
+    and one evaluator count."""
     recorder = telemetry.StatsRecorder()
     with telemetry.recording(recorder):
         result = run_island_search(
             cycle_graph(12), Mode.HALF_DUPLEX, strategy="hill",
-            seed=3, max_iters=40, workers=1, incremental=True,
+            seed=3, max_iters=40, workers=1,
         )
     stats = recorder.stats
     assert stats.histograms["search.eval_ns"].count == result.evaluations

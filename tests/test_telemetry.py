@@ -361,9 +361,7 @@ def test_incremental_search_reports_checkpoint_reuse():
     schedule = edge_coloring_schedule(cycle_graph(16), Mode.HALF_DUPLEX)
     recorder = telemetry.StatsRecorder()
     with telemetry.recording(recorder):
-        hill_climb(
-            schedule, seed=0, engine="frontier", max_iters=25, incremental=True
-        )
+        hill_climb(schedule, seed=0, engine="frontier", max_iters=25)
     stats = recorder.stats
     assert stats.counter("search.incremental", "evaluations") > 0
     hits = stats.counter("search.incremental", "checkpoint_hits")

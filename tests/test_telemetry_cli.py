@@ -3,7 +3,7 @@
 Every test drives :func:`repro.cli.main` in-process, so the suite covers
 the real flag plumbing (global ``--trace``/``-v``/``-q``, per-command
 ``--metrics``, the ``stats`` subcommand and its Chrome export) and the
-acceptance contract: a traced ``optimize --incremental`` run emits a
+acceptance contract: a traced ``optimize`` run emits a
 schema-valid JSONL stream whose spans and counters cover engine-resolution
 rationale, checkpoint reuse and per-phase wall time — while printing output
 bit-identical to the untraced run.
@@ -28,7 +28,6 @@ OPTIMIZE_ARGS = [
     "8",
     "--iterations",
     "30",
-    "--incremental",
     "--engine",
     "frontier",
 ]
@@ -60,7 +59,7 @@ def test_traced_optimize_output_identical_and_trace_valid(tmp_path, capsys):
     resolves = [e for e in stats.events if e.name == "engine.resolve"]
     assert resolves and all(e.attrs["rationale"] for e in resolves)
 
-    # Checkpoint-reuse counters from the incremental evaluator.
+    # Checkpoint-reuse counters from the search evaluator.
     assert stats.counter("search.incremental", "evaluations") > 0
     hits = stats.counter("search.incremental", "checkpoint_hits")
     misses = stats.counter("search.incremental", "checkpoint_misses")
