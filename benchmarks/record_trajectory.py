@@ -1,35 +1,31 @@
-"""Record one dated performance data point in the JSON trajectory.
+"""Record one row of repository-benchmark results in the JSON trajectory.
 
 Usage (from the repository root)::
 
-    PYTHONPATH=src python benchmarks/record_trajectory.py
+    python benchmarks/record_trajectory.py [--output PATH]
 
-Runs a compact battery — one plain and one arrival-tracked engine row, one
-hill climb, one two-worker island search, one batched and one
-candidate-stacked Monte-Carlo run — each section under its **own**
-in-memory :class:`repro.telemetry.StatsRecorder`, and records a row of
-the form ::
+Runs every workload that ``BENCHMARK.json`` declares once through its
+``command`` (``perfbench/run.py --workload W --seed 1 --seconds
+<run_seconds> --trace 0``: several fresh-process passes, host-speed
+corrected, outputs checked against oracles) and appends one row ::
 
-    {"date": "2026-08-07", "rev": "1324a2b", "sections": {...},
-     "telemetry": {...}}
+    {"date": "2026-10-18", "rev": "fa0fd3a",
+     "host": {"cpu": ..., "nproc": 2, "python": "3.12.3", "numpy": "2.4.6"},
+     "source_sha256": "…",
+     "workloads": {"simulate-large": {"wall_s": {"value": 4.5, "unit": "s",
+                                                 "better": "lower", "bound": 0.25},
+                                      ...}, ...}}
 
 to ``BENCH_trajectory.json`` at the repository root (``--output``
-overrides the path).  Each section carries its own wall-clock timing, its
-flushed telemetry counters (work actually performed — rounds simulated,
-window elements routed, checkpoint reuse, Monte-Carlo batches) and its
-histogram bucket maps, so ``repro-gossip report``/``compare`` and the
-regression detector (:mod:`repro.telemetry.regress`) can tell a timing
-shift apart from a workload shift per section.  The top-level ``telemetry`` block
-keeps the across-section counter totals the earlier trajectory format
-carried.
+overrides the path).  The host fingerprint and the result come from the
+last two lines of each run's standard output; ``better`` and ``bound``
+come from the ``end_to_end`` list of ``BENCHMARK.json``.  ``rev`` is the
+checked-out commit, with a ``+`` when tracked files differ from it.
 
-Re-running on one day replaces that day's row — the trajectory holds at
-most one observation per date.
-
-The battery is deliberately much smaller than the full ``bench_*``
-scripts: the point is a cheap, committable trajectory of the same code
-paths, not a regression gate — the gates live in the
-``perf_regression``-marked benchmarks.
+A re-run at the same rev on the same host replaces that row.  A workload
+whose result reads ``correct: false`` appends nothing and exits 1.
+:mod:`repro.telemetry.regress` gates the rows per host, and
+``python -m repro report`` / ``compare`` read them.
 """
 
 from __future__ import annotations
@@ -40,46 +36,19 @@ import json
 import os
 import subprocess
 import sys
-import time
 
-from repro import telemetry
-from repro.faults import BernoulliArcFaults, monte_carlo, monte_carlo_stacked
-from repro.gossip.engines import get_engine
-from repro.gossip.engines.base import RoundProgram
-from repro.gossip.model import Mode
-from repro.protocols.generic import coloring_systolic_schedule
-from repro.search import hill_climb, run_island_search
-from repro.topologies.classic import cycle_graph, grid_2d
-
-#: Battery sizes: big enough that the measured loops dominate interpreter
-#: startup, small enough that one data point costs seconds.
-ENGINE_N = 1024
-SEARCH_N = 128
-SEARCH_ITERS = 30
-ISLANDS_WORKERS = 2
-FAULTS_N = 256
-FAULTS_TRIALS = 64
-STACKED_CANDIDATES = 4
-
-DEFAULT_OUTPUT = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), os.pardir, "BENCH_trajectory.json"
-)
-
-
-def _timed(fn):
-    start = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - start, result
+ROOT = os.path.abspath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
+DEFAULT_OUTPUT = os.path.join(ROOT, "BENCH_trajectory.json")
 
 
 def _git_rev() -> str:
-    """Short git revision of the repo this file lives in (or "unknown")."""
+    """Short commit of this checkout, ``+`` when dirty (or "unknown")."""
     try:
         proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "describe", "--always", "--dirty=+", "--exclude=*"],
             capture_output=True,
             text=True,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
+            cwd=ROOT,
             timeout=10,
         )
     except OSError:  # pragma: no cover - git missing entirely
@@ -88,182 +57,99 @@ def _git_rev() -> str:
     return rev if proc.returncode == 0 and rev else "unknown"
 
 
-def _engine_section(options: dict) -> dict:
-    """One single-shot row on C(ENGINE_N), per backend."""
-    schedule = coloring_systolic_schedule(cycle_graph(ENGINE_N), Mode.HALF_DUPLEX)
-    program = RoundProgram.from_schedule(schedule)
-    seconds = {}
-    for name in ("vectorized", "frontier"):
-        engine = get_engine(name)
-        seconds[name], _ = _timed(
-            lambda e=engine: e.run(program, track_history=False, **options)
-        )
-    best = min(seconds, key=seconds.get)
-    return {
-        "instance": f"C({ENGINE_N})",
-        "seconds": seconds,
-        "best_engine": best,
-        "best_seconds": seconds[best],
-    }
+def load_spec() -> dict:
+    """The repository's ``BENCHMARK.json``."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return json.load(fh)
 
 
-def _search_section() -> dict:
-    """Frontier hill climb on C(SEARCH_N)."""
-    schedule = coloring_systolic_schedule(cycle_graph(SEARCH_N), Mode.HALF_DUPLEX)
-    seconds, result = _timed(
-        lambda: hill_climb(schedule, seed=0, engine="frontier", max_iters=SEARCH_ITERS)
-    )
-    return {
-        "instance": f"C({SEARCH_N})",
-        "iters": SEARCH_ITERS,
-        "seconds": seconds,
-        "evaluations": result.evaluations,
-        "evals_per_second": result.evaluations / seconds,
-        "objective": result.objective.score,
-    }
+def run_workload(spec: dict, name: str) -> str:
+    """One benchmark run of workload ``name``; its standard output."""
+    command = [
+        *spec["command"],
+        "--workload", name,
+        "--seed", "1",
+        "--seconds", str(spec["run_seconds"]),
+        "--trace", "0",
+    ]
+    proc = subprocess.run(command, cwd=ROOT, stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{name}: benchmark exited {proc.returncode}; nothing recorded")
+    return proc.stdout
 
 
-def _islands_section() -> dict:
-    """Two-worker island hill climb on C(SEARCH_N)."""
-    seconds, result = _timed(
-        lambda: run_island_search(
-            cycle_graph(SEARCH_N),
-            Mode.HALF_DUPLEX,
-            strategy="hill",
-            seed=0,
-            max_iters=SEARCH_ITERS,
-            workers=ISLANDS_WORKERS,
-        )
-    )
-    return {
-        "instance": f"C({SEARCH_N})",
-        "iters": SEARCH_ITERS,
-        "workers": ISLANDS_WORKERS,
-        "seconds": seconds,
-        "evaluations": result.evaluations,
-        "evals_per_second": result.evaluations / seconds,
-        "objective": result.objective.score,
-    }
+def parse_output(stdout: str) -> tuple[dict, dict]:
+    """``(host fingerprint, result)`` from the last two lines of a run."""
+    lines = stdout.strip().splitlines()
+    if len(lines) < 2 or not lines[-2].startswith("host "):
+        raise ValueError("benchmark output does not end with a host line and a result line")
+    return json.loads(lines[-2][len("host "):]), json.loads(lines[-1])
 
 
-def _faults_section() -> dict:
-    """Batched Bernoulli Monte-Carlo on C(FAULTS_N)."""
-    schedule = coloring_systolic_schedule(cycle_graph(FAULTS_N), Mode.HALF_DUPLEX)
-    model = BernoulliArcFaults(0.05)
-    seconds, result = _timed(
-        lambda: monte_carlo(
-            schedule, model, trials=FAULTS_TRIALS, seed=0, method="batched"
-        )
-    )
-    return {
-        "instance": f"C({FAULTS_N})",
-        "model": model.name,
-        "trials": FAULTS_TRIALS,
-        "seconds": seconds,
-        "trials_per_second": FAULTS_TRIALS / seconds,
-        "completion_rate": result.completion_rate,
-    }
+def build_row(
+    spec: dict, run=run_workload, date: str | None = None, rev: str | None = None
+) -> dict:
+    """Run every workload through ``run`` and build one row (no I/O).
 
-
-def _stacked_faults_section() -> dict:
-    """Candidate-stacked Bernoulli Monte-Carlo over a mixed portfolio."""
-    side = int(FAULTS_N**0.5)
-    candidates = [
-        coloring_systolic_schedule(cycle_graph(FAULTS_N), Mode.HALF_DUPLEX),
-        coloring_systolic_schedule(cycle_graph(FAULTS_N), Mode.FULL_DUPLEX),
-        coloring_systolic_schedule(grid_2d(side, side), Mode.HALF_DUPLEX),
-        coloring_systolic_schedule(grid_2d(side, side), Mode.FULL_DUPLEX),
-    ][:STACKED_CANDIDATES]
-    model = BernoulliArcFaults(0.05)
-    seconds, results = _timed(
-        lambda: monte_carlo_stacked(
-            candidates, model, trials=FAULTS_TRIALS, seed=0
-        )
-    )
-    trials = FAULTS_TRIALS * len(candidates)
-    return {
-        "instance": f"C({FAULTS_N}) + grid {side}x{side}",
-        "model": model.name,
-        "candidates": len(candidates),
-        "trials": trials,
-        "seconds": seconds,
-        "trials_per_second": trials / seconds,
-        "completion_rate": min(result.completion_rate for result in results),
-    }
-
-
-#: The battery, in recorded order: section name -> zero-arg producer.
-SECTIONS = (
-    ("plain_gossip", lambda: _engine_section({})),
-    ("tracked_arrivals", lambda: _engine_section({"track_arrivals": True})),
-    ("incremental_hill_climb", _search_section),
-    ("island_search", _islands_section),
-    ("batched_montecarlo", _faults_section),
-    ("stacked_montecarlo", _stacked_faults_section),
-)
-
-
-def _recorded_section(producer) -> dict:
-    """Run one section under its own recorder; attach counters/histograms."""
-    recorder = telemetry.StatsRecorder()
-    with telemetry.recording(recorder):
-        section = producer()
-    stats = recorder.stats
-    assert stats is not None
-    section["counters"] = {
-        f"{component}.{name}": value
-        for component, counts in sorted(stats.counters.items())
-        for name, value in sorted(counts.items())
-    }
-    section["histograms"] = {
-        name: {str(index): count for index, count in sorted(hist.buckets.items())}
-        for name, hist in sorted(stats.histograms.items())
-    }
-    return section
-
-
-def build_entry(date: str | None = None, rev: str | None = None) -> dict:
-    """Run the battery and build one trajectory row (no I/O)."""
-    sections = {name: _recorded_section(producer) for name, producer in SECTIONS}
-    totals: dict[str, int] = {}
-    for section in sections.values():
-        for name, value in section["counters"].items():
-            totals[name] = totals.get(name, 0) + value
+    Raises ``SystemExit`` as soon as a workload reads ``correct: false``
+    or the runs disagree on the host or the source.
+    """
+    declared = {m["name"]: m for m in spec["end_to_end"]}
+    fingerprint = None
+    workloads = {}
+    for workload in spec["workloads"]:
+        name = workload["name"]
+        host, result = parse_output(run(spec, name))
+        if not result["correct"]:
+            raise SystemExit(
+                f"{name}: correct is false ({result['failed']} of "
+                f"{result['attempted']} jobs failed); nothing recorded"
+            )
+        # The fields that decide whether two rows' timings compare.
+        machine = {field: host[field] for field in ("cpu", "nproc", "python", "numpy")}
+        key = (machine, host["source_sha256"])
+        if fingerprint not in (None, key):
+            raise SystemExit(f"{name}: ran on another host or source; nothing recorded")
+        fingerprint = key
+        workloads[name] = {
+            metric: {
+                "value": measured["value"],
+                "unit": measured["unit"],
+                "better": declared[metric]["better"],
+                "bound": declared[metric]["bound"],
+            }
+            for metric, measured in result["metrics"].items()
+        }
     return {
         "date": date or datetime.date.today().isoformat(),
         "rev": rev or _git_rev(),
-        "sections": sections,
-        "telemetry": totals,
+        "host": fingerprint[0],
+        "source_sha256": fingerprint[1],
+        "workloads": workloads,
     }
 
 
-def append_entry(entry: dict, output: str) -> None:
-    """Write ``entry`` into the trajectory list, replacing its date's row."""
+def append_row(row: dict, output: str) -> None:
+    """Write ``row`` into the trajectory, replacing its rev's row on its host."""
     trajectory: list = []
     if os.path.exists(output):
         with open(output) as fh:
             trajectory = json.load(fh)
         if not isinstance(trajectory, list):
             raise SystemExit(f"{output} does not hold a JSON list; refusing to append")
-    # At most one observation per date: a same-day re-run replaces the
-    # earlier row instead of appending a duplicate.
-    trajectory = [row for row in trajectory if row.get("date") != entry["date"]]
-    trajectory.append(entry)
+    trajectory = [
+        old for old in trajectory
+        if (old.get("rev"), old.get("host")) != (row["rev"], row["host"])
+    ]
+    trajectory.append(row)
     with open(output, "w") as fh:
         json.dump(trajectory, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def record_point(output: str) -> dict:
-    """Run the battery; write the JSON row; return the row."""
-    entry = build_entry()
-    append_entry(entry, output)
-    return entry
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Record one dated benchmark data point in the JSON trajectory."
+        description="Record one row of repository-benchmark results in the JSON trajectory."
     )
     parser.add_argument(
         "--output",
@@ -271,14 +157,14 @@ def main(argv=None) -> int:
         help="trajectory file to append to (default: BENCH_trajectory.json at the repo root)",
     )
     args = parser.parse_args(argv)
-    entry = record_point(args.output)
-    best = {
-        name: section.get("best_seconds", section.get("seconds"))
-        for name, section in entry["sections"].items()
-    }
-    print(f"recorded {entry['date']} ({entry['rev']}) -> {os.path.abspath(args.output)}")
-    for name, seconds in best.items():
-        print(f"  {name}: {seconds:.4f}s")
+    row = build_row(load_spec())
+    append_row(row, args.output)
+    print(f"recorded {row['date']} ({row['rev']}) -> {os.path.abspath(args.output)}")
+    for name, metrics in row["workloads"].items():
+        values = "  ".join(
+            f"{metric} {m['value']:.4g} {m['unit']}" for metric, m in metrics.items()
+        )
+        print(f"  {name}: {values}")
     return 0
 
 

@@ -1,9 +1,8 @@
 """Setup shim.
 
-All metadata lives in ``pyproject.toml``; this file only exists so that
-``pip install -e . --no-build-isolation`` works on offline machines whose
-setuptools lacks the ``wheel`` package required by PEP 660 editable builds
-(pip then falls back to the legacy ``setup.py develop`` route).
+The repository declares no packaging metadata, so this ``setup()`` call
+installs no package and no console script.  Run everything from a checkout
+instead: ``PYTHONPATH=src python -m repro <command>``.
 """
 
 from setuptools import setup

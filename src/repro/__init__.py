@@ -31,6 +31,14 @@ Quick start::
     wbf = separator_lower_bound(alpha, ell, 4)  # 2.0218... for WBF(2, D)
 """
 
+import numpy as _np
+
+if not hasattr(_np, "bitwise_count"):  # added in NumPy 2.0
+    raise ImportError(
+        f"repro requires NumPy >= 2.0, found {getattr(_np, '__version__', 'unknown')}"
+    )
+del _np
+
 from repro.core.certificates import LowerBoundCertificate, certify_protocol
 from repro.core.delay import DelayDigraph
 from repro.core.full_duplex import full_duplex_general_bound, full_duplex_separator_bound

@@ -1,32 +1,32 @@
 """Command-line interface: regenerate any of the paper's tables.
 
-Usage (after ``pip install -e .``)::
+Usage, from the repository root (nothing is installed)::
 
-    repro-gossip fig4                 # the general systolic bound table
-    repro-gossip fig5                 # separator-refined systolic bounds
-    repro-gossip fig6                 # non-systolic bounds per topology
-    repro-gossip fig8                 # full-duplex bounds
-    repro-gossip structure            # the Fig. 1-3 / Fig. 7 matrices
-    repro-gossip sandwich             # certified vs. measured on instances
-    repro-gossip broadcast            # batched multi-source broadcast sweep
-    repro-gossip search               # synthesized schedules vs. bounds table
-    repro-gossip optimize --family cycle --size 12
-                                      # synthesize one schedule + certify gap
-    repro-gossip robustness --family cycle --size 64 --model bernoulli --p 0.1
-                                      # Monte-Carlo fault-injection analysis
-    repro-gossip all                  # everything (the EXPERIMENTS.md source)
+    PYTHONPATH=src python -m repro fig4       # the general systolic bound table
+    PYTHONPATH=src python -m repro fig5       # separator-refined systolic bounds
+    PYTHONPATH=src python -m repro fig6       # non-systolic bounds per topology
+    PYTHONPATH=src python -m repro fig8       # full-duplex bounds
+    PYTHONPATH=src python -m repro structure  # the Fig. 1-3 / Fig. 7 matrices
+    PYTHONPATH=src python -m repro sandwich   # certified vs. measured on instances
+    PYTHONPATH=src python -m repro broadcast  # batched multi-source broadcast sweep
+    PYTHONPATH=src python -m repro search     # synthesized schedules vs. bounds table
+    PYTHONPATH=src python -m repro optimize --family cycle --size 12
+                                              # synthesize one schedule + certify gap
+    PYTHONPATH=src python -m repro robustness --family cycle --size 64 --model bernoulli --p 0.1
+                                              # Monte-Carlo fault-injection analysis
+    PYTHONPATH=src python -m repro all        # everything (the EXPERIMENTS.md source)
 
-or equivalently ``python -m repro <command>``.  Simulation-backed commands
-take ``--engine {auto,frontier,reference,vectorized,...}`` to pin the
-simulation backend (the ``REPRO_SIM_ENGINE`` environment variable overrides
-``auto`` globally); the choices are drawn live from the engine registry, so
-newly registered backends appear automatically.
+Simulation-backed commands take ``--engine {auto,frontier,reference,
+vectorized,...}`` to pin the simulation backend (the ``REPRO_SIM_ENGINE``
+environment variable overrides ``auto`` globally); the choices are drawn
+live from the engine registry, so newly registered backends appear
+automatically.
 
 Telemetry and logging
 ---------------------
 ``--trace PATH`` (or the ``REPRO_TRACE`` environment variable) streams the
 run's spans, counters and events as JSONL through
-:class:`repro.telemetry.JsonlRecorder`; ``repro-gossip stats TRACE.jsonl``
+:class:`repro.telemetry.JsonlRecorder`; ``python -m repro stats TRACE.jsonl``
 summarises such a file (``--chrome OUT.json`` converts it to the Chrome
 trace-event format for Perfetto / ``chrome://tracing``).  ``--metrics`` on
 ``optimize``/``robustness``/``broadcast`` records in memory and prints the
@@ -93,9 +93,9 @@ FAULT_MODELS = ("bernoulli", "crash", "adversarial")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser for the ``repro-gossip`` entry point."""
+    """The argument parser for ``python -m repro``."""
     parser = argparse.ArgumentParser(
-        prog="repro-gossip",
+        prog="python -m repro",
         description="Regenerate the tables of 'Lower bounds on systolic gossip'.",
     )
     parser.add_argument(
@@ -292,26 +292,20 @@ def build_parser() -> argparse.ArgumentParser:
         "(loadable in Perfetto / chrome://tracing)",
     )
     report = sub.add_parser(
-        "report", help="summarise the benchmark trajectory and flag perf anomalies"
-    )
-    report.add_argument(
-        "--section", default=None, help="restrict to one benchmark section"
+        "report", help="list the benchmark trajectory's rows and same-host regressions"
     )
     report.add_argument(
         "--last",
         type=int,
         default=5,
-        help="recorded runs to show per section (default 5)",
+        help="recorded runs to show per workload (default 5)",
     )
     _add_trajectory_flag(report)
     compare = sub.add_parser(
-        "compare", help="compare two recorded revisions in the benchmark trajectory"
+        "compare", help="compare two recorded revisions measured on one host"
     )
     compare.add_argument("rev1", help="baseline revision (as recorded in the trajectory)")
     compare.add_argument("rev2", help="revision to compare against the baseline")
-    compare.add_argument(
-        "--section", default=None, help="restrict to one benchmark section"
-    )
     _add_trajectory_flag(compare)
     everything = sub.add_parser("all", help="run every experiment (EXPERIMENTS.md source)")
     _add_engine_flag(everything)
@@ -553,92 +547,106 @@ def _run_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trajectory_sections(args: argparse.Namespace):
-    """Per-section observations of ``--trajectory`` (``--section`` only when
-    given), or ``None`` after printing why the file cannot be read."""
-    from repro.telemetry.regress import read_trajectory, trajectory_observations
+def _trajectory_rows(args: argparse.Namespace):
+    """The rows of ``--trajectory``, or ``None`` after printing why the file
+    cannot be read."""
+    from repro.telemetry.regress import read_trajectory
 
     try:
-        observations = trajectory_observations(read_trajectory(args.trajectory))
+        return read_trajectory(args.trajectory)
     except (OSError, ValueError) as exc:
         print(f"cannot read trajectory: {exc}", file=sys.stderr)
         return None
-    if args.section is not None:
-        return {args.section: observations.get(args.section, [])}
-    return dict(sorted(observations.items()))
+
+
+def _host_line(host: dict) -> str:
+    return ", ".join(f"{field} {value}" for field, value in sorted(host.items()))
 
 
 def _run_report(args: argparse.Namespace) -> int:
-    """The ``report`` subcommand: per-section trajectory history + anomalies."""
-    from repro.telemetry.regress import analyze_sections
+    """The ``report`` subcommand: each workload's last rows, then the findings."""
+    from repro.telemetry.regress import analyze_trajectory, host_key
 
-    sections = _trajectory_sections(args)
-    if sections is None:
+    rows = _trajectory_rows(args)
+    if rows is None:
         return 1
-    if not sections:
+    if not rows:
         print(f"trajectory {args.trajectory}: no recorded runs yet")
         return 0
-    for name, series in sections.items():
-        rows = series[-args.last :] if args.last > 0 else []
-        if not rows:
-            print(f"section {name}: no recorded runs")
-            continue
-        print(f"section {name}")
-        print(f"  {'date':<12}{'rev':<12}{'seconds':>10}  counters")
-        for row in rows:
-            seconds = "-" if row.seconds is None else f"{row.seconds:.4f}"
-            print(f"  {row.date:<12}{row.rev:<12}{seconds:>10}  {len(row.counters)}")
+    hosts = {key: row["host"] for row in rows if (key := host_key(row))}
+    labels = {key: f"h{index}" for index, key in enumerate(hosts, 1)}
+    workloads = dict.fromkeys(name for row in rows for name in row.get("workloads", {}))
+    for workload in workloads:
+        recorded = [row for row in rows if workload in row.get("workloads", {})]
+        shown = recorded[-args.last :] if args.last > 0 else []
+        metrics = dict.fromkeys(name for row in shown for name in row["workloads"][workload])
+        print(f"workload {workload}")
+        print(f"  {'date':<12}{'rev':<10}{'host':<6}" + "".join(f"{m:>14}" for m in metrics))
+        for row in shown:
+            cells = row["workloads"][workload]
+            values = "".join(
+                f"{cells[m]['value']:>14.4g}" if m in cells else f"{'-':>14}" for m in metrics
+            )
+            label = labels.get(host_key(row), "-")
+            print(f"  {row.get('date', '?'):<12}{row.get('rev', '?'):<10}{label:<6}{values}")
         print()
-    findings = analyze_sections(sections)
-    if findings:
-        for finding in findings:
-            print(finding.format())
-    else:
-        print("no anomalies detected")
+    for key, host in hosts.items():
+        print(f"host {labels[key]}: {_host_line(host)}")
+    for row in rows:
+        if host_key(row) is None:
+            print(f"row {row.get('date', '?')} {row.get('rev', '?')}: no host, never compared")
+    findings = analyze_trajectory(rows)
+    for finding in findings:
+        print(finding.format())
+    if not findings:
+        print("no regressions")
     return 0
 
 
 def _run_compare(args: argparse.Namespace) -> int:
-    """The ``compare`` subcommand: latest rows of two revisions, side by side."""
-    from repro.telemetry.regress import COUNTER_THRESHOLD
+    """The ``compare`` subcommand: two revisions' same-host rows side by side."""
+    from repro.telemetry.regress import host_key
 
-    sections = _trajectory_sections(args)
-    if sections is None:
+    rows = _trajectory_rows(args)
+    if rows is None:
         return 1
-    known = list(dict.fromkeys(obs.rev for series in sections.values() for obs in series))
+    known = list(dict.fromkeys(row.get("rev") for row in rows))
     for rev in (args.rev1, args.rev2):
         if rev not in known:
             print(
                 f"revision {rev!r} has no recorded runs in {args.trajectory}"
-                + (f" (known: {', '.join(known)})" if known else " (empty trajectory)"),
+                + (f" (known: {', '.join(map(str, known))})" if known else " (empty trajectory)"),
                 file=sys.stderr,
             )
             return 1
-    compared = 0
-    for name, series in sections.items():
-        left_rows = [obs for obs in series if obs.rev == args.rev1]
-        right_rows = [obs for obs in series if obs.rev == args.rev2]
-        if not left_rows or not right_rows:
-            continue
-        left, right = left_rows[-1], right_rows[-1]
-        compared += 1
-        print(f"section {name}")
-        if left.seconds and right.seconds:
-            ratio = right.seconds / left.seconds
-            print(f"  seconds: {left.seconds:.4f} -> {right.seconds:.4f}  ({ratio:.2f}x)")
-        for counter in sorted(set(left.counters) & set(right.counters)):
-            before, after = left.counters[counter], right.counters[counter]
-            if before and after and (
-                after / before > COUNTER_THRESHOLD or before / after > COUNTER_THRESHOLD
-            ):
-                print(f"  {counter}: {before} -> {after}  ({after / before:.2f}x)")
-        print()
-    if not compared:
+    after_row = [row for row in rows if row.get("rev") == args.rev2][-1]
+    host = host_key(after_row)
+    before_rows = [row for row in rows if row.get("rev") == args.rev1 and host_key(row) == host]
+    if host is None or not before_rows:
         print(
-            f"no section recorded under both {args.rev1!r} and {args.rev2!r}",
+            f"no rows of {args.rev1!r} and {args.rev2!r} from one host: "
+            "timings from different hosts do not compare",
             file=sys.stderr,
         )
         return 1
+    before_row = before_rows[-1]
+    shared = [w for w in after_row["workloads"] if w in before_row.get("workloads", {})]
+    if not shared:
+        print(f"no workload recorded under both {args.rev1!r} and {args.rev2!r}", file=sys.stderr)
+        return 1
+    print(f"{args.rev1} -> {args.rev2} on {_host_line(after_row['host'])}")
+    for workload in shared:
+        print(f"workload {workload}")
+        for name, after in after_row["workloads"][workload].items():
+            before = before_row["workloads"][workload].get(name)
+            if not before or before["value"] <= 0:
+                continue
+            old, new = before["value"], after["value"]
+            print(
+                f"  {name:<14}{old:>12.4g} -> {new:<12.4g}{after['unit']:<5}"
+                f"{new / old:6.2f}x  bound {after['bound']:.0%} ({after['better']} is better)"
+            )
+        print()
     return 0
 
 

@@ -39,7 +39,7 @@ The search subsystem consumes the same machinery: the
 ``"robust_gossip_rounds"`` objective (:mod:`repro.search.objective`) scores
 candidates by their mean behaviour over a fixed seeded fault sample, so
 ``synthesize_schedule`` can trade nominal rounds for fault tolerance; the
-``repro-gossip robustness`` CLI subcommand and
+``python -m repro robustness`` CLI subcommand and
 :mod:`repro.experiments.robustness` expose the whole pipeline.
 """
 

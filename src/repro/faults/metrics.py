@@ -14,10 +14,7 @@ can force.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.faults.models import AdversarialArcFaults, AdversarialReport

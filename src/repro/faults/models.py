@@ -38,10 +38,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Protocol, runtime_checkable
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.gossip.engines import SimulationEngine, resolve_engine
@@ -72,10 +69,6 @@ class FaultSample:
     """
 
     def __init__(self, program: RoundProgram, horizon: int, trials: int) -> None:
-        if np is None:  # pragma: no cover - numpy is a hard dep today
-            # Same convention as the packed engines: modules import without
-            # NumPy, the first actual use raises a clear error.
-            raise SimulationError("fault models require NumPy >= 2.0")
         if horizon < 0:
             raise SimulationError(f"fault horizon must be non-negative, got {horizon}")
         if trials < 1:

@@ -100,10 +100,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro import telemetry
 from repro.exceptions import SimulationError
@@ -122,7 +119,6 @@ from repro.gossip.engines._bitops import (
     ap_segments as _ap_segments,
     arc_indices as _arc_indices,
     compile_head_groups as _compile_head_groups,
-    numpy_available,
     pack_int as _pack_int,
     unpack_rows as _unpack_rows,
 )
@@ -271,10 +267,8 @@ def monte_carlo(
     horizon = sample.horizon
 
     if method == "auto":
-        method = "batched" if numpy_available() and not explicit_engine else "looped"
+        method = "looped" if explicit_engine else "batched"
     if method == "batched":
-        if not numpy_available():  # pragma: no cover - numpy is a hard dep today
-            raise SimulationError("the batched Monte-Carlo path requires NumPy >= 2.0")
         _counts = {"batches": 0, "exact_replays": 0, "compactions": 0} if _telem else None
         ((completion, knowledge),) = _run_batched_stacked(
             [program], [sample], [nominal], telem_counts=_counts
@@ -652,8 +646,6 @@ def monte_carlo_stacked(
     candidates = list(candidates)
     if not candidates:
         return ()
-    if not numpy_available():  # pragma: no cover - numpy is a hard dep today
-        raise SimulationError("the stacked Monte-Carlo path requires NumPy >= 2.0")
     _rec = telemetry.get_recorder()
     _telem = _rec.enabled
     _t0 = time.perf_counter_ns() if _telem else 0

@@ -42,7 +42,9 @@ ROADMAP.md from one statistic, computed for arrival-tracked runs only:
 * *every other run* → **vectorized**: finite programs (no slot refires,
   so sparse windows never pay off), item-tracked runs (item completion is
   scanned once per doubling batch), and plain runs at any size.
-* no NumPy → **reference** (also the differential oracle; never fast).
+
+``auto`` never picks **reference**: it is the differential oracle, run by
+name only.
 
 Callers that resolve without a program (``resolve_engine()`` bare) keep
 the historical pick — the vectorized kernel, whose dense gather/scatter
@@ -68,10 +70,6 @@ frontier engine on a huge sparse instance that dwarfs the trial count), or
 when certifying a new backend against the batched kernel — the looped path
 replays the identical fault realisation, so disagreement is a bug, never
 noise.
-
-The availability gate (``numpy_available``) exists for backends with
-genuinely optional dependencies, which ``"auto"`` skips when their
-dependency is missing.
 
 Checkpoint/resume
 -----------------
@@ -180,7 +178,7 @@ from repro.gossip.engines.checkpoint import (
 from repro.gossip.engines.frontier import FrontierEngine
 from repro.gossip.engines.layout import workload_summary
 from repro.gossip.engines.reference import ReferenceEngine
-from repro.gossip.engines.vectorized import VectorizedEngine, numpy_available
+from repro.gossip.engines.vectorized import VectorizedEngine
 from repro.topologies.properties import distances_from
 
 __all__ = [
@@ -315,8 +313,6 @@ def explain_engine_selection(
     event carries it so a trace explains every automatic dispatch.
     """
     del track_history, track_item_completion  # accepted for signature parity
-    if not numpy_available() or VectorizedEngine.name not in _REGISTRY:
-        return ReferenceEngine.name, "numpy unavailable; reference is the only backend"
     if not program.cyclic:
         # Finite programs never reuse a round slot, so the frontier
         # engine's windows never pay off: every firing would take the
@@ -348,12 +344,6 @@ def explain_engine_selection(
     )
 
 
-def _auto_engine() -> SimulationEngine:
-    if numpy_available() and VectorizedEngine.name in _REGISTRY:
-        return _REGISTRY[VectorizedEngine.name]
-    return _REGISTRY[ReferenceEngine.name]
-
-
 def resolve_engine(
     spec: str | SimulationEngine | None = None,
     program: RoundProgram | None = None,
@@ -369,8 +359,8 @@ def resolve_engine(
     caller supplies the ``program`` it is about to run (plus its tracking
     flags), selection is workload-aware (:func:`select_engine_name`);
     without a program it keeps the historical program-blind pick (the
-    vectorized kernel when NumPy is available).  Explicit names — matched
-    case-insensitively — always win over both.  An unknown name raises
+    vectorized kernel).  Explicit names — matched case-insensitively —
+    always win over both.  An unknown name raises
     :class:`~repro.exceptions.SimulationError` naming the environment
     variable when that is where the bad name came from, rather than
     silently running a different backend.
@@ -416,7 +406,7 @@ def resolve_engine(
                 **workload_summary(program.graph),
             )
         return _REGISTRY[name]
-    engine = _auto_engine()
+    engine = _REGISTRY[VectorizedEngine.name]
     if telem:
         telemetry.event(
             "engine.resolve",
@@ -428,6 +418,5 @@ def resolve_engine(
 
 
 register_engine(ReferenceEngine())
-if numpy_available():
-    register_engine(VectorizedEngine())
-    register_engine(FrontierEngine())
+register_engine(VectorizedEngine())
+register_engine(FrontierEngine())

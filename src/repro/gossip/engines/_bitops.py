@@ -21,10 +21,7 @@ internals.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
-    np = None  # type: ignore[assignment] - "auto" then resolves to the reference engine
+import numpy as np
 
 __all__ = [
     "WORD_BITS",
@@ -32,7 +29,6 @@ __all__ = [
     "WORD_SHIFT",
     "WORD_MASK",
     "BIT_LUT",
-    "numpy_available",
     "packed_width",
     "pack_int",
     "pack_rows",
@@ -54,19 +50,7 @@ WORD_SHIFT = 6  # log2(64): item -> packed word
 WORD_MASK = 63
 
 #: ``BIT_LUT[k] == 1 << k`` — bit masks without per-call shift dtype casts.
-BIT_LUT = None if np is None else (np.uint64(1) << np.arange(WORD_BITS, dtype=np.uint64))
-
-
-def numpy_available() -> bool:
-    """``True`` iff the packed-bitset engines can run in this environment.
-
-    NumPy (>= 2.0, for ``np.bitwise_count``) is a hard dependency of the
-    wider library today, so this effectively always holds; the gate is kept
-    so ``"auto"`` selection degrades gracefully in stripped-down
-    environments and documents the pattern for backends with genuinely
-    optional dependencies.
-    """
-    return np is not None and hasattr(np, "bitwise_count")
+BIT_LUT = np.uint64(1) << np.arange(WORD_BITS, dtype=np.uint64)
 
 
 def packed_width(n: int, target: int, start: list[int]) -> int:

@@ -21,10 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
-    np = None  # type: ignore[assignment] - list-backed arrival views still work
+import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.gossip.model import GossipProtocol, Round, SystolicSchedule
@@ -79,7 +76,7 @@ class ArrivalRounds(Sequence):
     The packed-bitset engines hand their internal ``(n, n)`` int64 tracking
     array (``-1`` encoding "never arrived") over wholesale, so building the
     result costs O(1) instead of the eager n×n Python tuple materialisation
-    this replaced (~2.5 s at n = 4096).  The dependency-free reference engine
+    this replaced (~2.5 s at n = 4096).  The pure-Python reference engine
     backs the view with nested lists instead.  Rows materialise as plain
     tuples of ``int | None`` on access, so indexing, iteration and equality
     behave exactly like the nested tuples did; vectorised consumers call
@@ -96,7 +93,7 @@ class ArrivalRounds(Sequence):
 
     def __init__(self, data) -> None:
         self._hash: int | None = None
-        if np is not None and isinstance(data, np.ndarray):
+        if isinstance(data, np.ndarray):
             if data.ndim != 2:
                 raise SimulationError(
                     f"arrival matrices are 2-D, got {data.ndim}-D array"
@@ -150,8 +147,6 @@ class ArrivalRounds(Sequence):
         """
         if self._array is not None:
             return self._array
-        if np is None:  # pragma: no cover - numpy is a hard dependency today
-            raise SimulationError("ArrivalRounds.to_numpy() requires NumPy")
         array = np.array(
             [[-1 if x is None else x for x in row] for row in self._rows],
             dtype=np.int64,
@@ -184,10 +179,7 @@ class ArrivalRounds(Sequence):
         # compare equal to *plain* nested tuples do not share those tuples'
         # hash — mixed-key dict use is not supported.
         if self._hash is None:
-            if np is not None:
-                self._hash = hash(self.to_numpy().tobytes())
-            else:  # pragma: no cover - numpy is a hard dependency today
-                self._hash = hash(tuple(iter(self)))
+            self._hash = hash(self.to_numpy().tobytes())
         return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -97,14 +97,11 @@ from functools import reduce
 from operator import and_
 from typing import Protocol, runtime_checkable
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
-    np = None  # type: ignore[assignment] - only the reference engine runs then
+import numpy as np
 
 from repro import telemetry
 from repro.exceptions import SimulationError
-from repro.gossip.engines._bitops import numpy_available, unpack_rows
+from repro.gossip.engines._bitops import unpack_rows
 from repro.gossip.engines.base import (
     ArrivalRounds,
     RoundProgram,
@@ -543,8 +540,8 @@ class CheckpointingMixin:
         The names of the counters ``_execute`` returns, flushed under
         ``engine.<name>`` after ``runs`` and ``rounds_simulated``.
     ``uses_numpy``
-        The engine needs NumPy and takes its tracked prefixes as int64
-        arrays; otherwise they are lists.
+        The engine takes its tracked prefixes as int64 arrays; otherwise
+        they are lists (the reference engine).
     ``stops_at_fixed_point``
         The round loop may stop after a full period without news; the
         driver synthesizes the remaining rounds and also reports
@@ -608,8 +605,6 @@ class CheckpointingMixin:
         recorder = telemetry.get_recorder()
         counting = recorder.enabled
         t0 = time.perf_counter_ns() if counting else 0
-        if self.uses_numpy and not numpy_available():  # pragma: no cover - a hard dep
-            raise SimulationError(f"the {self.name} engine requires NumPy >= 2.0")
         run = EngineRun(
             self,
             program,

@@ -49,9 +49,9 @@ gather per distinct mask, not per slot; an all-``True`` mask skips the
 filter entirely), and the filtered chunk is appended to every member slot's
 pending list.  A firing slot concatenates and clears its own pending list —
 pairs already known to be its tails, so the sparse apply needs no keep
-filter.  Pending lists are consumed at *every* firing, including the dense
-first firings, whose full-knowledge transmission supersedes anything
-pending.
+filter.  A slot takes no chunks before its dense first firing since
+``run.base``: that firing transmits full knowledge, so a chunk pending for
+it would be discarded unread.
 
 When a full period passes without any new pair the knowledge state is a
 fixed point (every future window is empty), so the loop stops early and
@@ -78,10 +78,7 @@ from __future__ import annotations
 from functools import partial, reduce
 from operator import or_
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.gossip.engines.checkpoint import (
     CheckpointingMixin,
@@ -307,12 +304,16 @@ class FrontierEngine(CheckpointingMixin):
 
         # Window bookkeeping for cyclic programs: per-slot pending lists
         # filled at delta production time, consumed (and cleared) at every
-        # firing.  After a resume they start empty, so the first s
+        # sparse firing.  After a resume they start empty, so the first s
         # post-resume rounds take the dense path (see the module docstring's
-        # resume section).
+        # resume section).  Only slots that have fired since ``run.base``
+        # take chunks (``live``: group -> those members): a first firing is
+        # dense and would never read them.
         windowed = cyclic and s > 0
         if windowed:
             filter_groups = _tail_filter_groups([_tail_mask(slot) for slot in slots])
+            group_of = {k: g for g, (_, members) in enumerate(filter_groups) for k in members}
+            live: dict[int, list[int]] = {}
             pending_v: list[list[np.ndarray]] = [[] for _ in range(s)]
             pending_j: list[list[np.ndarray]] = [[] for _ in range(s)]
         idle = 0
@@ -341,13 +342,11 @@ class FrontierEngine(CheckpointingMixin):
             else:
                 # First firing of this slot (or a finite program, where
                 # every firing is the first): no previous delivery to
-                # build on, transmit full knowledge.  The full matrix
-                # supersedes anything pending for the slot — consume it.
+                # build on, transmit full knowledge.  Nothing is pending
+                # for the slot yet; from now on it takes chunks.
                 slot = slots[(i - 1) % s] if cyclic else slots[i - 1]
-                if windowed:
-                    k = (i - 1) % s
-                    pending_v[k] = []
-                    pending_j[k] = []
+                if windowed and (k := (i - 1) % s) in group_of:
+                    live.setdefault(group_of[k], []).append(k)
                 if telem:
                     dense_fired += 1
                 h_new, j_new = _dense_apply(knowledge, slot)
@@ -385,8 +384,9 @@ class FrontierEngine(CheckpointingMixin):
                 # Split this round's delta by destination slot now, so
                 # firings never rescan pairs routed nowhere.  One
                 # boolean gather per distinct tail mask; chunks are
-                # shared by reference across a group's members.
-                for mask, members in filter_groups:
+                # shared by reference across a group's live members.
+                for g, members in live.items():
+                    mask = filter_groups[g][0]
                     if mask is None:
                         fv, fj = h_new, j_new
                     else:

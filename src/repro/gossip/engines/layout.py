@@ -23,10 +23,7 @@ itself, and only on that branch.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.topologies.base import Digraph
 
@@ -65,8 +62,8 @@ def row_locality_permutation(
 
 
 # --------------------------------------------------------------------- #
-# Workload statistics for the ``engine.resolve`` event.  Pure-Python O(1)
-# helpers — usable (and used) even when NumPy is absent.
+# Workload statistics for the ``engine.resolve`` event: pure-Python O(1)
+# helpers.
 
 
 def packed_words(n: int) -> int:

@@ -119,10 +119,7 @@ from __future__ import annotations
 
 from functools import partial
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
-    np = None  # type: ignore[assignment] - "auto" then resolves to the reference engine
+import numpy as np
 
 from repro.gossip.engines.base import full_mask
 from repro.gossip.engines._bitops import (
@@ -130,7 +127,6 @@ from repro.gossip.engines._bitops import (
     ap_segments as _ap_segments,
     arc_indices as _arc_indices,
     expand_delta_words as _expand_delta_words,
-    numpy_available,
     pack_int as _pack_int,
     pack_rows as _pack_rows,
     packed_width as _packed_width,
@@ -148,7 +144,7 @@ from repro.gossip.engines.layout import (
 from repro.gossip.model import Round
 from repro.topologies.base import Digraph
 
-__all__ = ["VectorizedEngine", "numpy_available"]
+__all__ = ["VectorizedEngine"]
 
 #: Largest batch of rounds executed between two completion checks.
 _BATCH_CAP = 128

@@ -20,7 +20,6 @@ from collections import Counter
 
 from repro.exceptions import ValidationError
 from repro.gossip.model import GossipProtocol, Mode, Round
-from repro.topologies.base import Arc
 
 __all__ = [
     "check_matching",
@@ -109,8 +108,3 @@ def validate_protocol(protocol: GossipProtocol, *, require_complete: bool = Fals
                 f"protocol {protocol.name!r} of length {protocol.length} does not "
                 "complete gossip on its digraph"
             )
-
-
-def _arc_repr(arc: Arc) -> str:
-    tail, head = arc
-    return f"({tail!r} -> {head!r})"

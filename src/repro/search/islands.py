@@ -65,10 +65,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is installed in CI/dev envs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro import telemetry
 from repro.exceptions import SimulationError
@@ -246,8 +243,6 @@ def run_island_search(
         raise SimulationError(
             f"at least one generation is required, got {generations}"
         )
-    if np is None:  # pragma: no cover - numpy is a hard dep today
-        raise SimulationError("island search requires NumPy (SeedSequence streams)")
     _t0 = time.perf_counter_ns() if telemetry.get_recorder().enabled else 0
     # The search.islands span id is allocated up front so worker spans can
     # be re-parented under it as reports arrive, before the span itself is

@@ -8,9 +8,10 @@ disabled telemetry near-free.  See :mod:`repro.telemetry.core` for the
 overhead contract and the shared bucket layout, :mod:`repro.telemetry.sinks`
 for the JSONL stream format (schema ``repro-telemetry/2``),
 :mod:`repro.telemetry.trace` for validation / summaries / the Chrome
-trace-event exporter, and :mod:`repro.telemetry.regress` for the
-trailing-median perf-regression detector over ``BENCH_trajectory.json``
-(which ``repro-gossip report`` and ``repro-gossip compare`` also read).
+trace-event exporter, and :mod:`repro.telemetry.regress` for the same-host
+regression gate over ``BENCH_trajectory.json``, the repository benchmark's
+history (which ``python -m repro report`` and ``python -m repro compare``
+also read).
 
 Quick start::
 

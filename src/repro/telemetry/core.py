@@ -115,7 +115,7 @@ class Histogram:
     value (no per-histogram configuration), histograms of the same name
     merge **bucket-wise**: summing counts per bucket index is exact, which
     is what lets island workers ship their distributions back to the
-    driver and lets trajectory rows be summed across dates.
+    driver.
 
     Exact ``count`` / ``total`` / ``min`` / ``max`` ride along, so means
     are exact and quantile estimates (:meth:`quantile`) are clamped to the
@@ -139,29 +139,6 @@ class Histogram:
         hist = cls()
         for value in values:
             hist.add(value)
-        return hist
-
-    @classmethod
-    def from_buckets(cls, buckets: Mapping[int, int]) -> "Histogram":
-        """Rebuild a histogram from bare bucket counts (the form the
-        per-section ``histograms`` of ``BENCH_trajectory.json`` rows keep).
-        The exact ``total``/``min``/``max`` are gone, so the mean is
-        approximated from bucket midpoints and the observed range is
-        synthesised from the occupied buckets' boundaries — within one
-        sub-bucket (12.5 %) of the truth by the layout's construction.
-        """
-        hist = cls()
-        for index, count in sorted(buckets.items()):
-            if count <= 0:
-                continue
-            index = int(index)
-            hist.buckets[index] = int(count)
-            hist.count += int(count)
-            mid = (cls.bucket_lower(index) + cls.bucket_upper(index)) / 2.0
-            hist.total += mid * int(count)
-        if hist.count:
-            hist.min = cls.bucket_lower(min(hist.buckets))
-            hist.max = cls.bucket_upper(max(hist.buckets))
         return hist
 
     @staticmethod

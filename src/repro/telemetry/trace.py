@@ -2,7 +2,7 @@
 
 Consumes the JSONL stream written by
 :class:`repro.telemetry.sinks.JsonlRecorder` and powers the
-``repro-gossip stats`` subcommand plus the CI smoke step that validates a
+``python -m repro stats`` subcommand plus the CI smoke step that validates a
 traced run against the event schema.  The Chrome exporter emits the
 `trace-event format <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_
 consumed by Perfetto / ``chrome://tracing``: complete (``"ph": "X"``)

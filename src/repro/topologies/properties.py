@@ -10,7 +10,7 @@ few hundred thousand vertices.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -172,7 +172,3 @@ def is_regular(g: Digraph) -> bool:
     outs = {g.out_degree(v) for v in g.vertices}
     ins = {g.in_degree(v) for v in g.vertices}
     return len(outs) == 1 and len(ins) == 1
-
-
-def _as_sequence(vertices: Iterable[Vertex]) -> Sequence[Vertex]:
-    return list(vertices)

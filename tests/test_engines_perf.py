@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -21,7 +24,6 @@ from repro.gossip.engines import (
 from repro.gossip.engines import vectorized
 from repro.gossip.engines.base import RoundProgram
 from repro.gossip.engines.layout import packed_words
-from repro.gossip.engines.vectorized import numpy_available
 from repro.gossip.model import Mode
 from repro.gossip.simulation import gossip_time, simulate_systolic
 from repro.protocols.generic import coloring_systolic_schedule
@@ -30,8 +32,24 @@ from repro.topologies.classic import cycle_graph
 
 class TestEngineRegistry:
     def test_both_builtin_engines_registered(self):
-        assert numpy_available(), "NumPy is a hard dependency of this repo"
         assert set(available_engines()) >= {"reference", "vectorized"}
+
+    def test_import_names_numpy_2_when_bitwise_count_is_missing(self, tmp_path):
+        # NumPy >= 2.0 is required (np.bitwise_count): an older NumPy fails
+        # the package import with one ImportError naming the version.
+        (tmp_path / "numpy").mkdir()
+        (tmp_path / "numpy" / "__init__.py").write_text('__version__ = "1.26.4"\n')
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        completed = subprocess.run(
+            [sys.executable, "-c", "import repro"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join((str(tmp_path), src))},
+            timeout=120,
+        )
+        assert completed.returncode != 0
+        last = completed.stderr.strip().splitlines()[-1]
+        assert last == "ImportError: repro requires NumPy >= 2.0, found 1.26.4"
 
     def test_auto_selects_vectorized_never_silently_falls_back(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)

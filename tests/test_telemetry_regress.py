@@ -1,6 +1,8 @@
-"""Tests for the regression detector, the trajectory recorder's dedupe,
-and the ``report``/``compare`` commands that read the trajectory (no
-benchmark battery is run — entries are synthesised).
+"""Tests for the benchmark history: the recorder, the same-host regression
+gate, and the ``report``/``compare`` commands that read the trajectory.
+
+No benchmark is run: rows are synthesised, and the recorder reads canned
+``perfbench/run.py`` output.
 """
 
 from __future__ import annotations
@@ -13,176 +15,117 @@ import sys
 
 import pytest
 
-from repro.telemetry.regress import (
-    Observation,
-    analyze_section,
-    analyze_trajectory,
-    main as regress_main,
-    trajectory_observations,
-)
+from repro.telemetry.regress import WINDOW, analyze_trajectory, main as regress_main
 
-_BENCHMARKS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
-_TRAJECTORY = os.path.join(
-    os.path.dirname(__file__), os.pardir, "BENCH_trajectory.json"
-)
-_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+_ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+_TRAJECTORY = os.path.join(_ROOT, "BENCH_trajectory.json")
+_SRC = os.path.join(_ROOT, "src")
+
+HOST_A = {"cpu": "Xeon A", "nproc": 2, "python": "3.12.3", "numpy": "2.4.6"}
+HOST_B = {**HOST_A, "cpu": "Epyc B"}
 
 
 def _load_record_trajectory():
     spec = importlib.util.spec_from_file_location(
-        "record_trajectory", os.path.join(_BENCHMARKS, "record_trajectory.py")
+        "record_trajectory", os.path.join(_ROOT, "benchmarks", "record_trajectory.py")
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def _entry(date, rev, seconds=1.0, counters=None, section="bench"):
-    return {
-        "date": date,
-        "rev": rev,
-        "sections": {
-            section: {
-                "instance": "C(8)",
-                "seconds": seconds,
-                "counters": counters or {"work": 100},
-                "histograms": {"lat": {"1": 3, "9": 1}},
-            }
-        },
-        "telemetry": dict(counters or {"work": 100}),
-    }
+def _row(rev, wall=1.0, host=HOST_A, date="2026-10-01", workload="simulate-large", **extra):
+    """One trajectory row with a ``wall_s`` metric (plus ``extra`` ones)."""
+    metrics = {"wall_s": {"value": wall, "unit": "s", "better": "lower", "bound": 0.25}}
+    for name, (value, better, bound) in extra.items():
+        metrics[name] = {"value": value, "unit": "count", "better": better, "bound": bound}
+    row = {"date": date, "rev": rev, "source_sha256": "0" * 16, "workloads": {workload: metrics}}
+    if host is not None:
+        row["host"] = dict(host)
+    return row
+
+
+def _write(tmp_path, *rows):
+    path = tmp_path / "traj.json"
+    path.write_text(json.dumps(list(rows)))
+    return str(path)
 
 
 # --------------------------------------------------------------------- #
-# Regression detector
+# Same-host regression gate
 
 
-def _series(*seconds, counters=None):
-    return [
-        Observation(
-            date=f"2026-08-{i + 1:02d}",
-            rev="r",
-            seconds=value,
-            counters=(counters[i] if counters else {"work": 100}),
-        )
-        for i, value in enumerate(seconds)
-    ]
+def test_single_row_is_vacuous():
+    assert analyze_trajectory([_row("a")]) == []
 
 
-def test_clean_series_has_no_findings():
-    assert analyze_section("s", _series(1.0, 1.02, 0.98, 1.01, 1.0)) == []
-
-
-def test_single_observation_is_vacuous():
-    assert analyze_section("s", _series(1.0)) == []
-
-
-def test_timing_regression_flagged():
-    findings = analyze_section("s", _series(1.0, 1.0, 1.0, 2.0))
-    assert [f.kind for f in findings] == ["timing_regression"]
-    assert findings[0].failing
-    assert findings[0].ratio == pytest.approx(2.0)
-    # Baseline is the trailing median: a single old outlier cannot mask it.
-    outlier = analyze_section("s", _series(1.0, 5.0, 1.0, 1.0, 1.0, 2.0))
-    assert [f.kind for f in outlier] == ["timing_regression"]
-
-
-def test_workload_shift_flagged_when_timing_flat():
-    counters = [{"work": 100}, {"work": 100}, {"work": 100}, {"work": 200}]
-    findings = analyze_section("s", _series(1.0, 1.0, 1.0, 1.05, counters=counters))
-    assert [f.kind for f in findings] == ["workload_shift"]
-    assert not findings[0].failing
-    assert findings[0].metric == "work"
-    # Shifts *down* count too.
-    counters[-1] = {"work": 50}
-    down = analyze_section("s", _series(1.0, 1.0, 1.0, 1.0, counters=counters))
-    assert [f.kind for f in down] == ["workload_shift"]
-
-
-def test_timing_shift_flagged_when_counters_flat():
-    findings = analyze_section("s", _series(1.0, 1.0, 1.0, 1.2))
-    assert [f.kind for f in findings] == ["timing_shift"]
-    assert not findings[0].failing
-
-
-def test_regression_with_matching_workload_is_not_doubly_reported():
-    # Twice the work in twice the time: a regression in wall-clock terms,
-    # but the counter movement explains it — one failing finding, no
-    # spurious workload_shift on top.
-    counters = [{"work": 100}, {"work": 100}, {"work": 100}, {"work": 200}]
-    findings = analyze_section("s", _series(1.0, 1.0, 1.0, 2.0, counters=counters))
-    assert [f.kind for f in findings] == ["timing_regression"]
-
-
-def test_analyze_trajectory_old_format_rows():
-    # Early rows: no rev, no per-section counters -> timing-only.
-    rows = [
-        {"date": "2026-08-01", "sections": {"bench": {"seconds": 1.0}}},
-        {"date": "2026-08-02", "sections": {"bench": {"seconds": 2.0}}},
-    ]
-    findings = analyze_trajectory(rows)
-    assert [f.kind for f in findings] == ["timing_regression"]
-
-
-def test_analyze_trajectory_engine_sections_use_best_seconds():
-    def row(date, best):
-        return {
-            "date": date,
-            "sections": {
-                "plain": {"seconds": {"a": best + 0.1, "b": best}, "best_seconds": best}
-            },
-        }
-
-    clean = analyze_trajectory([row("2026-08-01", 1.0), row("2026-08-02", 1.0)])
-    assert clean == []
-    regressed = analyze_trajectory([row("2026-08-01", 1.0), row("2026-08-02", 3.0)])
-    assert [f.kind for f in regressed] == ["timing_regression"]
-
-
-def test_trajectory_observations_map_sections():
-    bench = _entry("2026-08-01", "abc", seconds=0.5)
-    bench["sections"]["engines"] = {
-        "instance": "C(1024)",
-        "seconds": {"vectorized": 0.2, "frontier": 0.4},
-        "best_engine": "vectorized",
-        "best_seconds": 0.2,
-        "counters": {"engine.vectorized.runs": 1},
-        "histograms": {},
-    }
-    early = {"date": "2026-07-01", "sections": {"bench": {"seconds": 0.7}}}
-    sections = trajectory_observations([early, bench])
-    assert sorted(sections) == ["bench", "engines"]
-    # Rows keep their file order; an early row without rev or counters
-    # reads as rev "?" with no counters.
-    assert sections["bench"] == [
-        Observation(date="2026-07-01", rev="?", seconds=0.7, counters={}),
-        Observation(date="2026-08-01", rev="abc", seconds=0.5, counters={"work": 100}),
-    ]
-    # Engine sections time each backend; their scalar is the best one.
-    (engines,) = sections["engines"]
-    assert engines.seconds == 0.2
-    assert engines.counters == {"engine.vectorized.runs": 1}
-
-
-def test_committed_trajectory_is_quiet():
-    with open(_TRAJECTORY) as handle:
-        rows = json.load(handle)
-    assert not any(f.failing for f in analyze_trajectory(rows))
-
-
-def test_regress_cli_check(tmp_path, capsys):
-    clean = [
-        _entry("2026-08-01", "a"),
-        _entry("2026-08-02", "b"),
-    ]
-    path = tmp_path / "traj.json"
-    path.write_text(json.dumps(clean))
-    assert regress_main(["--check", str(path)]) == 0
-    slow = clean + [_entry("2026-08-03", "c", seconds=2.5)]
-    path.write_text(json.dumps(slow))
-    assert regress_main(["--check", str(path)]) == 1
+def test_same_host_row_past_its_bound_fails_check(tmp_path, capsys):
+    rows = [_row("a", 1.0), _row("b", 1.02), _row("c", 0.98)]
+    assert regress_main(["--check", _write(tmp_path, *rows)]) == 0
+    assert "no regressions" in capsys.readouterr().out
+    rows.append(_row("d", 1.3))
+    assert regress_main(["--check", _write(tmp_path, *rows)]) == 1
     out = capsys.readouterr().out
-    assert "timing_regression" in out
+    assert "simulate-large: wall_s regression at d" in out
+    assert "bound 25%" in out
+
+
+def test_bound_is_relative_to_the_same_host_median():
+    base = [_row("a", 1.0), _row("b", 1.0), _row("c", 1.0)]
+    assert analyze_trajectory(base + [_row("d", 1.24)]) == []
+    (finding,) = analyze_trajectory(base + [_row("d", 1.26)])
+    assert (finding.workload, finding.metric, finding.rev) == ("simulate-large", "wall_s", "d")
+    assert finding.baseline == pytest.approx(1.0)
+    assert finding.latest == pytest.approx(1.26)
+    # The latest row's own bound decides: 0.1 flags a 12 % growth.
+    tight = _row("d", 1.0, peak_rss_mb=(112.0, "lower", 0.1))
+    loose = [_row(rev, 1.0, peak_rss_mb=(100.0, "lower", 0.1)) for rev in "abc"]
+    assert [f.metric for f in analyze_trajectory(loose + [tight])] == ["peak_rss_mb"]
+
+
+def test_baseline_is_the_median_of_the_trailing_window():
+    # One slow outlier cannot drag the median; rows older than the window
+    # do not count at all.
+    outlier = [_row("a", 1.0), _row("b", 5.0), _row("c", 1.0), _row("d", 1.0)]
+    assert len(analyze_trajectory(outlier + [_row("e", 1.3)])) == 1
+    old = [_row(f"old{i}", 10.0) for i in range(3)]
+    recent = [_row(f"new{i}", 1.0) for i in range(WINDOW)]
+    assert len(analyze_trajectory(old + recent + [_row("z", 1.3)])) == 1
+
+
+def test_a_row_from_another_host_is_not_compared(tmp_path):
+    rows = [_row("a", 1.0), _row("b", 1.0), _row("c", 5.0, host=HOST_B)]
+    assert analyze_trajectory(rows) == []
+    assert regress_main(["--check", _write(tmp_path, *rows)]) == 0
+
+
+def test_each_host_is_gated_on_its_own_rows():
+    # Host A's latest row regressed; a later row from host B does not hide it.
+    rows = [_row("a", 1.0), _row("b", 2.0), _row("c", 9.0, host=HOST_B)]
+    (finding,) = analyze_trajectory(rows)
+    assert finding.rev == "b"
+
+
+def test_a_higher_is_better_metric_regresses_when_it_falls():
+    base = [_row(rev, proposals=(100.0, "higher", 0.25)) for rev in "abc"]
+    assert analyze_trajectory(base + [_row("d", proposals=(130.0, "higher", 0.25))]) == []
+    (finding,) = analyze_trajectory(base + [_row("d", proposals=(70.0, "higher", 0.25))])
+    assert (finding.metric, finding.better) == ("proposals", "higher")
+    assert "30.0% worse" in finding.format()
+
+
+def test_rows_without_a_host_are_never_compared(tmp_path):
+    battery_row = {"date": "2026-08-07", "rev": "1324a2b", "sections": {"plain": {"seconds": 1}}}
+    hostless = [_row("a", 1.0, host=None), _row("b", 9.0, host=None)]
+    assert analyze_trajectory([battery_row, *hostless]) == []
+    # Nor does a hostless row serve as another row's baseline.
+    assert analyze_trajectory([*hostless, _row("c", 9.0)]) == []
+    assert regress_main(["--check", _write(tmp_path, battery_row, *hostless)]) == 0
+
+
+def test_committed_trajectory_passes_check(capsys):
+    assert regress_main(["--check", _TRAJECTORY]) == 0
+    assert "no regressions" in capsys.readouterr().out
 
 
 def test_regress_cli_requires_a_trajectory():
@@ -203,13 +146,8 @@ def test_regress_cli_rejects_unreadable_trajectory(tmp_path, capsys):
         assert "cannot read trajectory" in capsys.readouterr().err, path
 
 
-def test_import_loads_no_sqlite3():
-    # The trajectory JSON is the only history store; importing the package
-    # and its report/compare/regress entry points must not pull in sqlite3.
-    script = (
-        "import sys, repro, repro.cli, repro.telemetry.regress; "
-        "print('sqlite3' in sys.modules)"
-    )
+def _modules_after(statement):
+    script = f"import json, sys; {statement}; print(json.dumps(sorted(sys.modules)))"
     completed = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
@@ -218,40 +156,138 @@ def test_import_loads_no_sqlite3():
         env={**os.environ, "PYTHONPATH": _SRC},
         timeout=120,
     )
-    assert completed.stdout.strip() == "False"
+    return set(json.loads(completed.stdout))
+
+
+def test_import_loads_no_sqlite3():
+    # The trajectory JSON is the only history store; importing the package
+    # and its report/compare/regress entry points must not pull in sqlite3.
+    assert "sqlite3" not in _modules_after("import repro, repro.cli, repro.telemetry.regress")
+
+
+def test_import_repro_loads_neither_the_cli_nor_the_gate():
+    loaded = _modules_after("import repro")
+    assert not {"repro.cli", "repro.telemetry.regress"} & loaded
 
 
 # --------------------------------------------------------------------- #
-# record_trajectory integration (no battery run)
+# The recorder (canned perfbench output, no benchmark run)
+
+SPEC = {
+    "command": ["python3", "perfbench/run.py"],
+    "run_seconds": 40,
+    "workloads": [{"name": "simulate-large"}, {"name": "faults-mc"}],
+    "end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "unit": "MiB", "better": "lower", "bound": 0.1},
+    ],
+}
 
 
-def test_append_entry_dedupes_same_date(tmp_path):
+def _stdout(correct=True, host=HOST_A, wall=1.5, source="abcd" * 4):
+    fingerprint = {**host, "git_rev": "f" * 40, "source_sha256": source}
+    result = {
+        "correct": correct,
+        "attempted": 9,
+        "failed": 0 if correct else 1,
+        "metrics": {
+            "wall_s": {"value": wall, "unit": "s"},
+            "peak_rss_mb": {"value": 95.9, "unit": "MiB"},
+        },
+    }
+    return (
+        "pass 0: traced=0 wall=1.500s setup=0.300s rss=95.9MiB failed=0\n"
+        f"wall_s {wall} s\n"
+        "host " + json.dumps(fingerprint, sort_keys=True) + "\n" + json.dumps(result) + "\n"
+    )
+
+
+def test_recorder_parses_the_last_two_lines():
+    module = _load_record_trajectory()
+    host, result = module.parse_output(_stdout())
+    assert host["cpu"] == "Xeon A" and host["source_sha256"] == "abcd" * 4
+    assert result["correct"] is True
+    with pytest.raises(ValueError):
+        module.parse_output(json.dumps({"correct": True}))
+
+
+def test_recorder_builds_one_row_with_declared_bounds():
+    module = _load_record_trajectory()
+    calls = []
+
+    def run(spec, name):
+        calls.append(name)
+        return _stdout(wall=2.0 if name == "faults-mc" else 1.5)
+
+    row = module.build_row(SPEC, run, date="2026-10-18", rev="abc1234")
+    assert calls == ["simulate-large", "faults-mc"]
+    assert row["host"] == HOST_A  # git_rev and source_sha256 are not host fields
+    assert row["source_sha256"] == "abcd" * 4
+    assert (row["date"], row["rev"]) == ("2026-10-18", "abc1234")
+    assert row["workloads"]["faults-mc"]["wall_s"] == {
+        "value": 2.0, "unit": "s", "better": "lower", "bound": 0.25,
+    }
+    assert row["workloads"]["simulate-large"]["peak_rss_mb"]["bound"] == 0.1
+
+
+def test_recorder_refuses_an_incorrect_workload(tmp_path):
+    module = _load_record_trajectory()
+    output = _write(tmp_path, _row("old"))
+    before = open(output).read()
+
+    def run(spec, name):
+        return _stdout(correct=name != "faults-mc")
+
+    with pytest.raises(SystemExit) as info:
+        module.append_row(module.build_row(SPEC, run), output)
+    assert "faults-mc: correct is false" in str(info.value.code)
+    assert open(output).read() == before
+
+
+def test_recorder_refuses_runs_from_two_sources():
+    module = _load_record_trajectory()
+
+    def run(spec, name):
+        return _stdout(source="1234" * 4 if name == "faults-mc" else "abcd" * 4)
+
+    with pytest.raises(SystemExit):
+        module.build_row(SPEC, run)
+
+
+def test_recorder_replaces_a_same_rev_same_host_row(tmp_path):
     module = _load_record_trajectory()
     output = str(tmp_path / "traj.json")
-    module.append_entry(_entry("2026-08-01", "a", seconds=1.0), output)
-    module.append_entry(_entry("2026-08-02", "a", seconds=1.1), output)
+    module.append_row(_row("a", 1.0), output)
+    module.append_row(_row("b", 1.1), output)
+    module.append_row(_row("b", 1.2, host=HOST_B), output)
+    module.append_row(_row("b", 1.3), output)
     rows = json.load(open(output))
-    assert [row["date"] for row in rows] == ["2026-08-01", "2026-08-02"]
-    # A same-date re-run replaces the earlier row, keeping the latest.
-    module.append_entry(_entry("2026-08-02", "b", seconds=9.9), output)
-    rows = json.load(open(output))
-    assert [row["date"] for row in rows] == ["2026-08-01", "2026-08-02"]
-    assert rows[-1]["rev"] == "b"
-    assert rows[-1]["sections"]["bench"]["seconds"] == 9.9
+    assert [(row["rev"], row["host"]["cpu"]) for row in rows] == [
+        ("a", "Xeon A"), ("b", "Epyc B"), ("b", "Xeon A"),
+    ]
+    assert rows[-1]["workloads"]["simulate-large"]["wall_s"]["value"] == 1.3
 
 
-def test_append_entry_refuses_non_list(tmp_path):
+def test_recorder_refuses_a_non_list_trajectory(tmp_path):
     module = _load_record_trajectory()
     output = str(tmp_path / "traj.json")
     with open(output, "w") as fh:
         json.dump({"not": "a list"}, fh)
     with pytest.raises(SystemExit):
-        module.append_entry(_entry("2026-08-01", "a"), output)
+        module.append_row(_row("a"), output)
+
+
+def test_recorder_reads_the_repository_benchmark():
+    module = _load_record_trajectory()
+    spec = module.load_spec()
+    names = [workload["name"] for workload in spec["workloads"]]
+    assert names == ["simulate-large", "optimize-small", "faults-mc"]
+    assert {m["name"] for m in spec["end_to_end"]} == {"wall_s", "setup_s", "peak_rss_mb"}
 
 
 def test_git_rev_short_hash():
-    module = _load_record_trajectory()
-    rev = module._git_rev()
+    rev = _load_record_trajectory()._git_rev()
+    rev = rev.removesuffix("+")
     assert rev == "unknown" or (4 <= len(rev) <= 40 and rev.isalnum())
 
 
@@ -265,30 +301,39 @@ def _cli(argv):
     return main(argv)
 
 
-def _trajectory(tmp_path, *entries):
-    path = tmp_path / "traj.json"
-    path.write_text(json.dumps(list(entries)))
-    return str(path)
-
-
-def test_cli_report_empty_and_populated(tmp_path, capsys):
-    empty = _trajectory(tmp_path)
-    assert _cli(["report", "--trajectory", empty]) == 0
+def test_report_lists_each_workloads_last_rows_and_the_findings(tmp_path, capsys):
+    assert _cli(["report", "--trajectory", _write(tmp_path)]) == 0
     assert "no recorded runs" in capsys.readouterr().out
-    path = _trajectory(
-        tmp_path, _entry("2026-08-01", "a"), _entry("2026-08-02", "b", seconds=2.5)
+    path = _write(
+        tmp_path,
+        _row("aaa", 1.0, date="2026-10-01"),
+        _row("bbb", 1.0, date="2026-10-02"),
+        _row("ccc", 2.5, date="2026-10-03"),
+        _row("ddd", 1.0, date="2026-10-04", workload="faults-mc"),
     )
     assert _cli(["report", "--trajectory", path]) == 0
     out = capsys.readouterr().out
-    assert "section bench" in out
-    assert "2026-08-01" in out and "2026-08-02" in out
-    assert "timing_regression" in out
-    assert _cli(["report", "--trajectory", path, "--section", "bench", "--last", "1"]) == 0
+    assert "workload simulate-large" in out and "workload faults-mc" in out
+    assert "2026-10-01" in out and "2026-10-03" in out
+    assert "host h1: cpu Xeon A" in out
+    assert "simulate-large: wall_s regression at ccc" in out
+    assert _cli(["report", "--trajectory", path, "--last", "1"]) == 0
     out = capsys.readouterr().out
-    assert "2026-08-01" not in out  # --last 1 keeps only the newest row
+    assert "2026-10-01" not in out  # --last 1 keeps each workload's newest row
+    assert "2026-10-03" in out and "2026-10-04" in out
 
 
-def test_cli_report_rejects_unreadable_trajectory(tmp_path, capsys):
+def test_report_lists_a_row_without_host_and_never_compares_it(tmp_path, capsys):
+    battery_row = {"date": "2026-08-07", "rev": "1324a2b", "sections": {}}
+    path = _write(tmp_path, battery_row, _row("aaa", 1.0, host=None), _row("bbb", 9.0))
+    assert _cli(["report", "--trajectory", path]) == 0
+    out = capsys.readouterr().out
+    assert "row 2026-08-07 1324a2b: no host, never compared" in out
+    assert "aaa       -" in out  # listed under its workload, host "-"
+    assert "no regressions" in out
+
+
+def test_report_rejects_unreadable_trajectory(tmp_path, capsys):
     assert _cli(["report", "--trajectory", str(tmp_path / "missing.json")]) == 1
     assert "cannot read trajectory" in capsys.readouterr().err
     not_a_list = tmp_path / "object.json"
@@ -297,34 +342,31 @@ def test_cli_report_rejects_unreadable_trajectory(tmp_path, capsys):
     assert "cannot read trajectory" in capsys.readouterr().err
 
 
-def test_cli_compare(tmp_path, capsys):
-    path = _trajectory(
-        tmp_path,
-        _entry("2026-08-01", "aaa", counters={"work": 100}),
-        _entry("2026-08-02", "bbb", seconds=2.0, counters={"work": 300}),
-    )
+def test_compare_shows_metrics_side_by_side_with_ratio_and_bound(tmp_path, capsys):
+    path = _write(tmp_path, _row("aaa", 1.0), _row("bbb", 2.0), _row("bbb", 1.1, host=HOST_B))
+    # bbb's latest row is on host B, where aaa has no row.
+    assert _cli(["compare", "aaa", "bbb", "--trajectory", path]) == 1
+    path = _write(tmp_path, _row("aaa", 1.0), _row("bbb", 2.0))
     assert _cli(["compare", "aaa", "bbb", "--trajectory", path]) == 0
     out = capsys.readouterr().out
-    assert "2.00x" in out
-    assert "work: 100 -> 300" in out
+    assert "workload simulate-large" in out
+    assert "wall_s" in out and "2.00x  bound 25% (lower is better)" in out
+    assert _cli(["compare", "aaa", "aaa", "--trajectory", path]) == 0
+    assert "1.00x  bound 25%" in capsys.readouterr().out
     assert _cli(["compare", "aaa", "nosuch", "--trajectory", path]) == 1
     assert "nosuch" in capsys.readouterr().err
 
 
-def test_cli_compare_needs_a_shared_section(tmp_path, capsys):
-    path = _trajectory(
-        tmp_path,
-        _entry("2026-08-01", "aaa", section="plain"),
-        _entry("2026-08-02", "bbb", section="tracked"),
-    )
+def test_compare_refuses_rows_from_two_hosts(tmp_path, capsys):
+    path = _write(tmp_path, _row("aaa", 1.0), _row("bbb", 1.0, host=HOST_B))
     assert _cli(["compare", "aaa", "bbb", "--trajectory", path]) == 1
-    assert "no section recorded under both 'aaa' and 'bbb'" in capsys.readouterr().err
-    # The latest row of a revision recorded twice is the one compared.
-    path = _trajectory(
-        tmp_path,
-        _entry("2026-08-01", "aaa"),
-        _entry("2026-08-02", "bbb", seconds=3.0),
-        _entry("2026-08-03", "bbb", seconds=1.5),
-    )
-    assert _cli(["compare", "aaa", "bbb", "--trajectory", path]) == 0
-    assert "1.0000 -> 1.5000  (1.50x)" in capsys.readouterr().out
+    assert "different hosts" in capsys.readouterr().err
+    hostless = _write(tmp_path, _row("aaa", 1.0, host=None))
+    assert _cli(["compare", "aaa", "aaa", "--trajectory", hostless]) == 1
+    assert "different hosts" in capsys.readouterr().err
+
+
+def test_compare_needs_a_shared_workload(tmp_path, capsys):
+    path = _write(tmp_path, _row("aaa"), _row("bbb", workload="faults-mc"))
+    assert _cli(["compare", "aaa", "bbb", "--trajectory", path]) == 1
+    assert "no workload recorded under both 'aaa' and 'bbb'" in capsys.readouterr().err
