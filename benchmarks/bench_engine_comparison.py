@@ -73,7 +73,7 @@ def _cycle_schedule(n: int):
 def _timed_run(engine_name: str, program: RoundProgram, **options):
     engine = get_engine(engine_name)
     start = time.perf_counter()
-    result = engine.run(program, track_history=False, **options)
+    result = engine.run(program, **options)
     return time.perf_counter() - start, result
 
 
@@ -360,10 +360,10 @@ def test_tracked_telemetry_overhead(report_sink, bench_json):
     engine = get_engine("frontier")
 
     # Phase 1 (untimed): bit-identity and run_stats placement.
-    off = engine.run(program, track_history=False, track_arrivals=True)
+    off = engine.run(program, track_arrivals=True)
     recorder = telemetry.StatsRecorder()
     with telemetry.recording(recorder):
-        on = engine.run(program, track_history=False, track_arrivals=True)
+        on = engine.run(program, track_arrivals=True)
     assert on == off, "recording telemetry changed the simulation result"
     assert off.run_stats is None and on.run_stats is not None
     assert recorder.stats is not None
@@ -373,13 +373,13 @@ def test_tracked_telemetry_overhead(report_sink, bench_json):
 
     # Phase 2 (timed): same workload, results dropped as they are produced.
     start = time.perf_counter()
-    engine.run(program, track_history=False, track_arrivals=True)
+    engine.run(program, track_arrivals=True)
     off_seconds = time.perf_counter() - start
 
     recorder = telemetry.StatsRecorder()
     with telemetry.recording(recorder):
         start = time.perf_counter()
-        engine.run(program, track_history=False, track_arrivals=True)
+        engine.run(program, track_arrivals=True)
         on_seconds = time.perf_counter() - start
 
     ratio = on_seconds / off_seconds

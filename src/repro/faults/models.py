@@ -357,8 +357,7 @@ class AdversarialArcFaults:
     def _evaluate(
         self, program: RoundProgram, deletion: frozenset[tuple[int, int]], engine
     ) -> int | None:
-        result = engine.run(_deleted_program(program, deletion), track_history=False)
-        return result.completion_round
+        return engine.run(_deleted_program(program, deletion)).completion_round
 
     @staticmethod
     def _worse(a: int | None, b: int | None) -> bool:

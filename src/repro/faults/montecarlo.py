@@ -213,7 +213,7 @@ def _fault_sample(
         horizon = max_rounds
     else:
         if nominal is None:
-            result = resolve_engine(engine, program).run(program, track_history=False)
+            result = resolve_engine(engine, program).run(program)
             nominal = result.completion_round
             if nominal is None:
                 raise SimulationError(
@@ -244,11 +244,11 @@ def monte_carlo(
     finite :class:`~repro.gossip.model.GossipProtocol` the horizon never
     exceeds the protocol's own length.
 
-    ``method="auto"`` takes the batched tensor kernel whenever NumPy is
-    available and no specific engine was requested.  "No specific engine"
-    means ``engine`` is ``None`` or ``"auto"`` (case-insensitively) *and*
-    the ``REPRO_SIM_ENGINE`` override is unset — a pinned environment, like
-    a named ``engine`` or ``method="looped"``, runs the per-trial loop
+    ``method="auto"`` takes the batched tensor kernel whenever no specific
+    engine was requested.  "No specific engine" means ``engine`` is
+    ``None`` or ``"auto"`` (case-insensitively) *and* the
+    ``REPRO_SIM_ENGINE`` override is unset — a pinned environment, like a
+    named ``engine`` or ``method="looped"``, runs the per-trial loop
     through that backend instead.  Both paths consume the same seeded
     fault realisation, so the choice never changes the results, only the
     throughput.
@@ -334,10 +334,7 @@ def _run_looped(
     knowledge: list[tuple[int, ...]] = []
     for t in range(sample.trials):
         rounds = tuple(sample.kept_arcs(t, r) for r in range(1, horizon + 1))
-        result = engine.run(
-            RoundProgram(graph, rounds, cyclic=False, max_rounds=horizon),
-            track_history=False,
-        )
+        result = engine.run(RoundProgram(graph, rounds, cyclic=False, max_rounds=horizon))
         completion.append(result.completion_round)
         knowledge.append(result.knowledge)
     return tuple(completion), tuple(knowledge)

@@ -127,7 +127,7 @@ def _tracked_run(
     with telemetry.span(
         "analysis.tracked_run", engine=resolved.name, n=program.graph.n
     ):
-        return program, resolved.run(program, track_history=False, **track)
+        return program, resolved.run(program, **track)
 
 
 def arrival_times(

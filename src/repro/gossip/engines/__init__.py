@@ -84,7 +84,7 @@ may still lack the protocol).
 
 The determinism contract: resuming a state on a program whose executed
 prefix matches the producing run's returns a result **bit-identical to the
-cold run** — final knowledge, completion round, coverage history, item
+cold run** — final knowledge, rounds executed, completion round, item
 completion and arrival matrices all agree exactly, for any program suffix.
 States are stored in the canonical integer encoding, so they are portable
 across backends (checkpoint on vectorized, resume on frontier, and vice
@@ -121,8 +121,8 @@ Counter vocabulary (component ``engine.<name>``):
 * ``batches`` / ``replayed_rounds`` — the vectorized kernel's doubling
   batches and replay rounds: the rounds a completing batch is replayed at
   full width, plus the rounds an item-tracked batch is replayed on the word
-  columns of the items that completed in it (both 0 when the run takes the
-  round-by-round loop for history or arrivals).
+  columns of the items that completed in it (both 0 when an
+  arrival-tracked run takes the round-by-round loop).
 
 Each run also records an ``engine.run`` span (wall time, attributed to the
 enclosing CLI/search span) and attaches a
@@ -270,13 +270,7 @@ def is_auto_spec(spec: str | SimulationEngine | None) -> bool:
     )
 
 
-def select_engine_name(
-    program: RoundProgram,
-    *,
-    track_history: bool = False,
-    track_item_completion: bool = False,
-    track_arrivals: bool = False,
-) -> str:
+def select_engine_name(program: RoundProgram, *, track_arrivals: bool = False) -> str:
     """The coded decision function behind workload-aware ``"auto"``.
 
     Reproduces the measured crossover table (ROADMAP.md).  Arrival-tracked
@@ -285,26 +279,14 @@ def select_engine_name(
     to the vectorized kernel.  The depth costs one O(n + m) search, run
     for arrival-tracked cyclic programs only.  Returns a registered engine
     *name* — callers wanting an instance go through :func:`resolve_engine`,
-    which also applies the env override.
-
-    ``track_history`` and ``track_item_completion`` do not influence the
-    pick; they are accepted so call sites can forward their full tracking
-    signature.
+    which also applies the env override.  Item tracking does not influence
+    the pick, so only ``track_arrivals`` is a parameter.
     """
-    return explain_engine_selection(
-        program,
-        track_history=track_history,
-        track_item_completion=track_item_completion,
-        track_arrivals=track_arrivals,
-    )[0]
+    return explain_engine_selection(program, track_arrivals=track_arrivals)[0]
 
 
 def explain_engine_selection(
-    program: RoundProgram,
-    *,
-    track_history: bool = False,
-    track_item_completion: bool = False,
-    track_arrivals: bool = False,
+    program: RoundProgram, *, track_arrivals: bool = False
 ) -> tuple[str, str]:
     """:func:`select_engine_name` plus its rationale, as ``(name, why)``.
 
@@ -312,7 +294,6 @@ def explain_engine_selection(
     threshold it was compared against; the telemetry ``engine.resolve``
     event carries it so a trace explains every automatic dispatch.
     """
-    del track_history, track_item_completion  # accepted for signature parity
     if not program.cyclic:
         # Finite programs never reuse a round slot, so the frontier
         # engine's windows never pay off: every firing would take the
@@ -348,7 +329,6 @@ def resolve_engine(
     spec: str | SimulationEngine | None = None,
     program: RoundProgram | None = None,
     *,
-    track_history: bool = False,
     track_item_completion: bool = False,
     track_arrivals: bool = False,
 ) -> SimulationEngine:
@@ -357,7 +337,8 @@ def resolve_engine(
     ``None`` and ``"auto"`` consult the ``REPRO_SIM_ENGINE`` environment
     variable first and then fall back to automatic selection: when the
     caller supplies the ``program`` it is about to run (plus its tracking
-    flags), selection is workload-aware (:func:`select_engine_name`);
+    flags), selection is workload-aware (:func:`select_engine_name`; item
+    tracking only sets the ``engine.resolve`` event's ``tracked`` field);
     without a program it keeps the historical program-blind pick (the
     vectorized kernel).  Explicit names — matched case-insensitively —
     always win over both.  An unknown name raises
@@ -390,12 +371,7 @@ def resolve_engine(
             )
         return engine
     if program is not None:
-        name, rationale = explain_engine_selection(
-            program,
-            track_history=track_history,
-            track_item_completion=track_item_completion,
-            track_arrivals=track_arrivals,
-        )
+        name, rationale = explain_engine_selection(program, track_arrivals=track_arrivals)
         if telem:
             telemetry.event(
                 "engine.resolve",

@@ -33,7 +33,6 @@ __all__ = [
     "pack_int",
     "pack_rows",
     "unpack_rows",
-    "popcount_total",
     "set_bit_positions",
     "expand_delta_words",
     "arc_indices",
@@ -93,11 +92,6 @@ def unpack_rows(matrix: np.ndarray) -> tuple[int, ...]:
     return tuple(
         int.from_bytes(data[i * stride : (i + 1) * stride], "little") for i in range(rows)
     )
-
-
-def popcount_total(matrix: np.ndarray) -> int:
-    """Total number of set bits in the knowledge matrix."""
-    return int(np.bitwise_count(matrix).sum())
 
 
 def set_bit_positions(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,9 +10,10 @@ round into tail/head index arrays exactly one time regardless of how many
 times the schedule cycles through it.
 
 Engines must agree bit-for-bit: given the same program and options they must
-return identical ``knowledge``, ``completion_round`` and ``coverage_history``
-values.  ``tests/test_engines_differential.py`` enforces this against the
-pure-Python reference implementation.
+return identical results — ``knowledge``, ``rounds_executed``,
+``completion_round`` and every tracked analysis (``item_completion_rounds``,
+``arrival_rounds``).  ``tests/test_engines_differential.py`` enforces this
+against the pure-Python reference implementation.
 """
 
 from __future__ import annotations
@@ -253,10 +254,6 @@ class SimulationResult:
         every tracked item, or ``None`` if the run ended before completion.
     knowledge:
         Final knowledge bitsets, indexed like ``graph.vertices``.
-    coverage_history:
-        ``coverage_history[i]`` is the total number of (vertex, item) pairs
-        known after ``i`` rounds; entry 0 is the initial ``n`` (each vertex
-        knows its own item).  Empty when history tracking is off.
     item_completion_rounds:
         Only populated when the engine was asked to track per-item
         completion: entry ``j`` is the first round after which *every* vertex
@@ -287,7 +284,6 @@ class SimulationResult:
     rounds_executed: int
     completion_round: int | None
     knowledge: tuple[int, ...]
-    coverage_history: tuple[int, ...]
     item_completion_rounds: tuple[int | None, ...] | None = None
     arrival_rounds: ArrivalRounds | None = None
     engine_name: str | None = None
@@ -338,7 +334,6 @@ class SimulationEngine(Protocol):
         *,
         initial: list[int] | None = None,
         target_mask: int | None = None,
-        track_history: bool = True,
         track_item_completion: bool = False,
         track_arrivals: bool = False,
     ) -> SimulationResult:
@@ -346,10 +341,10 @@ class SimulationEngine(Protocol):
 
         ``initial`` overrides the each-vertex-knows-itself starting state;
         ``target_mask`` restricts the completion test to a subset of item
-        bits (used for broadcast times); ``track_history`` records the
-        coverage curve; ``track_item_completion`` records, per item, the
-        first round at which all vertices know it; ``track_arrivals``
-        records the full (vertex, item) first-arrival matrix, which batches
-        every per-source arrival/eccentricity analysis into one run.
+        bits (used for broadcast times); ``track_item_completion`` records,
+        per item, the first round at which all vertices know it;
+        ``track_arrivals`` records the full (vertex, item) first-arrival
+        matrix, which batches every per-source arrival/eccentricity
+        analysis into one run.  A run with neither tracks only completion.
         """
         ...  # pragma: no cover - protocol definition

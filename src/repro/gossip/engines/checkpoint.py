@@ -2,9 +2,9 @@
 
 A *checkpoint* freezes a run mid-program: :class:`EngineState` is the
 engine-agnostic snapshot of everything a backend needs to continue the run
-— the exact knowledge bitsets after round ``r`` plus the prefixes of every
-tracked analysis (coverage history, per-item completion, the first-arrival
-matrix) and the option signature the run was started with.  ``resume``
+— the exact knowledge bitsets after round ``r``, the target mask the run
+was started with, and the prefixes of every tracked analysis (per-item
+completion, the first-arrival matrix).  ``resume``
 continues a state on a program whose executed rounds ``1 … r`` match the
 ones that produced the state, and returns a result **bit-identical to the
 cold run** of that program.
@@ -18,8 +18,8 @@ history:
   ``SimulationResult.knowledge`` encoding), so a state captured by one
   backend can be resumed by any other — the differential resume suite
   (``tests/test_engines_resume.py``) checks every ordered engine pair;
-* every incremental counter an engine keeps (coverage, target-mask totals,
-  per-item counts) is recomputed from the snapshot at resume time — the
+* every incremental counter an engine keeps (target-mask totals, per-item
+  counts) is recomputed from the snapshot at resume time — the
   union of knowledge bits is time-invariant (bits only spread, never
   appear), so derived quantities like the reachable-bit set are identical
   to the cold run's;
@@ -81,7 +81,7 @@ completion or at ``run.program.max_rounds``, and return the final
 knowledge in public row and bit order (a packed ``uint64`` matrix, or a
 list of Python ints), the last executed round, the completion round (or
 ``None``) and a dict of the engine's own counters, named in its
-``engine_counters``.  Along the way the loop extends ``run``'s tracked
+``engine_counters``.  Along the way the loop fills ``run``'s tracked
 prefixes in place and calls :meth:`EngineRun.capture` after round
 ``run.next_capture``.  An engine that sets ``stops_at_fixed_point`` may
 return early once a full period brought no news: the driver fills in the
@@ -128,11 +128,11 @@ class EngineState:
 
     ``knowledge`` uses the canonical arbitrary-precision-integer encoding
     (bit ``j`` of entry ``v`` set iff vertex ``v`` knows item ``j``), so the
-    state is backend-portable by construction.  ``target_mask`` and the
-    three tracking flags record the option signature of the producing run;
-    resume validates them against the requested options, because a state
-    captured without (say) arrival tracking cannot seed a tracked
-    continuation.
+    state is backend-portable by construction.  ``target_mask`` and which
+    prefixes are present (not ``None``) record the option signature of the
+    producing run; resume validates them against the requested options,
+    because a state captured without (say) arrival tracking cannot seed a
+    tracked continuation.
 
     ``completion_round`` is almost always ``None`` — engines stop at
     completion, so a mid-run snapshot is incomplete by construction; the
@@ -140,8 +140,8 @@ class EngineState:
     completing round (or at round 0 of an initially complete program), and
     resuming one short-circuits to the finished result.
 
-    Tracked prefixes: ``coverage_history`` has ``round + 1`` entries when
-    history tracking was on; ``item_completion`` / ``arrivals`` mirror the
+    Tracked prefixes: ``item_completion`` / ``arrivals`` are ``None`` when
+    the producing run did not track them; otherwise they mirror the
     corresponding :class:`~repro.gossip.engines.base.SimulationResult`
     encodings (``None`` for not-yet events), restricted to what had
     happened by ``round``.
@@ -151,10 +151,6 @@ class EngineState:
     knowledge: tuple[int, ...]
     completion_round: int | None
     target_mask: int
-    track_history: bool
-    track_item_completion: bool
-    track_arrivals: bool
-    coverage_history: tuple[int, ...] | None = None
     item_completion: tuple[int | None, ...] | None = None
     arrivals: tuple[tuple[int | None, ...], ...] | None = None
     engine_name: str | None = None
@@ -187,18 +183,17 @@ def check_resume_state(
     program: RoundProgram,
     *,
     target_mask: int | None,
-    track_history: bool,
     track_item_completion: bool,
     track_arrivals: bool,
 ) -> None:
     """Validate that ``state`` can seed a run of ``program`` under these options.
 
-    Catches signature mismatches (vertex count, target mask, tracking
-    flags), budgets that end before the resume point, and tracked prefixes
-    of the wrong shape.  The round-prefix contract — ``program``'s rounds
-    ``1 … state.round`` must equal the producing run's — is the caller's
-    responsibility and is *not* checked here (doing so would require
-    storing the whole executed prefix).
+    Catches signature mismatches (vertex count, target mask, which
+    prefixes are tracked), budgets that end before the resume point, and
+    tracked prefixes of the wrong shape.  The round-prefix contract —
+    ``program``'s rounds ``1 … state.round`` must equal the producing
+    run's — is the caller's responsibility and is *not* checked here
+    (doing so would require storing the whole executed prefix).
     """
     n = program.graph.n
     if state.n != n:
@@ -216,31 +211,20 @@ def check_resume_state(
         raise SimulationError(
             "cannot resume: the state was captured under a different target mask"
         )
-    wanted = (track_history, track_item_completion, track_arrivals)
-    have = (state.track_history, state.track_item_completion, state.track_arrivals)
+    wanted = (track_item_completion, track_arrivals)
+    have = (state.item_completion is not None, state.arrivals is not None)
     if wanted != have:
         raise SimulationError(
             f"cannot resume: the state was captured with tracking flags "
-            f"(history, items, arrivals) = {have}, the resumed run asks for {wanted}"
+            f"(items, arrivals) = {have}, the resumed run asks for {wanted}"
         )
-    if track_history and (
-        state.coverage_history is None or len(state.coverage_history) != state.round + 1
-    ):
-        raise SimulationError(
-            "cannot resume: the state's coverage-history prefix does not cover "
-            "its own round"
-        )
-    if track_item_completion and (
-        state.item_completion is None or len(state.item_completion) != n
-    ):
+    if track_item_completion and len(state.item_completion) != n:
         raise SimulationError(
             f"cannot resume: the state's item-completion prefix does not have "
             f"one entry for each of the {n} items"
         )
     if track_arrivals and (
-        state.arrivals is None
-        or len(state.arrivals) != n
-        or any(len(row) != n for row in state.arrivals)
+        len(state.arrivals) != n or any(len(row) != n for row in state.arrivals)
     ):
         raise SimulationError(
             f"cannot resume: the state's arrival prefix is not {n} rows of {n} entries"
@@ -329,12 +313,11 @@ class EngineRun:
     counters.
 
     The tracked prefixes, indexed by public vertex and public item, are the
-    driver's own containers and the loop extends them in place:
-    ``history`` takes one coverage count per executed round when
-    ``track_history`` is on (and stays empty otherwise); ``item_rounds``
-    (``n`` entries) and ``arrivals`` (``n`` rows of ``n``) are ``None``
-    when untracked, int64 arrays with ``-1`` for "not yet" for an engine
-    with ``uses_numpy``, and lists with ``None`` for "not yet" otherwise.
+    driver's own containers and the loop fills them in place:
+    ``item_rounds`` (``n`` entries) and ``arrivals`` (``n`` rows of ``n``)
+    are ``None`` when untracked, int64 arrays with ``-1`` for "not yet" for
+    an engine with ``uses_numpy``, and lists with ``None`` for "not yet"
+    otherwise.
 
     ``next_capture`` is the next wanted checkpoint round, or a round past
     the budget when none is left; the loop calls :meth:`capture` right
@@ -347,8 +330,6 @@ class EngineRun:
         "start",
         "identity_start",
         "target_mask",
-        "track_history",
-        "history",
         "item_rounds",
         "arrivals",
         "completion",
@@ -370,7 +351,6 @@ class EngineRun:
         slot_cache: dict | None,
         initial: list[int] | None,
         target_mask: int | None,
-        track_history: bool,
         track_item_completion: bool,
         track_arrivals: bool,
         counting: bool,
@@ -387,7 +367,6 @@ class EngineRun:
                 state,
                 program,
                 target_mask=target_mask,
-                track_history=track_history,
                 track_item_completion=track_item_completion,
                 track_arrivals=track_arrivals,
             )
@@ -404,7 +383,6 @@ class EngineRun:
         self.start = start
         self.identity_start = state is None and initial is None
         self.target_mask = full
-        self.track_history = track_history
         self.slot_cache = slot_cache
         self.counting = counting
         self.checkpoints: list[EngineState] = []
@@ -413,7 +391,6 @@ class EngineRun:
         arrays = engine.uses_numpy
         if state is not None:
             self.completion = state.completion_round
-            self.history = list(state.coverage_history) if track_history else []
             items = state.item_completion
             if track_item_completion:
                 self.item_rounds = _int64_rounds(items) if arrays else list(items)
@@ -431,7 +408,6 @@ class EngineRun:
                 self.arrivals = [list(row) for row in state.arrivals]
         else:
             self.completion = 0 if all(v & full == full for v in start) else None
-            self.history = [sum(v.bit_count() for v in start)] if track_history else []
             vertex_items = full_mask(n)
             self.item_rounds = None
             if track_item_completion:
@@ -471,14 +447,6 @@ class EngineRun:
                 knowledge=_canonical_knowledge(knowledge),
                 completion_round=completion,
                 target_mask=self.target_mask,
-                track_history=self.track_history,
-                track_item_completion=self.item_rounds is not None,
-                track_arrivals=self.arrivals is not None,
-                coverage_history=(
-                    tuple(self.history[: round_number + 1])
-                    if self.track_history
-                    else None
-                ),
                 item_completion=(
                     None
                     if self.item_rounds is None
@@ -572,7 +540,6 @@ class CheckpointingMixin:
         *,
         initial: list[int] | None = None,
         target_mask: int | None = None,
-        track_history: bool = True,
         track_item_completion: bool = False,
         track_arrivals: bool = False,
     ) -> SimulationResult:
@@ -582,7 +549,6 @@ class CheckpointingMixin:
             program,
             initial=initial,
             target_mask=target_mask,
-            track_history=track_history,
             track_item_completion=track_item_completion,
             track_arrivals=track_arrivals,
         ).result
@@ -596,7 +562,6 @@ class CheckpointingMixin:
         slot_cache: dict | None = None,
         initial: list[int] | None = None,
         target_mask: int | None = None,
-        track_history: bool = True,
         track_item_completion: bool = False,
         track_arrivals: bool = False,
     ) -> CheckpointedRun:
@@ -613,7 +578,6 @@ class CheckpointingMixin:
             slot_cache=slot_cache,
             initial=initial,
             target_mask=target_mask,
-            track_history=track_history,
             track_item_completion=track_item_completion,
             track_arrivals=track_arrivals,
             counting=counting,
@@ -635,8 +599,6 @@ class CheckpointingMixin:
             early_exit = executed
             synthesized = program.max_rounds - executed
             executed = program.max_rounds
-            if track_history:
-                run.history.extend([run.history[-1]] * synthesized)
             while run.next_capture <= executed:
                 run.capture(run.next_capture, None, knowledge)
 
@@ -665,7 +627,6 @@ class CheckpointingMixin:
             rounds_executed=executed,
             completion_round=completion,
             knowledge=_canonical_knowledge(knowledge),
-            coverage_history=tuple(run.history),
             item_completion_rounds=(
                 None if run.item_rounds is None else _canonical_rounds(run.item_rounds)
             ),

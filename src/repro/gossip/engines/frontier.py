@@ -8,10 +8,10 @@ of its memory traffic moves bits the receiver already has.  This engine
 keeps the exact packed ``(n, W) uint64`` knowledge matrix but drives each
 round from the *frontier*: the sparse list of ``(vertex, item)`` pairs
 learned recently, in the spirit of frontier BFS and delta-stepping kernels.
-Every derived quantity — coverage history, completion, per-item completion,
-the full first-arrival matrix — is maintained *incrementally* from the
-delta pairs, so tracked analyses cost O(frontier) per round instead of the
-dense kernel's O(n·W) rescans; that is where this engine wins hardest (see
+Every derived quantity — completion, per-item completion, the full
+first-arrival matrix — is maintained *incrementally* from the delta pairs,
+so tracked analyses cost O(frontier) per round instead of the dense
+kernel's O(n·W) rescans; that is where this engine wins hardest (see
 the crossover notes in :mod:`repro.gossip.engines`).
 
 Correctness of frontier-only transmission
@@ -56,8 +56,8 @@ it would be discarded unread.
 When a full period passes without any new pair the knowledge state is a
 fixed point (every future window is empty), so the loop stops early and
 the run driver synthesizes the remaining no-op rounds:
-``rounds_executed``, ``coverage_history`` and every other field still
-match the reference engine exactly.
+``rounds_executed`` and every other field still match the reference
+engine exactly.
 
 Checkpoint/resume
 -----------------
@@ -284,9 +284,8 @@ class FrontierEngine(CheckpointingMixin):
         target_pop = full.bit_count()
         target_total = n * target_pop
         mask_total = sum(int(v & full).bit_count() for v in start)
-        coverage = start_coverage = sum(int(v).bit_count() for v in start)
+        delivered = 0
 
-        history = run.history if run.track_history else None
         item_rounds = run.item_rounds
         arrivals = run.arrivals
         item_count: np.ndarray | None = None
@@ -355,7 +354,7 @@ class FrontierEngine(CheckpointingMixin):
             fresh = h_new.size
             if fresh:
                 idle = 0
-                coverage += fresh
+                delivered += fresh
                 if mask_covers_all:
                     mask_total += fresh
                 elif target_pop:
@@ -398,8 +397,6 @@ class FrontierEngine(CheckpointingMixin):
                     for k in members:
                         pending_v[k].append(fv)
                         pending_j[k].append(fj)
-            if history is not None:
-                history.append(coverage)
             if i == next_capture:
                 next_capture = run.capture(i, completion, knowledge)
             if completion is not None or (cyclic and idle >= s):
@@ -411,5 +408,5 @@ class FrontierEngine(CheckpointingMixin):
             "slots_fired_sparse": sparse_fired,
             "slots_fired_dense": dense_fired,
             "window_elements_routed": routed,
-            "pairs_delivered": coverage - start_coverage,
+            "pairs_delivered": delivered,
         }

@@ -37,7 +37,6 @@ class ReferenceEngine(CheckpointingMixin):
         index = program.graph.index
         full = run.target_mask
         knowledge = run.start
-        history = run.history if run.track_history else None
         item_rounds = run.item_rounds
         arrivals = run.arrivals
         known_by_all = reduce(and_, knowledge) if item_rounds is not None else 0
@@ -61,8 +60,6 @@ class ReferenceEngine(CheckpointingMixin):
                                 arrivals[h][j] = round_number
                     knowledge[h] = bits
             executed = round_number
-            if history is not None:
-                history.append(sum(bin(k).count("1") for k in knowledge))
             if item_rounds is not None:
                 now_known = reduce(and_, knowledge)
                 for j in iter_set_bits(now_known & ~known_by_all):

@@ -73,18 +73,17 @@ untiled kernel.
 
 Completion detection
 --------------------
-When no per-round history is requested, rounds are executed in batches of
-doubling size (capped): the completion test — an O(n·W) comparison against
-the target mask — runs once per batch, and when a batch ends complete the
+Unless arrivals are tracked, rounds are executed in batches of doubling
+size (capped): the completion test — an O(n·W) comparison against the
+target mask — runs once per batch, and when a batch ends complete the
 engine rolls back to the saved pre-batch state and replays it round by
 round to pin down the *exact* completion round.  This keeps the steady-state
 per-round cost at a single kernel application, which is what makes the
 engine an order of magnitude faster than the reference loop on instances
-with thousands of vertices.  Coverage counts use the hardware popcount
-(``np.bitwise_count``).
+with thousands of vertices.
 
 Per-item completion is monotone too, so an item-tracked run without
-history or arrivals stays in the batched loop.  After each batch one
+arrivals stays in the batched loop.  After each batch one
 AND-reduce over the rows gives the items every vertex holds; the item bits
 it adds are the items that completed inside the batch.  Such a batch is
 replayed from its saved pre-batch state on only the word columns holding
@@ -96,8 +95,8 @@ The columns are copied column-major, so each replayed round's AND-reduce
 reads contiguous memory.  Item completions cluster (on a cycle colouring
 every item completes in the last few rounds), so most batches need no
 replay at all.  A batch that also completes the run is replayed at full
-width, stamping items on the way.  Runs that track history or arrivals
-need every round and take the round-by-round loop.
+width, stamping items on the way.  Arrival-tracked runs need every round
+and take the round-by-round loop.
 
 Checkpoint/resume
 -----------------
@@ -130,7 +129,6 @@ from repro.gossip.engines._bitops import (
     pack_int as _pack_int,
     pack_rows as _pack_rows,
     packed_width as _packed_width,
-    popcount_total as _popcount_total,
     set_bit_positions as _set_bit_positions,
 )
 from repro.gossip.engines.checkpoint import (
@@ -422,19 +420,17 @@ class VectorizedEngine(CheckpointingMixin):
             return compiled[round_number - 1]
 
         # Item completion is monotone like completion itself, so the batched
-        # loop scans it once per batch; history and arrivals need every round.
-        if run.track_history or run.arrivals is not None or not compiled:
-            receivers = None
-            if run.arrivals is not None:
-                # Each round can only change its receiver rows; resolve them
-                # once per distinct compiled round, not once per executed
-                # round, as internal rows (to diff the matrix) and public
-                # rows (to index the arrival matrix).
-                receivers = []
-                for c in compiled:
-                    rows = np.unique(c[1])
-                    public = rows if new_to_old is None else new_to_old[rows]
-                    receivers.append((rows, public) if rows.size else None)
+        # loop scans it once per batch; arrivals need every round.
+        if run.arrivals is not None:
+            # Each round can only change its receiver rows; resolve them
+            # once per distinct compiled round, not once per executed
+            # round, as internal rows (to diff the matrix) and public
+            # rows (to index the arrival matrix).
+            receivers = []
+            for c in compiled:
+                rows = np.unique(c[1])
+                public = rows if new_to_old is None else new_to_old[rows]
+                receivers.append((rows, public) if rows.size else None)
 
             def receivers_at(round_number: int):
                 if program.cyclic:
@@ -466,10 +462,10 @@ class VectorizedEngine(CheckpointingMixin):
         tile_rows: int,
         old_to_new: np.ndarray | None,
     ) -> tuple[np.ndarray, int, int | None]:
-        """Round-by-round loop recording coverage, item completion, arrivals."""
+        """Round-by-round loop recording arrivals, and item completion when
+        that is tracked too."""
         program = run.program
         n = program.graph.n
-        history = run.history if run.track_history else None
         item_rounds = run.item_rounds
         arrivals = run.arrivals
         next_capture = run.next_capture
@@ -478,30 +474,21 @@ class VectorizedEngine(CheckpointingMixin):
 
         completion: int | None = None
         executed = run.base
-        has_rounds = bool(program.rounds)
         for round_number in range(run.base + 1, program.max_rounds + 1):
-            if has_rounds:
-                compiled = compiled_at(round_number)
-                receivers = receivers_at(round_number) if arrivals is not None else None
-                if receivers is not None:
-                    # Only this round's receiver rows can change: snapshot
-                    # them, apply, and record the freshly set bits (word
-                    # scan + expansion of the nonzero words only).
-                    rows, public = receivers
-                    before = knowledge[rows]
-                    apply_round(knowledge, compiled)
-                    fresh = knowledge[rows] & ~before
-                    hit, cols = _set_bit_positions(fresh)
-                    if hit.size:
-                        vertex_items = cols < n
-                        arrivals[
-                            public[hit[vertex_items]], cols[vertex_items]
-                        ] = round_number
-                else:
-                    apply_round(knowledge, compiled)
+            receivers = receivers_at(round_number)
+            if receivers is not None:
+                # Only this round's receiver rows can change: snapshot them,
+                # apply, and record the freshly set bits (word scan +
+                # expansion of the nonzero words only).
+                rows, public = receivers
+                before = knowledge[rows]
+                apply_round(knowledge, compiled_at(round_number))
+                fresh = knowledge[rows] & ~before
+                hit, cols = _set_bit_positions(fresh)
+                if hit.size:
+                    vertex_items = cols < n
+                    arrivals[public[hit[vertex_items]], cols[vertex_items]] = round_number
             executed = round_number
-            if history is not None:
-                history.append(_popcount_total(knowledge))
             if item_rounds is not None:
                 known_by_all = _scan_items(
                     knowledge, known_by_all, item_words, all_cols, item_rounds, round_number

@@ -17,8 +17,8 @@ The actual execution is delegated to a *simulation engine* selected by the
 * ``"vectorized"`` — a NumPy kernel that packs the knowledge sets into an
   ``(n, ceil(n/64)) uint64`` matrix, precompiles each round's arc list into
   tail/head index arrays once per period, and applies rounds as L2-tiled
-  bulk gather + scatter-OR operations with hardware-popcount coverage
-  tracking.
+  bulk gather + scatter-OR operations, testing completion once per batch
+  of rounds.
 * ``"frontier"`` — a sparse engine that transmits only the newly-learned
   (vertex, item) pairs of each round; the fastest backend for
   arrival-tracked periodic schedules on deep topologies (cycles, paths,
@@ -74,22 +74,17 @@ __all__ = [
 def simulate(
     protocol: GossipProtocol,
     *,
-    track_history: bool = True,
     engine: str | SimulationEngine | None = "auto",
 ) -> SimulationResult:
     """Run an explicit protocol to its end (or until gossip completes earlier)."""
     program = RoundProgram.from_protocol(protocol)
-    return resolve_engine(engine, program, track_history=track_history).run(
-        program,
-        track_history=track_history,
-    )
+    return resolve_engine(engine, program).run(program)
 
 
 def simulate_systolic(
     schedule: SystolicSchedule,
     *,
     max_rounds: int | None = None,
-    track_history: bool = False,
     engine: str | SimulationEngine | None = "auto",
 ) -> SimulationResult:
     """Repeat a systolic schedule until gossip completes (or ``max_rounds`` elapse).
@@ -101,10 +96,7 @@ def simulate_systolic(
     looping forever.
     """
     program = RoundProgram.from_schedule(schedule, max_rounds)
-    return resolve_engine(engine, program, track_history=track_history).run(
-        program,
-        track_history=track_history,
-    )
+    return resolve_engine(engine, program).run(program)
 
 
 def _program_for(protocol_or_schedule, max_rounds: int | None) -> RoundProgram:
@@ -130,7 +122,7 @@ def gossip_time(
     can rely on the returned value being a genuine completion time.
     """
     program = _program_for(protocol_or_schedule, max_rounds)
-    result = resolve_engine(engine, program).run(program, track_history=False)
+    result = resolve_engine(engine, program).run(program)
     if result.completion_round is None:
         raise SimulationError(
             f"gossip did not complete within {result.rounds_executed} rounds"
@@ -148,11 +140,7 @@ def broadcast_time(
     """Rounds needed for the item of ``source`` to reach every vertex."""
     program = _program_for(protocol_or_schedule, max_rounds)
     source_bit = 1 << program.graph.index(source)
-    result = resolve_engine(engine, program).run(
-        program,
-        target_mask=source_bit,
-        track_history=False,
-    )
+    result = resolve_engine(engine, program).run(program, target_mask=source_bit)
     if result.completion_round is None:
         raise SimulationError(
             f"broadcast from {source!r} did not complete within {result.rounds_executed} rounds"
@@ -179,9 +167,7 @@ def broadcast_times_all(
     """
     program = _program_for(protocol_or_schedule, max_rounds)
     result = resolve_engine(engine, program, track_item_completion=True).run(
-        program,
-        track_history=False,
-        track_item_completion=True,
+        program, track_item_completion=True
     )
     rounds = result.item_completion_rounds
     assert rounds is not None  # engines always honour track_item_completion
@@ -201,7 +187,7 @@ def is_complete_gossip(
     engine: str | SimulationEngine | None = "auto",
 ) -> bool:
     """``True`` iff the protocol completes gossip within its own length."""
-    return simulate(protocol, track_history=False, engine=engine).complete
+    return simulate(protocol, engine=engine).complete
 
 
 def knowledge_counts(result: SimulationResult) -> list[int]:

@@ -71,11 +71,6 @@ class GapReport:
             return None
         return self.found - self.lower_bound
 
-    @property
-    def matches_bound(self) -> bool:
-        """``True`` iff the schedule meets its lower bound exactly (gap 0)."""
-        return self.found is not None and self.found == self.lower_bound
-
 
 def _certificate(
     schedule: SystolicSchedule, unroll_periods: int, optimize_lambda: bool

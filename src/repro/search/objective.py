@@ -183,8 +183,8 @@ def _nominal_run_options(objective: str) -> dict:
     everything else is a plain completion run.
     """
     if objective in ("max_eccentricity", "mean_eccentricity"):
-        return {"track_history": False, "track_item_completion": True}
-    return {"track_history": False}
+        return {"track_item_completion": True}
+    return {}
 
 
 def resolve_objective_engine(

@@ -48,7 +48,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 __all__ = [
     "EventRecord",
@@ -175,10 +175,6 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-
-    def add_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
 
     def merge(self, other: "Histogram | None") -> "Histogram":
         """Fold ``other`` in bucket-wise (no-op for ``None``); returns self."""

@@ -22,7 +22,7 @@ from repro.topologies.classic import path_graph
 def _tracked(engine: str, schedule=None):
     schedule = schedule or cycle_systolic_schedule(8, Mode.HALF_DUPLEX)
     program = RoundProgram.from_schedule(schedule)
-    return get_engine(engine).run(program, track_history=False, track_arrivals=True)
+    return get_engine(engine).run(program, track_arrivals=True)
 
 
 class TestArrivalRounds:
@@ -59,9 +59,7 @@ class TestArrivalRounds:
         protocol = GossipProtocol(graph, [[(0, 1)]], mode=Mode.DIRECTED)
         for engine in available_engines():
             result = get_engine(engine).run(
-                RoundProgram.from_protocol(protocol),
-                track_history=False,
-                track_arrivals=True,
+                RoundProgram.from_protocol(protocol), track_arrivals=True
             )
             array = result.arrival_rounds.to_numpy()
             assert array.dtype == np.int64

@@ -4,10 +4,10 @@ The reference engine (pure-Python arbitrary-precision integers) is the
 semantic oracle; every other registered engine (the packed uint64 NumPy
 kernel, the sparse frontier-propagation engine, and any future backend)
 must reproduce its ``knowledge``, ``completion_round``, ``rounds_executed``,
-``coverage_history``, ``item_completion_rounds`` and ``arrival_rounds``
-exactly — on every topology builder, both duplex modes, explicit and
-systolic protocols, complete and incomplete runs, matching and deliberately
-non-matching rounds.  An untracked run must also reach the outcome of a
+``item_completion_rounds`` and ``arrival_rounds`` exactly — on every
+topology builder, both duplex modes, explicit and systolic protocols,
+complete and incomplete runs, matching and deliberately non-matching
+rounds.  An untracked run must also reach the outcome of a
 fully tracked one (``TestTrackingInvariance``).  The engine lists below are
 drawn from the registry, so newly registered backends are covered
 automatically, and the suite runs once per vectorized kernel regime
@@ -83,9 +83,20 @@ def assert_results_identical(a, b, context=""):
     assert a.completion_round == b.completion_round, context
     assert a.rounds_executed == b.rounds_executed, context
     assert a.knowledge == b.knowledge, context
-    assert a.coverage_history == b.coverage_history, context
     assert a.item_completion_rounds == b.item_completion_rounds, context
     assert a.arrival_rounds == b.arrival_rounds, context
+
+
+def _arrival_run(program: RoundProgram, engine: str):
+    """An arrival-tracked run: the round-by-round record of every pair."""
+    return get_engine(engine).run(program, track_arrivals=True)
+
+
+def assert_arrivals_identical(program: RoundProgram, candidate: str, context="") -> None:
+    """``candidate`` matches the reference on an arrival-tracked run."""
+    assert_results_identical(
+        _arrival_run(program, "reference"), _arrival_run(program, candidate), context
+    )
 
 
 @pytest.mark.parametrize("candidate", CANDIDATES)
@@ -94,17 +105,19 @@ def assert_results_identical(a, b, context=""):
 class TestSystolicAgreement:
     def test_systolic_simulation_matches(self, family, mode, candidate):
         schedule = coloring_systolic_schedule(TOPOLOGIES[family](), mode)
-        ref = simulate_systolic(schedule, track_history=True, engine="reference")
-        got = simulate_systolic(schedule, track_history=True, engine=candidate)
+        ref = simulate_systolic(schedule, engine="reference")
+        got = simulate_systolic(schedule, engine=candidate)
         assert ref.engine_name == "reference"
         assert got.engine_name == candidate
         assert_results_identical(ref, got, (family, mode, candidate))
 
     def test_truncated_incomplete_run_matches(self, family, mode, candidate):
         schedule = coloring_systolic_schedule(TOPOLOGIES[family](), mode)
-        ref = simulate_systolic(schedule, max_rounds=3, track_history=True, engine="reference")
-        got = simulate_systolic(schedule, max_rounds=3, track_history=True, engine=candidate)
+        ref = simulate_systolic(schedule, max_rounds=3, engine="reference")
+        got = simulate_systolic(schedule, max_rounds=3, engine=candidate)
         assert_results_identical(ref, got, (family, mode, candidate))
+        program = RoundProgram.from_schedule(schedule, 3)
+        assert_arrivals_identical(program, candidate, (family, mode, candidate))
 
     def test_unrolled_protocol_matches(self, family, mode, candidate):
         schedule = coloring_systolic_schedule(TOPOLOGIES[family](), mode)
@@ -112,6 +125,8 @@ class TestSystolicAgreement:
         ref = simulate(protocol, engine="reference")
         got = simulate(protocol, engine=candidate)
         assert_results_identical(ref, got, (family, mode, candidate))
+        program = RoundProgram.from_protocol(protocol)
+        assert_arrivals_identical(program, candidate, (family, mode, candidate))
 
     def test_gossip_time_matches(self, family, mode, candidate):
         schedule = coloring_systolic_schedule(TOPOLOGIES[family](), mode)
@@ -122,8 +137,8 @@ class TestSystolicAgreement:
     def test_arrival_tracking_matches(self, family, mode, candidate):
         schedule = coloring_systolic_schedule(TOPOLOGIES[family](), mode)
         program = RoundProgram.from_schedule(schedule)
-        ref = get_engine("reference").run(program, track_arrivals=True, track_history=False)
-        got = get_engine(candidate).run(program, track_arrivals=True, track_history=False)
+        ref = get_engine("reference").run(program, track_arrivals=True)
+        got = get_engine(candidate).run(program, track_arrivals=True)
         assert ref.arrival_rounds is not None
         assert_results_identical(ref, got, (family, mode, candidate))
 
@@ -152,9 +167,11 @@ def test_directed_protocol_matches(builder):
     rounds = [arcs[i : i + 3] for i in range(0, len(arcs), 3)]
     protocol = GossipProtocol(graph, rounds * 4, mode=Mode.DIRECTED)
     ref = simulate(protocol, engine="reference")
+    program = RoundProgram.from_protocol(protocol)
     for candidate in CANDIDATES:
         got = simulate(protocol, engine=candidate)
         assert_results_identical(ref, got, (builder.__name__, candidate))
+        assert_arrivals_identical(program, candidate, (builder.__name__, candidate))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -162,26 +179,38 @@ def test_random_schedules_match(seed):
     """Seeded random systolic schedules, including ones that never complete."""
     for graph in (cycle_graph(9), de_bruijn(2, 3)):
         schedule = random_systolic_schedule(graph, 5, Mode.HALF_DUPLEX, seed=seed)
-        ref = simulate_systolic(schedule, max_rounds=40, track_history=True, engine="reference")
+        ref = simulate_systolic(schedule, max_rounds=40, engine="reference")
+        program = RoundProgram.from_schedule(schedule, 40)
         for candidate in CANDIDATES:
-            got = simulate_systolic(schedule, max_rounds=40, track_history=True, engine=candidate)
+            got = simulate_systolic(schedule, max_rounds=40, engine=candidate)
             assert_results_identical(ref, got, (graph.name, seed, candidate))
+            assert_arrivals_identical(program, candidate, (graph.name, seed, candidate))
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 class TestEdgeCases:
     def test_single_vertex_completes_immediately(self, engine):
-        result = simulate(GossipProtocol(path_graph(1), []), engine=engine)
-        assert result.completion_round == 0
-        assert result.rounds_executed == 0
-        assert result.knowledge == (1,)
-        assert result.coverage_history == (1,)
+        protocol = GossipProtocol(path_graph(1), [])
+        tracked = _arrival_run(RoundProgram.from_protocol(protocol), engine)
+        for result in (simulate(protocol, engine=engine), tracked):
+            assert result.completion_round == 0
+            assert result.rounds_executed == 0
+            assert result.knowledge == (1,)
+        assert tracked.arrival_rounds == ((0,),)
 
     def test_empty_round_advances_time_without_knowledge(self, engine):
-        g = path_graph(3)
-        result = simulate(GossipProtocol(g, [[], [(0, 1)]]), engine=engine)
-        assert result.rounds_executed == 2
-        assert result.coverage_history == (3, 3, 4)
+        # Round 1 delivers nothing; round 2 hands item 0 to vertex 1 only.
+        protocol = GossipProtocol(path_graph(3), [[], [(0, 1)]])
+        tracked = _arrival_run(RoundProgram.from_protocol(protocol), engine)
+        for result in (simulate(protocol, engine=engine), tracked):
+            assert result.rounds_executed == 2
+            assert result.completion_round is None
+            assert result.knowledge == (0b001, 0b011, 0b100)
+        assert tracked.arrival_rounds == (
+            (0, None, None),
+            (2, 0, None),
+            (None, None, 0),
+        )
 
     def test_snapshot_semantics_on_chained_arcs(self, engine):
         # With arcs (0,1) and (1,2) in the same round, vertex 2 must NOT
@@ -222,11 +251,7 @@ class TestTrackingInvariance:
             grid_2d(3, 5), 5, Mode.HALF_DUPLEX, seed=11, activation_probability=0.6
         ),
     }
-    TRACK_ALL = {
-        "track_history": True,
-        "track_item_completion": True,
-        "track_arrivals": True,
-    }
+    TRACK_ALL = {"track_item_completion": True, "track_arrivals": True}
 
     @staticmethod
     def _same_outcome(plain, tracked, context):
@@ -238,10 +263,10 @@ class TestTrackingInvariance:
     def test_untracked_matches_tracked_and_reference(self, case, candidate):
         program = RoundProgram.from_schedule(self.CASES[case]())
         engine = get_engine(candidate)
-        plain = engine.run(program, track_history=False)
+        plain = engine.run(program)
         tracked = engine.run(program, **self.TRACK_ALL)
         self._same_outcome(plain, tracked, (case, candidate))
-        ref = get_engine("reference").run(program, track_history=False)
+        ref = get_engine("reference").run(program)
         assert_results_identical(ref, plain, (case, candidate, "reference"))
 
     def test_untracked_never_completing_run(self, candidate):
@@ -253,30 +278,30 @@ class TestTrackingInvariance:
         schedule = SystolicSchedule(path_graph(n), rounds, mode=Mode.DIRECTED)
         program = RoundProgram.from_schedule(schedule, 90)
         engine = get_engine(candidate)
-        plain = engine.run(program, track_history=False)
+        plain = engine.run(program)
         assert plain.completion_round is None
         assert plain.rounds_executed == 90
         self._same_outcome(
             plain, engine.run(program, **self.TRACK_ALL), (candidate, "never-completing")
         )
-        ref = get_engine("reference").run(program, track_history=False)
+        ref = get_engine("reference").run(program)
         assert_results_identical(ref, plain, (candidate, "never-completing"))
 
     @pytest.mark.parametrize(
         "options",
         [
-            {"track_history": True},
-            {"track_history": False, "track_arrivals": True},
-            {"track_history": False, "track_item_completion": True},
-            {"track_history": True, "target_mask": 0b1011},
+            {"track_arrivals": True},
+            {"track_item_completion": True},
+            {"track_arrivals": True, "target_mask": 0b1011},
+            {"track_item_completion": True, "target_mask": 0b1011},
         ],
-        ids=["history", "arrivals", "items", "subset-mask"],
+        ids=["arrivals", "items", "subset-mask", "items-subset-mask"],
     )
     def test_each_tracking_option_leaves_the_outcome(self, options, candidate):
         program = RoundProgram.from_schedule(self.CASES["cycle"]())
         engine = get_engine(candidate)
         mask = {"target_mask": options["target_mask"]} if "target_mask" in options else {}
-        plain = engine.run(program, track_history=False, **mask)
+        plain = engine.run(program, **mask)
         tracked = engine.run(program, **options)
         assert plain.completion_round is not None
         self._same_outcome(plain, tracked, (candidate, options))
@@ -290,8 +315,8 @@ class TestTrackingInvariance:
         program = RoundProgram.from_schedule(self.CASES["cycle"]())
         every = range(program.max_rounds + 1)
         engine = get_engine(candidate)
-        plain = engine.run_checkpointed(program, checkpoint_rounds=every, track_history=False)
-        tracked = engine.run_checkpointed(program, checkpoint_rounds=every, track_history=True)
+        plain = engine.run_checkpointed(program, checkpoint_rounds=every)
+        tracked = engine.run_checkpointed(program, checkpoint_rounds=every, track_arrivals=True)
         completion = plain.result.completion_round
         assert completion is not None
         assert [s.round for s in plain.checkpoints] == list(range(completion + 1))

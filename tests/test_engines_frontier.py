@@ -6,14 +6,15 @@ any oracle, so they would still catch a bug shared by both implementations:
 
 * **relabeling invariance** — permuting vertex labels (and hence the
   engine's internal indices) permutes the result but changes nothing
-  observable: completion, executed rounds, the coverage curve, and each
-  vertex's known-item *label* set are preserved;
-* **monotonicity** — activating additional arcs can only help: coverage
-  dominates pointwise, completion never gets later, and every vertex's
-  final knowledge is a superset;
+  observable: completion, executed rounds, the first-arrival round of
+  every (vertex, item) label pair, and each vertex's known-item *label*
+  set are preserved;
+* **monotonicity** — activating additional arcs can only help: every
+  (vertex, item) pair arrives no later, completion never gets later, and
+  every vertex's final knowledge is a superset;
 * **frontier-empty ⇒ fixed point** — once a full period passes without any
   newly learned pair, knowledge can never grow again: doubling the round
-  budget leaves the final state untouched and the coverage tail constant,
+  budget leaves the final state and every first-arrival round untouched,
   while ``rounds_executed`` still reports the full budget (the engine's
   early exit must be unobservable).
 """
@@ -33,6 +34,11 @@ from repro.topologies.classic import cycle_graph, grid_2d, path_graph
 
 
 ENGINE = "frontier"
+
+
+def _arrival_run(schedule: SystolicSchedule, max_rounds: int):
+    program = RoundProgram.from_schedule(schedule, max_rounds)
+    return get_engine(ENGINE).run(program, track_arrivals=True)
 
 
 def test_frontier_registered_and_stamped():
@@ -55,20 +61,21 @@ class TestRelabelingInvariance:
             permuted_graph, schedule.base_rounds, mode=schedule.mode
         )
 
-        base = simulate_systolic(
-            schedule, max_rounds=60, track_history=True, engine=ENGINE
-        )
-        perm = simulate_systolic(
-            permuted_schedule, max_rounds=60, track_history=True, engine=ENGINE
-        )
+        base = _arrival_run(schedule, 60)
+        perm = _arrival_run(permuted_schedule, 60)
 
         assert base.completion_round == perm.completion_round
         assert base.rounds_executed == perm.rounds_executed
-        assert base.coverage_history == perm.coverage_history
         for vertex in graph.vertices:
             base_labels = {graph.vertex(j) for j in base.known_items(vertex)}
             perm_labels = {permuted_graph.vertex(j) for j in perm.known_items(vertex)}
             assert base_labels == perm_labels, vertex
+            base_row = base.arrival_rounds[graph.index(vertex)]
+            perm_row = perm.arrival_rounds[permuted_graph.index(vertex)]
+            for item in graph.vertices:
+                assert (
+                    base_row[graph.index(item)] == perm_row[permuted_graph.index(item)]
+                ), (vertex, item)
 
 
 class TestMonotonicityUnderAddedArcs:
@@ -88,13 +95,15 @@ class TestMonotonicityUnderAddedArcs:
         richer = SystolicSchedule(graph, richer_rounds, mode=Mode.DIRECTED)
 
         budget = 48
-        base = simulate_systolic(sparse, max_rounds=budget, track_history=True, engine=ENGINE)
-        more = simulate_systolic(richer, max_rounds=budget, track_history=True, engine=ENGINE)
+        base = _arrival_run(sparse, budget)
+        more = _arrival_run(richer, budget)
 
-        for known_base, known_more in zip(
-            base.coverage_history, more.coverage_history
-        ):
-            assert known_more >= known_base
+        # Every pair the sparse run delivers, the richer run delivers no
+        # later (a richer run that stops early has completed by then).
+        for v, (row_base, row_more) in enumerate(zip(base.arrival_rounds, more.arrival_rounds)):
+            for j, (arrived_base, arrived_more) in enumerate(zip(row_base, row_more)):
+                if arrived_base is not None:
+                    assert arrived_more is not None and arrived_more <= arrived_base, (v, j)
         if base.completion_round is not None:
             assert more.completion_round is not None
             assert more.completion_round <= base.completion_round
@@ -116,31 +125,30 @@ class TestFrontierEmptyFixedPoint:
 
     def test_saturated_run_is_a_fixed_point(self):
         schedule = self._stuck_schedule()
-        short = simulate_systolic(schedule, max_rounds=120, track_history=True, engine=ENGINE)
-        long = simulate_systolic(schedule, max_rounds=240, track_history=True, engine=ENGINE)
+        short = _arrival_run(schedule, 120)
+        long = _arrival_run(schedule, 240)
 
         assert not short.complete and not long.complete
         # The early exit must be unobservable: the full budget is reported...
         assert short.rounds_executed == 120
         assert long.rounds_executed == 240
-        assert len(short.coverage_history) == 121
-        assert len(long.coverage_history) == 241
         # ...knowledge really is a fixed point...
         assert short.knowledge == long.knowledge
-        # ...and the coverage tail is constant once the frontier empties.
-        saturated = short.coverage_history[-1]
-        assert long.coverage_history[120:] == (saturated,) * 121
+        # ...and no pair arrives once the frontier empties: every arrival
+        # round of the long run is one the short run already recorded.
+        assert long.arrival_rounds == short.arrival_rounds
         # Vertex 0 never learns anything on a forward-only path.
         assert short.known_items(0) == {0}
 
     def test_fixed_point_matches_reference(self):
         schedule = self._stuck_schedule()
         program = RoundProgram.from_schedule(schedule, 90)
-        ref = get_engine("reference").run(program, track_item_completion=True)
-        got = get_engine(ENGINE).run(program, track_item_completion=True)
+        track = {"track_item_completion": True, "track_arrivals": True}
+        ref = get_engine("reference").run(program, **track)
+        got = get_engine(ENGINE).run(program, **track)
         assert ref.knowledge == got.knowledge
         assert ref.rounds_executed == got.rounds_executed
-        assert ref.coverage_history == got.coverage_history
+        assert ref.arrival_rounds == got.arrival_rounds
         assert ref.item_completion_rounds == got.item_completion_rounds
 
     def test_completion_still_exact_after_thin_frontiers(self):
@@ -176,8 +184,8 @@ class TestIrregularSchedules:
 
         for schedule in self._schedules():
             program = RoundProgram.from_schedule(schedule, 80)
-            ref = get_engine("reference").run(program, track_history=True, **track)
-            got = get_engine(ENGINE).run(program, track_history=True, **track)
+            ref = get_engine("reference").run(program, **track)
+            got = get_engine(ENGINE).run(program, **track)
             assert_results_identical(ref, got, (schedule.name, track))
 
     def test_resume_matches_cold_run(self):

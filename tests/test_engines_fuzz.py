@@ -29,6 +29,7 @@ from repro.topologies.classic import cycle_graph, grid_2d, path_graph
 # Single source of truth for "every observable field agrees" — extending
 # SimulationResult only requires updating the differential suite's helper.
 from test_engines_differential import assert_results_identical
+from test_engines_resume import assert_states_identical
 
 CANDIDATES = tuple(name for name in available_engines() if name != "reference")
 assert {"vectorized", "frontier"} <= set(CANDIDATES)
@@ -59,7 +60,6 @@ def check_all_engines(program: RoundProgram, options: dict, context=""):
 def run_options(draw, n: int):
     """Tracking flags, optional custom initial state, optional target mask."""
     options: dict = {
-        "track_history": draw(st.booleans()),
         "track_item_completion": draw(st.booleans()),
         "track_arrivals": draw(st.booleans()),
     }
@@ -159,12 +159,14 @@ def test_cycle_schedule_fuzz_agreement(n, period, seed, max_rounds):
     """Dense flag-free runs on random cycle schedules (the default call path)."""
     schedule = random_systolic_schedule(cycle_graph(n), period, Mode.HALF_DUPLEX, seed=seed)
     program = RoundProgram.from_schedule(schedule, max_rounds)
-    check_all_engines(program, {"track_history": True}, "cycle")
+    check_all_engines(program, {}, "cycle")
 
 
 def check_resume_roundtrip(program: RoundProgram, options: dict, prefix_fraction: float, context=""):
-    """Checkpoint every checkpointable engine at a drawn round prefix, resume
-    on *every* checkpointable engine (cross-engine pairs included), and hold
+    """Checkpoint every checkpointable engine after every round, hold each
+    engine's states to the reference's (so bits above n from a custom
+    ``initial`` are checked round by round), resume a drawn prefix on
+    *every* checkpointable engine (cross-engine pairs included), and hold
     the resumed results to the cold run bit for bit."""
     every = range(program.max_rounds + 1)
     cold = {}
@@ -175,8 +177,12 @@ def check_resume_roundtrip(program: RoundProgram, options: dict, prefix_fraction
             continue
         runs[name] = engine.run_checkpointed(program, checkpoint_rounds=every, **options)
         cold[name] = runs[name].result
+    reference_states = runs["reference"].checkpoints
     for name, run in runs.items():
         assert_results_identical(cold["reference"], run.result, (context, name, options))
+        assert len(run.checkpoints) == len(reference_states), (context, name, options)
+        for expected, got in zip(reference_states, run.checkpoints):
+            assert_states_identical(expected, got, (context, name, options))
         if not run.checkpoints:
             continue
         state = run.checkpoints[

@@ -178,10 +178,10 @@ class TestTiledGather:
     @pytest.mark.parametrize(
         "options",
         [
-            {"track_history": False},
-            {"track_history": True, "track_arrivals": True},
-            {"track_history": False, "track_item_completion": True},
-            {"track_history": False, "target_mask": (1 << 150) - 1},
+            {},
+            {"track_arrivals": True},
+            {"track_item_completion": True},
+            {"target_mask": (1 << 150) - 1},
         ],
         ids=["plain", "tracked", "items", "subset-mask"],
     )
@@ -200,13 +200,11 @@ class TestTiledGather:
 
         program = self._program(name)
         engine = VectorizedEngine()
-        ref = get_engine("reference").run_checkpointed(
-            program, checkpoint_rounds=(35,), track_history=False
-        )
-        first = engine.run_checkpointed(program, checkpoint_rounds=(35,), track_history=False)
+        ref = get_engine("reference").run_checkpointed(program, checkpoint_rounds=(35,))
+        first = engine.run_checkpointed(program, checkpoint_rounds=(35,))
         (state,) = first.checkpoints
         assert state.knowledge == ref.checkpoints[0].knowledge
-        resumed = engine.run_checkpointed(program, resume_from=state, track_history=False)
+        resumed = engine.run_checkpointed(program, resume_from=state)
         assert_results_identical(ref.result, resumed.result, name)
 
 
@@ -222,7 +220,7 @@ class TestBatchedItemScan:
     regimes.
     """
 
-    OPTIONS = {"track_history": False, "track_item_completion": True}
+    OPTIONS = {"track_item_completion": True}
 
     @pytest.fixture
     def replays(self, monkeypatch):
@@ -361,8 +359,8 @@ class TestBatchedItemScan:
             )
 
         batches, replayed = counters(**self.OPTIONS)
-        plain_batches, plain_replayed = counters(track_history=False)
+        plain_batches, plain_replayed = counters()
         assert batches == plain_batches > 0
         assert replayed > plain_replayed > 0
-        # History still needs every round: the round-by-round loop runs.
-        assert counters(track_history=True, track_item_completion=True) == (0, 0)
+        # Arrivals still need every round: the round-by-round loop runs.
+        assert counters(track_arrivals=True, track_item_completion=True) == (0, 0)

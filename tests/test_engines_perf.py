@@ -150,7 +150,7 @@ class TestTilingRegressionGuard:
             best = float("inf")
             for _ in range(repeats):
                 start = time.perf_counter()
-                result = engine.run(program, track_history=False)
+                result = engine.run(program)
                 best = min(best, time.perf_counter() - start)
             return best, result
 
@@ -193,7 +193,7 @@ class TestKernelRegimeGuard:
         best = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
-            result = engine.run(program, track_history=False)
+            result = engine.run(program)
             best = min(best, time.perf_counter() - start)
         return best, result
 
@@ -273,7 +273,7 @@ class TestItemScanGuard:
             best = float("inf")
             for _ in range(repeats):
                 start = time.perf_counter()
-                result = engine.run(program, track_history=False, **options)
+                result = engine.run(program, **options)
                 best = min(best, time.perf_counter() - start)
             return best, result
 

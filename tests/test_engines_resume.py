@@ -11,19 +11,18 @@ differentially, per backend drawn from the registry:
   after *every* round; every captured state of every engine is resumed on
   every checkpointable engine (all ordered producer → consumer pairs) and
   the continuation must equal the reference cold run on every observable
-  field, including tracked histories, item completions and the arrival
-  matrix;
+  field, including item completions and the arrival matrix;
 * **state canonicality** — all engines capture identical state sequences
   (rounds, knowledge, completion stamps, tracked prefixes) for the same
   program, which is what makes the cross-engine resumes above meaningful;
 * **all tracking-flag combinations** — the option signature is part of the
-  state; all eight flag combos roundtrip on at least one program, and
+  state; all four flag combos roundtrip on at least one program, and
   subset / unreachable target masks ride along;
 * **edge programs** — finite (non-cyclic) budgets, fixed-point runs that
   never complete (whose tail states the sparse engines *synthesize* after
   their early exit), trivially complete round-0 programs;
 * **validation** — mismatched vertex counts, budgets, masks, flags and
-  corrupted history prefixes are rejected with :class:`SimulationError`
+  malformed tracked prefixes are rejected with :class:`SimulationError`
   before any simulation runs, as are `resume_from`+`initial` together and
   `checkpoint()` calls past the end of a run;
 * **kernel regimes** — the roundtrip and semantics classes run once per
@@ -112,10 +111,10 @@ PROGRAMS = {
     "never-completing": _never_completing_program,
 }
 
-#: All eight tracking-flag combinations.
+#: All four tracking-flag combinations.
 FLAG_COMBOS = [
-    dict(zip(("track_history", "track_item_completion", "track_arrivals"), bits))
-    for bits in itertools.product((False, True), repeat=3)
+    dict(zip(("track_item_completion", "track_arrivals"), bits))
+    for bits in itertools.product((False, True), repeat=2)
 ]
 
 
@@ -139,7 +138,6 @@ def assert_states_identical(a: EngineState, b: EngineState, context="") -> None:
     assert a.knowledge == b.knowledge, (context, a.round)
     assert a.completion_round == b.completion_round, (context, a.round)
     assert a.target_mask == b.target_mask, (context, a.round)
-    assert a.coverage_history == b.coverage_history, (context, a.round)
     assert a.item_completion == b.item_completion, (context, a.round)
     assert a.arrivals == b.arrivals, (context, a.round)
 
@@ -183,11 +181,8 @@ class TestEveryPrefixRoundtrip:
     )
     @pytest.mark.parametrize(
         "options",
-        [
-            {"track_history": True, "track_arrivals": True},
-            {"track_history": False, "track_item_completion": True},
-        ],
-        ids=["history+arrivals", "items"],
+        [{"track_arrivals": True}, {"track_item_completion": True}],
+        ids=["arrivals", "items"],
     )
     def test_program_zoo(self, name, options):
         check_roundtrip(PROGRAMS[name](), dict(options), name)
@@ -197,24 +192,27 @@ class TestEveryPrefixRoundtrip:
     )
     def test_target_masks_roundtrip(self, target_mask):
         program = PROGRAMS["cycle-coloring"]()
-        options = {"track_history": True, "target_mask": target_mask}
+        options = {"target_mask": target_mask}
         check_roundtrip(program, options, f"mask={target_mask:b}")
 
     def test_custom_initial_state_roundtrips(self):
-        # High bits above n exercise word widths; `initial` is dropped from
-        # the resume call because the state carries the knowledge vector.
+        # High bits above n exercise word widths, and every engine must
+        # carry them through every round's state, not only the final one;
+        # `initial` is dropped from the resume call because the state
+        # carries the knowledge vector.
         program = PROGRAMS["cycle-coloring"]()
         n = program.graph.n
         initial = [(1 << i) | (1 << (n + 2)) for i in range(n)]
-        options = {"track_history": True, "initial": initial}
-        runs = run_all_checkpointed(program, options)
+        runs = run_all_checkpointed(program, {"initial": initial})
         cold = runs["reference"].result
+        reference_states = runs["reference"].checkpoints
         for producer, run in runs.items():
+            assert len(run.checkpoints) == len(reference_states), producer
+            for expected, got in zip(reference_states, run.checkpoints):
+                assert_states_identical(expected, got, producer)
             for state in run.checkpoints:
                 for consumer in CHECKPOINTABLE:
-                    resumed = get_engine(consumer).resume(
-                        state, program, track_history=True
-                    )
+                    resumed = get_engine(consumer).resume(state, program)
                     assert_results_identical(
                         cold, resumed, (producer, "->", consumer, state.round)
                     )
@@ -225,15 +223,13 @@ class TestEveryPrefixRoundtrip:
         graph = Digraph([0], [], name="K1")
         program = RoundProgram(graph, (make_round([]),), cyclic=True, max_rounds=8)
         for name in CHECKPOINTABLE:
-            run = get_engine(name).run_checkpointed(
-                program, checkpoint_rounds=range(9), track_history=True
-            )
+            run = get_engine(name).run_checkpointed(program, checkpoint_rounds=range(9))
             assert run.result.completion_round == 0
             assert [s.round for s in run.checkpoints] == [0], name
             state = run.checkpoints[0]
             assert state.completion_round == 0
             for consumer in CHECKPOINTABLE:
-                resumed = get_engine(consumer).resume(state, program, track_history=True)
+                resumed = get_engine(consumer).resume(state, program)
                 assert_results_identical(run.result, resumed, (name, consumer))
 
 
@@ -244,7 +240,7 @@ class TestCheckpointSemantics:
         round's state carries the completion stamp."""
         program = PROGRAMS["cycle-coloring"]()
         for name in CHECKPOINTABLE:
-            run = run_all_checkpointed(program, {"track_history": True})[name]
+            run = run_all_checkpointed(program, {})[name]
             c = run.result.completion_round
             assert c is not None
             rounds = [s.round for s in run.checkpoints]
@@ -257,7 +253,7 @@ class TestCheckpointSemantics:
         """States inside a sparse engine's early-exit region exist and equal
         the saturated knowledge (the run is a fixed point there)."""
         program = _never_completing_program()
-        runs = run_all_checkpointed(program, {"track_history": True})
+        runs = run_all_checkpointed(program, {})
         for name, run in runs.items():
             assert run.result.completion_round is None
             rounds = [s.round for s in run.checkpoints]
@@ -268,7 +264,7 @@ class TestCheckpointSemantics:
     def test_checkpoint_convenience_returns_single_state(self):
         program = PROGRAMS["cycle-coloring"]()
         for name in CHECKPOINTABLE:
-            state = get_engine(name).checkpoint(program, 3, track_history=True)
+            state = get_engine(name).checkpoint(program, 3)
             assert state.round == 3
             assert state.completion_round is None
 
@@ -283,9 +279,7 @@ class TestCheckpointSemantics:
     def test_unreached_checkpoint_rounds_are_skipped(self):
         program = PROGRAMS["cycle-coloring"]()
         for name in CHECKPOINTABLE:
-            run = get_engine(name).run_checkpointed(
-                program, checkpoint_rounds=(2, 10_000), track_history=True
-            )
+            run = get_engine(name).run_checkpointed(program, checkpoint_rounds=(2, 10_000))
             assert [s.round for s in run.checkpoints] == [2], name
 
     def test_resumed_budget_extension_matches_longer_cold_run(self):
@@ -295,11 +289,11 @@ class TestCheckpointSemantics:
         longer = RoundProgram(
             program.graph, program.rounds, cyclic=program.cyclic, max_rounds=45
         )
-        cold = get_engine("reference").run(longer, track_history=True)
+        cold = get_engine("reference").run(longer)
         for name in CHECKPOINTABLE:
-            state = get_engine(name).checkpoint(program, 12, track_history=True)
+            state = get_engine(name).checkpoint(program, 12)
             for consumer in CHECKPOINTABLE:
-                resumed = get_engine(consumer).resume(state, longer, track_history=True)
+                resumed = get_engine(consumer).resume(state, longer)
                 assert_results_identical(cold, resumed, (name, consumer))
 
 
@@ -311,11 +305,7 @@ class TestKernelRegimeResume:
         share one slot cache, as a search walk's evaluator would."""
         program = PROGRAMS[name]()
         assert vectorized._uses_source_map(program.graph.n, 1)
-        options = {
-            "track_history": True,
-            "track_item_completion": True,
-            "track_arrivals": True,
-        }
+        options = {"track_item_completion": True, "track_arrivals": True}
         cold = get_engine("reference").run(program, **options)
         engine = get_engine("vectorized")
         every = range(program.max_rounds + 1)
@@ -382,25 +372,51 @@ class TestResumeValidation:
                     state, PROGRAMS["cycle-coloring"](), target_mask=0b11
                 )
 
-    def test_tracking_flag_mismatch_rejected(self):
-        state = self._state(track_history=True)
+    @pytest.mark.parametrize(
+        "captured, asked",
+        [(c, a) for c in FLAG_COMBOS for a in FLAG_COMBOS if c != a],
+        ids=_flag_id,
+    )
+    def test_tracking_flag_mismatch_rejected(self, captured, asked):
+        # The state's signature is which prefixes it carries; every other
+        # flag combination is refused, whichever flag differs.
+        state = self._state(**captured)
         for name in CHECKPOINTABLE:
             with pytest.raises(SimulationError, match="tracking flags"):
-                get_engine(name).resume(
-                    state,
-                    PROGRAMS["cycle-coloring"](),
-                    track_history=True,
-                    track_arrivals=True,
-                )
+                get_engine(name).resume(state, PROGRAMS["cycle-coloring"](), **asked)
 
-    def test_corrupted_history_prefix_rejected(self):
-        state = self._state(track_history=True)
-        bad = dataclasses.replace(state, coverage_history=state.coverage_history[:-1])
+    @pytest.mark.parametrize(
+        "dropped, kept",
+        [
+            ("item_completion", {"track_arrivals": True}),
+            ("arrivals", {"track_item_completion": True}),
+        ],
+        ids=["items", "arrivals"],
+    )
+    def test_dropping_a_prefix_drops_its_tracking(self, dropped, kept):
+        # With no flag stored beside the prefixes, a fully tracked state
+        # stripped of one prefix is a valid state of a run that tracked
+        # only the other, and continues exactly as that run does.
+        program = PROGRAMS["cycle-coloring"]()
+        state = self._state(track_item_completion=True, track_arrivals=True)
+        stripped = dataclasses.replace(state, **{dropped: None})
+        cold = get_engine("reference").run(program, **kept)
         for name in CHECKPOINTABLE:
-            with pytest.raises(SimulationError, match="coverage-history"):
-                get_engine(name).resume(
-                    bad, PROGRAMS["cycle-coloring"](), track_history=True
-                )
+            resumed = get_engine(name).resume(stripped, program, **kept)
+            assert_results_identical(cold, resumed, (name, dropped))
+
+    def test_state_fields_are_the_snapshot_and_its_prefixes(self):
+        # The option signature is read from the prefixes, so the state
+        # stores no tracking flag that could disagree with them.
+        assert [f.name for f in dataclasses.fields(EngineState)] == [
+            "round",
+            "knowledge",
+            "completion_round",
+            "target_mask",
+            "item_completion",
+            "arrivals",
+            "engine_name",
+        ]
 
     @pytest.mark.parametrize("name", CHECKPOINTABLE)
     @pytest.mark.parametrize(
@@ -423,9 +439,7 @@ class TestResumeValidation:
     def test_malformed_tracked_prefix_rejected(self, name, field, corrupt):
         # A corrupted item or arrival prefix is rejected up front, never
         # turned into a raw TypeError/IndexError or a wrong continuation.
-        tracked = dict(
-            track_history=True, track_item_completion=True, track_arrivals=True
-        )
+        tracked = dict(track_item_completion=True, track_arrivals=True)
         state = self._state(**tracked)
         bad = dataclasses.replace(state, **{field: corrupt(getattr(state, field))})
         with pytest.raises(SimulationError, match="cannot resume"):

@@ -103,9 +103,9 @@ class TestDecisionFunction:
     def test_items_with_arrivals_follow_the_depth_rule(self):
         for graph, expected in ((cycle_graph(64), "frontier"), (hypercube(6), "vectorized")):
             program = _program(graph)
-            both = select_engine_name(
-                program, track_item_completion=True, track_arrivals=True
-            )
+            both = resolve_engine(
+                "auto", program, track_item_completion=True, track_arrivals=True
+            ).name
             assert both == expected
             assert both == select_engine_name(program, track_arrivals=True)
 
@@ -136,10 +136,8 @@ class TestDecisionFunction:
             )
             assert select_engine_name(program, track_arrivals=True) == expected
             resolved = resolve_engine("auto", program, track_arrivals=True)
-            got = resolved.run(program, track_history=False, track_arrivals=True)
-            ref = get_engine("reference").run(
-                program, track_history=False, track_arrivals=True
-            )
+            got = resolved.run(program, track_arrivals=True)
+            ref = get_engine("reference").run(program, track_arrivals=True)
             assert got.engine_name == expected
             assert got.arrival_rounds == ref.arrival_rounds
         with pytest.raises(TopologyError):
@@ -155,7 +153,7 @@ class TestDecisionFunction:
         monkeypatch.setattr(engines, "distances_from", counting)
         program = _program(cycle_graph(64))
         select_engine_name(program)
-        select_engine_name(program, track_history=True, track_item_completion=True)
+        resolve_engine("auto", program, track_item_completion=True)
         select_engine_name(_program(cycle_graph(64), cyclic=False), track_arrivals=True)
         assert calls == []
         select_engine_name(program, track_arrivals=True)
@@ -165,7 +163,9 @@ class TestDecisionFunction:
         # The measured grid row itself: item-tracked 16×256 runs fastest on
         # the dense kernel (0.41 s against frontier's 1.29 s at n = 4096).
         program = _program(grid_2d(16, 256))
-        assert select_engine_name(program, track_item_completion=True) == "vectorized"
+        assert resolve_engine("auto", program, track_item_completion=True).name == (
+            "vectorized"
+        )
 
     def test_plain_cyclic_cache_resident_goes_vectorized(self):
         # n = 64: packed matrix is tiny; the dense kernel wins plain runs.
@@ -176,28 +176,17 @@ class TestDecisionFunction:
         # including C(8192) whose packed matrix is 8 MiB.
         for graph in (cycle_graph(64), grid_2d(16, 256), hypercube(6), cycle_graph(8192)):
             program = _program(graph)
-            for history in (False, True):
-                assert select_engine_name(program, track_history=history) == "vectorized"
-                assert (
-                    select_engine_name(
-                        program, track_history=history, track_item_completion=True
-                    )
-                    == "vectorized"
-                ), graph.name
+            assert select_engine_name(program) == "vectorized", graph.name
+            assert (
+                resolve_engine("auto", program, track_item_completion=True).name
+                == "vectorized"
+            ), graph.name
 
     def test_finite_program_always_vectorized(self):
         # Finite programs never refire a slot, so sparse windows cannot pay.
         program = _program(cycle_graph(64), cyclic=False)
         assert select_engine_name(program) == "vectorized"
         assert select_engine_name(program, track_arrivals=True) == "vectorized"
-
-    def test_track_history_does_not_change_the_pick(self):
-        for graph in (cycle_graph(64), hypercube(6)):
-            program = _program(graph)
-            for arrivals in (False, True):
-                assert select_engine_name(
-                    program, track_history=True, track_arrivals=arrivals
-                ) == select_engine_name(program, track_arrivals=arrivals)
 
 
 class TestResolutionPrecedence:

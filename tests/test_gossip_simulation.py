@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import SimulationError
+from repro.gossip.engines import get_engine
+from repro.gossip.engines.base import RoundProgram
 from repro.gossip.model import GossipProtocol, Mode, SystolicSchedule
 from repro.gossip.simulation import (
     broadcast_time,
@@ -23,7 +25,7 @@ class TestSimulate:
     def test_initially_each_vertex_knows_itself(self):
         g = path_graph(3)
         result = simulate(GossipProtocol(g, []))
-        assert result.coverage_history[0] == 3
+        assert result.knowledge == (0b001, 0b010, 0b100)
         assert not result.complete
         assert result.known_items(1) == {1}
 
@@ -48,13 +50,6 @@ class TestSimulate:
         protocol = GossipProtocol(g, [[(0, 1), (1, 2)]])
         result = simulate(protocol)
         assert result.known_items(2) == {1, 2}
-
-    def test_coverage_history_is_monotone(self):
-        schedule = path_systolic_schedule(6, Mode.HALF_DUPLEX)
-        protocol = schedule.unroll(20)
-        result = simulate(protocol)
-        history = result.coverage_history
-        assert all(a <= b for a, b in zip(history, history[1:]))
 
     def test_completion_stops_execution(self):
         g = path_graph(2)
@@ -88,6 +83,33 @@ class TestSimulateSystolic:
         result = simulate_systolic(schedule, max_rounds=3)
         assert not result.complete
         assert result.rounds_executed == 3
+
+
+class TestDefaultCallPath:
+    """Default-argument runs track nothing beyond completion, so the
+    vectorized engine takes its batched loop (one completion scan per
+    doubling batch) rather than the round-by-round one."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda schedule: simulate(schedule.unroll(40), engine="vectorized"),
+            lambda schedule: simulate_systolic(schedule, engine="vectorized"),
+            lambda schedule: get_engine("vectorized").run(
+                RoundProgram.from_schedule(schedule)
+            ),
+        ],
+        ids=["simulate", "simulate_systolic", "engine-run"],
+    )
+    def test_default_run_takes_the_batched_loop(self, run):
+        from repro import telemetry
+
+        schedule = path_systolic_schedule(12, Mode.HALF_DUPLEX)
+        recorder = telemetry.StatsRecorder()
+        with telemetry.recording(recorder):
+            result = run(schedule)
+        assert result.complete
+        assert recorder.stats.counter("engine.vectorized", "batches") > 0
 
 
 class TestGossipTime:
@@ -184,7 +206,6 @@ class TestKnownItemsBitIteration:
             rounds_executed=0,
             completion_round=None,
             knowledge=knowledge,
-            coverage_history=(),
         )
         assert result.known_items(0) == {0, 31337, n - 1}
         assert result.known_items(n - 1) == {n - 1}

@@ -38,12 +38,20 @@ from repro.core.reduction import (
 )
 from repro.core.roots import solve_unit_root
 from repro.gossip.builders import random_systolic_schedule
+from repro.gossip.engines import get_engine
+from repro.gossip.engines.base import RoundProgram
 from repro.gossip.model import GossipProtocol, Mode, SystolicSchedule
 from repro.gossip.simulation import simulate, simulate_systolic
 from repro.gossip.validation import validate_protocol
 from repro.topologies.base import Digraph
 from repro.topologies.classic import cycle_graph
 from repro.topologies.debruijn import de_bruijn
+
+
+def _arrivals(program: RoundProgram, engine: str):
+    """The first-arrival matrix of one arrival-tracked run."""
+    return get_engine(engine).run(program, track_arrivals=True).arrival_rounds
+
 
 # --------------------------------------------------------------------------- #
 # strategies
@@ -184,9 +192,15 @@ class TestRandomScheduleProperties:
         protocol = schedule.unroll(2 * period)
         validate_protocol(protocol)
         result = simulate(protocol)
-        history = result.coverage_history
-        assert all(a <= b for a, b in zip(history, history[1:]))
-        assert history[0] == n
+        # The state after every round, on the engine the default call used.
+        program = RoundProgram.from_protocol(protocol)
+        states = get_engine(result.engine_name).run_checkpointed(
+            program, checkpoint_rounds=range(program.max_rounds + 1)
+        ).checkpoints
+        assert states[0].knowledge == tuple(1 << i for i in range(n))
+        for before, after in zip(states, states[1:]):
+            assert all(a & b == a for a, b in zip(before.knowledge, after.knowledge))
+        assert states[-1].knowledge == result.knowledge
 
     @given(
         st.integers(min_value=4, max_value=10),
@@ -198,11 +212,12 @@ class TestRandomScheduleProperties:
         graph = cycle_graph(n)
         schedule = random_systolic_schedule(graph, period, Mode.HALF_DUPLEX, seed=seed)
         budget = 3 * period
-        ref = simulate_systolic(schedule, max_rounds=budget, track_history=True, engine="reference")
-        vec = simulate_systolic(schedule, max_rounds=budget, track_history=True, engine="vectorized")
+        ref = simulate_systolic(schedule, max_rounds=budget, engine="reference")
+        vec = simulate_systolic(schedule, max_rounds=budget, engine="vectorized")
         assert ref.knowledge == vec.knowledge
         assert ref.completion_round == vec.completion_round
-        assert ref.coverage_history == vec.coverage_history
+        program = RoundProgram.from_schedule(schedule, budget)
+        assert _arrivals(program, "reference") == _arrivals(program, "vectorized")
 
     @given(st.integers(min_value=3, max_value=8), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=20, deadline=None)
@@ -257,7 +272,8 @@ class TestVectorizedEngineProperties:
         vec = simulate(protocol, engine="vectorized")
         assert ref.knowledge == vec.knowledge
         assert ref.completion_round == vec.completion_round
-        assert ref.coverage_history == vec.coverage_history
+        program = RoundProgram.from_protocol(protocol)
+        assert _arrivals(program, "reference") == _arrivals(program, "vectorized")
 
     @given(random_directed_protocols())
     @settings(max_examples=30, deadline=None)
@@ -271,8 +287,6 @@ class TestVectorizedEngineProperties:
                 assert bits >> i & 1, f"vertex {i} forgot its own item"
                 assert bits & previous[i] == previous[i], "knowledge set shrank"
             previous = list(result.knowledge)
-            history = result.coverage_history
-            assert all(a <= b for a, b in zip(history, history[1:]))
 
     @given(
         st.integers(min_value=4, max_value=10),

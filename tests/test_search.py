@@ -18,7 +18,7 @@ import pytest
 
 from repro.exceptions import ProtocolError, SimulationError
 from repro.gossip.builders import random_systolic_schedule
-from repro.gossip.engines import available_engines
+from repro.gossip.engines import available_engines, get_engine
 from repro.gossip.model import Mode, SystolicSchedule
 from repro.gossip.simulation import gossip_time, simulate_systolic
 from repro.gossip.validation import validate_protocol
@@ -208,15 +208,19 @@ class TestSynthesizedSchedules:
         result = synthesize_schedule(graph, mode, seed=0, max_iters=60)
         schedule = result.schedule
         validate_protocol(schedule.unroll(2 * schedule.period))
+        program = program_for_rounds(graph, schedule.base_rounds)
         runs = {
-            engine: simulate_systolic(schedule, track_history=True, engine=engine)
+            engine: (
+                simulate_systolic(schedule, engine=engine),
+                get_engine(engine).run(program, track_arrivals=True).arrival_rounds,
+            )
             for engine in available_engines()
         }
-        reference = runs.pop("reference")
-        for engine, run in runs.items():
+        reference, reference_arrivals = runs.pop("reference")
+        for engine, (run, arrivals) in runs.items():
             assert run.completion_round == reference.completion_round, engine
             assert run.knowledge == reference.knowledge, engine
-            assert run.coverage_history == reference.coverage_history, engine
+            assert arrivals == reference_arrivals, engine
 
 
 class TestCertifiedGaps:

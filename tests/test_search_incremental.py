@@ -407,9 +407,6 @@ class TestCheckpointCache:
             knowledge=(1, 2),
             completion_round=None,
             target_mask=0b11,
-            track_history=False,
-            track_item_completion=False,
-            track_arrivals=False,
         )
 
     def test_lookup_miss_on_empty_cache(self):

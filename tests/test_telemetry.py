@@ -132,7 +132,7 @@ def test_engine_flushes_counters_once_per_run(name):
     engine = get_engine(name)
     recorder = _CountingRecorder()
     with telemetry.recording(recorder):
-        engine.run(program, track_history=False)
+        engine.run(program)
     assert recorder.flushes == [(f"engine.{name}", 1)]
 
 
@@ -152,13 +152,11 @@ def test_engine_round_counters_cover_the_executed_rounds(name, case):
     program = _one_arc_program() if case == "fixed-point" else _cycle_program(12)
     state = None
     if case == "resumed":
-        state = engine.checkpoint(program, 3, track_history=False)
+        state = engine.checkpoint(program, 3)
     base = 0 if state is None else state.round
     recorder = telemetry.StatsRecorder()
     with telemetry.recording(recorder):
-        result = engine.run_checkpointed(
-            program, resume_from=state, track_history=False
-        ).result
+        result = engine.run_checkpointed(program, resume_from=state).result
     counts = result.run_stats.counters[f"engine.{name}"]
     assert counts["runs"] == 1
     synthesized = counts.get("rounds_synthesized", 0)
@@ -180,13 +178,11 @@ def test_engine_counter_names_do_not_depend_on_the_start(name):
     # yet it flushes the same counters as the run that reached completion.
     engine = get_engine(name)
     program = _cycle_program(12)
-    done = engine.run(program, track_history=False).completion_round
+    done = engine.run(program).completion_round
     recorder = telemetry.StatsRecorder()
     with telemetry.recording(recorder):
-        cold = engine.run_checkpointed(
-            program, checkpoint_rounds=(done,), track_history=False
-        )
-        finished = engine.resume(cold.checkpoints[0], program, track_history=False)
+        cold = engine.run_checkpointed(program, checkpoint_rounds=(done,))
+        finished = engine.resume(cold.checkpoints[0], program)
     component = f"engine.{name}"
     assert finished.rounds_executed == done
     assert finished.run_stats.counters[component] == {
@@ -250,7 +246,7 @@ def _traced_run(n: int = 12) -> tuple[telemetry.JsonlRecorder, str]:
     program = _cycle_program(n)
     with telemetry.recording(recorder):
         with telemetry.span("test.root", n=n):
-            resolve_engine("auto", program).run(program, track_history=False)
+            resolve_engine("auto", program).run(program)
     recorder.close()
     return recorder, buffer.getvalue()
 
@@ -326,10 +322,10 @@ def test_chrome_trace_structure(tmp_path):
 def test_engine_results_identical_under_recording(engine_name):
     program = _cycle_program(20)
     engine = get_engine(engine_name)
-    off = engine.run(program, track_history=True, track_item_completion=True)
+    off = engine.run(program, track_arrivals=True, track_item_completion=True)
     recorder = telemetry.StatsRecorder()
     with telemetry.recording(recorder):
-        on = engine.run(program, track_history=True, track_item_completion=True)
+        on = engine.run(program, track_arrivals=True, track_item_completion=True)
     assert off == on  # run_stats is compare=False by construction
     assert off.run_stats is None
     assert on.run_stats is not None
@@ -401,10 +397,7 @@ def test_engine_resolve_event_explains_auto_choice():
     assert attrs["resolved"] == resolved.name
     assert attrs["source"] == "auto-program"
     expected_name, expected_rationale = explain_engine_selection(
-        program,
-        track_history=False,
-        track_item_completion=False,
-        track_arrivals=False,
+        program, track_arrivals=False
     )
     assert attrs["resolved"] == expected_name
     assert attrs["rationale"] == expected_rationale
