@@ -178,8 +178,10 @@ class ArrivalTimesView(Mapping):
     ``in`` — but each source's inner dict is materialised (and cached) only
     on first access, so profiling a handful of sources no longer pays the
     full n×n Python-object conversion.  ``to_numpy()`` exposes the backing
-    ``(vertex, item)`` int64 matrix (``-1`` for "never arrived") for
-    vectorised consumers.
+    ``(vertex, item)`` matrix (``-1`` for "never arrived") for vectorised
+    consumers, in the narrowest of int16, int32 and int64 that holds the
+    last round the run could stamp: cast before arithmetic that could pass
+    that type's maximum.
     """
 
     __slots__ = ("_graph", "_arrivals", "_cache")

@@ -31,6 +31,7 @@ from repro.topologies.base import Digraph, Vertex
 __all__ = [
     "ArrivalRounds",
     "RoundProgram",
+    "arrival_dtype",
     "SimulationResult",
     "SimulationEngine",
     "initial_knowledge",
@@ -69,25 +70,36 @@ def iter_set_bits(bits: int):
         bits ^= low
 
 
+def arrival_dtype(last: int) -> type[np.signedinteger]:
+    """The narrowest of int16, int32 and int64 that holds every round up to
+    ``last`` (and ``-1``, the arrival matrices' "never arrived")."""
+    for dtype in (np.int16, np.int32):
+        if last <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
 class ArrivalRounds(Sequence):
     """Lazy first-arrival matrix: ``view[i][j]`` is the first round after
     which vertex ``i`` knew item ``j`` (0 for initially-known items, ``None``
     when the item never arrived within the executed rounds).
 
-    The packed-bitset engines hand their internal ``(n, n)`` int64 tracking
-    array (``-1`` encoding "never arrived") over wholesale, so building the
-    result costs O(1) instead of the eager n×n Python tuple materialisation
-    this replaced (~2.5 s at n = 4096).  The pure-Python reference engine
-    backs the view with nested lists instead.  Rows materialise as plain
-    tuples of ``int | None`` on access, so indexing, iteration and equality
-    behave exactly like the nested tuples did; vectorised consumers call
-    :meth:`to_numpy` to skip per-element conversion entirely.
+    The packed-bitset engines hand their internal ``(n, n)`` tracking array
+    (``-1`` encoding "never arrived") over wholesale, so building the result
+    costs O(1) instead of the eager n×n Python tuple materialisation this
+    replaced (~2.5 s at n = 4096).  That array is in the narrowest signed
+    type holding the last round the run could stamp (:func:`arrival_dtype`).
+    The pure-Python reference engine backs the view with nested lists
+    instead.  Rows materialise as plain tuples of ``int | None`` on access,
+    so indexing, iteration and equality behave exactly like the nested
+    tuples did; vectorised consumers call :meth:`to_numpy` to skip
+    per-element conversion entirely.
 
     The constructor takes *ownership* of a passed array: the view freezes
     it (a read-only view over the caller's buffer when the input is already
-    contiguous int64, to stay zero-copy), so callers must not mutate the
-    buffer afterwards — doing so would silently change the view's contents,
-    equality and hash.
+    a contiguous signed-integer array, to stay zero-copy; other types become
+    int64), so callers must not mutate the buffer afterwards — doing so
+    would silently change the view's contents, equality and hash.
     """
 
     __slots__ = ("_array", "_rows", "_hash")
@@ -99,7 +111,8 @@ class ArrivalRounds(Sequence):
                 raise SimulationError(
                     f"arrival matrices are 2-D, got {data.ndim}-D array"
                 )
-            array = np.ascontiguousarray(data, dtype=np.int64)
+            dtype = data.dtype if data.dtype.kind == "i" else np.int64
+            array = np.ascontiguousarray(data, dtype=dtype)
             if array is data:
                 # Freeze a view, not the caller's own array object.
                 array = data.view()
@@ -141,17 +154,19 @@ class ArrivalRounds(Sequence):
         return tuple(row[j] for row in self._rows)
 
     def to_numpy(self):
-        """The backing ``(n, n)`` int64 matrix, ``-1`` for "never arrived".
+        """The backing ``(n, n)`` matrix, ``-1`` for "never arrived".
 
         Zero-copy (and read-only) when the producing engine was array-backed;
-        the reference engine's list backing is converted on demand.
+        the reference engine's list backing is converted on demand, to
+        :func:`arrival_dtype` of its largest round.  Either way the type may
+        be as narrow as int16: arithmetic that could pass its maximum (sums
+        of rounds, scaling) must cast first, e.g. ``.astype(np.int64)``.
         """
         if self._array is not None:
             return self._array
-        array = np.array(
-            [[-1 if x is None else x for x in row] for row in self._rows],
-            dtype=np.int64,
-        )
+        rows = [[-1 if x is None else x for x in row] for row in self._rows]
+        last = max(map(max, rows), default=-1)
+        array = np.array(rows, dtype=arrival_dtype(last))
         array.flags.writeable = False
         return array
 
@@ -174,13 +189,16 @@ class ArrivalRounds(Sequence):
         return NotImplemented
 
     def __hash__(self) -> int:
-        # Hash the packed bytes of the canonical int64 matrix (cached), so
-        # equal views hash identically across both backings without building
-        # the n² Python objects the lazy view exists to avoid.  Views that
-        # compare equal to *plain* nested tuples do not share those tuples'
-        # hash — mixed-key dict use is not supported.
+        # Hash the bytes of the matrix in arrival_dtype of its largest round
+        # (cached), so equal views hash identically across backings and
+        # widths without building the n² Python objects the lazy view exists
+        # to avoid, or an int64 copy.  Views that compare equal to *plain*
+        # nested tuples do not share those tuples' hash — mixed-key dict use
+        # is not supported.
         if self._hash is None:
-            self._hash = hash(self.to_numpy().tobytes())
+            array = self.to_numpy()
+            dtype = arrival_dtype(int(array.max(initial=-1)))
+            self._hash = hash(array.astype(dtype, copy=False).tobytes())
         return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -266,7 +284,9 @@ class SimulationResult:
         initially), or ``None`` if the item never arrived within the
         executed rounds.  Indexing and iteration behave like the eager
         nested tuples this used to be; ``arrival_rounds.to_numpy()`` exposes
-        the backing int64 matrix without per-element conversion.  Like item
+        the backing matrix without per-element conversion, in the narrowest
+        of int16, int32 and int64 that holds the last round the run could
+        stamp (cast before arithmetic that could pass its maximum).  Like item
         tracking, only the ``n`` vertex-originated items are covered; higher
         bits of a caller-supplied initial state are ignored.
     engine_name:

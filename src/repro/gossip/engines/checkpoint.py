@@ -106,6 +106,7 @@ from repro.gossip.engines.base import (
     ArrivalRounds,
     RoundProgram,
     SimulationResult,
+    arrival_dtype,
     check_initial,
     full_mask,
     initial_knowledge,
@@ -190,7 +191,8 @@ def check_resume_state(
 
     Catches signature mismatches (vertex count, target mask, which
     prefixes are tracked), budgets that end before the resume point, and
-    tracked prefixes of the wrong shape.  The round-prefix contract —
+    tracked prefixes of the wrong shape or holding a round that is neither
+    ``None`` nor one of ``0 … state.round``.  The round-prefix contract —
     ``program``'s rounds ``1 … state.round`` must equal the producing
     run's — is the caller's responsibility and is *not* checked here
     (doing so would require storing the whole executed prefix).
@@ -229,6 +231,27 @@ def check_resume_state(
         raise SimulationError(
             f"cannot resume: the state's arrival prefix is not {n} rows of {n} entries"
         )
+    if track_item_completion:
+        _check_prefix_rounds("item-completion", (state.item_completion,), state.round)
+    if track_arrivals:
+        _check_prefix_rounds("arrival", state.arrivals, state.round)
+
+
+def _check_prefix_rounds(name: str, rows, last: int) -> None:
+    """Refuse a tracked prefix holding an entry that is neither ``None`` nor
+    a round in ``0 … last``."""
+    # One pass collects the distinct entries (at most last + 2 of them in a
+    # valid prefix), with no per-entry Python test and no n x n copy.
+    seen = set()
+    for row in rows:
+        seen.update(row)
+    seen.discard(None)
+    bad = [x for x in seen if not 0 <= x <= last]
+    if bad:
+        raise SimulationError(
+            f"cannot resume: the state's {name} prefix holds round {min(bad)}, "
+            f"outside 0 … {last}"
+        )
 
 
 def normalize_checkpoint_rounds(checkpoint_rounds, base: int) -> list[int]:
@@ -248,8 +271,11 @@ _SLOT_CACHE_LIMIT = 4096
 def compiled_slots(
     rounds, compile_slot, slot_cache: dict | None, *, anchored: bool = False
 ) -> list:
-    """``compile_slot(arcs)`` for every round, memoized in ``slot_cache`` when given.
+    """``compile_slot(arcs)`` for every round, compiling each distinct round once.
 
+    Entries are memoized in ``slot_cache`` when given, and otherwise in a
+    dict private to the call, so a finite program that repeats its rounds
+    (an unrolled schedule) compiles each one once, not once per occurrence.
     Entries are keyed by round *identity*: ``make_round`` interns rounds, so
     one search walk sees the same tuple objects over and over, and an
     identity key avoids re-hashing a whole arc tuple per slot per run.  An
@@ -262,7 +288,7 @@ def compiled_slots(
     callers and must not be shared across graphs or engines.
     """
     if slot_cache is None:
-        return [compile_slot(arcs) for arcs in rounds]
+        slot_cache = {}
     anchor = next((arcs for arcs in rounds if arcs), None) if anchored else None
     slots = []
     for arcs in rounds:
@@ -315,9 +341,12 @@ class EngineRun:
     The tracked prefixes, indexed by public vertex and public item, are the
     driver's own containers and the loop fills them in place:
     ``item_rounds`` (``n`` entries) and ``arrivals`` (``n`` rows of ``n``)
-    are ``None`` when untracked, int64 arrays with ``-1`` for "not yet" for
-    an engine with ``uses_numpy``, and lists with ``None`` for "not yet"
-    otherwise.
+    are ``None`` when untracked, and lists with ``None`` for "not yet" for
+    an engine without ``uses_numpy``.  For an engine with it they are
+    arrays with ``-1`` for "not yet": ``item_rounds`` int64, and
+    ``arrivals`` in :func:`~repro.gossip.engines.base.arrival_dtype` of the
+    last round the run can stamp (see ``__init__``), which is int16 unless
+    the program is long.
 
     ``next_capture`` is the next wanted checkpoint round, or a round past
     the budget when none is left; the loop calls :meth:`capture` right
@@ -389,6 +418,22 @@ class EngineRun:
         self._engine_name = engine.name
 
         arrays = engine.uses_numpy
+        if track_arrivals and arrays:
+            # The last round a first arrival can take.  A finite program
+            # stamps at most its budget.  A cyclic program with period s
+            # fires each arc of its period once in any s consecutive rounds,
+            # so an item a vertex knows after round t reaches every
+            # out-neighbour along a period arc by round t + s.  Each item
+            # that ever reaches a vertex does so along a shortest such path
+            # of at most n - 1 arcs from a vertex that knew it after round
+            # base, so by round base + s·(n - 1).  Resumed prefix entries
+            # are at most base (check_resume_state).  The loops stamp Python
+            # ints, which NumPy refuses with OverflowError rather than
+            # wrapping, so a wrong bound fails loudly.
+            last = program.max_rounds
+            if program.cyclic:
+                last = min(last, base + len(program.rounds) * (n - 1))
+            arrival_type = arrival_dtype(last)
         if state is not None:
             self.completion = state.completion_round
             items = state.item_completion
@@ -401,7 +446,7 @@ class EngineRun:
             elif arrays:
                 # One row at a time: never an n x n nested list on top of
                 # the matrix.
-                self.arrivals = np.empty((n, n), dtype=np.int64)
+                self.arrivals = np.empty((n, n), dtype=arrival_type)
                 for v, row in enumerate(state.arrivals):
                     self.arrivals[v] = [-1 if x is None else x for x in row]
             else:
@@ -420,7 +465,7 @@ class EngineRun:
             if track_arrivals:
                 # Round 0 wherever a start row holds a vertex item.
                 if arrays:
-                    self.arrivals = np.full((n, n), -1, dtype=np.int64)
+                    self.arrivals = np.full((n, n), -1, dtype=arrival_type)
                 else:
                     self.arrivals = [[None] * n for _ in range(n)]
                 for v, bits in enumerate(start):
@@ -508,8 +553,11 @@ class CheckpointingMixin:
         The names of the counters ``_execute`` returns, flushed under
         ``engine.<name>`` after ``runs`` and ``rounds_simulated``.
     ``uses_numpy``
-        The engine takes its tracked prefixes as int64 arrays; otherwise
-        they are lists (the reference engine).
+        The engine takes its tracked prefixes as arrays: item rounds as
+        int64, the arrival matrix in the narrowest of int16, int32 and
+        int64 that holds the last round the run can stamp (see
+        :class:`EngineRun`).  Otherwise they are lists (the reference
+        engine).
     ``stops_at_fixed_point``
         The round loop may stop after a full period without news; the
         driver synthesizes the remaining rounds and also reports

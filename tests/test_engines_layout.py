@@ -10,7 +10,8 @@ that the engines using them stay bit-exact.  The permuted kernel's L2-tiled
 gather, which test-sized matrices never reach at the default tile budget,
 is checked against the reference engine here with the budget shrunk, and
 so is the vectorized engine's per-batch item scan with its column
-replays, in both kernel regimes.
+replays, in both kernel regimes.  The compiled-slot memo that both packed
+engines compile rounds through is pinned here too.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.gossip.builders import random_systolic_schedule
 from repro.gossip.engines import VectorizedEngine, get_engine, vectorized
 from repro.gossip.engines._bitops import pack_int, pack_rows, unpack_rows
 from repro.gossip.engines.base import RoundProgram
+from repro.gossip.engines.checkpoint import compiled_slots
 from repro.gossip.engines.layout import packed_words, row_locality_permutation
 from repro.gossip.model import Mode, SystolicSchedule, make_round
 from repro.protocols.generic import coloring_systolic_schedule
@@ -122,6 +124,24 @@ class TestVectorizedRegime:
         assert key_types() == {int}
         monkeypatch.setattr(vectorized, "_SOURCE_MAP_MAX_BYTES", 0)
         assert key_types() == {tuple}
+
+
+def test_compiled_slots_compiles_each_distinct_round_once_per_call():
+    # Without a caller-owned cache the memo lives for one call: a finite
+    # program that repeats its rounds (an unrolled schedule) compiles each
+    # distinct round once, and the slots still come in round order.
+    a, b = make_round([(0, 1)]), make_round([(1, 2)])
+    compiled = []
+
+    def counting_compile(arcs):
+        compiled.append(arcs)
+        return ("slot", arcs)
+
+    slots = compiled_slots((a, b, a, b, a), counting_compile, None)
+    assert compiled == [a, b]
+    assert slots == [("slot", a), ("slot", b), ("slot", a), ("slot", b), ("slot", a)]
+    compiled_slots((a,), counting_compile, None)
+    assert compiled == [a, b, a]  # a new call compiles afresh
 
 
 def test_tile_rows_read_the_budget_when_called(monkeypatch):

@@ -427,6 +427,13 @@ class TestResumeValidation:
             ("arrivals", lambda prefix: None),
             ("arrivals", lambda prefix: prefix[:-1]),
             ("arrivals", lambda prefix: (prefix[0][:-1], *prefix[1:])),
+            # Entries must be None or a round in 0 … 4, the state's round.
+            ("item_completion", lambda prefix: (-2, *prefix[1:])),
+            ("item_completion", lambda prefix: (5, *prefix[1:])),
+            ("item_completion", lambda prefix: (40_000, *prefix[1:])),
+            ("arrivals", lambda prefix: ((-2, *prefix[0][1:]), *prefix[1:])),
+            ("arrivals", lambda prefix: ((5, *prefix[0][1:]), *prefix[1:])),
+            ("arrivals", lambda prefix: ((40_000, *prefix[0][1:]), *prefix[1:])),
         ],
         ids=[
             "items-missing",
@@ -434,11 +441,18 @@ class TestResumeValidation:
             "arrivals-missing",
             "arrivals-row-missing",
             "arrivals-row-short",
+            "items-negative",
+            "items-after-state",
+            "items-past-int16",
+            "arrivals-negative",
+            "arrivals-after-state",
+            "arrivals-past-int16",
         ],
     )
     def test_malformed_tracked_prefix_rejected(self, name, field, corrupt):
         # A corrupted item or arrival prefix is rejected up front, never
-        # turned into a raw TypeError/IndexError or a wrong continuation.
+        # turned into a raw TypeError/IndexError/OverflowError or a wrong
+        # continuation.
         tracked = dict(track_item_completion=True, track_arrivals=True)
         state = self._state(**tracked)
         bad = dataclasses.replace(state, **{field: corrupt(getattr(state, field))})
