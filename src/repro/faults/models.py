@@ -211,9 +211,7 @@ class _CrashSample(FaultSample):
             raise SimulationError(
                 f"round {round_number} outside the sampled horizon 1..{self.horizon}"
             )
-        if self.program.cyclic:
-            return self._slots[(round_number - 1) % len(self._slots)]
-        return self._slots[round_number - 1]
+        return self._slots[self.program.slot(round_number)]
 
     def round_mask(self, round_number: int) -> np.ndarray:
         tails, heads = self._slot(round_number)
@@ -266,9 +264,7 @@ class _FixedDeletionSample(FaultSample):
             raise SimulationError(
                 f"round {round_number} outside the sampled horizon 1..{self.horizon}"
             )
-        if self.program.cyclic:
-            return self._keep[(round_number - 1) % len(self._keep)]
-        return self._keep[round_number - 1]
+        return self._keep[self.program.slot(round_number)]
 
     def round_mask(self, round_number: int) -> np.ndarray:
         keep = self._slot_keep(round_number)

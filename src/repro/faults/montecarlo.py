@@ -469,12 +469,10 @@ def _run_batched_stacked(
     segments_by_c = [_slot_segments(groups) for groups in groups_by_c]
 
     def group_at(c: int, r: int):
-        groups = groups_by_c[c]
-        return groups[(r - 1) % len(groups)] if programs[c].cyclic else groups[r - 1]
+        return groups_by_c[c][programs[c].slot(r)]
 
     def segment_at(c: int, r: int):
-        segments = segments_by_c[c]
-        return segments[(r - 1) % len(segments)] if programs[c].cyclic else segments[r - 1]
+        return segments_by_c[c][programs[c].slot(r)]
 
     # Candidate-major column layout: candidate c's live trials are one
     # contiguous block, recovered after any compaction by searchsorted.

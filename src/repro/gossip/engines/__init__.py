@@ -73,14 +73,14 @@ noise.
 
 Checkpoint/resume
 -----------------
-All three registered engines run through one driver,
-:class:`~repro.gossip.engines.checkpoint.CheckpointingMixin`, and so all
-implement the checkpoint/resume protocol
+Checkpoint/resume is part of the one engine protocol,
+:class:`~repro.gossip.engines.base.SimulationEngine`, which every engine
+implements and :func:`register_engine` and :func:`resolve_engine` enforce.
+All three registered engines get it from one driver,
+:class:`~repro.gossip.engines.checkpoint.CheckpointingMixin`
 (:mod:`repro.gossip.engines.checkpoint`): ``run_checkpointed`` captures
-:class:`EngineState` snapshots after requested rounds,
-``checkpoint``/``resume`` are the single-state conveniences, and
-:func:`supports_checkpointing` probes a backend (third-party registrations
-may still lack the protocol).
+:class:`EngineState` snapshots after requested rounds, and
+``checkpoint``/``resume`` are the single-state conveniences.
 
 The determinism contract: resuming a state on a program whose executed
 prefix matches the producing run's returns a result **bit-identical to the
@@ -144,17 +144,15 @@ executes the rounds (the contract is in the
 :mod:`~repro.gossip.engines.checkpoint` docstring), then call
 :func:`register_engine`.  The driver supplies ``run``,
 ``run_checkpointed``, ``checkpoint`` and ``resume``, the resume checks,
-the tracked prefixes, the snapshots, the telemetry and the result.  A
-backend that only implements the
-:class:`~repro.gossip.engines.base.SimulationEngine` protocol (a ``name``
-attribute plus a ``run(program, ...)`` method returning a
-:class:`~repro.gossip.engines.base.SimulationResult`) still registers; it
-just cannot checkpoint.  Run ``tests/test_engines_differential.py`` and
-the randomized fuzz suite ``tests/test_engines_fuzz.py`` with your engine
-registered to certify bit-for-bit agreement with the reference engine —
-both suites iterate over the registry, so new backends get coverage for
-free, and ``tests/test_engines_resume.py`` certifies the resume contract
-of every checkpointable one the same way.
+the tracked prefixes (arrays with ``-1`` for "not yet", which the hook
+fills in place), the snapshots, the telemetry and the result.  An object
+without all four methods is refused with
+:class:`~repro.exceptions.SimulationError`.  Run
+``tests/test_engines_differential.py``, the randomized fuzz suite
+``tests/test_engines_fuzz.py`` and ``tests/test_engines_resume.py`` with
+your engine registered to certify bit-for-bit agreement with the
+reference engine, resumes included — all three suites iterate over the
+registry, so new backends get coverage for free.
 """
 
 from __future__ import annotations
@@ -169,12 +167,7 @@ from repro.gossip.engines.base import (
     SimulationEngine,
     SimulationResult,
 )
-from repro.gossip.engines.checkpoint import (
-    CheckpointableEngine,
-    CheckpointedRun,
-    EngineState,
-    supports_checkpointing,
-)
+from repro.gossip.engines.checkpoint import CheckpointedRun, EngineState
 from repro.gossip.engines.frontier import FrontierEngine
 from repro.gossip.engines.layout import workload_summary
 from repro.gossip.engines.reference import ReferenceEngine
@@ -186,10 +179,8 @@ __all__ = [
     "RoundProgram",
     "SimulationEngine",
     "SimulationResult",
-    "CheckpointableEngine",
     "CheckpointedRun",
     "EngineState",
-    "supports_checkpointing",
     "ReferenceEngine",
     "VectorizedEngine",
     "FrontierEngine",
@@ -214,17 +205,28 @@ AUTO_ENGINE = "auto"
 _REGISTRY: dict[str, SimulationEngine] = {}
 
 
+def _check_protocol(engine) -> None:
+    """Refuse an object without the whole engine protocol."""
+    if not isinstance(engine, SimulationEngine):
+        raise SimulationError(
+            f"{type(engine).__name__} lacks the engine protocol: a name plus run, "
+            "run_checkpointed, checkpoint and resume (subclass CheckpointingMixin)"
+        )
+
+
 def register_engine(engine: SimulationEngine, *, replace: bool = False) -> SimulationEngine:
     """Add ``engine`` to the registry under ``engine.name``.
 
     Registering a name that already exists raises unless ``replace=True``,
-    so a typo cannot silently shadow a shipped backend.
+    so a typo cannot silently shadow a shipped backend, and so does an
+    object without the whole :class:`SimulationEngine` protocol.
     """
     name = engine.name
     if name == AUTO_ENGINE:
         raise SimulationError(f"engine name {AUTO_ENGINE!r} is reserved for automatic selection")
     if name in _REGISTRY and not replace:
         raise SimulationError(f"an engine named {name!r} is already registered")
+    _check_protocol(engine)
     _REGISTRY[name] = engine
     return engine
 
@@ -344,9 +346,12 @@ def resolve_engine(
     always win over both.  An unknown name raises
     :class:`~repro.exceptions.SimulationError` naming the environment
     variable when that is where the bad name came from, rather than
-    silently running a different backend.
+    silently running a different backend.  An engine instance passes
+    through unchanged, and raises the same error when it lacks the whole
+    :class:`SimulationEngine` protocol.
     """
     if spec is not None and not isinstance(spec, str):
+        _check_protocol(spec)
         return spec
     telem = telemetry.get_recorder().enabled
     if not is_auto_spec(spec):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -28,10 +28,14 @@ from repro.exceptions import SimulationError
 from repro.gossip.model import GossipProtocol, Round, SystolicSchedule
 from repro.topologies.base import Digraph, Vertex
 
+if TYPE_CHECKING:
+    from repro.gossip.engines.checkpoint import CheckpointedRun, EngineState
+
 __all__ = [
     "ArrivalRounds",
     "RoundProgram",
     "arrival_dtype",
+    "decode_rounds",
     "SimulationResult",
     "SimulationEngine",
     "initial_knowledge",
@@ -79,106 +83,79 @@ def arrival_dtype(last: int) -> type[np.signedinteger]:
     return np.int64
 
 
+def decode_rounds(values) -> tuple[int | None, ...]:
+    """Tracked rounds as a tuple, ``None`` where the array form holds ``-1``
+    ("not yet")."""
+    return tuple(x if x >= 0 else None for x in values)
+
+
 class ArrivalRounds(Sequence):
     """Lazy first-arrival matrix: ``view[i][j]`` is the first round after
     which vertex ``i`` knew item ``j`` (0 for initially-known items, ``None``
     when the item never arrived within the executed rounds).
 
-    The packed-bitset engines hand their internal ``(n, n)`` tracking array
-    (``-1`` encoding "never arrived") over wholesale, so building the result
-    costs O(1) instead of the eager n×n Python tuple materialisation this
+    Every engine hands the run driver's ``(n, n)`` tracking array (``-1``
+    encoding "never arrived") over wholesale, so building the result costs
+    O(1) instead of the eager n×n Python tuple materialisation this
     replaced (~2.5 s at n = 4096).  That array is in the narrowest signed
     type holding the last round the run could stamp (:func:`arrival_dtype`).
-    The pure-Python reference engine backs the view with nested lists
-    instead.  Rows materialise as plain tuples of ``int | None`` on access,
-    so indexing, iteration and equality behave exactly like the nested
-    tuples did; vectorised consumers call :meth:`to_numpy` to skip
-    per-element conversion entirely.
+    Rows materialise as plain tuples of ``int | None`` on access, so
+    indexing, iteration and equality behave exactly like the nested tuples
+    did; vectorised consumers call :meth:`to_numpy` to skip per-element
+    conversion entirely.
 
-    The constructor takes *ownership* of a passed array: the view freezes
-    it (a read-only view over the caller's buffer when the input is already
-    a contiguous signed-integer array, to stay zero-copy; other types become
-    int64), so callers must not mutate the buffer afterwards — doing so
-    would silently change the view's contents, equality and hash.
+    The constructor takes *ownership* of the passed integer array: the view
+    freezes it (a read-only view over the caller's buffer when the input is
+    already a contiguous signed-integer array, to stay zero-copy; other
+    types become int64), so callers must not mutate the buffer afterwards —
+    doing so would silently change the view's contents, equality and hash.
     """
 
-    __slots__ = ("_array", "_rows", "_hash")
+    __slots__ = ("_array", "_hash")
 
-    def __init__(self, data) -> None:
+    def __init__(self, data: np.ndarray) -> None:
+        if data.ndim != 2:
+            raise SimulationError(f"arrival matrices are 2-D, got {data.ndim}-D array")
+        dtype = data.dtype if data.dtype.kind == "i" else np.int64
+        array = np.ascontiguousarray(data, dtype=dtype)
+        if array is data:
+            # Freeze a view, not the caller's own array object.
+            array = data.view()
+        array.flags.writeable = False
+        self._array = array
         self._hash: int | None = None
-        if isinstance(data, np.ndarray):
-            if data.ndim != 2:
-                raise SimulationError(
-                    f"arrival matrices are 2-D, got {data.ndim}-D array"
-                )
-            dtype = data.dtype if data.dtype.kind == "i" else np.int64
-            array = np.ascontiguousarray(data, dtype=dtype)
-            if array is data:
-                # Freeze a view, not the caller's own array object.
-                array = data.view()
-            array.flags.writeable = False
-            self._array = array
-            self._rows = None
-        else:
-            self._array = None
-            self._rows = tuple(tuple(row) for row in data)
 
     # -- sequence protocol ---------------------------------------------- #
     def __len__(self) -> int:
-        if self._array is not None:
-            return self._array.shape[0]
-        return len(self._rows)
-
-    @staticmethod
-    def _decode(values) -> tuple[int | None, ...]:
-        return tuple(x if x >= 0 else None for x in values)
+        return self._array.shape[0]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self[k] for k in range(*i.indices(len(self))))
-        if self._array is not None:
-            return self._decode(self._array[i].tolist())
-        return self._rows[i]
+        return decode_rounds(self._array[i].tolist())
 
     def __iter__(self):
-        if self._array is not None:
-            for row in self._array.tolist():
-                yield self._decode(row)
-        else:
-            yield from self._rows
+        for row in self._array.tolist():
+            yield decode_rounds(row)
 
     def column(self, j: int) -> tuple[int | None, ...]:
         """Arrival rounds of item ``j`` at every vertex (one column)."""
-        if self._array is not None:
-            return self._decode(self._array[:, j].tolist())
-        return tuple(row[j] for row in self._rows)
+        return decode_rounds(self._array[:, j].tolist())
 
     def to_numpy(self):
         """The backing ``(n, n)`` matrix, ``-1`` for "never arrived".
 
-        Zero-copy (and read-only) when the producing engine was array-backed;
-        the reference engine's list backing is converted on demand, to
-        :func:`arrival_dtype` of its largest round.  Either way the type may
-        be as narrow as int16: arithmetic that could pass its maximum (sums
-        of rounds, scaling) must cast first, e.g. ``.astype(np.int64)``.
+        Zero-copy and read-only.  Its type may be as narrow as int16:
+        arithmetic that could pass its maximum (sums of rounds, scaling)
+        must cast first, e.g. ``.astype(np.int64)``.
         """
-        if self._array is not None:
-            return self._array
-        rows = [[-1 if x is None else x for x in row] for row in self._rows]
-        last = max(map(max, rows), default=-1)
-        array = np.array(rows, dtype=arrival_dtype(last))
-        array.flags.writeable = False
-        return array
+        return self._array
 
     def __eq__(self, other: object) -> bool:
         if other is self:
             return True
         if isinstance(other, ArrivalRounds):
-            if self._array is not None and other._array is not None:
-                return bool(np.array_equal(self._array, other._array))
-            return len(self) == len(other) and all(
-                a == b for a, b in zip(iter(self), iter(other))
-            )
+            return bool(np.array_equal(self._array, other._array))
         if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
             try:
                 return len(self) == len(other) and all(
@@ -190,21 +167,19 @@ class ArrivalRounds(Sequence):
 
     def __hash__(self) -> int:
         # Hash the bytes of the matrix in arrival_dtype of its largest round
-        # (cached), so equal views hash identically across backings and
-        # widths without building the n² Python objects the lazy view exists
-        # to avoid, or an int64 copy.  Views that compare equal to *plain*
-        # nested tuples do not share those tuples' hash — mixed-key dict use
-        # is not supported.
+        # (cached), so equal views hash identically across widths without
+        # building the n² Python objects the lazy view exists to avoid, or
+        # an int64 copy.  Views that compare equal to *plain* nested tuples
+        # do not share those tuples' hash — mixed-key dict use is not
+        # supported.
         if self._hash is None:
-            array = self.to_numpy()
+            array = self._array
             dtype = arrival_dtype(int(array.max(initial=-1)))
             self._hash = hash(array.astype(dtype, copy=False).tobytes())
         return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        n = len(self)
-        backing = "array" if self._array is not None else "tuples"
-        return f"ArrivalRounds(n={n}, backing={backing})"
+        return f"ArrivalRounds(n={len(self)}, dtype={self._array.dtype})"
 
 
 @dataclass(frozen=True)
@@ -231,11 +206,13 @@ class RoundProgram:
     cyclic: bool
     max_rounds: int
 
+    def slot(self, i: int) -> int:
+        """The index into ``rounds`` of (1-based) round ``i``."""
+        return (i - 1) % len(self.rounds) if self.cyclic else i - 1
+
     def arcs_at(self, i: int) -> Round:
         """The arc set active at (1-based) round ``i``."""
-        if self.cyclic:
-            return self.rounds[(i - 1) % len(self.rounds)]
-        return self.rounds[i - 1]
+        return self.rounds[self.slot(i)]
 
     @classmethod
     def from_protocol(cls, protocol: GossipProtocol, max_rounds: int | None = None) -> "RoundProgram":
@@ -327,23 +304,19 @@ class SimulationResult:
 class SimulationEngine(Protocol):
     """What a simulation backend must provide to join the engine registry.
 
-    A new backend (GPU, bit-sliced C extension, distributed, …) only needs
-    a ``name`` attribute and a :meth:`run` method with these exact semantics,
-    plus a ``register_engine`` call — see :mod:`repro.gossip.engines`.  Three
-    backends implement the protocol today (reference, vectorized,
-    frontier); the registry-parametrized differential and fuzz suites hold all
-    of them — and anything registered later — to bit-for-bit agreement,
-    including the ``arrival_rounds`` matrix under every tracking-flag
-    combination.
-
-    Backends may additionally implement the checkpoint/resume extension —
-    ``run_checkpointed``/``checkpoint``/``resume``, capturing and resuming
-    :class:`~repro.gossip.engines.checkpoint.EngineState` snapshots
-    bit-exactly (see :class:`~repro.gossip.engines.checkpoint.
-    CheckpointableEngine` and the determinism contract in
-    :mod:`repro.gossip.engines.checkpoint`).  Probe with
-    :func:`~repro.gossip.engines.checkpoint.supports_checkpointing`;
-    ``tests/test_engines_resume.py`` certifies implementors differentially.
+    A backend (GPU, bit-sliced C extension, distributed, …) provides a
+    ``name`` attribute and the four methods below with these exact
+    semantics, plus a ``register_engine`` call — see
+    :mod:`repro.gossip.engines`.  Subclassing the run driver,
+    :class:`~repro.gossip.engines.checkpoint.CheckpointingMixin`, supplies
+    all four around one hook.  ``register_engine`` and ``resolve_engine``
+    refuse an object without them.  Three backends implement the protocol
+    today (reference, vectorized, frontier); the registry-parametrized
+    differential, fuzz and resume suites hold all of them — and anything
+    registered later — to bit-for-bit agreement, including the
+    ``arrival_rounds`` matrix under every tracking-flag combination and
+    every resume of every captured state (the determinism contract is in
+    :mod:`repro.gossip.engines.checkpoint`).
     """
 
     name: str
@@ -367,4 +340,34 @@ class SimulationEngine(Protocol):
         matrix, which batches every per-source arrival/eccentricity
         analysis into one run.  A run with neither tracks only completion.
         """
+        ...  # pragma: no cover - protocol definition
+
+    def run_checkpointed(
+        self,
+        program: RoundProgram,
+        *,
+        checkpoint_rounds=(),
+        resume_from: EngineState | None = None,
+        slot_cache: dict | None = None,
+        **options,
+    ) -> CheckpointedRun:
+        """:meth:`run` under the same options, or the continuation of
+        ``resume_from``, capturing an :class:`EngineState` after each round
+        of ``checkpoint_rounds`` that it reaches.  ``slot_cache`` memoizes
+        compiled rounds across runs on one graph."""
+        ...  # pragma: no cover - protocol definition
+
+    def checkpoint(self, program: RoundProgram, at: int, **options) -> EngineState:
+        """The state of ``program``'s run after round ``at``."""
+        ...  # pragma: no cover - protocol definition
+
+    def resume(
+        self,
+        state: EngineState,
+        program: RoundProgram,
+        *,
+        from_round: int | None = None,
+        **options,
+    ) -> SimulationResult:
+        """Continue ``state`` to the end of ``program``'s round budget."""
         ...  # pragma: no cover - protocol definition

@@ -39,8 +39,10 @@ modified round.
 
 Surface
 -------
-Every shipped engine inherits :class:`CheckpointingMixin`, which defines
-these methods once for all of them:
+Every engine provides these four methods, which make up the whole
+:class:`~repro.gossip.engines.base.SimulationEngine` protocol.  Every
+shipped engine inherits them from :class:`CheckpointingMixin`, which
+defines them once for all of them:
 
 ``run(program, **options) -> SimulationResult``
     A plain run: ``run_checkpointed(program, **options).result``.
@@ -58,21 +60,18 @@ these methods once for all of them:
 ``resume(state, program, from_round=None, **options) -> SimulationResult``
     Convenience: continue ``state`` to the end of ``program``'s budget.
 
-Use :func:`supports_checkpointing` to probe a backend, e.g. when iterating
-the registry, since a third-party registration may implement only ``run``.
-
 The run driver
 --------------
 ``run_checkpointed`` owns everything around an engine's round loop.
 Before the first round it validates the start (:func:`check_resume_state`
 or the initial vector), resolves the target mask and the wanted checkpoint
 rounds, builds the tracked prefixes at the start round — from the state,
-or from the start knowledge — tests completion and captures the start
-round.  It then calls the engine's one hook, ``_execute``, with an
-:class:`EngineRun`; a start that is already complete skips the hook.
-After the last round it synthesizes the rounds a fixed-point exit
-skipped, flushes the telemetry and assembles the result.  None of this
-runs per round.
+or from the start knowledge — as arrays with ``-1`` for "not yet", tests
+completion and captures the start round.  It then calls the engine's one
+hook, ``_execute``, with an :class:`EngineRun`; a start that is already
+complete skips the hook.  After the last round it synthesizes the rounds
+a fixed-point exit skipped, flushes the telemetry and assembles the
+result.  None of this runs per round.
 
 A backend subclasses :class:`CheckpointingMixin` and implements
 ``_execute(run) -> (knowledge, executed, completion, counters)``: execute
@@ -81,12 +80,12 @@ completion or at ``run.program.max_rounds``, and return the final
 knowledge in public row and bit order (a packed ``uint64`` matrix, or a
 list of Python ints), the last executed round, the completion round (or
 ``None``) and a dict of the engine's own counters, named in its
-``engine_counters``.  Along the way the loop fills ``run``'s tracked
-prefixes in place and calls :meth:`EngineRun.capture` after round
-``run.next_capture``.  An engine that sets ``stops_at_fixed_point`` may
-return early once a full period brought no news: the driver fills in the
-remaining no-op rounds and reports ``rounds_synthesized`` and
-``early_exit_round`` for it.
+``engine_counters``.  Along the way the loop stamps each event's round
+into ``run``'s tracked prefix arrays in place and calls
+:meth:`EngineRun.capture` after round ``run.next_capture``.  An engine
+that sets ``stops_at_fixed_point`` may return early once a full period
+brought no news: the driver fills in the remaining no-op rounds and
+reports ``rounds_synthesized`` and ``early_exit_round`` for it.
 """
 
 from __future__ import annotations
@@ -95,7 +94,6 @@ import time
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -108,6 +106,7 @@ from repro.gossip.engines.base import (
     SimulationResult,
     arrival_dtype,
     check_initial,
+    decode_rounds,
     full_mask,
     initial_knowledge,
     iter_set_bits,
@@ -116,10 +115,8 @@ from repro.gossip.engines.base import (
 __all__ = [
     "EngineState",
     "CheckpointedRun",
-    "CheckpointableEngine",
     "CheckpointingMixin",
     "EngineRun",
-    "supports_checkpointing",
 ]
 
 
@@ -307,46 +304,23 @@ def _canonical_knowledge(knowledge) -> tuple[int, ...]:
     return tuple(knowledge) if isinstance(knowledge, list) else unpack_rows(knowledge)
 
 
-def _canonical_rounds(values) -> tuple[int | None, ...]:
-    """Tracked rounds with ``None`` for "not yet", from a list (``None``
-    entries) or an int64 array (``-1`` entries)."""
-    if not isinstance(values, list):
-        values = values.tolist()
-    return tuple(x if x is None or x >= 0 else None for x in values)
-
-
-def _canonical_arrivals(rows) -> tuple[tuple[int | None, ...], ...]:
-    if not isinstance(rows, list):
-        rows = rows.tolist()
-    return tuple(_canonical_rounds(row) for row in rows)
-
-
-def _int64_rounds(values) -> np.ndarray:
-    """The NumPy engines' form of tracked rounds: int64, ``-1`` = not yet."""
-    return np.array([-1 if x is None else x for x in values], dtype=np.int64)
-
-
 class EngineRun:
     """One run as the driver hands it to an engine's ``_execute`` hook.
 
     For the hook to read: ``program``; ``base``, the round the run starts
     after (0, or the resumed state's round); ``start``, the knowledge after
     ``base`` as a fresh list of Python ints in public vertex order, which
-    the hook may reuse as its own state; ``identity_start``, whether that is
-    the paper's each-vertex-knows-itself start; the resolved
-    ``target_mask``; ``slot_cache`` (see :func:`compiled_slots`); and
-    ``counting``, whether a telemetry recorder will take the engine's
-    counters.
+    the hook may reuse as its own state; the resolved ``target_mask``;
+    ``slot_cache`` (see :func:`compiled_slots`); and ``counting``, whether
+    a telemetry recorder will take the engine's counters.
 
     The tracked prefixes, indexed by public vertex and public item, are the
-    driver's own containers and the loop fills them in place:
-    ``item_rounds`` (``n`` entries) and ``arrivals`` (``n`` rows of ``n``)
-    are ``None`` when untracked, and lists with ``None`` for "not yet" for
-    an engine without ``uses_numpy``.  For an engine with it they are
-    arrays with ``-1`` for "not yet": ``item_rounds`` int64, and
-    ``arrivals`` in :func:`~repro.gossip.engines.base.arrival_dtype` of the
-    last round the run can stamp (see ``__init__``), which is int16 unless
-    the program is long.
+    driver's own arrays and the loop fills them in place, on every engine:
+    ``item_rounds`` (``n`` entries, int64) and ``arrivals`` (``n`` rows of
+    ``n``, in :func:`~repro.gossip.engines.base.arrival_dtype` of the last
+    round the run can stamp, see ``__init__``, which is int16 unless the
+    program is long) hold ``-1`` for "not yet", and are ``None`` when
+    untracked.
 
     ``next_capture`` is the next wanted checkpoint round, or a round past
     the budget when none is left; the loop calls :meth:`capture` right
@@ -357,7 +331,6 @@ class EngineRun:
         "program",
         "base",
         "start",
-        "identity_start",
         "target_mask",
         "item_rounds",
         "arrivals",
@@ -410,15 +383,16 @@ class EngineRun:
         self.program = program
         self.base = base
         self.start = start
-        self.identity_start = state is None and initial is None
         self.target_mask = full
         self.slot_cache = slot_cache
         self.counting = counting
         self.checkpoints: list[EngineState] = []
         self._engine_name = engine.name
 
-        arrays = engine.uses_numpy
-        if track_arrivals and arrays:
+        self.item_rounds = self.arrivals = None
+        if track_item_completion:
+            self.item_rounds = np.full(n, -1, dtype=np.int64)
+        if track_arrivals:
             # The last round a first arrival can take.  A finite program
             # stamps at most its budget.  A cyclic program with period s
             # fires each arc of its period once in any s consecutive rounds,
@@ -433,44 +407,28 @@ class EngineRun:
             last = program.max_rounds
             if program.cyclic:
                 last = min(last, base + len(program.rounds) * (n - 1))
-            arrival_type = arrival_dtype(last)
+            self.arrivals = np.full((n, n), -1, dtype=arrival_dtype(last))
         if state is not None:
             self.completion = state.completion_round
-            items = state.item_completion
             if track_item_completion:
-                self.item_rounds = _int64_rounds(items) if arrays else list(items)
-            else:
-                self.item_rounds = None
-            if not track_arrivals:
-                self.arrivals = None
-            elif arrays:
+                self.item_rounds[:] = [-1 if x is None else x for x in state.item_completion]
+            if track_arrivals:
                 # One row at a time: never an n x n nested list on top of
                 # the matrix.
-                self.arrivals = np.empty((n, n), dtype=arrival_type)
                 for v, row in enumerate(state.arrivals):
                     self.arrivals[v] = [-1 if x is None else x for x in row]
-            else:
-                self.arrivals = [list(row) for row in state.arrivals]
         else:
             self.completion = 0 if all(v & full == full for v in start) else None
             vertex_items = full_mask(n)
-            self.item_rounds = None
             if track_item_completion:
                 # Round 0 for every item that all start rows hold.
-                items = [None] * n
                 for j in iter_set_bits(reduce(and_, start) & vertex_items):
-                    items[j] = 0
-                self.item_rounds = _int64_rounds(items) if arrays else items
-            self.arrivals = None
+                    self.item_rounds[j] = 0
             if track_arrivals:
                 # Round 0 wherever a start row holds a vertex item.
-                if arrays:
-                    self.arrivals = np.full((n, n), -1, dtype=arrival_type)
-                else:
-                    self.arrivals = [[None] * n for _ in range(n)]
                 for v, bits in enumerate(start):
                     for j in iter_set_bits(bits & vertex_items):
-                        self.arrivals[v][j] = 0
+                        self.arrivals[v, j] = 0
 
         # Wanted rounds as a stack with the next one on top, above a round
         # past the budget: no run reaches that one, so the stack never runs
@@ -495,10 +453,12 @@ class EngineRun:
                 item_completion=(
                     None
                     if self.item_rounds is None
-                    else _canonical_rounds(self.item_rounds)
+                    else decode_rounds(self.item_rounds.tolist())
                 ),
                 arrivals=(
-                    None if self.arrivals is None else _canonical_arrivals(self.arrivals)
+                    None
+                    if self.arrivals is None
+                    else tuple(map(decode_rounds, self.arrivals.tolist()))
                 ),
                 engine_name=self._engine_name,
             )
@@ -507,57 +467,19 @@ class EngineRun:
         return self.next_capture
 
 
-@runtime_checkable
-class CheckpointableEngine(Protocol):
-    """The engine protocol extended with checkpoint/resume support."""
-
-    name: str
-
-    def run(self, program: RoundProgram, **options) -> SimulationResult: ...
-
-    def run_checkpointed(
-        self,
-        program: RoundProgram,
-        *,
-        checkpoint_rounds=(),
-        resume_from: EngineState | None = None,
-        slot_cache: dict | None = None,
-        **options,
-    ) -> CheckpointedRun: ...
-
-    def checkpoint(self, program: RoundProgram, at: int, **options) -> EngineState: ...
-
-    def resume(
-        self,
-        state: EngineState,
-        program: RoundProgram,
-        *,
-        from_round: int | None = None,
-        **options,
-    ) -> SimulationResult: ...
-
-
-def supports_checkpointing(engine) -> bool:
-    """``True`` iff ``engine`` implements the checkpoint/resume protocol."""
-    return isinstance(engine, CheckpointableEngine)
-
-
 class CheckpointingMixin:
-    """The run driver: ``run``, ``run_checkpointed``, ``checkpoint`` and
-    ``resume`` around one engine hook, ``_execute`` (see the module
-    docstring for the hook's contract).
+    """The run driver: the whole
+    :class:`~repro.gossip.engines.base.SimulationEngine` protocol — ``run``,
+    ``run_checkpointed``, ``checkpoint`` and ``resume`` — around one engine
+    hook, ``_execute`` (see the module docstring for the hook's contract).
+    Every engine gets its tracked prefixes in the one array form of
+    :class:`EngineRun`.
 
     Class attributes an engine sets:
 
     ``engine_counters``
         The names of the counters ``_execute`` returns, flushed under
         ``engine.<name>`` after ``runs`` and ``rounds_simulated``.
-    ``uses_numpy``
-        The engine takes its tracked prefixes as arrays: item rounds as
-        int64, the arrival matrix in the narrowest of int16, int32 and
-        int64 that holds the last round the run can stamp (see
-        :class:`EngineRun`).  Otherwise they are lists (the reference
-        engine).
     ``stops_at_fixed_point``
         The round loop may stop after a full period without news; the
         driver synthesizes the remaining rounds and also reports
@@ -566,7 +488,6 @@ class CheckpointingMixin:
 
     name: str
     engine_counters: tuple[str, ...] = ()
-    uses_numpy = False
     stops_at_fixed_point = False
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -676,7 +597,7 @@ class CheckpointingMixin:
             completion_round=completion,
             knowledge=_canonical_knowledge(knowledge),
             item_completion_rounds=(
-                None if run.item_rounds is None else _canonical_rounds(run.item_rounds)
+                None if run.item_rounds is None else decode_rounds(run.item_rounds.tolist())
             ),
             arrival_rounds=None if run.arrivals is None else ArrivalRounds(run.arrivals),
             engine_name=self.name,

@@ -252,7 +252,6 @@ class FrontierEngine(CheckpointingMixin):
         "window_elements_routed",
         "pairs_delivered",
     )
-    uses_numpy = True
     stops_at_fixed_point = True
 
     def _execute(self, run: EngineRun):
@@ -320,7 +319,7 @@ class FrontierEngine(CheckpointingMixin):
             if s == 0:
                 h_new, j_new = _empty_delta()
             elif cyclic and i > run.base + s:
-                k = (i - 1) % s
+                k = program.slot(i)
                 parts_v = pending_v[k]
                 if len(parts_v) == 1:
                     window_v, window_j = parts_v[0], pending_j[k][0]
@@ -343,12 +342,12 @@ class FrontierEngine(CheckpointingMixin):
                 # every firing is the first): no previous delivery to
                 # build on, transmit full knowledge.  Nothing is pending
                 # for the slot yet; from now on it takes chunks.
-                slot = slots[(i - 1) % s] if cyclic else slots[i - 1]
-                if windowed and (k := (i - 1) % s) in group_of:
+                k = program.slot(i)
+                if windowed and k in group_of:
                     live.setdefault(group_of[k], []).append(k)
                 if telem:
                     dense_fired += 1
-                h_new, j_new = _dense_apply(knowledge, slot)
+                h_new, j_new = _dense_apply(knowledge, slots[k])
             executed = i
 
             fresh = h_new.size

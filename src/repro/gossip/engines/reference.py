@@ -8,10 +8,12 @@ gives exact semantics with no dependencies.  It is deliberately simple and
 obviously correct rather than fast — the vectorized engine exists for speed.
 
 The engine is just that loop: the run driver
-(:mod:`repro.gossip.engines.checkpoint`) hands it the start knowledge and
-the tracked prefixes as plain lists, so a resumed run simply restarts the
-loop from the snapshot's knowledge vector at the snapshot's round, which
-makes this engine the oracle for the differential resume suite as well.
+(:mod:`repro.gossip.engines.checkpoint`) hands it the start knowledge as a
+list of Python ints, and the tracked prefixes as the same arrays every
+engine fills (``-1`` for "not yet"), into which the loop only writes the
+rounds it stamps.  A resumed run simply restarts the loop from the
+snapshot's knowledge vector at the snapshot's round, which makes this
+engine the oracle for the differential resume suite as well.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class ReferenceEngine(CheckpointingMixin):
                     if arrivals is not None:
                         for j in iter_set_bits(bits & ~knowledge[h]):
                             if j < n:
-                                arrivals[h][j] = round_number
+                                arrivals[h, j] = round_number
                     knowledge[h] = bits
             executed = round_number
             if item_rounds is not None:

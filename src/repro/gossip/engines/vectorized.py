@@ -382,7 +382,6 @@ class VectorizedEngine(CheckpointingMixin):
 
     name = "vectorized"
     engine_counters = ("batches", "replayed_rounds")
-    uses_numpy = True
 
     def _execute(self, run: EngineRun):
         program = run.program
@@ -415,27 +414,26 @@ class VectorizedEngine(CheckpointingMixin):
         )
 
         def compiled_at(round_number: int):
-            if program.cyclic:
-                return compiled[(round_number - 1) % len(compiled)]
-            return compiled[round_number - 1]
+            return compiled[program.slot(round_number)]
 
         # Item completion is monotone like completion itself, so the batched
         # loop scans it once per batch; arrivals need every round.
         if run.arrivals is not None:
             # Each round can only change its receiver rows; resolve them
-            # once per distinct compiled round, not once per executed
-            # round, as internal rows (to diff the matrix) and public
-            # rows (to index the arrival matrix).
-            receivers = []
+            # once per distinct compiled round (compiled_slots shares one
+            # entry across a round's repeats, so key by the entry), not
+            # once per executed round, as internal rows (to diff the
+            # matrix) and public rows (to index the arrival matrix).
+            distinct = {}
             for c in compiled:
-                rows = np.unique(c[1])
-                public = rows if new_to_old is None else new_to_old[rows]
-                receivers.append((rows, public) if rows.size else None)
+                if id(c) not in distinct:
+                    rows = np.unique(c[1])
+                    public = rows if new_to_old is None else new_to_old[rows]
+                    distinct[id(c)] = (rows, public) if rows.size else None
+            receivers = [distinct[id(c)] for c in compiled]
 
             def receivers_at(round_number: int):
-                if program.cyclic:
-                    return receivers[(round_number - 1) % len(receivers)]
-                return receivers[round_number - 1]
+                return receivers[program.slot(round_number)]
 
             knowledge, executed, completion = self._run_tracked(
                 run, apply_round, compiled_at, receivers_at, knowledge, mask,

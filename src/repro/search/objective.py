@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from repro.exceptions import SimulationError
 from repro.faults.models import FaultModel
 from repro.faults.montecarlo import _fault_sample, _run_batched_stacked
-from repro.gossip.engines import SimulationEngine, resolve_engine, supports_checkpointing
+from repro.gossip.engines import SimulationEngine, resolve_engine
 from repro.gossip.engines.base import RoundProgram
 from repro.gossip.model import Round, SystolicSchedule
 from repro.search.incremental import (
@@ -352,16 +352,15 @@ class _CachedObjective:
     * **memoization** — identical periods (tuples) are scored once; a walk
       that re-proposes a rejected neighbour pays nothing.  Only *exact*
       values are memoized, never cutoff sentinels.
-    * **checkpoint reuse** — on a checkpointable engine, every run captures
-      states at the rounds of :meth:`_checkpoint_grid` into a per-walk
-      :class:`CheckpointCache`; the next candidate resumes from the
-      deepest state its common prefix with a cached period still covers,
-      so a move touching slot ``k`` re-simulates only rounds ``> k``.
-      Resume is bit-exact by the engines' contract, so scores are
-      identical to cold evaluation by construction.  One ``slot_cache``
-      per walk also shares the engine's compiled per-round firing plans
-      across the walk.  An engine without checkpointing runs each
-      candidate cold through ``engine.run``.
+    * **checkpoint reuse** — every run captures states at the rounds of
+      :meth:`_checkpoint_grid` into a per-walk :class:`CheckpointCache`;
+      the next candidate resumes from the deepest state its common prefix
+      with a cached period still covers, so a move touching slot ``k``
+      re-simulates only rounds ``> k``.  Every engine checkpoints (it is
+      part of the engine protocol), and resume is bit-exact by the
+      engines' contract, so scores are identical to cold evaluation by
+      construction.  One ``slot_cache`` per walk also shares the engine's
+      compiled per-round firing plans across the walk.
     * **bounded cutoff** — under the ``gossip_rounds`` objective a caller
       holding a complete incumbent at round ``C`` may pass ``cutoff=C``:
       the candidate's budget drops to ``C``, and a run that fails to
@@ -390,7 +389,6 @@ class _CachedObjective:
         self.robustness = robustness
         self.max_rounds = max_rounds
         self._options = _nominal_run_options(objective)
-        self._checkpointing = supports_checkpointing(engine)
         self._slot_cache: dict = {}
         self.cache = CheckpointCache()
         self._memo: dict[PeriodKey, ObjectiveValue] = {}
@@ -480,26 +478,21 @@ class _CachedObjective:
         program = RoundProgram(self.graph, period, cyclic=True, max_rounds=budget)
         self.evaluations += 1
         _t0 = time.perf_counter_ns() if self._telem else 0
-        if self._checkpointing:
-            base, usable = self.cache.lookup(key, max_round=budget)
-            run = self.engine.run_checkpointed(
-                program,
-                checkpoint_rounds=[
-                    r
-                    for r in self._checkpoint_grid(budget, len(period))
-                    if r not in usable
-                ],
-                resume_from=base,
-                slot_cache=self._slot_cache,
-                **self._options,
-            )
-            # The reused prefix states are equally states of this period.
-            self.cache.record(key, [*usable.values(), *run.checkpoints])
-            result = run.result
-            if result.completion_round is not None:
-                self._horizon = result.completion_round
-        else:
-            result = self.engine.run(program, **self._options)
+        base, usable = self.cache.lookup(key, max_round=budget)
+        run = self.engine.run_checkpointed(
+            program,
+            checkpoint_rounds=[
+                r for r in self._checkpoint_grid(budget, len(period)) if r not in usable
+            ],
+            resume_from=base,
+            slot_cache=self._slot_cache,
+            **self._options,
+        )
+        # The reused prefix states are equally states of this period.
+        self.cache.record(key, [*usable.values(), *run.checkpoints])
+        result = run.result
+        if result.completion_round is not None:
+            self._horizon = result.completion_round
         if self._telem:
             self.eval_ns.add(time.perf_counter_ns() - _t0)
         if truncated and result.completion_round is None:
@@ -574,9 +567,9 @@ def evaluate_candidates(
     distribution for the whole batch.
 
     Candidates go through one :class:`_CachedObjective` per graph, under
-    every objective: duplicates are scored once, and on checkpointable
-    engines candidates sharing period prefixes resume each other's runs
-    mid-way, bit-exactly by the engines' resume contract.
+    every objective: duplicates are scored once, and candidates sharing
+    period prefixes resume each other's runs mid-way, bit-exactly by the
+    engines' resume contract.
     """
     candidates = list(schedules)
     if not candidates:

@@ -72,8 +72,9 @@ class TestArrivalRounds:
             assert result.arrival_rounds[2][0] is None
             assert not array.flags.writeable
 
-    def test_array_backing_is_zero_copy(self):
-        view = _tracked("frontier").arrival_rounds
+    @pytest.mark.parametrize("engine", available_engines())
+    def test_array_backing_is_zero_copy(self, engine):
+        view = _tracked(engine).arrival_rounds
         assert view.to_numpy() is view.to_numpy()
 
     def test_constructor_does_not_freeze_the_callers_array(self):
@@ -134,10 +135,9 @@ class TestArrivalWidth:
         widths = [t for t in (np.int16, np.int32, np.int64) if last <= np.iinfo(t).max]
         arrays = [ArrivalRounds(matrix.astype(t)) for t in widths]
         assert [view.to_numpy().dtype for view in arrays] == widths  # kept as given
-        views = [ArrivalRounds(rows), *arrays]
-        for view in views:
-            assert view == views[0] and views[0] == view
-            assert hash(view) == hash(views[0])
+        for view in arrays:
+            assert view == arrays[0] and arrays[0] == view
+            assert hash(view) == hash(arrays[0])
 
 
 class TestArrivalTimesView:

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gossip.builders import random_systolic_schedule
-from repro.gossip.engines import available_engines, get_engine, supports_checkpointing
+from repro.gossip.engines import available_engines, get_engine
 from repro.gossip.engines.base import RoundProgram
 from repro.gossip.model import Mode, make_round
 from repro.topologies.base import Digraph
@@ -173,8 +173,6 @@ def check_resume_roundtrip(program: RoundProgram, options: dict, prefix_fraction
     runs = {}
     for name in ("reference",) + CANDIDATES:
         engine = get_engine(name)
-        if not supports_checkpointing(engine):
-            continue
         runs[name] = engine.run_checkpointed(program, checkpoint_rounds=every, **options)
         cold[name] = runs[name].result
     reference_states = runs["reference"].checkpoints

@@ -11,7 +11,8 @@ gather, which test-sized matrices never reach at the default tile budget,
 is checked against the reference engine here with the budget shrunk, and
 so is the vectorized engine's per-batch item scan with its column
 replays, in both kernel regimes.  The compiled-slot memo that both packed
-engines compile rounds through is pinned here too.
+engines compile rounds through is pinned here too, with the vectorized
+engine's arrival-tracked receiver rows that ride on its entries.
 """
 
 from __future__ import annotations
@@ -142,6 +143,28 @@ def test_compiled_slots_compiles_each_distinct_round_once_per_call():
     assert slots == [("slot", a), ("slot", b), ("slot", a), ("slot", b), ("slot", a)]
     compiled_slots((a,), counting_compile, None)
     assert compiled == [a, b, a]  # a new call compiles afresh
+
+
+def test_arrival_tracked_run_resolves_receivers_once_per_distinct_round(monkeypatch):
+    # An unrolled schedule repeats its period's round objects, which share
+    # one compiled entry; the receiver rows (one np.unique each) follow the
+    # entry, not the round occurrence.
+    schedule = coloring_systolic_schedule(grid_2d(4, 6), Mode.HALF_DUPLEX)
+    program = RoundProgram.from_protocol(schedule.unroll(12 * schedule.period))
+    distinct = len({id(arcs) for arcs in program.rounds})
+    expected = get_engine("reference").run(program, track_arrivals=True)
+    calls = []
+    unique = np.unique
+
+    def counting_unique(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    result = VectorizedEngine().run(program, track_arrivals=True)
+    monkeypatch.undo()
+    assert 0 < len(calls) <= distinct < len(program.rounds)
+    assert result.arrival_rounds == expected.arrival_rounds
 
 
 def test_tile_rows_read_the_budget_when_called(monkeypatch):

@@ -47,7 +47,6 @@ from repro.gossip.engines import (
     EngineState,
     available_engines,
     get_engine,
-    supports_checkpointing,
     vectorized,
 )
 from repro.gossip.engines.base import RoundProgram
@@ -58,10 +57,8 @@ from repro.topologies.classic import cycle_graph, grid_2d, path_graph
 
 from test_engines_differential import assert_results_identical
 
-#: Every registered engine implementing the checkpoint protocol.
-CHECKPOINTABLE = tuple(
-    name for name in available_engines() if supports_checkpointing(get_engine(name))
-)
+#: Every registered engine: checkpointing is part of the engine protocol.
+CHECKPOINTABLE = available_engines()
 
 
 def _directed_program() -> RoundProgram:
@@ -167,7 +164,6 @@ def check_roundtrip(program: RoundProgram, options: dict, context="") -> None:
 def test_registry_checkpoint_support():
     """Every registered backend — tiled kernel included — checkpoints."""
     assert set(CHECKPOINTABLE) == {"reference", "vectorized", "frontier"}
-    assert all(supports_checkpointing(get_engine(name)) for name in CHECKPOINTABLE)
 
 
 @pytest.mark.usefixtures("vectorized_regime")

@@ -36,9 +36,10 @@ from hypothesis import strategies as st
 
 import repro.search.local_search
 from repro import telemetry
+from repro.exceptions import SimulationError
 from repro.faults import BernoulliArcFaults
 from repro.gossip.builders import random_systolic_schedule
-from repro.gossip.engines import get_engine
+from repro.gossip.engines import available_engines, get_engine, register_engine
 from repro.gossip.model import Mode
 from repro.search import (
     CheckpointCache,
@@ -280,9 +281,10 @@ class TestSearchContract:
         assert counters["checkpoint_hits"] + counters["checkpoint_misses"] > 0
         assert recorder.stats.histograms["search.eval_ns"].count == result.evaluations
 
-    def test_engine_without_checkpointing_runs_candidates_cold(self):
-        """A backend with ``run`` only takes the evaluator's cold fallback:
-        the same walk as a checkpointing backend, with no cache traffic."""
+    def test_engine_without_checkpointing_is_refused(self):
+        """Checkpointing is part of the engine protocol, so search has no
+        cold fallback: a backend with ``run`` only is refused up front,
+        passed to a search or to the registry."""
 
         class RunOnly:
             name = "run-only"
@@ -291,17 +293,11 @@ class TestSearchContract:
                 return get_engine("reference").run(program, **options)
 
         schedule = random_systolic_schedule(cycle_graph(9), 3, Mode.HALF_DUPLEX, seed=1)
-        recorder = telemetry.StatsRecorder()
-        with telemetry.recording(recorder):
-            plain = hill_climb(schedule, seed=1, engine=RunOnly(), max_iters=40)
-        resumed = hill_climb(schedule, seed=1, engine="reference", max_iters=40)
-        assert plain.schedule.base_rounds == resumed.schedule.base_rounds
-        assert plain.objective.score == resumed.objective.score
-        assert plain.objective.engine_name == "run-only"
-        assert plain.history == resumed.history
-        assert plain.evaluations == resumed.evaluations
-        counters = recorder.stats.counters["search.incremental"]
-        assert counters["checkpoint_hits"] == counters["checkpoint_misses"] == 0
+        with pytest.raises(SimulationError, match="lacks the engine protocol"):
+            hill_climb(schedule, seed=1, engine=RunOnly(), max_iters=40)
+        with pytest.raises(SimulationError, match="lacks the engine protocol"):
+            register_engine(RunOnly())
+        assert "run-only" not in available_engines()
 
 
 class TestCachedObjective:
