@@ -344,10 +344,9 @@ def test_tracked_telemetry_overhead(report_sink, bench_json):
 
     Runs the tracked-arrivals C(4096) frontier row once without a recorder
     and once under an in-memory StatsRecorder.  The two
-    ``SimulationResult``s must compare equal (``run_stats`` is excluded
-    from equality and appears only on the recorded run), the recorder must
-    hold the engine's one-flush counters, and the wall-clock ratio must
-    stay under ``TELEMETRY_OVERHEAD_CEILING``.
+    ``SimulationResult``s must compare equal, the recorder must hold the
+    engine's one-flush counters, and the wall-clock ratio must stay under
+    ``TELEMETRY_OVERHEAD_CEILING``.
 
     The correctness comparison and the timing are separate phases: a
     retained tracked result holds a ~130 MB arrival structure whose mere
@@ -359,13 +358,12 @@ def test_tracked_telemetry_overhead(report_sink, bench_json):
     program = RoundProgram.from_schedule(schedule)
     engine = get_engine("frontier")
 
-    # Phase 1 (untimed): bit-identity and run_stats placement.
+    # Phase 1 (untimed): bit-identity and the recorder's counters.
     off = engine.run(program, track_arrivals=True)
     recorder = telemetry.StatsRecorder()
     with telemetry.recording(recorder):
         on = engine.run(program, track_arrivals=True)
     assert on == off, "recording telemetry changed the simulation result"
-    assert off.run_stats is None and on.run_stats is not None
     assert recorder.stats is not None
     assert recorder.stats.counter("engine.frontier", "runs") == 1
     assert recorder.stats.counter("engine.frontier", "slots_fired_sparse") > 0

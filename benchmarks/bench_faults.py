@@ -14,7 +14,7 @@ CI can archive the trajectory alongside the engine and search timings):
 * **model throughput** — batched trials/second per fault model, the number
   robustness studies are budgeted from.
 * **stacked speedup** — the candidate-stacking gate: one
-  ``(n, candidates·trials, W)`` :func:`repro.faults.monte_carlo_stacked`
+  ``(n, candidates·trials, W)`` :func:`repro.faults.montecarlo.monte_carlo_stacked`
   tensor over a mixed candidate portfolio must beat scoring each candidate
   with its own looped Monte-Carlo run by at least ``STACKED_FLOOR``×, on
   identical seeded fault realisations (so the run doubles as a full-scale

@@ -279,8 +279,8 @@ def test_incremental_telemetry_overhead(report_sink, bench_json):
     Runs the refinement hill climb from the speedup guard once without a
     recorder and once under an in-memory :class:`telemetry.StatsRecorder`;
     the outcomes (winning period, objective, acceptance history, evaluation
-    and iteration counts) must match exactly, ``run_stats`` must appear only
-    on the recorded run, and the wall-clock ratio must stay under
+    and iteration counts) must match exactly, the recorder must hold the
+    evaluator's counters, and the wall-clock ratio must stay under
     ``TELEMETRY_OVERHEAD_CEILING``.
     """
     graph = cycle_graph(THROUGHPUT_N)
@@ -314,7 +314,6 @@ def test_incremental_telemetry_overhead(report_sink, bench_json):
     assert on.history == off.history
     assert on.evaluations == off.evaluations
     assert on.iterations == off.iterations
-    assert off.run_stats is None and on.run_stats is not None
     assert recorder.stats is not None
     assert recorder.stats.counter("search.incremental", "evaluations") > 0
     assert recorder.stats.counter("search.incremental", "checkpoint_hits") > 0

@@ -154,24 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         "optimize",
         help="synthesize a systolic schedule for one instance and certify its gap",
     )
-    optimize.add_argument(
-        "--family",
-        choices=sorted(OPTIMIZE_FAMILIES),
-        required=True,
-        help="topology family to build the instance from",
-    )
-    optimize.add_argument(
-        "--size",
-        required=True,
-        help="instance size: one integer (cycle/path/complete/hypercube) or "
-        "two separated by 'x' or ',' (grid/torus/debruijn), e.g. 12 or 4x4",
-    )
-    optimize.add_argument(
-        "--mode",
-        choices=("half-duplex", "full-duplex"),
-        default="half-duplex",
-        help="communication mode (default half-duplex)",
-    )
+    _add_instance_flags(optimize)
     optimize.add_argument(
         "--strategy",
         choices=STRATEGIES,
@@ -227,24 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         "robustness",
         help="Monte-Carlo fault-injection analysis of one instance's schedule",
     )
-    robustness.add_argument(
-        "--family",
-        choices=sorted(OPTIMIZE_FAMILIES),
-        required=True,
-        help="topology family to build the instance from",
-    )
-    robustness.add_argument(
-        "--size",
-        required=True,
-        help="instance size: one integer (cycle/path/complete/hypercube) or "
-        "two separated by 'x' or ',' (grid/torus/debruijn), e.g. 64 or 4x4",
-    )
-    robustness.add_argument(
-        "--mode",
-        choices=("half-duplex", "full-duplex"),
-        default="half-duplex",
-        help="communication mode (default half-duplex)",
-    )
+    _add_instance_flags(robustness)
     robustness.add_argument(
         "--model",
         choices=FAULT_MODELS,
@@ -319,6 +285,29 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
         choices=(AUTO_ENGINE, *available_engines()),
         default=AUTO_ENGINE,
         help="simulation engine to use (default: auto)",
+    )
+
+
+def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
+    """``--family``, ``--size`` and ``--mode``: the one instance a command
+    builds (see :func:`_build_instance`)."""
+    parser.add_argument(
+        "--family",
+        choices=sorted(OPTIMIZE_FAMILIES),
+        required=True,
+        help="topology family to build the instance from",
+    )
+    parser.add_argument(
+        "--size",
+        required=True,
+        help="instance size: one integer (cycle/path/complete/hypercube) or "
+        "two separated by 'x' or ',' (grid/torus/debruijn), e.g. 12 or 4x4",
+    )
+    parser.add_argument(
+        "--mode",
+        choices=("half-duplex", "full-duplex"),
+        default="half-duplex",
+        help="communication mode (default half-duplex)",
     )
 
 

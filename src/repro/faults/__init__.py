@@ -17,10 +17,12 @@ answer it at scale:
   ``(n, trials, W)`` bitset tensor kernel advancing *all* trials one round
   per NumPy pass, plus a looped per-engine fallback; both consume the same
   seeded fault realisation, so results are bit-identical across paths and
-  engines — and :func:`~repro.faults.montecarlo.monte_carlo_stacked`
-  extends the tensor across whole candidate portfolios
+  engines.  :func:`~repro.faults.montecarlo.monte_carlo_stacked` runs the
+  same kernel across whole candidate portfolios
   (``(n, candidates·trials, W)``), which is how robust batch search
-  amortises its trials;
+  amortises its trials; a batched ``monte_carlo`` call is its
+  one-candidate case, and every call flushes one ``faults.montecarlo``
+  counter set and one ``faults.monte_carlo`` span;
 * :mod:`repro.faults.metrics` — completion probability vs round budget,
   expected/quantile gossip times, per-vertex reachability degradation, and
   :func:`~repro.faults.metrics.worst_case_gossip_time`.

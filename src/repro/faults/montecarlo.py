@@ -82,17 +82,21 @@ Scope: trials start from the paper's initial state (vertex ``i`` knows item
 answers.  Use the engine layer directly for custom initial states or
 subset targets.
 
-When a :mod:`repro.telemetry` recorder is active, every :func:`monte_carlo`
-call records one ``faults.monte_carlo`` span (method, engine, tensor shape)
-plus a single ``faults.montecarlo`` counter flush — ``trials``,
-``completed``, ``horizon``, and on the batched path ``batches`` (completion
-scans; the unscanned stretch is not a batch), ``exact_replays`` (trials
-whose completion round a replay stamped) and ``compactions`` (scans that
-found finished trials) — and one ``faults.compaction`` event per tensor
-shrink, at the round that ended the batch.  All counters are plain gated
-ints accumulated locally; with the default ``NullRecorder`` the whole layer
-costs one context-variable read per call and never changes results
-(``tests/test_telemetry.py``).
+When a :mod:`repro.telemetry` recorder is active, every call — a batched
+or looped :func:`monte_carlo`, or one :func:`monte_carlo_stacked` over any
+number of candidates — flushes through one helper: one
+``faults.monte_carlo`` span (method ``batched`` or ``looped``, engine,
+candidate count, tensor shape), one ``faults.completion_rounds`` histogram
+and a single ``faults.montecarlo`` counter set — ``candidates``,
+``trials`` (summed over the candidates), ``completed``, ``horizon`` (the
+largest candidate horizon), and on the batched path ``batches``
+(completion scans; the unscanned stretch is not a batch),
+``exact_replays`` (trials whose completion round a replay stamped) and
+``compactions`` (scans that found finished trials) — plus one
+``faults.compaction`` event per tensor shrink, at the round that ended the
+batch.  All counters are plain gated ints accumulated locally; with the
+default ``NullRecorder`` the whole layer costs one context-variable read
+per call and never changes results (``tests/test_telemetry.py``).
 """
 
 from __future__ import annotations
@@ -119,6 +123,7 @@ from repro.gossip.engines._bitops import (
     ap_segments as _ap_segments,
     arc_indices as _arc_indices,
     compile_head_groups as _compile_head_groups,
+    or_segments as _or_segments,
     pack_int as _pack_int,
     unpack_rows as _unpack_rows,
 )
@@ -251,75 +256,94 @@ def monte_carlo(
     named ``engine`` or ``method="looped"``, runs the per-trial loop
     through that backend instead.  Both paths consume the same seeded
     fault realisation, so the choice never changes the results, only the
-    throughput.
+    throughput.  The batched path is the one-candidate
+    :func:`monte_carlo_stacked` call.
     """
     if method not in METHODS:
         raise SimulationError(f"unknown method {method!r}; expected one of {METHODS}")
-    _rec = telemetry.get_recorder()
-    _telem = _rec.enabled
-    _t0 = time.perf_counter_ns() if _telem else 0
-    program = _program_for(protocol_or_schedule, None)
-    explicit_engine = not is_auto_spec(engine) or engine_override() is not None
+    if method == "auto":
+        explicit_engine = not is_auto_spec(engine) or engine_override() is not None
+        method = "looped" if explicit_engine else "batched"
+    if method == "batched":
+        (result,) = monte_carlo_stacked(
+            [protocol_or_schedule],
+            model,
+            trials=trials,
+            seed=seed,
+            max_rounds=max_rounds,
+            engine=engine,
+        )
+        return result
 
+    _rec = telemetry.get_recorder()
+    _t0 = time.perf_counter_ns() if _rec.enabled else 0
+    program = _program_for(protocol_or_schedule, None)
     nominal, sample = _fault_sample(
         program, model, trials, seed, max_rounds=max_rounds, engine=engine
     )
-    horizon = sample.horizon
-
-    if method == "auto":
-        method = "looped" if explicit_engine else "batched"
-    if method == "batched":
-        _counts = {"batches": 0, "exact_replays": 0, "compactions": 0} if _telem else None
-        ((completion, knowledge),) = _run_batched_stacked(
-            [program], [sample], [nominal], telem_counts=_counts
-        )
-        engine_name = "montecarlo-batched"
-    else:
-        # Trials are finite perturbed programs, which the decision function
-        # sends to the dense kernel; resolve with that workload shape.
-        resolved = resolve_engine(
-            engine, RoundProgram(program.graph, program.rounds, cyclic=False, max_rounds=horizon)
-        )
-        completion, knowledge = _run_looped(program, sample, resolved)
-        engine_name = resolved.name
-        _counts = None
-
-    if _telem:
-        counts = {
-            "runs": 1,
-            "trials": trials,
-            "completed": sum(1 for r in completion if r is not None),
-            "horizon": horizon,
-        }
-        if _counts is not None:
-            counts.update(_counts)
-        _rec.counters("faults.montecarlo", counts)
-        _hist = telemetry.Histogram.of(*(r for r in completion if r is not None))
-        if _hist.count:
-            # Per-trial completion-round distribution (completed trials
-            # only — failures are the `trials - completed` counter gap).
-            _rec.histogram("faults.completion_rounds", _hist)
-        telemetry.record_span(
-            "faults.monte_carlo",
-            _t0,
-            method=method,
-            engine=engine_name,
-            n=program.graph.n,
-            trials=trials,
-            horizon=horizon,
-            words=max(1, (program.graph.n + _WORD_MASK) >> _WORD_SHIFT),
-        )
-
-    return FaultTrialResult(
+    # Trials are finite perturbed programs, which the decision function
+    # sends to the dense kernel; resolve with that workload shape.
+    resolved = resolve_engine(
+        engine,
+        RoundProgram(program.graph, program.rounds, cyclic=False, max_rounds=sample.horizon),
+    )
+    completion, knowledge = _run_looped(program, sample, resolved)
+    result = FaultTrialResult(
         graph=program.graph,
         model_name=model.name,
         trials=trials,
-        horizon=horizon,
+        horizon=sample.horizon,
         seed=seed,
         nominal_rounds=nominal,
         completion_rounds=completion,
         knowledge=knowledge,
-        engine_name=engine_name,
+        engine_name=resolved.name,
+    )
+    if _rec.enabled:
+        _record(_rec, _t0, "looped", (result,))
+    return result
+
+
+def _record(
+    rec: telemetry.Recorder,
+    t0: int,
+    method: str,
+    results: tuple[FaultTrialResult, ...],
+    kernel_counts: dict | None = None,
+) -> None:
+    """Flush one call's telemetry: one ``faults.montecarlo`` counter set,
+    the ``faults.completion_rounds`` histogram and one
+    ``faults.monte_carlo`` span, for any number of candidates."""
+    n = results[0].graph.n
+    horizon = max(result.horizon for result in results)
+    rec.counters(
+        "faults.montecarlo",
+        {
+            "runs": 1,
+            "candidates": len(results),
+            "trials": sum(result.trials for result in results),
+            "completed": sum(result.completed for result in results),
+            "horizon": horizon,
+            **(kernel_counts or {}),
+        },
+    )
+    hist = telemetry.Histogram.of(
+        *(r for result in results for r in result.completion_rounds if r is not None)
+    )
+    if hist.count:
+        # Per-trial completion-round distribution (completed trials only —
+        # failures are the `trials - completed` counter gap).
+        rec.histogram("faults.completion_rounds", hist)
+    telemetry.record_span(
+        "faults.monte_carlo",
+        t0,
+        method=method,
+        engine=results[0].engine_name,
+        n=n,
+        candidates=len(results),
+        trials=results[0].trials,
+        horizon=horizon,
+        words=max(1, (n + _WORD_MASK) >> _WORD_SHIFT),
     )
 
 
@@ -412,12 +436,13 @@ def _run_batched_stacked(
 ) -> list[tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...]]]:
     """All trials of all candidates at once over one ``(n, cols, W)`` tensor.
 
-    This is the one batched kernel: :func:`monte_carlo` runs it with a
-    single candidate, :func:`monte_carlo_stacked` and the search's robust
-    objective with many.  Trials live in the *middle* axis so that gathering
-    a round's tail rows is a contiguous block copy (the gather/scatter
-    volume — m·cols·W words per round — is the inherent cost; this layout
-    moves it at streaming bandwidth instead of strided-access speed).
+    This is the one batched kernel: :func:`monte_carlo_stacked` runs it
+    (a batched :func:`monte_carlo` call is its one-candidate case), and so
+    does the search's robust objective.  Trials live in the *middle* axis
+    so that gathering a round's tail rows is a contiguous block copy (the
+    gather/scatter volume — m·cols·W words per round — is the inherent
+    cost; this layout moves it at streaming bandwidth instead of
+    strided-access speed).
     Columns are grouped into candidate-major blocks (candidate ``c``'s
     trials occupy one contiguous column slice), and one round step applies
     each candidate's own precompiled slot — its head groups, AP segments and
@@ -526,14 +551,7 @@ def _run_batched_stacked(
                 fails_arc, fails_col = np.nonzero(~rmask.T)
                 if fails_arc.size:
                     kept_rows = view[g.uheads[fails_arc], fails_col]
-                for tail_part, head_slice in seg:
-                    targets = view[head_slice]
-                    sources = (
-                        view[tail_part]
-                        if isinstance(tail_part, slice)
-                        else view.take(tail_part, axis=0)
-                    )
-                    np.bitwise_or(targets, sources, out=targets)
+                _or_segments(view, seg)
                 if fails_arc.size:
                     view[g.uheads[fails_arc], fails_col] = kept_rows
             else:
@@ -633,10 +651,13 @@ def monte_carlo_stacked(
     bit-identical completion rounds and knowledge — but executed over one
     ``(n, candidates · trials, W)`` tensor so the batch bookkeeping is paid
     once for the whole set.  All candidates must share the vertex count.
+    A batched :func:`monte_carlo` call is this function with one candidate.
 
     ``engine`` only drives the nominal (fault-free) horizon runs; the
-    trials themselves always run in the stacked kernel, and results carry
-    ``engine_name="montecarlo-stacked"``.
+    trials themselves always run in the batched kernel, and results carry
+    ``engine_name="montecarlo-batched"``.  A recorded call flushes one
+    ``faults.montecarlo`` counter set and one ``faults.monte_carlo`` span
+    for the whole set.
     """
     candidates = list(candidates)
     if not candidates:
@@ -645,61 +666,31 @@ def monte_carlo_stacked(
     _telem = _rec.enabled
     _t0 = time.perf_counter_ns() if _telem else 0
     programs = [_program_for(candidate, None) for candidate in candidates]
-
     planned = [
         _fault_sample(program, model, trials, seed, max_rounds=max_rounds, engine=engine)
         for program in programs
     ]
-    nominals = [nominal for nominal, _ in planned]
-    fault_samples = [sample for _, sample in planned]
-    horizons = [sample.horizon for sample in fault_samples]
-
+    samples = [sample for _, sample in planned]
     _counts = {"batches": 0, "exact_replays": 0, "compactions": 0} if _telem else None
     outcomes = _run_batched_stacked(
-        programs, fault_samples, nominals, telem_counts=_counts
+        programs, samples, [nominal for nominal, _ in planned], telem_counts=_counts
     )
     results = tuple(
         FaultTrialResult(
-            graph=programs[i].graph,
+            graph=program.graph,
             model_name=model.name,
             trials=trials,
-            horizon=horizons[i],
+            horizon=sample.horizon,
             seed=seed,
-            nominal_rounds=nominals[i],
-            completion_rounds=outcomes[i][0],
-            knowledge=outcomes[i][1],
-            engine_name="montecarlo-stacked",
+            nominal_rounds=nominal,
+            completion_rounds=completion,
+            knowledge=knowledge,
+            engine_name="montecarlo-batched",
         )
-        for i in range(len(programs))
+        for program, (nominal, sample), (completion, knowledge) in zip(
+            programs, planned, outcomes
+        )
     )
-
     if _telem:
-        counts = {
-            "runs": 1,
-            "candidates": len(programs),
-            "trials": trials * len(programs),
-            "completed": sum(r.completed for r in results),
-            "horizon": max(horizons),
-        }
-        if _counts is not None:
-            counts.update(_counts)
-        _rec.counters("faults.montecarlo_stacked", counts)
-        _hist = telemetry.Histogram.of(
-            *(r for result in results for r in result.completion_rounds if r is not None)
-        )
-        if _hist.count:
-            # Same name as the solo path: one distribution to merge across
-            # batched and candidate-stacked runs.
-            _rec.histogram("faults.completion_rounds", _hist)
-        telemetry.record_span(
-            "faults.monte_carlo_stacked",
-            _t0,
-            method="stacked",
-            engine="montecarlo-stacked",
-            n=programs[0].graph.n,
-            candidates=len(programs),
-            trials=trials,
-            horizon=max(horizons),
-            words=max(1, (programs[0].graph.n + _WORD_MASK) >> _WORD_SHIFT),
-        )
+        _record(_rec, _t0, "batched", results, _counts)
     return results

@@ -63,7 +63,10 @@ tensor path (``monte_carlo(..., method="batched")``, the default under
 ``engine="auto"``) whenever you run tens of trials or more of the same
 program: it stacks all trials into one ``(n, trials, W)`` tensor, compiles
 each round slot once for the whole ensemble, and advances every trial per
-NumPy pass — measured 29–34× over 256 independent runs at n = 1024.  Prefer
+NumPy pass — measured 29–34× over 256 independent runs at n = 1024.  It is
+the one-candidate case of ``monte_carlo_stacked``, which runs a whole
+candidate set through the same kernel; both report
+``engine_name="montecarlo-batched"``.  Prefer
 **looped single runs** (``method="looped"`` with any engine above) when
 trials are few, when you need a non-default backend's strengths (e.g. the
 frontier engine on a huge sparse instance that dwarfs the trial count), or
@@ -125,10 +128,10 @@ Counter vocabulary (component ``engine.<name>``):
   arrival-tracked run takes the round-by-round loop).
 
 Each run also records an ``engine.run`` span (wall time, attributed to the
-enclosing CLI/search span) and attaches a
-:class:`repro.telemetry.RunStats` to ``SimulationResult.run_stats``.
-Engine *resolution* emits an ``engine.resolve`` event carrying the resolved
-name, the source (``explicit`` / ``env`` / ``auto-program`` / ``auto-bare``)
+enclosing CLI/search span) and an ``engine.<name>.rounds`` histogram.  The
+recorder is the only place they accumulate: a ``SimulationResult`` carries
+no telemetry.  Engine *resolution* emits an ``engine.resolve`` event
+carrying the resolved name, the source (``explicit`` / ``env`` / ``auto-program`` / ``auto-bare``)
 and — for workload-aware picks — the rationale string from
 :func:`explain_engine_selection` saying which statistic crossed which
 threshold.  Telemetry can only change what is *recorded*, never results:

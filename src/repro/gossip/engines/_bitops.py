@@ -41,6 +41,7 @@ __all__ = [
     "dense_apply_grouped",
     "tail_filter_groups",
     "ap_segments",
+    "or_segments",
 ]
 
 WORD_BITS = 64
@@ -258,14 +259,15 @@ def ap_segments(
 
     Rounds produced by edge colourings of regular topologies (cycles, paths,
     grids) activate arcs at fixed strides, except for a handful of wrap-around
-    arcs.  Each returned ``(tail_part, head_slice)`` segment is applied as a
-    strided-view ufunc (``tail_part`` degrades to an index array only when the
-    run's tails are not an increasing progression), which runs at streaming
-    memory bandwidth instead of paying gather/scatter costs.  Returns ``None``
-    when the round is irregular (more than ``_SEGMENT_LIMIT`` runs), in which
-    case the caller falls back to the generic gather path.  Segments may share
-    a boundary arc; re-applying an arc is a no-op because set union is
-    idempotent and the round's rows are vertex-disjoint.
+    arcs.  :func:`or_segments` applies each returned ``(tail_part,
+    head_slice)`` segment as a strided-view ufunc (``tail_part`` degrades to
+    an index array only when the run's tails are not an increasing
+    progression), which runs at streaming memory bandwidth instead of paying
+    gather/scatter costs.  Returns ``None`` when the round is irregular (more
+    than ``_SEGMENT_LIMIT`` runs), in which case the caller falls back to the
+    generic gather path.  Segments may share a boundary arc; re-applying an
+    arc is a no-op because set union is idempotent and the round's rows are
+    vertex-disjoint.
     """
     m = len(heads)
     if m == 1:
@@ -291,3 +293,16 @@ def ap_segments(
             tail_part = tails[first_arc : last_arc + 1].copy()
         segments.append((tail_part, head_slice))
     return segments
+
+
+def or_segments(matrix: np.ndarray, segments: list[tuple[slice | np.ndarray, slice]]) -> None:
+    """Apply an :func:`ap_segments` round in place: OR each run's tail rows
+    (axis 0) into its head rows through strided views."""
+    for tail_part, head_slice in segments:
+        targets = matrix[head_slice]
+        sources = (
+            matrix[tail_part]
+            if isinstance(tail_part, slice)
+            else matrix.take(tail_part, axis=0)
+        )
+        np.bitwise_or(targets, sources, out=targets)

@@ -19,7 +19,7 @@ against the pure-Python reference implementation.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
@@ -36,6 +36,7 @@ __all__ = [
     "RoundProgram",
     "arrival_dtype",
     "decode_rounds",
+    "default_budget",
     "SimulationResult",
     "SimulationEngine",
     "initial_knowledge",
@@ -53,6 +54,12 @@ def initial_knowledge(n: int) -> list[int]:
 def full_mask(n: int) -> int:
     """Bitmask with the ``n`` item bits set (the complete-gossip target)."""
     return (1 << n) - 1
+
+
+def default_budget(period: int, n: int) -> int:
+    """The round budget of a cyclic program when the caller gives none:
+    ``4·s·n``, at least 16, well past any correct systolic gossip time."""
+    return max(4 * period * n, 16)
 
 
 def check_initial(initial: list[int], n: int) -> None:
@@ -224,13 +231,13 @@ class RoundProgram:
     def from_schedule(cls, schedule: SystolicSchedule, max_rounds: int | None = None) -> "RoundProgram":
         """Program for a systolic schedule.
 
-        The default budget is generous (``4·s·n``); a correct systolic gossip
-        schedule on a connected graph always terminates well within it, and
-        schedules that cannot complete are reported as incomplete rather than
-        looping forever.
+        The default budget is generous (:func:`default_budget`, ``4·s·n``); a
+        correct systolic gossip schedule on a connected graph always
+        terminates well within it, and schedules that cannot complete are
+        reported as incomplete rather than looping forever.
         """
         if max_rounds is None:
-            max_rounds = max(4 * schedule.period * schedule.graph.n, 16)
+            max_rounds = default_budget(schedule.period, schedule.graph.n)
         return cls(schedule.graph, schedule.base_rounds, cyclic=True, max_rounds=max_rounds)
 
 
@@ -269,12 +276,8 @@ class SimulationResult:
     engine_name:
         Name of the engine that produced this result, so callers can verify
         which backend actually ran (the ``auto`` selection is never silent).
-    run_stats:
-        A :class:`repro.telemetry.RunStats` roll-up of the engine's run
-        counters, populated only when a telemetry recorder was active for
-        the run; ``None`` otherwise.  Excluded from equality/repr so
-        telemetry can never change what two results compare as — the
-        neutrality suite relies on this.
+        Run telemetry goes to the installed recorder only, never onto the
+        result.
     """
 
     graph: Digraph
@@ -284,7 +287,6 @@ class SimulationResult:
     item_completion_rounds: tuple[int | None, ...] | None = None
     arrival_rounds: ArrivalRounds | None = None
     engine_name: str | None = None
-    run_stats: "object | None" = field(default=None, compare=False, repr=False)
 
     @property
     def complete(self) -> bool:

@@ -571,7 +571,6 @@ class CheckpointingMixin:
             while run.next_capture <= executed:
                 run.capture(run.next_capture, None, knowledge)
 
-        run_stats = None
         if counting:
             if self.stops_at_fixed_point:
                 counts = {
@@ -582,14 +581,11 @@ class CheckpointingMixin:
             simulated = executed - base - synthesized
             counts = {"runs": 1, "rounds_simulated": simulated, **counts}
             component = "engine." + self.name
-            hist = telemetry.Histogram.of(simulated)
             recorder.counters(component, counts)
-            recorder.histogram(component + ".rounds", hist)
+            recorder.histogram(component + ".rounds", telemetry.Histogram.of(simulated))
             telemetry.record_span(
                 "engine.run", t0, engine=self.name, n=program.graph.n, resumed_round=base
             )
-            run_stats = telemetry.RunStats.single(component, counts)
-            run_stats.add_histogram(component + ".rounds", hist)
 
         result = SimulationResult(
             graph=program.graph,
@@ -601,7 +597,6 @@ class CheckpointingMixin:
             ),
             arrival_rounds=None if run.arrivals is None else ArrivalRounds(run.arrivals),
             engine_name=self.name,
-            run_stats=run_stats,
         )
         return CheckpointedRun(result, tuple(run.checkpoints))
 

@@ -126,6 +126,7 @@ from repro.gossip.engines._bitops import (
     ap_segments as _ap_segments,
     arc_indices as _arc_indices,
     expand_delta_words as _expand_delta_words,
+    or_segments as _or_segments,
     pack_int as _pack_int,
     pack_rows as _pack_rows,
     packed_width as _packed_width,
@@ -247,14 +248,7 @@ def _apply_round(
         # update cannot observe this round's own writes: slice segments index
         # as copy-free views, and only irregular rounds pay for a gather.
         if segments is not None:
-            for tail_part, head_slice in segments:
-                targets = knowledge[head_slice]
-                sources = (
-                    knowledge[tail_part]
-                    if isinstance(tail_part, slice)
-                    else knowledge.take(tail_part, axis=0)
-                )
-                np.bitwise_or(targets, sources, out=targets)
+            _or_segments(knowledge, segments)
         elif len(heads) > tile_rows:
             # Irregular round on a large instance: bound the gather temporary
             # to one L2-sized tile so the gathered rows are ORed into their

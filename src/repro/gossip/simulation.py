@@ -46,10 +46,10 @@ Telemetry
 When a :mod:`repro.telemetry` recorder is active (CLI ``--trace`` /
 ``REPRO_TRACE`` / ``--metrics``), every simulation run self-reports: engine
 resolution emits an ``engine.resolve`` event with the workload rationale,
-each engine run records an ``engine.run`` span plus its run counters, and
-results carry the roll-up on ``SimulationResult.run_stats``.  With the
-default ``NullRecorder`` all of this reduces to one context-variable read
-per run; recording never changes results (``tests/test_telemetry.py``).
+and each engine run records an ``engine.run`` span plus its run counters
+in that recorder (results carry no telemetry).  With the default
+``NullRecorder`` all of this reduces to one context-variable read per run;
+recording never changes results (``tests/test_telemetry.py``).
 """
 
 from __future__ import annotations

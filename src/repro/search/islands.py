@@ -49,12 +49,13 @@ frozen :class:`~repro.telemetry.RunStats` rides home inside the
 own ``search.islands`` span (:func:`repro.telemetry.reparented` — fresh
 span ids, so cross-process id collisions cannot alias), replays them
 through the active recorder (:meth:`~repro.telemetry.Recorder.absorb`,
-so streaming sinks see worker records too), and merges counters /
-histograms / gauges into ``SearchResult.run_stats`` — which therefore
-accounts for every island evaluation identically for any ``workers``
-value.  Worker span timestamps are kept verbatim; ``perf_counter_ns``
-origins differ between processes, so durations and in-worker ordering
-are meaningful but cross-process start times are not comparable.
+so streaming sinks see worker records too).  That recorder is the only
+place the search's telemetry accumulates (the :class:`SearchResult`
+carries none), and it accounts for every island evaluation identically
+for any ``workers`` value.  Worker span timestamps are kept verbatim;
+``perf_counter_ns`` origins differ between processes, so durations and
+in-worker ordering are meaningful but cross-process start times are not
+comparable.
 """
 
 from __future__ import annotations
@@ -248,9 +249,8 @@ def run_island_search(
     # be re-parented under it as reports arrive, before the span itself is
     # recorded at flush time.
     _islands_span_id = telemetry.next_span_id() if _t0 else None
-    _worker_stats = telemetry.RunStats() if _t0 else None
 
-    scored, resolved, seed_evaluations, seed_stats = _scored_portfolio(
+    scored, resolved, seed_evaluations = _scored_portfolio(
         graph, mode, random.Random(seed), random_seeds, engine, objective,
         robustness,
     )
@@ -304,16 +304,14 @@ def run_island_search(
             for report in sorted(reports, key=lambda r: r.island):
                 island_evaluations += report.evaluations
                 total_iterations += report.iterations
-                if report.run_stats is not None and _worker_stats is not None:
+                if report.run_stats is not None:
                     # Fresh driver-side span ids + attachment under the
                     # pre-allocated search.islands span; then replay through
                     # the active recorder so streaming sinks emit the worker
-                    # records, and accumulate for the result's roll-up.
-                    shipped = telemetry.reparented(
-                        report.run_stats, _islands_span_id
+                    # records.
+                    telemetry.get_recorder().absorb(
+                        telemetry.reparented(report.run_stats, _islands_span_id)
                     )
-                    telemetry.get_recorder().absorb(shipped)
-                    _worker_stats.merge(shipped)
                 current[report.island] = (
                     report.candidate,
                     report.objective,
@@ -339,7 +337,6 @@ def run_island_search(
 
     winner = decode_candidate(best_candidate, graph)
     rec = telemetry.get_recorder()
-    run_stats = None
     if rec.enabled:
         counts = {
             "runs": 1,
@@ -351,14 +348,6 @@ def run_island_search(
         }
         rec.counters("search.islands", counts)
         rec.gauge("search.islands.best_score", best_value.score)
-        run_stats = telemetry.RunStats.single("search.islands", counts)
-        run_stats.set_gauge("search.islands.best_score", best_value.score)
-        if seed_stats is not None:
-            run_stats.merge(seed_stats)
-        if _worker_stats is not None:
-            # Every island generation's counters, histograms and
-            # (re-parented) spans — workers=N accounts exactly as workers=1.
-            run_stats.merge(_worker_stats)
         telemetry.record_span(
             "search.islands", _t0,
             graph=graph.name, engine=resolved.name, workers=workers,
@@ -372,5 +361,4 @@ def run_island_search(
         restarts=restarts,
         seed_name=best_name,
         history=tuple(history),
-        run_stats=run_stats,
     )

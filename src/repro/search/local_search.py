@@ -24,7 +24,7 @@ import logging
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import telemetry
 from repro.exceptions import SimulationError
@@ -57,11 +57,8 @@ class SearchResult:
     :class:`~repro.gossip.model.SystolicSchedule`; ``objective`` its score;
     ``evaluations`` counts engine runs (the search's unit of cost);
     ``history`` traces the best score after each improvement (for plots and
-    convergence assertions).  ``run_stats`` carries the telemetry roll-up
-    (accept/reject counts, checkpoint-cache hit rates, ...) when a recorder
-    was active for the search, ``None`` otherwise; it is excluded from
-    equality/repr so recording can never change what two results compare
-    as.
+    convergence assertions).  Search telemetry (accept/reject counts,
+    checkpoint-cache hit rates, ...) goes to the installed recorder only.
     """
 
     schedule: SystolicSchedule
@@ -71,9 +68,6 @@ class SearchResult:
     restarts: int
     seed_name: str
     history: tuple[float, ...]
-    run_stats: "telemetry.RunStats | None" = field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def found_rounds(self) -> int | None:
@@ -118,21 +112,15 @@ def _scored_portfolio(
     engine,
     objective: str,
     robustness,
-) -> tuple[
-    list[tuple[ObjectiveValue, SystolicSchedule]],
-    SimulationEngine,
-    int,
-    "telemetry.RunStats | None",
-]:
+) -> tuple[list[tuple[ObjectiveValue, SystolicSchedule]], SimulationEngine, int]:
     """The seed portfolio, scored best first, for both synthesis drivers.
 
-    Returns ``(scored, engine, evaluations, run_stats)``.  One workload-aware
+    Returns ``(scored, engine, evaluations)``.  One workload-aware
     resolution serves the whole synthesis: the resolved instance scores the
     seeds as one batch and is then threaded through every driver pass, so
     every candidate runs on the same backend.  The seed evaluator's
     telemetry — its ``search.incremental`` counters and per-evaluation
-    histograms — is flushed here, once, and returned as ``run_stats`` for
-    the caller's roll-up (``None`` when no recorder is active).
+    histograms — is flushed here, once.
     """
     seeds = _portfolio_seeds(graph, mode, rng, random_seeds)
     resolved = resolve_objective_engine(
@@ -147,16 +135,9 @@ def _scored_portfolio(
             key=lambda pair: _key(pair[0], tuple(pair[1].base_rounds)),
         )
     rec = telemetry.get_recorder()
-    run_stats = None
     if rec.enabled:
-        seed_counts = evaluator.stats_counters()
-        rec.counters("search.incremental", seed_counts)
-        run_stats = telemetry.RunStats.single("search.incremental", seed_counts)
-        for name, hist in evaluator.stats_histograms().items():
-            if hist.count:
-                rec.histogram(name, hist)
-                run_stats.add_histogram(name, hist)
-    return scored, resolved, evaluator.evaluations, run_stats
+        evaluator.flush(rec)
+    return scored, resolved, evaluator.evaluations
 
 
 def _finalize(
@@ -186,7 +167,6 @@ def _finalize(
         evaluator.evaluations, iterations,
     )
     rec = telemetry.get_recorder()
-    run_stats = None
     if rec.enabled:
         counts = {
             "runs": 1,
@@ -197,16 +177,9 @@ def _finalize(
             "improvements": max(0, len(history) - 1),
         }
         rec.counters(f"search.{driver}", counts)
-        run_stats = telemetry.RunStats.single(f"search.{driver}", counts)
         # The evaluator's cumulative totals for this walk, flushed exactly
         # once at walk end.
-        inc = evaluator.stats_counters()
-        rec.counters("search.incremental", inc)
-        run_stats.add_counters("search.incremental", inc)
-        for name, hist in evaluator.stats_histograms().items():
-            if hist.count:
-                rec.histogram(name, hist)
-                run_stats.add_histogram(name, hist)
+        evaluator.flush(rec)
         if start_ns:
             telemetry.record_span(
                 f"search.{driver}", start_ns,
@@ -220,7 +193,6 @@ def _finalize(
         restarts=restarts,
         seed_name=seed_name,
         history=tuple(history),
-        run_stats=run_stats,
     )
 
 
@@ -453,7 +425,7 @@ def synthesize_schedule(
             robustness=robustness,
         )
     rng = random.Random(seed)
-    scored, resolved, seed_evaluations, run_stats = _scored_portfolio(
+    scored, resolved, seed_evaluations = _scored_portfolio(
         graph, mode, rng, random_seeds, engine, objective, robustness
     )
 
@@ -491,18 +463,12 @@ def synthesize_schedule(
     best_seed, best = min(
         results, key=lambda pair: _key(pair[1].objective, tuple(pair[1].schedule.base_rounds))
     )
-    total_evaluations = seed_evaluations + sum(r.evaluations for _, r in results)
-    if run_stats is not None:
-        # Roll the driver passes' stats up into the synthesis-level summary.
-        for _, r in results:
-            run_stats.merge(r.run_stats)
     return SearchResult(
         schedule=best.schedule,
         objective=best.objective,
-        evaluations=total_evaluations,
+        evaluations=seed_evaluations + sum(r.evaluations for _, r in results),
         iterations=sum(r.iterations for _, r in results),
         restarts=restarts,
         seed_name=best_seed,
         history=best.history,
-        run_stats=run_stats,
     )

@@ -47,14 +47,14 @@ from repro.exceptions import SimulationError
 from repro.faults.models import FaultModel
 from repro.faults.montecarlo import _fault_sample, _run_batched_stacked
 from repro.gossip.engines import SimulationEngine, resolve_engine
-from repro.gossip.engines.base import RoundProgram
+from repro.gossip.engines.base import RoundProgram, default_budget
 from repro.gossip.model import Round, SystolicSchedule
 from repro.search.incremental import (
     CheckpointCache,
     PeriodKey,
     default_checkpoint_rounds,
 )
-from repro.telemetry.core import Histogram, get_recorder
+from repro.telemetry.core import Histogram, Recorder, get_recorder
 from repro.topologies.base import Digraph
 
 __all__ = [
@@ -150,11 +150,12 @@ def program_for_rounds(
     Search drivers mutate plain round tuples and only build a full
     :class:`~repro.gossip.model.SystolicSchedule` (with its arc-existence
     revalidation) for accepted winners; evaluation goes straight to the
-    engine layer through this helper.  The default budget matches
+    engine layer through this helper.  The default budget is
+    :func:`~repro.gossip.engines.base.default_budget`, as in
     :meth:`RoundProgram.from_schedule`.
     """
     if max_rounds is None:
-        max_rounds = max(4 * len(rounds) * graph.n, 16)
+        max_rounds = default_budget(len(rounds), graph.n)
     return RoundProgram(graph, tuple(rounds), cyclic=True, max_rounds=max_rounds)
 
 
@@ -418,7 +419,7 @@ class _CachedObjective:
     def _budget(self, period: tuple[Round, ...]) -> int:
         if self.max_rounds is not None:
             return self.max_rounds
-        return max(4 * len(period) * self.graph.n, 16)
+        return default_budget(len(period), self.graph.n)
 
     def _checkpoint_grid(self, budget: int, period_length: int) -> list[int]:
         """Capture rounds for one run: powers of two, densified near the scale
@@ -506,28 +507,30 @@ class _CachedObjective:
         self._memo[key] = value
         return value
 
-    def stats_counters(self) -> dict[str, int]:
-        """Counter snapshot for the telemetry ``search.incremental`` component:
-        evaluations, memo/bound shortcuts, cutoff truncations, and the
-        checkpoint cache's hit/miss/reused-depth totals."""
-        return {
-            "evaluations": self.evaluations,
-            "memo_hits": self.memo_hits,
-            "bound_rejects": self.bound_rejects,
-            "cutoff_truncations": self.cutoff_truncations,
-            "checkpoint_hits": self.cache.hits,
-            "checkpoint_misses": self.cache.misses,
-            "reused_rounds": self.cache.reused_rounds,
-        }
-
-    def stats_histograms(self) -> dict[str, Histogram]:
-        """Distribution snapshot matching :meth:`stats_counters`: the
-        per-evaluation wall-time and checkpoint reuse-depth histograms the
-        owning search flushes once at walk end."""
-        return {
-            "search.eval_ns": self.eval_ns,
-            "search.reused_rounds": self.cache.reuse_depth,
-        }
+    def flush(self, rec: Recorder) -> None:
+        """Flush this evaluator's cumulative telemetry through ``rec``: the
+        ``search.incremental`` counters (evaluations, memo/bound shortcuts,
+        cutoff truncations, and the checkpoint cache's hit/miss/reused-depth
+        totals) and the non-empty per-evaluation wall-time and checkpoint
+        reuse-depth histograms.  The owning search calls it once."""
+        rec.counters(
+            "search.incremental",
+            {
+                "evaluations": self.evaluations,
+                "memo_hits": self.memo_hits,
+                "bound_rejects": self.bound_rejects,
+                "cutoff_truncations": self.cutoff_truncations,
+                "checkpoint_hits": self.cache.hits,
+                "checkpoint_misses": self.cache.misses,
+                "reused_rounds": self.cache.reused_rounds,
+            },
+        )
+        for name, hist in (
+            ("search.eval_ns", self.eval_ns),
+            ("search.reused_rounds", self.cache.reuse_depth),
+        ):
+            if hist.count:
+                rec.histogram(name, hist)
 
 
 class _ColdObjective(_CachedObjective):

@@ -62,7 +62,7 @@ from repro.telemetry.core import (
     reparented,
     span,
 )
-from repro.telemetry.sinks import FLUSH_POLICIES, SCHEMA_TAG, JsonlRecorder
+from repro.telemetry.sinks import SCHEMA_TAG, JsonlRecorder
 from repro.telemetry.trace import (
     EVENT_TYPES,
     SUPPORTED_SCHEMAS,
@@ -87,7 +87,6 @@ def trace_path_from_env() -> str | None:
 __all__ = [
     "EVENT_TYPES",
     "EventRecord",
-    "FLUSH_POLICIES",
     "Histogram",
     "JsonlRecorder",
     "NULL_RECORDER",

@@ -26,8 +26,8 @@ per-slot work.  The moving parts:
   a non-hot path.  :func:`gauge` records a point-in-time value
   (last-write-wins).
 * :class:`RunStats` — the in-memory aggregation every recording sink
-  maintains; simulation and search results carry one in their ``run_stats``
-  field when a recorder was active.
+  maintains.  The installed recorder is the only place run telemetry
+  accumulates: simulation, search and fault results carry none.
 * :func:`reparented` / :meth:`Recorder.absorb` — the cross-process seam:
   a frozen :class:`RunStats` shipped back from a worker process is given
   fresh span ids (worker-local ids collide across processes), its root
@@ -260,7 +260,8 @@ class Histogram:
 
 @dataclass(slots=True)
 class RunStats:
-    """In-memory roll-up of counters, spans, and events for one run.
+    """In-memory roll-up of counters, spans, and events: a recorder's
+    :attr:`Recorder.stats`, or a worker's frozen copy of it.
 
     ``counters`` maps component name (``"engine.frontier"``,
     ``"search.hill_climb"``, ``"faults.montecarlo"``, ...) to a dict of
@@ -278,10 +279,6 @@ class RunStats:
     gauges: dict[str, float] = field(default_factory=dict)
     spans: list[SpanRecord] = field(default_factory=list)
     events: list[EventRecord] = field(default_factory=list)
-
-    @classmethod
-    def single(cls, component: str, counts: Mapping[str, int]) -> "RunStats":
-        return cls(counters={component: dict(counts)})
 
     def add_counters(self, component: str, counts: Mapping[str, int]) -> None:
         bucket = self.counters.setdefault(component, {})

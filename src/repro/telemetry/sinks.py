@@ -27,10 +27,9 @@ histogram/gauge lines) and the current ``repro-telemetry/2``.
 Concurrent writers
 ------------------
 Every record is serialised to one string (newline included) and handed to
-the handle in a **single** ``write()`` call, and with the default
-``flush_policy="line"`` the buffer is flushed immediately after — so a
-line never sits half-written in a userspace buffer where an interleaved
-writer could split it.  That makes sharing one ``REPRO_TRACE`` path
+the handle in a **single** ``write()`` call, and the buffer is flushed
+immediately after — so a line never sits half-written in a userspace
+buffer where an interleaved writer could split it.  That makes sharing one ``REPRO_TRACE`` path
 across processes *practically* safe on POSIX appends, but it is not a
 kernel-level guarantee (only ``O_APPEND`` writes below ``PIPE_BUF`` are
 atomic).  The robust alternative for heavy multi-process tracing is one
@@ -48,12 +47,9 @@ from typing import Any, Mapping, TextIO
 
 from repro.telemetry.core import EventRecord, Histogram, Recorder, SpanRecord
 
-__all__ = ["FLUSH_POLICIES", "JsonlRecorder", "SCHEMA_TAG"]
+__all__ = ["JsonlRecorder", "SCHEMA_TAG"]
 
 SCHEMA_TAG = "repro-telemetry/2"
-
-#: Accepted ``flush_policy`` values: flush after every line, or only at close.
-FLUSH_POLICIES = ("line", "close")
 
 
 def _jsonable(attrs: Mapping[str, Any]) -> dict[str, Any]:
@@ -73,21 +69,12 @@ class JsonlRecorder(Recorder):
     Keeps the in-memory :class:`~repro.telemetry.core.RunStats` roll-up from
     the base class, so one recorder serves both ``--trace`` and
     ``--metrics``.  Accepts a path or an open text handle (handy for
-    in-memory tests via ``io.StringIO``).  ``flush_policy`` is ``"line"``
-    (default: flush after every record — line-atomic in practice, see the
-    module docstring) or ``"close"`` (buffer until :meth:`close`, cheaper
-    for single-writer traces with many records).
+    in-memory tests via ``io.StringIO``).  Every record is flushed as it is
+    written, which keeps lines whole in practice (see the module docstring).
     """
 
-    def __init__(
-        self, path_or_handle: "str | TextIO", *, flush_policy: str = "line"
-    ) -> None:
+    def __init__(self, path_or_handle: "str | TextIO") -> None:
         super().__init__()
-        if flush_policy not in FLUSH_POLICIES:
-            raise ValueError(
-                f"unknown flush_policy {flush_policy!r}; expected one of {FLUSH_POLICIES}"
-            )
-        self._flush_per_line = flush_policy == "line"
         if isinstance(path_or_handle, str):
             self._handle: TextIO = open(path_or_handle, "w", encoding="utf-8")
             self._owns_handle = True
@@ -103,8 +90,7 @@ class JsonlRecorder(Recorder):
         # the per-line flush hands it to the OS before anyone else can
         # interleave.
         self._handle.write(json.dumps(obj, sort_keys=True) + "\n")
-        if self._flush_per_line:
-            self._handle.flush()
+        self._handle.flush()
 
     def counters(self, component: str, counts: Mapping[str, int]) -> None:
         super().counters(component, counts)

@@ -135,7 +135,7 @@ def test_stacked_matches_per_schedule_bit_for_bit(model):
     assert len(stacked) == len(candidates)
     for candidate, got in zip(candidates, stacked):
         solo = monte_carlo(candidate, model, trials=6, seed=17)
-        assert got.engine_name == "montecarlo-stacked"
+        assert got.engine_name == "montecarlo-batched"
         assert got.horizon == solo.horizon
         assert got.nominal_rounds == solo.nominal_rounds
         assert got.completion_rounds == solo.completion_rounds

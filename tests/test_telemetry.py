@@ -8,7 +8,7 @@ Two families:
   validation and the Chrome trace exporter.
 * **neutrality** — recording telemetry must never change results.  Engine
   neutrality is registry-parametrized (whole-``SimulationResult`` equality:
-  ``run_stats`` is excluded from comparison by construction); search
+  telemetry lives only in the recorder, never on a result); search
   neutrality compares outcome fields (``SystolicSchedule`` equality is
   identity, so whole-result comparison is meaningless); Monte-Carlo
   neutrality compares whole :class:`FaultTrialResult` objects.
@@ -23,7 +23,7 @@ import logging
 import pytest
 
 from repro import telemetry
-from repro.faults import BernoulliArcFaults, monte_carlo
+from repro.faults import BernoulliArcFaults, monte_carlo, monte_carlo_stacked
 from repro.gossip.builders import edge_coloring_schedule
 from repro.gossip.engines import (
     available_engines,
@@ -42,7 +42,7 @@ from repro.telemetry.trace import (
     read_stats,
     validate_event,
 )
-from repro.topologies.classic import cycle_graph
+from repro.topologies.classic import cycle_graph, grid_2d
 
 
 def _cycle_program(n: int) -> RoundProgram:
@@ -157,7 +157,7 @@ def test_engine_round_counters_cover_the_executed_rounds(name, case):
     recorder = telemetry.StatsRecorder()
     with telemetry.recording(recorder):
         result = engine.run_checkpointed(program, resume_from=state).result
-    counts = result.run_stats.counters[f"engine.{name}"]
+    counts = recorder.stats.counters[f"engine.{name}"]
     assert counts["runs"] == 1
     synthesized = counts.get("rounds_synthesized", 0)
     assert counts["rounds_simulated"] + synthesized == result.rounds_executed - base
@@ -179,14 +179,15 @@ def test_engine_counter_names_do_not_depend_on_the_start(name):
     engine = get_engine(name)
     program = _cycle_program(12)
     done = engine.run(program).completion_round
-    recorder = telemetry.StatsRecorder()
-    with telemetry.recording(recorder):
+    cold_recorder, finished_recorder = telemetry.StatsRecorder(), telemetry.StatsRecorder()
+    with telemetry.recording(cold_recorder):
         cold = engine.run_checkpointed(program, checkpoint_rounds=(done,))
+    with telemetry.recording(finished_recorder):
         finished = engine.resume(cold.checkpoints[0], program)
     component = f"engine.{name}"
     assert finished.rounds_executed == done
-    assert finished.run_stats.counters[component] == {
-        **dict.fromkeys(cold.result.run_stats.counters[component], 0),
+    assert finished_recorder.stats.counters[component] == {
+        **dict.fromkeys(cold_recorder.stats.counters[component], 0),
         "runs": 1,
     }
 
@@ -209,8 +210,8 @@ class _CountingRecorder(telemetry.Recorder):
 
 
 def test_runstats_merge_sums_counters():
-    a = telemetry.RunStats.single("engine.x", {"runs": 1, "rounds": 5})
-    b = telemetry.RunStats.single("engine.x", {"runs": 2, "slots": 7})
+    a = telemetry.RunStats(counters={"engine.x": {"runs": 1, "rounds": 5}})
+    b = telemetry.RunStats(counters={"engine.x": {"runs": 2, "slots": 7}})
     a.merge(b).merge(None)
     assert a.counters["engine.x"] == {"runs": 3, "rounds": 5, "slots": 7}
     assert a.counter("engine.x", "slots") == 7
@@ -326,13 +327,10 @@ def test_engine_results_identical_under_recording(engine_name):
     recorder = telemetry.StatsRecorder()
     with telemetry.recording(recorder):
         on = engine.run(program, track_arrivals=True, track_item_completion=True)
-    assert off == on  # run_stats is compare=False by construction
-    assert off.run_stats is None
-    assert on.run_stats is not None
+    assert off == on
     component = f"engine.{engine_name}"
     assert recorder.stats.counter(component, "runs") == 1
     assert recorder.stats.counter(component, "rounds_simulated") > 0
-    assert on.run_stats.counter(component, "runs") == 1
 
 
 def test_search_outcomes_identical_under_recording():
@@ -347,8 +345,6 @@ def test_search_outcomes_identical_under_recording():
     assert on.history == off.history
     assert on.evaluations == off.evaluations
     assert on.iterations == off.iterations
-    assert off.run_stats is None
-    assert on.run_stats is not None
     assert any(c.startswith("search.") for c in recorder.stats.counters)
     assert any(c.startswith("engine.") for c in recorder.stats.counters)
 
@@ -380,6 +376,46 @@ def test_monte_carlo_identical_under_recording():
     assert counters["batches"] > 0
     assert counters["exact_replays"] == counters["completed"]
     assert any(s.name == "faults.monte_carlo" for s in recorder.stats.spans)
+
+
+def test_each_monte_carlo_call_flushes_one_counter_set_and_one_span():
+    # A batched monte_carlo is the one-candidate stacked call, and the looped
+    # path flushes through the same helper: every call leaves one
+    # faults.montecarlo counter set and one faults.monte_carlo span.
+    schedule = edge_coloring_schedule(cycle_graph(9), Mode.HALF_DUPLEX)
+    candidates = [
+        schedule,
+        edge_coloring_schedule(cycle_graph(9), Mode.FULL_DUPLEX),
+        edge_coloring_schedule(grid_2d(3, 3), Mode.HALF_DUPLEX),
+    ]
+    model = BernoulliArcFaults(0.2)
+    calls = [
+        ("batched", 1, lambda: [monte_carlo(schedule, model, trials=5, seed=1)]),
+        ("batched", 3, lambda: list(monte_carlo_stacked(candidates, model, trials=4, seed=1))),
+        (
+            "looped",
+            1,
+            lambda: [
+                monte_carlo(
+                    schedule, model, trials=3, seed=1, engine="reference", method="looped"
+                )
+            ],
+        ),
+    ]
+    for method, candidate_count, call in calls:
+        recorder = _CountingRecorder()
+        with telemetry.recording(recorder):
+            results = call()
+        fault_flushes = [f for f in recorder.flushes if f[0].startswith("faults.")]
+        assert fault_flushes == [("faults.montecarlo", 1)], method
+        counters = recorder.stats.counters["faults.montecarlo"]
+        assert counters["candidates"] == candidate_count == len(results)
+        assert counters["trials"] == sum(result.trials for result in results)
+        assert counters["completed"] == sum(result.completed for result in results)
+        (span,) = [s for s in recorder.stats.spans if s.name.startswith("faults.")]
+        assert span.name == "faults.monte_carlo"
+        assert span.attrs["method"] == method
+        assert span.attrs["engine"] == results[0].engine_name
 
 
 # --------------------------------------------------------------------- #

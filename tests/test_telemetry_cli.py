@@ -5,8 +5,9 @@ the real flag plumbing (global ``--trace``/``-v``/``-q``, per-command
 ``--metrics``, the ``stats`` subcommand and its Chrome export) and the
 acceptance contract: a traced ``optimize`` run emits a
 schema-valid JSONL stream whose spans and counters cover engine-resolution
-rationale, checkpoint reuse and per-phase wall time — while printing output
-bit-identical to the untraced run.
+rationale, checkpoint reuse and per-phase wall time, and a traced
+``robustness`` run one whose Monte-Carlo span nests under the command —
+each while printing output bit-identical to the untraced run.
 """
 
 from __future__ import annotations
@@ -67,6 +68,26 @@ def test_traced_optimize_output_identical_and_trace_valid(tmp_path, capsys):
 
     # Engine run counters flushed once per run.
     assert stats.counter("engine.frontier", "runs") > 0
+
+
+ROBUSTNESS_ARGS = ["robustness", "--family", "cycle", "--size", "16", "--trials", "20"]
+
+
+def test_traced_robustness_output_identical_and_trace_valid(tmp_path, capsys):
+    assert main(ROBUSTNESS_ARGS) == 0
+    untraced = capsys.readouterr().out
+
+    trace = tmp_path / "trace.jsonl"
+    assert main(["--trace", str(trace), *ROBUSTNESS_ARGS]) == 0
+    traced = capsys.readouterr().out
+
+    assert traced == untraced, "tracing changed the robustness output"
+    assert list(iter_trace(str(trace)))  # every line validates
+    stats = read_stats(str(trace))
+    spans = {s.name: s for s in stats.spans}
+    assert spans["faults.monte_carlo"].parent_id == spans["cli.command"].span_id
+    assert spans["faults.monte_carlo"].attrs["method"] == "batched"
+    assert stats.counter("faults.montecarlo", "trials") == 20
 
 
 def test_trace_env_var_is_the_fallback(tmp_path, monkeypatch, capsys):

@@ -247,18 +247,6 @@ def test_read_stats_round_trips_new_kinds(tmp_path):
     assert stats.gauges["g"] == 2.0
 
 
-def test_flush_policy_validated_and_close_buffers(tmp_path):
-    with pytest.raises(ValueError):
-        telemetry.JsonlRecorder(io.StringIO(), flush_policy="sometimes")
-    buffer = io.StringIO()
-    rec = telemetry.JsonlRecorder(buffer, flush_policy="close")
-    with telemetry.recording(rec):
-        telemetry.counters("c", {"n": 1})
-    rec.close()
-    lines = [json.loads(line) for line in buffer.getvalue().splitlines()]
-    assert [obj["type"] for obj in lines] == ["meta", "counters"]
-
-
 def test_jsonl_lines_are_single_writes():
     """Every record reaches the handle as exactly one write() call."""
 
