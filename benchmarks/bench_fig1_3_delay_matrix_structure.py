@@ -8,8 +8,8 @@ spectral radius, i.e. Lemma 2.2).
 
 from __future__ import annotations
 
-from repro.experiments.runner import format_table
-from repro.experiments.structure import render_matrix, structure_report
+from repro.experiments.runner import TABLES
+from repro.experiments.structure import structure_report
 
 
 def _run_and_check():
@@ -23,15 +23,4 @@ def _run_and_check():
 
 def test_fig1_3_structure(benchmark, report_sink):
     report = benchmark(_run_and_check)
-    body = [
-        f"local protocol: {report.local_protocol.activation_word()}   λ = {report.lam}",
-        "Mx(λ) (Fig. 1):",
-        render_matrix(report.mx),
-        "Nx(λ) (Fig. 3, right reduction):",
-        render_matrix(report.nx),
-        "Ox(λ) (Fig. 3, left reduction):",
-        render_matrix(report.ox),
-        "Lemma 4.2 check: " + format_table([report.lemma42]),
-        "Lemma 4.3 check: " + format_table([report.lemma43]),
-    ]
-    report_sink("Figs. 1–3 — local delay matrix structure", "\n".join(body))
+    report_sink(TABLES["structure"].title, TABLES["structure"].format(report))

@@ -8,7 +8,7 @@ one unit of the fourth decimal place, the paper's print precision).
 from __future__ import annotations
 
 from repro.experiments.fig4 import fig4_table
-from repro.experiments.runner import format_table
+from repro.experiments.runner import TABLES
 
 
 def _run_and_check():
@@ -23,10 +23,4 @@ def _run_and_check():
 
 def test_fig4_table(benchmark, report_sink):
     rows = benchmark(_run_and_check)
-    report_sink(
-        "Fig. 4 — general systolic lower bound e(s) (half-duplex / directed)",
-        format_table(
-            rows,
-            ["period_label", "lambda_star", "coefficient", "paper_coefficient", "deviation"],
-        ),
-    )
+    report_sink(TABLES["fig4"].title, TABLES["fig4"].format(rows))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.experiments.fig5 import fig5_table
 from repro.experiments.reference import TEXT_QUOTED_HALF_DUPLEX_SYSTOLIC
-from repro.experiments.runner import format_table
+from repro.experiments.runner import TABLES
 
 
 def _run_and_check():
@@ -28,18 +28,4 @@ def _run_and_check():
 
 def test_fig5_table(benchmark, report_sink):
     rows = benchmark.pedantic(_run_and_check, rounds=1, iterations=1)
-    report_sink(
-        "Fig. 5 — separator-refined systolic bounds (half-duplex / directed)",
-        format_table(
-            rows,
-            [
-                "family",
-                "degree",
-                "period",
-                "coefficient",
-                "general_coefficient",
-                "improves_on_general",
-                "paper_coefficient",
-            ],
-        ),
-    )
+    report_sink(TABLES["fig5"].title, TABLES["fig5"].format(rows))

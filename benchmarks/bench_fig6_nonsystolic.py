@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.experiments.fig6 import fig6_table
 from repro.experiments.reference import TEXT_QUOTED_HALF_DUPLEX_NONSYSTOLIC
-from repro.experiments.runner import format_table
+from repro.experiments.runner import TABLES
 
 
 def _run_and_check():
@@ -24,18 +24,4 @@ def _run_and_check():
 
 def test_fig6_table(benchmark, report_sink):
     rows = benchmark(_run_and_check)
-    report_sink(
-        "Fig. 6 — non-systolic bounds per topology (half-duplex / directed)",
-        format_table(
-            rows,
-            [
-                "family",
-                "degree",
-                "coefficient",
-                "general_coefficient",
-                "diameter_coefficient",
-                "improves_on_general",
-                "paper_coefficient",
-            ],
-        ),
-    )
+    report_sink(TABLES["fig6"].title, TABLES["fig6"].format(rows))

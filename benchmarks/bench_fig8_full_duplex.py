@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.core.full_duplex import full_duplex_general_bound
 from repro.experiments.fig8 import fig8_table
 from repro.experiments.reference import BROADCAST_DEGREE_COEFFICIENTS
-from repro.experiments.runner import format_table
+from repro.experiments.runner import TABLES
 
 
 def _run_and_check():
@@ -28,17 +28,4 @@ def _run_and_check():
 
 def test_fig8_table(benchmark, report_sink):
     rows = benchmark.pedantic(_run_and_check, rounds=1, iterations=1)
-    report_sink(
-        "Fig. 8 — full-duplex bounds per topology",
-        format_table(
-            rows,
-            [
-                "family",
-                "degree",
-                "period_label",
-                "coefficient",
-                "general_coefficient",
-                "improves_on_general",
-            ],
-        ),
-    )
+    report_sink(TABLES["fig8"].title, TABLES["fig8"].format(rows))

@@ -38,9 +38,10 @@ import pytest
 from repro import telemetry
 from repro.experiments.runner import format_table
 from repro.experiments.search_gaps import search_gaps_table
-from repro.gossip.builders import edge_coloring_schedule, random_systolic_schedule
+from repro.gossip.builders import random_systolic_schedule
 from repro.gossip.engines import available_engines
 from repro.gossip.model import Mode, SystolicSchedule
+from repro.protocols.generic import coloring_systolic_schedule
 from repro.search import evaluate_candidates, hill_climb, local_search, run_island_search
 from repro.search.objective import _ColdObjective
 from repro.topologies.classic import cycle_graph
@@ -186,7 +187,7 @@ def test_incremental_hill_climb_speedup(report_sink, bench_json, monkeypatch):
     make relative wall-clock comparisons flaky.
     """
     graph = cycle_graph(THROUGHPUT_N)
-    coloring = edge_coloring_schedule(graph, Mode.HALF_DUPLEX)
+    coloring = coloring_systolic_schedule(graph, Mode.HALF_DUPLEX)
     tiles = INCREMENTAL_PERIOD // len(coloring.base_rounds)
     workloads = {
         "refinement": SystolicSchedule(
@@ -284,7 +285,7 @@ def test_incremental_telemetry_overhead(report_sink, bench_json):
     ``TELEMETRY_OVERHEAD_CEILING``.
     """
     graph = cycle_graph(THROUGHPUT_N)
-    coloring = edge_coloring_schedule(graph, Mode.HALF_DUPLEX)
+    coloring = coloring_systolic_schedule(graph, Mode.HALF_DUPLEX)
     tiles = INCREMENTAL_PERIOD // len(coloring.base_rounds)
     schedule = SystolicSchedule(
         graph=graph,

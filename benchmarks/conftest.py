@@ -1,11 +1,16 @@
 """Shared helpers for the benchmark harness.
 
-Each benchmark module regenerates one table or figure of the paper
-(see DESIGN.md, section "Paper-experiment index") and, as a side effect of
-the benchmarked call, asserts the reproduction facts — so
-``pytest benchmarks/ --benchmark-only`` both times the harness and verifies
-the numbers.  The regenerated tables are printed at the end of the run so
-that EXPERIMENTS.md can be refreshed from the benchmark output.
+The paper benchmarks (``bench_fig*``, ``bench_lem*``, ``bench_thm*`` and
+``bench_upper_vs_lower``) each regenerate one table, figure or lemma check
+of the paper and, as a side effect of the benchmarked call, assert the
+reproduction facts, so one run both times the harness and verifies the
+numbers; the other modules time the engines, the search and the fault
+layer.  Benchmarks are collected by explicit path only, e.g.
+``pytest benchmarks/bench_fig4_general_bound.py``.  The tables recorded
+through :func:`record_report` are printed at the end of the run; the
+paper-table ones render from the declarations in
+:mod:`repro.experiments.runner`, as the sections of ``python -m repro
+all`` do.  EXPERIMENTS.md is that command's output.
 """
 
 from __future__ import annotations

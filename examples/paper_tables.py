@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate every numeric table of the paper (Figs. 4, 5, 6 and 8).
 
-The output is the same material the benchmark harness checks and that
-EXPERIMENTS.md records; this script is the human-friendly way to look at it.
+Each table prints as its section of ``python -m repro all`` (EXPERIMENTS.md)
+does: both render from the declarations in ``repro.experiments.runner``.
 
 Run with ``python examples/paper_tables.py`` (add ``--sandwich`` to also run
 the certified-vs-measured comparison, which takes a little longer).
@@ -12,12 +12,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments.fig4 import fig4_table
-from repro.experiments.fig5 import fig5_table
-from repro.experiments.fig6 import fig6_table
-from repro.experiments.fig8 import fig8_table
-from repro.experiments.runner import format_table
-from repro.experiments.sandwich import sandwich_table
+from repro.experiments.runner import TABLES
 
 
 def main() -> None:
@@ -25,51 +20,12 @@ def main() -> None:
     parser.add_argument("--sandwich", action="store_true", help="also run the sandwich battery")
     args = parser.parse_args()
 
-    print("Fig. 4 — general systolic lower bound e(s):")
-    print(
-        format_table(
-            fig4_table(),
-            ["period_label", "lambda_star", "coefficient", "paper_coefficient", "deviation"],
-        )
-    )
-
-    print("\nFig. 5 — separator-refined systolic bounds (half-duplex):")
-    print(
-        format_table(
-            fig5_table(),
-            ["family", "degree", "period", "coefficient", "general_coefficient",
-             "improves_on_general", "paper_coefficient"],
-        )
-    )
-
-    print("\nFig. 6 — non-systolic bounds (half-duplex):")
-    print(
-        format_table(
-            fig6_table(),
-            ["family", "degree", "coefficient", "general_coefficient",
-             "diameter_coefficient", "improves_on_general", "paper_coefficient"],
-        )
-    )
-
-    print("\nFig. 8 — full-duplex bounds:")
-    print(
-        format_table(
-            fig8_table(),
-            ["family", "degree", "period_label", "coefficient", "general_coefficient",
-             "improves_on_general"],
-        )
-    )
-
-    if args.sandwich:
-        print("\nSandwich — certified lower bounds vs. measured gossip times:")
-        print(
-            format_table(
-                sandwich_table(),
-                ["graph", "n", "mode", "period", "certified_lower_bound",
-                 "analytic_lower_bound", "measured_gossip_time", "consistent",
-                 "engine"],
-            )
-        )
+    names = ["fig4", "fig5", "fig6", "fig8"] + (["sandwich"] if args.sandwich else [])
+    for name in names:
+        table = TABLES[name]
+        print(f"== {table.title} ==")
+        print(table.render())
+        print()
 
 
 if __name__ == "__main__":

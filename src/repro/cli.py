@@ -16,11 +16,13 @@ Usage, from the repository root (nothing is installed)::
                                               # Monte-Carlo fault-injection analysis
     PYTHONPATH=src python -m repro all        # everything (the EXPERIMENTS.md source)
 
-Simulation-backed commands take ``--engine {auto,frontier,reference,
-vectorized,...}`` to pin the simulation backend (the ``REPRO_SIM_ENGINE``
-environment variable overrides ``auto`` globally); the choices are drawn
-live from the engine registry, so newly registered backends appear
-automatically.
+The table commands (``fig4`` to ``sandwich``) are built from the table
+declarations in :data:`repro.experiments.runner.TABLES`, so each prints
+exactly its section of ``all``.  Simulation-backed commands take
+``--engine {auto,frontier,reference,vectorized,...}`` to pin the
+simulation backend (the ``REPRO_SIM_ENGINE`` environment variable
+overrides ``auto`` globally); the choices are drawn live from the engine
+registry, so newly registered backends appear automatically.
 
 Telemetry and logging
 ---------------------
@@ -39,26 +41,15 @@ results — the engines' telemetry is bit-neutral by construction.
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
+import os
 import sys
 from collections.abc import Sequence
 
 from repro import telemetry
 
-from repro.experiments.broadcast_sweep import broadcast_sweep_table
-from repro.experiments.fig4 import fig4_table
-from repro.experiments.fig5 import fig5_table
-from repro.experiments.fig6 import fig6_table
-from repro.experiments.fig8 import fig8_table
-from repro.experiments.runner import (
-    BROADCAST_COLUMNS,
-    SEARCH_GAP_COLUMNS,
-    format_table,
-    run_all,
-)
-from repro.experiments.sandwich import sandwich_table
-from repro.experiments.search_gaps import search_gaps_table
-from repro.experiments.structure import render_matrix, structure_report
+from repro.experiments.runner import TABLES, PaperTable, format_table, run_all
 from repro.gossip.engines import AUTO_ENGINE, available_engines
 from repro.search.local_search import STRATEGIES
 from repro.search.objective import OBJECTIVES
@@ -119,37 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="silence logging below ERROR",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("fig4", help="general systolic lower bound (Fig. 4)")
-    sub.add_parser("fig5", help="separator-refined systolic bounds (Fig. 5)")
-    sub.add_parser("fig6", help="non-systolic bounds per topology (Fig. 6)")
-    sub.add_parser("fig8", help="full-duplex bounds (Fig. 8)")
-    sub.add_parser("structure", help="delay-matrix structure (Figs. 1-3 and 7)")
-    sandwich = sub.add_parser(
-        "sandwich", help="certified lower bounds vs. measured gossip times"
-    )
-    sandwich.add_argument(
-        "--unroll-periods",
-        type=int,
-        default=3,
-        help="periods to unroll when building delay digraphs (default 3)",
-    )
-    _add_engine_flag(sandwich)
-    broadcast = sub.add_parser(
-        "broadcast", help="batched multi-source broadcast sweep per topology"
-    )
-    _add_engine_flag(broadcast)
-    _add_metrics_flag(broadcast)
-    search = sub.add_parser(
-        "search", help="synthesized schedules vs. certified bounds per topology"
-    )
-    search.add_argument("--seed", type=int, default=0, help="search RNG seed (default 0)")
-    search.add_argument(
-        "--iterations",
-        type=int,
-        default=150,
-        help="local-search proposals per driver run (default 150)",
-    )
-    _add_engine_flag(search)
+    for name, table in TABLES.items():
+        if table.command:
+            _add_table_command(sub, name, table)
     optimize = sub.add_parser(
         "optimize",
         help="synthesize a systolic schedule for one instance and certify its gap",
@@ -206,6 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_engine_flag(optimize)
     _add_metrics_flag(optimize)
+    optimize.set_defaults(run=_run_optimize)
     robustness = sub.add_parser(
         "robustness",
         help="Monte-Carlo fault-injection analysis of one instance's schedule",
@@ -246,6 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_engine_flag(robustness)
     _add_metrics_flag(robustness)
+    robustness.set_defaults(run=_run_robustness)
     stats = sub.add_parser(
         "stats", help="summarise a JSONL telemetry trace written by --trace"
     )
@@ -257,6 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also convert the trace to Chrome trace-event JSON "
         "(loadable in Perfetto / chrome://tracing)",
     )
+    stats.set_defaults(run=_run_stats)
     report = sub.add_parser(
         "report", help="list the benchmark trajectory's rows and same-host regressions"
     )
@@ -267,15 +233,40 @@ def build_parser() -> argparse.ArgumentParser:
         help="recorded runs to show per workload (default 5)",
     )
     _add_trajectory_flag(report)
+    report.set_defaults(run=_run_report)
     compare = sub.add_parser(
         "compare", help="compare two recorded revisions measured on one host"
     )
     compare.add_argument("rev1", help="baseline revision (as recorded in the trajectory)")
     compare.add_argument("rev2", help="revision to compare against the baseline")
     _add_trajectory_flag(compare)
+    compare.set_defaults(run=_run_compare)
     everything = sub.add_parser("all", help="run every experiment (EXPERIMENTS.md source)")
     _add_engine_flag(everything)
+    everything.set_defaults(run=_run_all)
     return parser
+
+
+def _add_table_command(sub, name: str, table: PaperTable) -> None:
+    """The subcommand that prints one declared table: its options become
+    flags with the defaults of the table's ``build`` function."""
+    parser = sub.add_parser(name, help=table.title)
+    parameters = inspect.signature(table.build).parameters
+    for option in table.options:
+        default = parameters[option.keyword].default
+        parser.add_argument(
+            option.flag,
+            dest=option.keyword,
+            metavar=option.flag[2:].replace("-", "_").upper(),
+            type=type(default),
+            default=default,
+            help=f"{option.help} (default {default})",
+        )
+    if table.engine:
+        _add_engine_flag(parser)
+    if table.metrics:
+        _add_metrics_flag(parser)
+    parser.set_defaults(run=lambda args: _run_table(table, args))
 
 
 def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
@@ -361,6 +352,19 @@ def _build_instance(args: argparse.Namespace):
     return graph, mode
 
 
+def _run_table(table: PaperTable, args: argparse.Namespace) -> int:
+    """A table subcommand: build the declared table and print it."""
+    options = {option.keyword: getattr(args, option.keyword) for option in table.options}
+    print(table.render(engine=getattr(args, "engine", AUTO_ENGINE), **options))
+    return 0
+
+
+def _run_all(args: argparse.Namespace) -> int:
+    """The ``all`` subcommand: every declared table (EXPERIMENTS.md)."""
+    print(run_all(engine=args.engine))
+    return 0
+
+
 def _run_optimize(args: argparse.Namespace) -> int:
     """The ``optimize`` subcommand: synthesize one schedule, certify its gap."""
     from repro.faults import BernoulliArcFaults
@@ -436,10 +440,10 @@ def _run_robustness(args: argparse.Namespace) -> int:
     from repro.gossip.engines import resolve_engine
     from repro.gossip.engines.base import RoundProgram
     from repro.gossip.simulation import gossip_time
-    from repro.search import edge_coloring_seed
+    from repro.protocols.generic import coloring_systolic_schedule
 
     graph, mode = _build_instance(args)
-    schedule = edge_coloring_seed(graph, mode)
+    schedule = coloring_systolic_schedule(graph, mode)
 
     if args.model == "adversarial":
         # Resolve once against the nominal program so the table reports the
@@ -655,15 +659,29 @@ def _configure_logging(args: argparse.Namespace) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    """Entry point; returns a process exit code.
+
+    A reader that closes stdout early (``python -m repro fig5 | head -2``)
+    ends the command with exit code 1 and no traceback: as the ``signal``
+    module documentation recommends, stdout is pointed at devnull, so the
+    interpreter's own flush at exit cannot fail again.
+    """
+    try:
+        code = _run(build_parser().parse_args(argv))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run one parsed command, under a recorder when ``--trace``,
+    ``REPRO_TRACE`` or ``--metrics`` asks for one (the trace readers never
+    record)."""
     _configure_logging(args)
-    if args.command == "stats":
-        return _run_stats(args)
-    if args.command == "report":
-        return _run_report(args)
-    if args.command == "compare":
-        return _run_compare(args)
+    if args.command in ("stats", "report", "compare"):
+        return args.run(args)
 
     trace_path = args.trace or telemetry.trace_path_from_env()
     wants_metrics = getattr(args, "metrics", False)
@@ -675,119 +693,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         recorder = None
 
     if recorder is None:
-        return _dispatch(args)
+        return args.run(args)
     with recorder, telemetry.recording(recorder):
         with telemetry.span("cli.command", command=args.command):
-            code = _dispatch(args)
+            code = args.run(args)
     if wants_metrics and recorder.stats is not None:
         print(recorder.stats.format_table())
     return code
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    """Run one parsed subcommand; returns a process exit code."""
-    command = args.command
-
-    if command == "fig4":
-        print(
-            format_table(
-                fig4_table(),
-                ["period_label", "lambda_star", "coefficient", "paper_coefficient", "deviation"],
-            )
-        )
-    elif command == "fig5":
-        print(
-            format_table(
-                fig5_table(),
-                [
-                    "family",
-                    "degree",
-                    "period",
-                    "coefficient",
-                    "general_coefficient",
-                    "improves_on_general",
-                    "paper_coefficient",
-                ],
-            )
-        )
-    elif command == "fig6":
-        print(
-            format_table(
-                fig6_table(),
-                [
-                    "family",
-                    "degree",
-                    "coefficient",
-                    "general_coefficient",
-                    "diameter_coefficient",
-                    "improves_on_general",
-                    "paper_coefficient",
-                ],
-            )
-        )
-    elif command == "fig8":
-        print(
-            format_table(
-                fig8_table(),
-                [
-                    "family",
-                    "degree",
-                    "period_label",
-                    "coefficient",
-                    "general_coefficient",
-                    "improves_on_general",
-                ],
-            )
-        )
-    elif command == "structure":
-        report = structure_report()
-        print(f"local protocol {report.local_protocol.activation_word()}  λ = {report.lam}")
-        print("Mx(λ):")
-        print(render_matrix(report.mx))
-        print("Nx(λ):")
-        print(render_matrix(report.nx))
-        print("Ox(λ):")
-        print(render_matrix(report.ox))
-        print(f"Lemma 4.2: {report.lemma42}")
-        print(f"Lemma 4.3: {report.lemma43}")
-        print(f"Lemma 6.1: {report.lemma61}")
-    elif command == "sandwich":
-        print(
-            format_table(
-                sandwich_table(unroll_periods=args.unroll_periods, engine=args.engine),
-                [
-                    "graph",
-                    "n",
-                    "mode",
-                    "period",
-                    "certified_lower_bound",
-                    "analytic_lower_bound",
-                    "measured_gossip_time",
-                    "consistent",
-                    "engine",
-                ],
-            )
-        )
-    elif command == "broadcast":
-        print(format_table(broadcast_sweep_table(engine=args.engine), BROADCAST_COLUMNS))
-    elif command == "search":
-        print(
-            format_table(
-                search_gaps_table(
-                    engine=args.engine, seed=args.seed, max_iters=args.iterations
-                ),
-                SEARCH_GAP_COLUMNS,
-            )
-        )
-    elif command == "optimize":
-        return _run_optimize(args)
-    elif command == "robustness":
-        return _run_robustness(args)
-    elif command == "all":
-        print(run_all(engine=args.engine))
-    else:  # pragma: no cover - argparse enforces the choices
-        return 2
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

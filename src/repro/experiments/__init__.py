@@ -21,8 +21,12 @@
 * :mod:`repro.experiments.robustness` — fault-injection stress tests
   (:mod:`repro.faults`): nominal vs robust-synthesized schedules under
   random call failures, with the adversarial worst case alongside.
-* :mod:`repro.experiments.runner` — text-table formatting and an
-  "everything" driver used by the CLI and by EXPERIMENTS.md.
+* :mod:`repro.experiments.runner` — the one declaration of each table
+  (:data:`~repro.experiments.runner.TABLES`: title, build function,
+  columns or renderer, CLI options), :func:`format_table`, and
+  :func:`run_all`, whose output is EXPERIMENTS.md.  The CLI's table
+  commands and the paper-table benchmarks render from the same
+  declarations.
 """
 
 from repro.experiments.broadcast_sweep import broadcast_sweep_table

@@ -30,34 +30,13 @@ from repro.faults import (
     monte_carlo,
 )
 from repro.gossip.model import Mode, SystolicSchedule
-from repro.search import RobustnessSpec, edge_coloring_seed, synthesize_schedule
+from repro.protocols.generic import coloring_systolic_schedule
+from repro.search import RobustnessSpec, synthesize_schedule
 from repro.search.objective import evaluate_schedule
 from repro.topologies.base import Digraph
 from repro.topologies.classic import cycle_graph, grid_2d
 
-__all__ = [
-    "ROBUSTNESS_COLUMNS",
-    "RobustnessRow",
-    "robustness_instances",
-    "robustness_table",
-]
-
-#: Column order of the robustness table (shared by the CLI and run_all).
-ROBUSTNESS_COLUMNS = (
-    "family",
-    "n",
-    "mode",
-    "p",
-    "trials",
-    "baseline_rounds",
-    "baseline_completion",
-    "baseline_mean",
-    "robust_rounds",
-    "robust_completion",
-    "robust_mean",
-    "worst_case_k1",
-    "engine",
-)
+__all__ = ["RobustnessRow", "robustness_instances", "robustness_table"]
 
 
 @dataclass(frozen=True)
@@ -133,7 +112,7 @@ def robustness_table(
     mode = Mode.HALF_DUPLEX
     rows: list[RobustnessRow] = []
     for graph in instances if instances is not None else robustness_instances():
-        baseline = edge_coloring_seed(graph, mode)
+        baseline = coloring_systolic_schedule(graph, mode)
         # Per-instance resolution against the baseline program, so the row
         # reports (and every evaluation uses) the backend auto actually picks.
         resolved = resolve_engine(engine, RoundProgram.from_schedule(baseline))

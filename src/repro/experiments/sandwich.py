@@ -18,14 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.certificates import certify_protocol
-from repro.core.full_duplex import full_duplex_general_bound
-from repro.core.general_bound import general_lower_bound
-from repro.exceptions import BoundComputationError
+from repro.exceptions import SimulationError
 from repro.gossip.engines import resolve_engine
 from repro.gossip.engines.base import RoundProgram
 from repro.gossip.model import Mode, SystolicSchedule
-from repro.gossip.simulation import gossip_time
 from repro.protocols.complete import complete_graph_schedule
 from repro.protocols.cycle import cycle_systolic_schedule
 from repro.protocols.generic import coloring_systolic_schedule
@@ -33,10 +29,10 @@ from repro.protocols.grid import grid_systolic_schedule
 from repro.protocols.hypercube import hypercube_dimension_exchange
 from repro.protocols.path import path_systolic_schedule
 from repro.protocols.tree import tree_systolic_schedule
+from repro.search.gap import certified_gap
 from repro.topologies.butterfly import wrapped_butterfly
 from repro.topologies.debruijn import de_bruijn
 from repro.topologies.kautz import kautz
-from repro.topologies.properties import diameter
 
 __all__ = ["SandwichRow", "sandwich_table", "default_instances"]
 
@@ -89,55 +85,44 @@ def default_instances() -> list[SystolicSchedule]:
     ]
 
 
-def _analytic_bound(mode: Mode, period: int, n: int) -> tuple[float | None, float | None]:
-    try:
-        if mode is Mode.FULL_DUPLEX:
-            bound = full_duplex_general_bound(period)
-        else:
-            bound = general_lower_bound(period)
-    except BoundComputationError:
-        # Periods 1-2 fall outside the logarithmic regime (the paper's s <= 2
-        # remark); the sandwich table simply has no analytic column there.
-        return None, None
-    return bound.coefficient, bound.lower_bound(n)
-
-
 def sandwich_row(
     schedule: SystolicSchedule, *, unroll_periods: int = 3, engine: str = "auto"
 ) -> SandwichRow:
     """Build the sandwich comparison for one systolic schedule.
 
-    Periods 1-2 fall outside Theorem 4.1 (``certify_protocol`` refuses
-    them); those rows fall back to the digraph diameter — a valid lower
-    bound on any gossip protocol (an item needs ``dist(x, y)`` rounds to
-    travel, one arc per round) — and report no λ/norm, mirroring the
-    missing analytic column.  This matches the fallback
-    :func:`repro.search.gap.certified_gap` applies to the same schedules.
+    One :func:`repro.search.gap.certified_gap` call measures the schedule
+    and certifies it.  A row without a valid Theorem 4.1 certificate
+    (periods 1-2 fall outside the theorem) takes the digraph diameter as
+    its bound — a valid lower bound on any gossip protocol (an item needs
+    ``dist(x, y)`` rounds to travel, one arc per round) — and reports no
+    λ/norm, mirroring the missing analytic column.  A schedule that never
+    completes gossip raises :class:`~repro.exceptions.SimulationError`.
     """
-    try:
-        certificate = certify_protocol(
-            schedule, optimize_lambda=True, unroll_periods=unroll_periods
-        )
-        certified, norm, lam = certificate.certified_rounds, certificate.norm, certificate.lam
-    except BoundComputationError:
-        certified, norm, lam = diameter(schedule.graph), None, None
     # Resolve against the schedule's own program so the row records the
     # backend that actually ran (never a literal "auto").
     resolved = resolve_engine(engine, RoundProgram.from_schedule(schedule))
-    measured = gossip_time(schedule, engine=resolved)
-    coefficient, analytic = _analytic_bound(schedule.mode, schedule.period, schedule.graph.n)
+    report = certified_gap(schedule, engine=resolved, unroll_periods=unroll_periods)
+    if report.found is None:
+        raise SimulationError(
+            f"schedule {schedule.name!r} on {schedule.graph.name} did not complete gossip"
+        )
+    coefficient = report.analytic_coefficient
     return SandwichRow(
-        name=schedule.name,
-        graph=schedule.graph.name,
-        n=schedule.graph.n,
-        mode=schedule.mode.value,
-        period=schedule.period,
-        certified_lower_bound=certified,
+        name=report.schedule_name,
+        graph=report.graph_name,
+        n=report.n,
+        mode=report.mode,
+        period=report.period,
+        certified_lower_bound=(
+            report.diameter_bound
+            if report.certified_rounds is None
+            else report.certified_rounds
+        ),
         analytic_coefficient=coefficient,
-        analytic_lower_bound=analytic,
-        measured_gossip_time=measured,
-        norm_at_lambda=norm,
-        lam=lam,
+        analytic_lower_bound=None if coefficient is None else coefficient * math.log2(report.n),
+        measured_gossip_time=report.found,
+        norm_at_lambda=report.norm,
+        lam=report.lam,
         engine=resolved.name,
     )
 

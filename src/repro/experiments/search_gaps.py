@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.gossip.model import Mode
-from repro.search import certified_gap, edge_coloring_seed, synthesize_schedule
+from repro.protocols.generic import coloring_systolic_schedule
+from repro.search import certified_gap, synthesize_schedule
 from repro.search.objective import evaluate_schedule
 from repro.topologies.base import Digraph
 from repro.topologies.classic import (
@@ -33,27 +34,7 @@ from repro.topologies.classic import (
 from repro.topologies.debruijn import de_bruijn
 from repro.topologies.separators import family_parameters
 
-__all__ = [
-    "SEARCH_GAP_COLUMNS",
-    "SearchGapRow",
-    "search_gap_instances",
-    "search_gaps_table",
-]
-
-#: Column order of the search-gaps table (shared by the CLI and run_all).
-SEARCH_GAP_COLUMNS = (
-    "family",
-    "n",
-    "mode",
-    "period",
-    "baseline_rounds",
-    "found",
-    "lower_bound",
-    "gap",
-    "beats_baseline",
-    "evaluations",
-    "engine",
-)
+__all__ = ["SearchGapRow", "search_gap_instances", "search_gaps_table"]
 
 
 @dataclass(frozen=True)
@@ -118,7 +99,7 @@ def search_gaps_table(
         instances if instances is not None else search_gap_instances()
     ):
         for mode in (Mode.HALF_DUPLEX, Mode.FULL_DUPLEX):
-            seed_schedule = edge_coloring_seed(graph, mode)
+            seed_schedule = coloring_systolic_schedule(graph, mode)
             # One workload-aware resolution per (instance, mode), keyed off
             # the baseline seed, so every candidate scores on one backend.
             resolved = resolve_objective_engine(

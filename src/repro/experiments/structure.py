@@ -26,7 +26,7 @@ from repro.core.reduction import (
     verify_lemma_43,
 )
 
-__all__ = ["StructureReport", "structure_report", "render_matrix"]
+__all__ = ["StructureReport", "structure_report", "render_matrix", "render_structure"]
 
 #: The k = 2 local protocol used to draw Figs. 1–3 (two left/right block pairs
 #: per period; exact block lengths are not material to the figures, this shape
@@ -62,6 +62,25 @@ def render_matrix(matrix: np.ndarray, *, digits: int = 3) -> str:
             cells.append("." * (digits + 2) if value == 0.0 else f"{value:.{digits}f}")
         lines.append("  ".join(f"{c:>{digits + 3}}" for c in cells))
     return "\n".join(lines)
+
+
+def render_structure(report: StructureReport) -> str:
+    """The FIG1-3/7 text: the local protocol and λ, the matrices ``Mx``,
+    ``Nx`` and ``Ox``, and the Lemma 4.2, 4.3 and 6.1 checks."""
+    return "\n".join(
+        [
+            f"local protocol: {report.local_protocol.activation_word()}  λ = {report.lam}",
+            "Mx(λ):",
+            render_matrix(report.mx),
+            "Nx(λ):",
+            render_matrix(report.nx),
+            "Ox(λ):",
+            render_matrix(report.ox),
+            f"Lemma 4.2 check: {report.lemma42}",
+            f"Lemma 4.3 check: {report.lemma43}",
+            f"Lemma 6.1 check: {report.lemma61}",
+        ]
+    )
 
 
 def structure_report(

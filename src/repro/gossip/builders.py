@@ -26,7 +26,6 @@ from repro.topologies.base import Arc, Digraph, Vertex
 __all__ = [
     "greedy_edge_coloring",
     "edge_coloring_rounds",
-    "edge_coloring_schedule",
     "half_duplex_rounds_from_coloring",
     "full_duplex_rounds_from_coloring",
     "random_systolic_schedule",
@@ -117,14 +116,6 @@ def edge_coloring_rounds(graph: Digraph, mode: Mode) -> list[Round]:
     raise ProtocolError(
         "edge-colouring rounds are defined for half- and full-duplex modes; "
         "directed protocols should be built explicitly"
-    )
-
-
-def edge_coloring_schedule(graph: Digraph, mode: Mode, name: str | None = None) -> SystolicSchedule:
-    """A systolic schedule whose period is the edge-colouring round sequence."""
-    rounds = edge_coloring_rounds(graph, mode)
-    return SystolicSchedule(
-        graph, rounds, mode=mode, name=name or f"{graph.name}-coloring-{mode.value}"
     )
 
 

@@ -82,8 +82,8 @@ implements and :func:`register_engine` and :func:`resolve_engine` enforce.
 All three registered engines get it from one driver,
 :class:`~repro.gossip.engines.checkpoint.CheckpointingMixin`
 (:mod:`repro.gossip.engines.checkpoint`): ``run_checkpointed`` captures
-:class:`EngineState` snapshots after requested rounds, and
-``checkpoint``/``resume`` are the single-state conveniences.
+:class:`EngineState` snapshots after requested rounds, and resumes one
+when given ``resume_from``.
 
 The determinism contract: resuming a state on a program whose executed
 prefix matches the producing run's returns a result **bit-identical to the
@@ -145,11 +145,11 @@ Subclass the run driver,
 class a ``name`` and implement its one hook, ``_execute(run)``, which
 executes the rounds (the contract is in the
 :mod:`~repro.gossip.engines.checkpoint` docstring), then call
-:func:`register_engine`.  The driver supplies ``run``,
-``run_checkpointed``, ``checkpoint`` and ``resume``, the resume checks,
-the tracked prefixes (arrays with ``-1`` for "not yet", which the hook
-fills in place), the snapshots, the telemetry and the result.  An object
-without all four methods is refused with
+:func:`register_engine`.  The driver supplies ``run`` and
+``run_checkpointed``, the resume checks, the tracked prefixes (arrays
+with ``-1`` for "not yet", which the hook fills in place), the
+snapshots, the telemetry and the result.  An object without both
+methods is refused with
 :class:`~repro.exceptions.SimulationError`.  Run
 ``tests/test_engines_differential.py``, the randomized fuzz suite
 ``tests/test_engines_fuzz.py`` and ``tests/test_engines_resume.py`` with
@@ -212,8 +212,8 @@ def _check_protocol(engine) -> None:
     """Refuse an object without the whole engine protocol."""
     if not isinstance(engine, SimulationEngine):
         raise SimulationError(
-            f"{type(engine).__name__} lacks the engine protocol: a name plus run, "
-            "run_checkpointed, checkpoint and resume (subclass CheckpointingMixin)"
+            f"{type(engine).__name__} lacks the engine protocol: a name plus run "
+            "and run_checkpointed (subclass CheckpointingMixin)"
         )
 
 

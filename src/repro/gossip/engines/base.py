@@ -307,11 +307,11 @@ class SimulationEngine(Protocol):
     """What a simulation backend must provide to join the engine registry.
 
     A backend (GPU, bit-sliced C extension, distributed, …) provides a
-    ``name`` attribute and the four methods below with these exact
+    ``name`` attribute and the two methods below with these exact
     semantics, plus a ``register_engine`` call — see
     :mod:`repro.gossip.engines`.  Subclassing the run driver,
     :class:`~repro.gossip.engines.checkpoint.CheckpointingMixin`, supplies
-    all four around one hook.  ``register_engine`` and ``resolve_engine``
+    both around one hook.  ``register_engine`` and ``resolve_engine``
     refuse an object without them.  Three backends implement the protocol
     today (reference, vectorized, frontier); the registry-parametrized
     differential, fuzz and resume suites hold all of them — and anything
@@ -357,19 +357,4 @@ class SimulationEngine(Protocol):
         ``resume_from``, capturing an :class:`EngineState` after each round
         of ``checkpoint_rounds`` that it reaches.  ``slot_cache`` memoizes
         compiled rounds across runs on one graph."""
-        ...  # pragma: no cover - protocol definition
-
-    def checkpoint(self, program: RoundProgram, at: int, **options) -> EngineState:
-        """The state of ``program``'s run after round ``at``."""
-        ...  # pragma: no cover - protocol definition
-
-    def resume(
-        self,
-        state: EngineState,
-        program: RoundProgram,
-        *,
-        from_round: int | None = None,
-        **options,
-    ) -> SimulationResult:
-        """Continue ``state`` to the end of ``program``'s round budget."""
         ...  # pragma: no cover - protocol definition

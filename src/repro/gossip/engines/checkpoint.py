@@ -4,10 +4,10 @@ A *checkpoint* freezes a run mid-program: :class:`EngineState` is the
 engine-agnostic snapshot of everything a backend needs to continue the run
 — the exact knowledge bitsets after round ``r``, the target mask the run
 was started with, and the prefixes of every tracked analysis (per-item
-completion, the first-arrival matrix).  ``resume``
-continues a state on a program whose executed rounds ``1 … r`` match the
-ones that produced the state, and returns a result **bit-identical to the
-cold run** of that program.
+completion, the first-arrival matrix).  ``run_checkpointed(program,
+resume_from=state)`` continues a state on a program whose executed rounds
+``1 … r`` match the ones that produced the state, and returns a result
+**bit-identical to the cold run** of that program.
 
 Determinism contract
 --------------------
@@ -39,7 +39,7 @@ modified round.
 
 Surface
 -------
-Every engine provides these four methods, which make up the whole
+Every engine provides these two methods, which make up the whole
 :class:`~repro.gossip.engines.base.SimulationEngine` protocol.  Every
 shipped engine inherits them from :class:`CheckpointingMixin`, which
 defines them once for all of them:
@@ -54,11 +54,10 @@ defines them once for all of them:
     are synthesized exactly.  ``slot_cache`` is a caller-owned ``dict``
     that memoizes compiled round slots across runs of one engine on one
     graph (:func:`compiled_slots`); an engine that compiles nothing
-    ignores it.
-``checkpoint(program, at, **options) -> EngineState``
-    Convenience: run until round ``at`` and return that one state.
-``resume(state, program, from_round=None, **options) -> SimulationResult``
-    Convenience: continue ``state`` to the end of ``program``'s budget.
+    ignores it.  ``run_checkpointed(program, checkpoint_rounds=(r,))``
+    captures the one state after round ``r``, and
+    ``run_checkpointed(program, resume_from=state).result`` continues a
+    state to the end of ``program``'s budget.
 
 The run driver
 --------------
@@ -469,9 +468,9 @@ class EngineRun:
 
 class CheckpointingMixin:
     """The run driver: the whole
-    :class:`~repro.gossip.engines.base.SimulationEngine` protocol — ``run``,
-    ``run_checkpointed``, ``checkpoint`` and ``resume`` — around one engine
-    hook, ``_execute`` (see the module docstring for the hook's contract).
+    :class:`~repro.gossip.engines.base.SimulationEngine` protocol — ``run``
+    and ``run_checkpointed`` — around one engine hook, ``_execute`` (see
+    the module docstring for the hook's contract).
     Every engine gets its tracked prefixes in the one array form of
     :class:`EngineRun`.
 
@@ -599,40 +598,3 @@ class CheckpointingMixin:
             engine_name=self.name,
         )
         return CheckpointedRun(result, tuple(run.checkpoints))
-
-    def checkpoint(self, program: RoundProgram, at: int, **options) -> EngineState:
-        """The state of ``program``'s run after round ``at``.
-
-        Raises when the run ends (completes) before round ``at`` — there is
-        no state to capture there.
-        """
-        run = self.run_checkpointed(program, checkpoint_rounds=(at,), **options)
-        for state in run.checkpoints:
-            if state.round == at:
-                return state
-        raise SimulationError(
-            f"cannot checkpoint round {at}: the run ended at round "
-            f"{run.result.rounds_executed} "
-            f"(completion {run.result.completion_round})"
-        )
-
-    def resume(
-        self,
-        state: EngineState,
-        program: RoundProgram,
-        *,
-        from_round: int | None = None,
-        **options,
-    ) -> SimulationResult:
-        """Continue ``state`` to the end of ``program``'s round budget.
-
-        ``from_round`` is accepted for call-site clarity and must equal
-        ``state.round`` (a state can only be resumed at the round it
-        snapshots).
-        """
-        if from_round is not None and from_round != state.round:
-            raise SimulationError(
-                f"from_round={from_round} does not match the state's round "
-                f"{state.round}"
-            )
-        return self.run_checkpointed(program, resume_from=state, **options).result

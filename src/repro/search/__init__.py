@@ -16,8 +16,9 @@ the theory:
 
 Layout
 ------
-* :mod:`~repro.search.constructors` — seed schedules (edge-colouring
-  baseline + greedy frontier-aware constructor);
+* :mod:`~repro.search.constructors` — the greedy frontier-aware seed
+  constructor (the edge-colouring baseline seed is
+  :func:`repro.protocols.generic.coloring_systolic_schedule`);
 * :mod:`~repro.search.moves` — the validity-preserving neighbourhood over
   periods (resequencing, round surgery, period ± 1);
 * :mod:`~repro.search.objective` — candidate scoring through the engine
@@ -73,7 +74,7 @@ Choosing a heuristic
 
 from __future__ import annotations
 
-from repro.search.constructors import edge_coloring_seed, greedy_frontier_schedule
+from repro.search.constructors import greedy_frontier_schedule
 from repro.search.gap import GapReport, certified_gap
 from repro.search.incremental import CheckpointCache
 from repro.search.islands import run_island_search
@@ -104,7 +105,6 @@ __all__ = [
     "RobustnessSpec",
     "SearchResult",
     "certified_gap",
-    "edge_coloring_seed",
     "evaluate_candidates",
     "evaluate_schedule",
     "greedy_frontier_schedule",

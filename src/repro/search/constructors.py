@@ -2,12 +2,13 @@
 
 Two complementary seeds:
 
-* :func:`edge_coloring_seed` — the classical Liestman–Richards route
-  (colour the edges properly, cycle through the colour classes), re-exported
-  from :mod:`repro.gossip.builders`.  Always valid, always completes, and on
-  1-factorable regular topologies often already optimal — but the greedy
-  colouring fixes an arbitrary *order* of the colour classes, which is
-  exactly the degree of freedom the search exploits.
+* :func:`~repro.protocols.generic.coloring_systolic_schedule` — the
+  classical Liestman–Richards route (colour the edges properly, cycle
+  through the colour classes), built in :mod:`repro.protocols.generic`.
+  Always valid, always completes, and on 1-factorable regular topologies
+  often already optimal — but the greedy colouring fixes an arbitrary
+  *order* of the colour classes, which is exactly the degree of freedom the
+  search exploits.
 * :func:`greedy_frontier_schedule` — a constructive heuristic that builds
   the period round by round, each round a maximal matching chosen to
   maximise the number of *new* (vertex, item) deliveries given the exact
@@ -23,21 +24,12 @@ rounds are valid matchings by construction.
 from __future__ import annotations
 
 from repro.exceptions import ProtocolError
-from repro.gossip.builders import edge_coloring_rounds, edge_coloring_schedule
+from repro.gossip.builders import edge_coloring_rounds
 from repro.gossip.model import Mode, Round, SystolicSchedule, make_round
 from repro.search.moves import activation_units
 from repro.topologies.base import Arc, Digraph, Vertex
 
-__all__ = ["edge_coloring_seed", "greedy_frontier_schedule"]
-
-
-def edge_coloring_seed(
-    graph: Digraph, mode: Mode, name: str | None = None
-) -> SystolicSchedule:
-    """The edge-colouring baseline schedule (the search's reference seed)."""
-    return edge_coloring_schedule(
-        graph, mode, name=name or f"{graph.name}-coloring-{mode.value}"
-    )
+__all__ = ["greedy_frontier_schedule"]
 
 
 def _units(graph: Digraph, mode: Mode) -> list[tuple[Arc, ...]]:

@@ -31,7 +31,8 @@ from repro.exceptions import SimulationError
 from repro.gossip.builders import random_systolic_schedule
 from repro.gossip.engines import SimulationEngine
 from repro.gossip.model import Mode, Round, SystolicSchedule
-from repro.search.constructors import edge_coloring_seed, greedy_frontier_schedule
+from repro.protocols.generic import coloring_systolic_schedule
+from repro.search.constructors import greedy_frontier_schedule
 from repro.search.moves import Neighborhood
 from repro.search.objective import (
     ObjectiveValue,
@@ -95,7 +96,7 @@ def _portfolio_seeds(
     island search so ``workers=`` never changes which seeds exist.
     """
     seeds: list[SystolicSchedule] = [
-        edge_coloring_seed(graph, mode),
+        coloring_systolic_schedule(graph, mode),
         greedy_frontier_schedule(graph, mode),
     ]
     baseline_period = seeds[0].period

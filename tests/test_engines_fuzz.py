@@ -190,7 +190,9 @@ def check_resume_roundtrip(program: RoundProgram, options: dict, prefix_fraction
         # state's knowledge instead, and the two are mutually exclusive.
         resume_options = {k: v for k, v in options.items() if k != "initial"}
         for other in runs:
-            resumed = get_engine(other).resume(state, program, **resume_options)
+            resumed = get_engine(other).run_checkpointed(
+                program, resume_from=state, **resume_options
+            ).result
             assert_results_identical(
                 cold["reference"], resumed, (context, name, "->", other, state.round, options)
             )

@@ -362,7 +362,9 @@ class TestBatchedItemScan:
             if state.round < first_item - 1:
                 continue
             for name in CHECKPOINTABLE:
-                resumed = get_engine(name).resume(state, program, **self.OPTIONS)
+                resumed = get_engine(name).run_checkpointed(
+                    program, resume_from=state, **self.OPTIONS
+                ).result
                 assert_results_identical(ref.result, resumed, (name, state.round))
 
     def test_sparse_checkpoints_inside_replayed_batches(self, replays):
@@ -383,7 +385,9 @@ class TestBatchedItemScan:
         for expected, state in zip(ref.checkpoints, got.checkpoints):
             assert_states_identical(expected, state)
             for name in CHECKPOINTABLE:
-                resumed = get_engine(name).resume(state, program, **self.OPTIONS)
+                resumed = get_engine(name).run_checkpointed(
+                    program, resume_from=state, **self.OPTIONS
+                ).result
                 assert_results_identical(ref.result, resumed, (name, state.round))
 
     def test_item_tracked_runs_flush_batches(self):

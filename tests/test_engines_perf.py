@@ -30,6 +30,24 @@ from repro.protocols.generic import coloring_systolic_schedule
 from repro.topologies.classic import cycle_graph
 
 
+def best_of_alternating(first, second, repeats):
+    """Best wall time and last result of two callables, timed in turn on
+    every repeat (the side that goes first swaps each repeat), so a burst
+    of host load lands on both sides rather than on one.
+
+    Returns ``((first_s, second_s), (first_result, second_result))``.
+    """
+    runs = (first, second)
+    best = [float("inf"), float("inf")]
+    results = [None, None]
+    for repeat in range(repeats):
+        for side in (0, 1) if repeat % 2 == 0 else (1, 0):
+            start = time.perf_counter()
+            results[side] = runs[side]()
+            best[side] = min(best[side], time.perf_counter() - start)
+    return tuple(best), tuple(results)
+
+
 class TestEngineRegistry:
     def test_both_builtin_engines_registered(self):
         assert set(available_engines()) >= {"reference", "vectorized"}
@@ -144,18 +162,16 @@ class TestTilingRegressionGuard:
         engine = VectorizedEngine()
         default_tile_bytes = vectorized._TILE_TARGET_BYTES
 
-        def best_of(tile_target_bytes, repeats=3):
-            monkeypatch.setattr(vectorized, "_TILE_TARGET_BYTES", tile_target_bytes)
-            result = None
-            best = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                result = engine.run(program)
-                best = min(best, time.perf_counter() - start)
-            return best, result
+        def with_tile_target(tile_target_bytes):
+            def run():
+                monkeypatch.setattr(vectorized, "_TILE_TARGET_BYTES", tile_target_bytes)
+                return engine.run(program)
 
-        untiled_s, untiled_result = best_of(1 << 62)
-        tiled_s, tiled_result = best_of(default_tile_bytes)
+            return run
+
+        (untiled_s, tiled_s), (untiled_result, tiled_result) = best_of_alternating(
+            with_tile_target(1 << 62), with_tile_target(default_tile_bytes), repeats=3
+        )
 
         # Large-instance differential check rides along for free.
         assert tiled_result.knowledge == untiled_result.knowledge
@@ -186,20 +202,19 @@ class TestKernelRegimeGuard:
     """
 
     @staticmethod
-    def _best_of(program, monkeypatch, threshold, repeats):
-        monkeypatch.setattr(vectorized, "_SOURCE_MAP_MAX_BYTES", threshold)
+    def _compare(program, monkeypatch, repeats):
         engine = VectorizedEngine()
-        result = None
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = engine.run(program)
-            best = min(best, time.perf_counter() - start)
-        return best, result
 
-    def _compare(self, program, monkeypatch, repeats):
-        source_map_s, source_map = self._best_of(program, monkeypatch, 1 << 62, repeats)
-        permuted_s, permuted = self._best_of(program, monkeypatch, 0, repeats)
+        def with_threshold(threshold):
+            def run():
+                monkeypatch.setattr(vectorized, "_SOURCE_MAP_MAX_BYTES", threshold)
+                return engine.run(program)
+
+            return run
+
+        (source_map_s, permuted_s), (source_map, permuted) = best_of_alternating(
+            with_threshold(1 << 62), with_threshold(0), repeats
+        )
         assert source_map.knowledge == permuted.knowledge
         assert source_map.rounds_executed == permuted.rounds_executed
         assert source_map.completion_round == permuted.completion_round
@@ -267,18 +282,11 @@ class TestItemScanGuard:
         schedule = coloring_systolic_schedule(cycle_graph(n), Mode.HALF_DUPLEX)
         program = RoundProgram.from_schedule(schedule)
         engine = VectorizedEngine()
-
-        def best_of(repeats=5, **options):
-            result = None
-            best = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                result = engine.run(program, **options)
-                best = min(best, time.perf_counter() - start)
-            return best, result
-
-        plain_s, plain = best_of()
-        items_s, items = best_of(track_item_completion=True)
+        (plain_s, items_s), (plain, items) = best_of_alternating(
+            lambda: engine.run(program),
+            lambda: engine.run(program, track_item_completion=True),
+            repeats=5,
+        )
         assert items.completion_round == plain.completion_round == n
         assert max(items.item_completion_rounds) == n
         assert items_s <= plain_s * 1.5, (

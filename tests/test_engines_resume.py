@@ -23,8 +23,8 @@ differentially, per backend drawn from the registry:
   their early exit), trivially complete round-0 programs;
 * **validation** — mismatched vertex counts, budgets, masks, flags and
   malformed tracked prefixes are rejected with :class:`SimulationError`
-  before any simulation runs, as are `resume_from`+`initial` together and
-  `checkpoint()` calls past the end of a run;
+  before any simulation runs, as is `resume_from`+`initial` together; a
+  checkpoint round past the end of a run captures no state;
 * **kernel regimes** — the roundtrip and semantics classes run once per
   vectorized kernel regime (source map and row-permuted), and a state
   captured in one regime resumes in the other.
@@ -155,7 +155,9 @@ def check_roundtrip(program: RoundProgram, options: dict, context="") -> None:
     for producer, run in runs.items():
         for state in run.checkpoints:
             for consumer in CHECKPOINTABLE:
-                resumed = get_engine(consumer).resume(state, program, **options)
+                resumed = get_engine(consumer).run_checkpointed(
+                    program, resume_from=state, **options
+                ).result
                 assert_results_identical(
                     cold, resumed, (context, producer, "->", consumer, state.round)
                 )
@@ -208,7 +210,9 @@ class TestEveryPrefixRoundtrip:
                 assert_states_identical(expected, got, producer)
             for state in run.checkpoints:
                 for consumer in CHECKPOINTABLE:
-                    resumed = get_engine(consumer).resume(state, program)
+                    resumed = get_engine(consumer).run_checkpointed(
+                        program, resume_from=state
+                    ).result
                     assert_results_identical(
                         cold, resumed, (producer, "->", consumer, state.round)
                     )
@@ -225,7 +229,9 @@ class TestEveryPrefixRoundtrip:
             state = run.checkpoints[0]
             assert state.completion_round == 0
             for consumer in CHECKPOINTABLE:
-                resumed = get_engine(consumer).resume(state, program)
+                resumed = get_engine(consumer).run_checkpointed(
+                    program, resume_from=state
+                ).result
                 assert_results_identical(run.result, resumed, (name, consumer))
 
 
@@ -257,20 +263,23 @@ class TestCheckpointSemantics:
             tail = run.checkpoints[-1]
             assert tail.knowledge == run.result.knowledge, name
 
-    def test_checkpoint_convenience_returns_single_state(self):
+    def test_single_checkpoint_round_captures_one_state(self):
         program = PROGRAMS["cycle-coloring"]()
         for name in CHECKPOINTABLE:
-            state = get_engine(name).checkpoint(program, 3)
+            run = get_engine(name).run_checkpointed(program, checkpoint_rounds=(3,))
+            (state,) = run.checkpoints
             assert state.round == 3
             assert state.completion_round is None
 
-    def test_checkpoint_past_completion_raises(self):
+    def test_checkpoint_past_completion_is_absent(self):
         program = PROGRAMS["cycle-coloring"]()
         completion = get_engine("reference").run(program).completion_round
         assert completion is not None
         for name in CHECKPOINTABLE:
-            with pytest.raises(SimulationError, match="cannot checkpoint"):
-                get_engine(name).checkpoint(program, completion + 1)
+            run = get_engine(name).run_checkpointed(
+                program, checkpoint_rounds=(completion + 1,)
+            )
+            assert run.checkpoints == (), name
 
     def test_unreached_checkpoint_rounds_are_skipped(self):
         program = PROGRAMS["cycle-coloring"]()
@@ -287,9 +296,13 @@ class TestCheckpointSemantics:
         )
         cold = get_engine("reference").run(longer)
         for name in CHECKPOINTABLE:
-            state = get_engine(name).checkpoint(program, 12)
+            (state,) = get_engine(name).run_checkpointed(
+                program, checkpoint_rounds=(12,)
+            ).checkpoints
             for consumer in CHECKPOINTABLE:
-                resumed = get_engine(consumer).resume(state, longer)
+                resumed = get_engine(consumer).run_checkpointed(
+                    longer, resume_from=state
+                ).result
                 assert_results_identical(cold, resumed, (name, consumer))
 
 
@@ -333,9 +346,10 @@ class TestKernelRegimeResume:
 
 class TestResumeValidation:
     def _state(self, **options) -> EngineState:
-        return get_engine("reference").checkpoint(
-            PROGRAMS["cycle-coloring"](), 4, **options
-        )
+        (state,) = get_engine("reference").run_checkpointed(
+            PROGRAMS["cycle-coloring"](), checkpoint_rounds=(4,), **options
+        ).checkpoints
+        return state
 
     def test_vertex_count_mismatch_rejected(self):
         state = self._state()
@@ -344,7 +358,7 @@ class TestResumeValidation:
         )
         for name in CHECKPOINTABLE:
             with pytest.raises(SimulationError, match="vertices"):
-                get_engine(name).resume(state, other)
+                get_engine(name).run_checkpointed(other, resume_from=state)
 
     def test_budget_before_resume_point_rejected(self):
         state = self._state()
@@ -352,20 +366,22 @@ class TestResumeValidation:
         short = RoundProgram(program.graph, program.rounds, cyclic=True, max_rounds=3)
         for name in CHECKPOINTABLE:
             with pytest.raises(SimulationError, match="budget"):
-                get_engine(name).resume(state, short)
+                get_engine(name).run_checkpointed(short, resume_from=state)
 
     def test_negative_round_rejected(self):
         state = dataclasses.replace(self._state(), round=-1)
         for name in CHECKPOINTABLE:
             with pytest.raises(SimulationError, match="negative"):
-                get_engine(name).resume(state, PROGRAMS["cycle-coloring"]())
+                get_engine(name).run_checkpointed(
+                    PROGRAMS["cycle-coloring"](), resume_from=state
+                )
 
     def test_target_mask_mismatch_rejected(self):
         state = self._state()
         for name in CHECKPOINTABLE:
             with pytest.raises(SimulationError, match="target mask"):
-                get_engine(name).resume(
-                    state, PROGRAMS["cycle-coloring"](), target_mask=0b11
+                get_engine(name).run_checkpointed(
+                    PROGRAMS["cycle-coloring"](), resume_from=state, target_mask=0b11
                 )
 
     @pytest.mark.parametrize(
@@ -379,7 +395,9 @@ class TestResumeValidation:
         state = self._state(**captured)
         for name in CHECKPOINTABLE:
             with pytest.raises(SimulationError, match="tracking flags"):
-                get_engine(name).resume(state, PROGRAMS["cycle-coloring"](), **asked)
+                get_engine(name).run_checkpointed(
+                    PROGRAMS["cycle-coloring"](), resume_from=state, **asked
+                )
 
     @pytest.mark.parametrize(
         "dropped, kept",
@@ -398,7 +416,9 @@ class TestResumeValidation:
         stripped = dataclasses.replace(state, **{dropped: None})
         cold = get_engine("reference").run(program, **kept)
         for name in CHECKPOINTABLE:
-            resumed = get_engine(name).resume(stripped, program, **kept)
+            resumed = get_engine(name).run_checkpointed(
+                program, resume_from=stripped, **kept
+            ).result
             assert_results_identical(cold, resumed, (name, dropped))
 
     def test_state_fields_are_the_snapshot_and_its_prefixes(self):
@@ -453,15 +473,9 @@ class TestResumeValidation:
         state = self._state(**tracked)
         bad = dataclasses.replace(state, **{field: corrupt(getattr(state, field))})
         with pytest.raises(SimulationError, match="cannot resume"):
-            get_engine(name).resume(bad, PROGRAMS["cycle-coloring"](), **tracked)
-
-    def test_from_round_mismatch_rejected(self):
-        state = self._state()
-        for name in CHECKPOINTABLE:
-            with pytest.raises(SimulationError, match="from_round"):
-                get_engine(name).resume(
-                    state, PROGRAMS["cycle-coloring"](), from_round=3
-                )
+            get_engine(name).run_checkpointed(
+                PROGRAMS["cycle-coloring"](), resume_from=bad, **tracked
+            )
 
     def test_resume_from_and_initial_are_mutually_exclusive(self):
         state = self._state()

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
+from repro.exceptions import SimulationError
 from repro.experiments.fig4 import fig4_table
 from repro.experiments.fig5 import fig5_table
 from repro.experiments.fig6 import fig6_table
@@ -14,11 +19,23 @@ from repro.experiments.reference import (
     TEXT_QUOTED_HALF_DUPLEX_NONSYSTOLIC,
     TEXT_QUOTED_HALF_DUPLEX_SYSTOLIC,
 )
-from repro.experiments.runner import format_table, format_value, run_all
+from repro.experiments.runner import TABLES, format_table, format_value, run_all
 from repro.experiments.sandwich import default_instances, sandwich_row, sandwich_table
 from repro.experiments.structure import render_matrix, structure_report
-from repro.gossip.model import Mode
+from repro.gossip.model import Mode, SystolicSchedule, make_round
 from repro.protocols.cycle import cycle_systolic_schedule
+from repro.topologies.classic import path_graph
+
+
+@pytest.fixture(scope="module")
+def report_without_sandwich() -> str:
+    """One ``run_all`` shared by the module's tests: it takes seconds."""
+    return run_all(include_sandwich=False)
+
+
+def _section(report: str, title: str) -> str:
+    """The body of the report's section headed ``== title ==``."""
+    return report.split(f"== {title} ==\n", 1)[1].split("\n\n== ", 1)[0]
 
 
 class TestFig4:
@@ -168,6 +185,16 @@ class TestSandwich:
         )
         assert row.engine == "reference"
 
+    def test_never_completing_schedule_raises(self):
+        # Arc (2, 3) never fires, so vertex 3 never learns anything.
+        schedule = SystolicSchedule(
+            path_graph(4),
+            [make_round([(0, 1)]), make_round([(1, 0)]), make_round([(1, 2)])],
+            mode=Mode.HALF_DUPLEX,
+        )
+        with pytest.raises(SimulationError, match="did not complete gossip"):
+            sandwich_row(schedule)
+
     def test_default_instances_nonempty(self):
         instances = default_instances()
         assert len(instances) >= 10
@@ -211,8 +238,8 @@ class TestRunnerAndCli:
         with pytest.raises(TypeError):
             format_table([object()])
 
-    def test_run_all_without_sandwich(self):
-        report = run_all(include_sandwich=False)
+    def test_run_all_without_sandwich(self, report_without_sandwich):
+        report = report_without_sandwich
         assert "FIG4" in report
         assert "FIG5" in report
         assert "FIG6" in report
@@ -220,10 +247,36 @@ class TestRunnerAndCli:
         assert "2.8808" in report
 
     @pytest.mark.parametrize("command", ["fig4", "fig5", "fig6", "fig8", "structure", "broadcast"])
-    def test_cli_commands(self, command, capsys):
+    def test_cli_commands(self, command, capsys, report_without_sandwich):
+        # Each table command prints exactly its section of `all`.
         assert main([command]) == 0
-        captured = capsys.readouterr()
-        assert captured.out.strip()
+        section = _section(report_without_sandwich, TABLES[command].title)
+        assert capsys.readouterr().out == section + "\n"
+
+    def test_cli_structure_takes_the_all_labels(self, capsys):
+        assert main(["structure"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("local protocol: ")
+        assert [line.split(":")[0] for line in lines[-3:]] == [
+            "Lemma 4.2 check",
+            "Lemma 4.3 check",
+            "Lemma 6.1 check",
+        ]
+
+    def test_cli_survives_a_closed_pipe(self):
+        # `python -m repro fig4 | head -1`, with the reader gone before the
+        # first write: exit code 1 and nothing on stderr, no traceback.
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "fig4"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        process.stdout.close()
+        _, stderr = process.communicate(timeout=120)
+        assert process.returncode == 1
+        assert stderr == b""
 
     def test_cli_broadcast_engine_flag(self, capsys):
         assert main(["broadcast", "--engine", "reference"]) == 0

@@ -35,7 +35,7 @@ from repro.gossip.simulation import gossip_time
 from repro.protocols.cycle import cycle_systolic_schedule
 from repro.protocols.generic import coloring_systolic_schedule
 from repro.protocols.path import path_systolic_schedule
-from repro.search import RobustnessSpec, edge_coloring_seed, synthesize_schedule
+from repro.search import RobustnessSpec, synthesize_schedule
 from repro.search.objective import evaluate_schedule
 from repro.topologies.classic import cycle_graph, grid_2d, path_graph
 
@@ -427,12 +427,12 @@ class TestAdversarial:
 
 class TestRobustObjective:
     def test_requires_spec(self):
-        schedule = edge_coloring_seed(cycle_graph(8), Mode.HALF_DUPLEX)
+        schedule = coloring_systolic_schedule(cycle_graph(8), Mode.HALF_DUPLEX)
         with pytest.raises(SimulationError):
             evaluate_schedule(schedule, objective="robust_gossip_rounds")
 
     def test_p_zero_matches_gossip_rounds(self):
-        schedule = edge_coloring_seed(cycle_graph(8), Mode.HALF_DUPLEX)
+        schedule = coloring_systolic_schedule(cycle_graph(8), Mode.HALF_DUPLEX)
         spec = RobustnessSpec(BernoulliArcFaults(0.0), trials=4, seed=1)
         robust = evaluate_schedule(
             schedule, objective="robust_gossip_rounds", robustness=spec
@@ -442,7 +442,7 @@ class TestRobustObjective:
         assert robust.rounds == plain.rounds
 
     def test_faulty_score_exceeds_nominal(self):
-        schedule = edge_coloring_seed(cycle_graph(8), Mode.HALF_DUPLEX)
+        schedule = coloring_systolic_schedule(cycle_graph(8), Mode.HALF_DUPLEX)
         spec = RobustnessSpec(BernoulliArcFaults(0.3), trials=6, seed=1)
         value = evaluate_schedule(
             schedule, objective="robust_gossip_rounds", robustness=spec
@@ -473,7 +473,7 @@ class TestRobustObjective:
         from repro.gossip.engines import resolve_engine
         from repro.search.objective import evaluate_program
 
-        schedule = edge_coloring_seed(cycle_graph(8), Mode.HALF_DUPLEX)
+        schedule = coloring_systolic_schedule(cycle_graph(8), Mode.HALF_DUPLEX)
         nominal = gossip_time(schedule)
         program = RoundProgram.from_protocol(schedule.unroll(nominal))
         spec = RobustnessSpec(BernoulliArcFaults(0.2), trials=4, seed=1)

@@ -19,7 +19,6 @@ from repro.gossip.analysis import (
 )
 from repro.gossip.builders import (
     edge_coloring_rounds,
-    edge_coloring_schedule,
     full_duplex_rounds_from_coloring,
     greedy_edge_coloring,
     half_duplex_rounds_from_coloring,
@@ -28,6 +27,7 @@ from repro.gossip.builders import (
 from repro.gossip.engines import available_engines
 from repro.gossip.model import GossipProtocol, Mode
 from repro.gossip.simulation import broadcast_times_all, gossip_time, simulate_systolic
+from repro.protocols.generic import coloring_systolic_schedule
 from repro.gossip.validation import validate_protocol
 from repro.protocols.cycle import cycle_systolic_schedule
 from repro.protocols.hypercube import hypercube_dimension_exchange
@@ -95,7 +95,7 @@ class TestColoringRounds:
             edge_coloring_rounds(cycle_graph(4), Mode.DIRECTED)
 
     def test_schedule_completes_gossip(self):
-        schedule = edge_coloring_schedule(de_bruijn(2, 3), Mode.HALF_DUPLEX)
+        schedule = coloring_systolic_schedule(de_bruijn(2, 3), Mode.HALF_DUPLEX)
         assert gossip_time(schedule) > 0
 
 

@@ -23,11 +23,11 @@ from repro.gossip.model import Mode, SystolicSchedule
 from repro.gossip.simulation import gossip_time, simulate_systolic
 from repro.gossip.validation import validate_protocol
 from repro.protocols.cycle import cycle_systolic_schedule
+from repro.protocols.generic import coloring_systolic_schedule
 from repro.protocols.path import path_systolic_schedule
 from repro.search import (
     Neighborhood,
     certified_gap,
-    edge_coloring_seed,
     evaluate_candidates,
     evaluate_schedule,
     greedy_frontier_schedule,
@@ -79,7 +79,7 @@ class TestNeighborhood:
         graph = grid_2d(3, 3)
         moves = Neighborhood(graph, mode)
         rng = random.Random(11)
-        rounds = tuple(edge_coloring_seed(graph, mode).base_rounds)
+        rounds = tuple(coloring_systolic_schedule(graph, mode).base_rounds)
         for _ in range(120):
             rounds = moves.propose(rounds, rng)
             schedule = SystolicSchedule(graph, rounds, mode=mode)
@@ -89,7 +89,7 @@ class TestNeighborhood:
         graph = cycle_graph(6)
         moves = Neighborhood(graph, Mode.HALF_DUPLEX, min_period=3, max_period=5)
         rng = random.Random(0)
-        rounds = tuple(edge_coloring_seed(graph, Mode.HALF_DUPLEX).base_rounds)
+        rounds = tuple(coloring_systolic_schedule(graph, Mode.HALF_DUPLEX).base_rounds)
         for _ in range(150):
             rounds = moves.propose(rounds, rng)
             assert 3 <= len(rounds) <= 5
@@ -188,7 +188,7 @@ class TestSearchDeterminism:
 
     def test_hill_and_anneal_both_return_valid_results(self):
         graph = grid_2d(3, 3)
-        seed_schedule = edge_coloring_seed(graph, Mode.HALF_DUPLEX)
+        seed_schedule = coloring_systolic_schedule(graph, Mode.HALF_DUPLEX)
         for driver in (hill_climb, simulated_annealing):
             result = driver(seed_schedule, seed=2, max_iters=40)
             assert result.objective.complete
@@ -292,7 +292,7 @@ class TestSearchQuality:
             (de_bruijn(2, 3), Mode.HALF_DUPLEX),
             (de_bruijn(2, 3), Mode.FULL_DUPLEX),
         ):
-            baseline = evaluate_schedule(edge_coloring_seed(graph, mode))
+            baseline = evaluate_schedule(coloring_systolic_schedule(graph, mode))
             result = synthesize_schedule(graph, mode, seed=0, max_iters=ITERS)
             assert result.found_rounds is not None
             assert result.found_rounds < baseline.rounds, (graph.name, mode.value)

@@ -24,7 +24,6 @@ import pytest
 
 from repro import telemetry
 from repro.faults import BernoulliArcFaults, monte_carlo, monte_carlo_stacked
-from repro.gossip.builders import edge_coloring_schedule
 from repro.gossip.engines import (
     available_engines,
     explain_engine_selection,
@@ -33,6 +32,7 @@ from repro.gossip.engines import (
 )
 from repro.gossip.engines.base import RoundProgram
 from repro.gossip.model import Mode, make_round
+from repro.protocols.generic import coloring_systolic_schedule
 from repro.search import hill_climb, synthesize_schedule
 from repro.telemetry.trace import (
     EVENT_TYPES,
@@ -46,7 +46,7 @@ from repro.topologies.classic import cycle_graph, grid_2d
 
 
 def _cycle_program(n: int) -> RoundProgram:
-    schedule = edge_coloring_schedule(cycle_graph(n), Mode.HALF_DUPLEX)
+    schedule = coloring_systolic_schedule(cycle_graph(n), Mode.HALF_DUPLEX)
     return RoundProgram.from_schedule(schedule)
 
 
@@ -152,7 +152,7 @@ def test_engine_round_counters_cover_the_executed_rounds(name, case):
     program = _one_arc_program() if case == "fixed-point" else _cycle_program(12)
     state = None
     if case == "resumed":
-        state = engine.checkpoint(program, 3)
+        (state,) = engine.run_checkpointed(program, checkpoint_rounds=(3,)).checkpoints
     base = 0 if state is None else state.round
     recorder = telemetry.StatsRecorder()
     with telemetry.recording(recorder):
@@ -183,7 +183,7 @@ def test_engine_counter_names_do_not_depend_on_the_start(name):
     with telemetry.recording(cold_recorder):
         cold = engine.run_checkpointed(program, checkpoint_rounds=(done,))
     with telemetry.recording(finished_recorder):
-        finished = engine.resume(cold.checkpoints[0], program)
+        finished = engine.run_checkpointed(program, resume_from=cold.checkpoints[0]).result
     component = f"engine.{name}"
     assert finished.rounds_executed == done
     assert finished_recorder.stats.counters[component] == {
@@ -350,7 +350,7 @@ def test_search_outcomes_identical_under_recording():
 
 
 def test_incremental_search_reports_checkpoint_reuse():
-    schedule = edge_coloring_schedule(cycle_graph(16), Mode.HALF_DUPLEX)
+    schedule = coloring_systolic_schedule(cycle_graph(16), Mode.HALF_DUPLEX)
     recorder = telemetry.StatsRecorder()
     with telemetry.recording(recorder):
         hill_climb(schedule, seed=0, engine="frontier", max_iters=25)
@@ -364,7 +364,7 @@ def test_incremental_search_reports_checkpoint_reuse():
 
 
 def test_monte_carlo_identical_under_recording():
-    schedule = edge_coloring_schedule(cycle_graph(24), Mode.HALF_DUPLEX)
+    schedule = coloring_systolic_schedule(cycle_graph(24), Mode.HALF_DUPLEX)
     model = BernoulliArcFaults(0.1)
     off = monte_carlo(schedule, model, trials=20, seed=3)
     recorder = telemetry.StatsRecorder()
@@ -382,11 +382,11 @@ def test_each_monte_carlo_call_flushes_one_counter_set_and_one_span():
     # A batched monte_carlo is the one-candidate stacked call, and the looped
     # path flushes through the same helper: every call leaves one
     # faults.montecarlo counter set and one faults.monte_carlo span.
-    schedule = edge_coloring_schedule(cycle_graph(9), Mode.HALF_DUPLEX)
+    schedule = coloring_systolic_schedule(cycle_graph(9), Mode.HALF_DUPLEX)
     candidates = [
         schedule,
-        edge_coloring_schedule(cycle_graph(9), Mode.FULL_DUPLEX),
-        edge_coloring_schedule(grid_2d(3, 3), Mode.HALF_DUPLEX),
+        coloring_systolic_schedule(cycle_graph(9), Mode.FULL_DUPLEX),
+        coloring_systolic_schedule(grid_2d(3, 3), Mode.HALF_DUPLEX),
     ]
     model = BernoulliArcFaults(0.2)
     calls = [
