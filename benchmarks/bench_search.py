@@ -6,7 +6,8 @@ JSON so CI can archive the trajectory alongside the engine timings):
 
 * **quality** — the full synthesize-and-certify pipeline on one instance
   per topology family: edge-colouring baseline vs. synthesized rounds vs.
-  certified lower bound, with wall-clock and evaluation counts.  Asserts
+  certified lower bound, with wall-clock and evaluation counts, rendered
+  from the report's SEARCH table declaration (``repro search``).  Asserts
   the optimizer never loses to its own baseline seed and that every gap is
   non-negative (the theory's invariant).
 * **throughput** — batched candidate evaluation
@@ -32,11 +33,12 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import asdict
 
 import pytest
 
 from repro import telemetry
-from repro.experiments.runner import format_table
+from repro.experiments.runner import TABLES, format_table
 from repro.experiments.search_gaps import search_gaps_table
 from repro.gossip.builders import random_systolic_schedule
 from repro.gossip.engines import available_engines
@@ -86,36 +88,9 @@ def test_search_quality_report(report_sink, bench_json):
     table = search_gaps_table(seed=0, max_iters=QUALITY_ITERS)
     elapsed = time.perf_counter() - start
 
-    rows = [
-        {
-            "instance": row.family,
-            "mode": row.mode,
-            "baseline_rounds": row.baseline_rounds,
-            "found": row.found,
-            "lower_bound": row.lower_bound,
-            "gap": row.gap,
-            "beats_baseline": row.beats_baseline,
-            "evaluations": row.evaluations,
-        }
-        for row in table
-    ]
-    report_sink(
-        f"SEARCH: synthesis quality per family ({elapsed:.1f}s total)",
-        format_table(
-            rows,
-            [
-                "instance",
-                "mode",
-                "baseline_rounds",
-                "found",
-                "lower_bound",
-                "gap",
-                "beats_baseline",
-                "evaluations",
-            ],
-        ),
-    )
-    bench_json("search_quality", rows, env_var="BENCH_SEARCH_JSON")
+    search = TABLES["search"]
+    report_sink(f"{search.title} ({elapsed:.1f}s total)", search.format(table))
+    bench_json("search_quality", [asdict(row) for row in table], env_var="BENCH_SEARCH_JSON")
 
     for row in table:
         assert row.consistent, f"negative certified gap on {row.family} {row.mode}: {row}"

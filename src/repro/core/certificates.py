@@ -17,9 +17,9 @@ returns the same ``λ`` the full iteration budget would.
 
 Every step of that search is one :meth:`~repro.core.delay.DelayDigraph.norm`
 evaluation, which indexes a power table with the digraph's precompiled,
-deduplicated exponent patterns and takes one SVD per distinct pattern
-(see :mod:`repro.core.delay`); the analytic ``λ*`` comes from the scipy-free
-Brent solver of :mod:`repro.core.roots`.
+deduplicated exponent patterns, stacked by shape, and takes one batched
+SVD per pattern shape (see :mod:`repro.core.delay`); the analytic ``λ*``
+comes from the scipy-free Brent solver of :mod:`repro.core.roots`.
 """
 
 from __future__ import annotations

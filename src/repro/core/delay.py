@@ -18,9 +18,12 @@ integer *exponent pattern* ``D[r, c] = j − i`` (0 outside the window
 ``1 ≤ j − i < s``), so that ``Mx(λ)`` is the power table
 ``[0, λ, λ², …, λ^{s−1}]`` indexed by ``D``.  Vertices whose patterns are
 identical (every vertex of a vertex-transitive schedule, say) share one
-block, so :meth:`DelayDigraph.norm` costs one table lookup and one
-singular-value computation per distinct pattern, however many vertices
-share it.  The dense
+block, and the distinct patterns are stacked by shape once, so
+:meth:`DelayDigraph.norm` costs one table lookup and one batched
+singular-value call per pattern shape, however many vertices share a
+pattern and however many patterns share a shape.  LAPACK still factors
+each block of a stack on its own, so the norm equals the largest
+:meth:`DelayDigraph.local_norm` exactly.  The dense
 :meth:`DelayDigraph.delay_matrix` is built independently from
 :meth:`DelayDigraph.arcs` and serves as the cross-check.
 
@@ -109,13 +112,14 @@ class DelayDigraph:
             cols = np.array([node.round for node in self._outgoing.get(x, ())], dtype=np.intp)
             delta = cols[np.newaxis, :] - rows[:, np.newaxis]
             self._patterns[x] = np.where((delta >= 1) & (delta < s), delta, 0)
-        # The distinct patterns of the active vertices: equal patterns give
-        # equal blocks, so the norm needs each one once.
-        distinct: dict[tuple[tuple[int, ...], bytes], np.ndarray] = {}
+        # The distinct patterns of the active vertices, stacked by shape:
+        # equal patterns give equal blocks, so the norm needs each one once,
+        # and the blocks of one shape share one batched SVD call.
+        by_shape: dict[tuple[int, ...], dict[bytes, np.ndarray]] = {}
         for x in self._incoming.keys() & self._outgoing.keys():
             pattern = self._patterns[x]
-            distinct.setdefault((pattern.shape, pattern.tobytes()), pattern)
-        self._distinct_patterns = list(distinct.values())
+            by_shape.setdefault(pattern.shape, {}).setdefault(pattern.tobytes(), pattern)
+        self._stacks = [np.stack(list(group.values())) for group in by_shape.values()]
 
     # ------------------------------------------------------------------ #
     # structure
@@ -186,11 +190,19 @@ class DelayDigraph:
     def norm(self, lam: float) -> float:
         """``‖M(λ)‖ = max_x ‖Mx(λ)‖`` (norm property 8 of Section 2).
 
-        One SVD per distinct local block.
+        One batched SVD per shape of the distinct local blocks.  LAPACK
+        factors each block of the stack on its own, so the result equals the
+        largest :meth:`local_norm` exactly.
         """
         self._check_lambda(lam)
         powers = self._powers(lam)
-        return max((euclidean_norm(powers[p]) for p in self._distinct_patterns), default=0.0)
+        return max(
+            (
+                float(np.linalg.svd(powers[stack], compute_uv=False).max())
+                for stack in self._stacks
+            ),
+            default=0.0,
+        )
 
     def _powers(self, lam: float) -> np.ndarray:
         """The table ``[0, λ, λ², …, λ^{s−1}]`` the exponent patterns index."""

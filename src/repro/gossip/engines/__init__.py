@@ -112,15 +112,14 @@ Counter vocabulary (component ``engine.<name>``):
 * ``rounds_simulated`` — rounds actually executed by the loop: the
   result's ``rounds_executed`` minus the resume round minus
   ``rounds_synthesized``, for every engine;
-* ``rounds_synthesized`` — rounds *not* executed because the frontier
-  engine proved a fixed point (its ``idle >= s`` early exit) and the run
-  driver synthesized the remainder;
+* ``rounds_synthesized`` — rounds *not* executed because the engine
+  proved a fixed point (a full period without news, on the frontier
+  engine or in the vectorized batched loop) and the run driver
+  synthesized the remainder;
 * ``slots_fired_sparse`` / ``slots_fired_dense`` — the frontier engine's
   slot firings by path ("dense" means first firings);
 * ``window_elements_routed`` — the frontier engine's sparse-path routing
   volume, in (vertex, item) pairs;
-* ``early_exit_round`` — the round at which the fixed point was detected
-  (0 when the run never early-exited);
 * ``batches`` / ``replayed_rounds`` — the vectorized kernel's doubling
   batches and replay rounds: the rounds a completing batch is replayed at
   full width, plus the rounds an item-tracked batch is replayed on the word
@@ -128,7 +127,10 @@ Counter vocabulary (component ``engine.<name>``):
   arrival-tracked run takes the round-by-round loop).
 
 Each run also records an ``engine.run`` span (wall time, attributed to the
-enclosing CLI/search span) and an ``engine.<name>.rounds`` histogram.  The
+enclosing CLI/search span) and an ``engine.<name>.rounds`` histogram, and
+a run that stopped at a fixed point records the round it stopped at in an
+``engine.<name>.early_exit_round`` histogram: its count is the number of
+early exits, its min and max are exit rounds.  The
 recorder is the only place they accumulate: a ``SimulationResult`` carries
 no telemetry.  Engine *resolution* emits an ``engine.resolve`` event
 carrying the resolved name, the source (``explicit`` / ``env`` / ``auto-program`` / ``auto-bare``)

@@ -83,8 +83,9 @@ list of Python ints), the last executed round, the completion round (or
 into ``run``'s tracked prefix arrays in place and calls
 :meth:`EngineRun.capture` after round ``run.next_capture``.  An engine
 that sets ``stops_at_fixed_point`` may return early once a full period
-brought no news: the driver fills in the remaining no-op rounds and
-reports ``rounds_synthesized`` and ``early_exit_round`` for it.
+brought no news: the driver fills in the remaining no-op rounds, counts
+them as ``rounds_synthesized`` and records the exit round in the
+``engine.<name>.early_exit_round`` histogram.
 """
 
 from __future__ import annotations
@@ -481,8 +482,10 @@ class CheckpointingMixin:
         ``engine.<name>`` after ``runs`` and ``rounds_simulated``.
     ``stops_at_fixed_point``
         The round loop may stop after a full period without news; the
-        driver synthesizes the remaining rounds and also reports
-        ``rounds_synthesized`` and ``early_exit_round``.
+        driver synthesizes the remaining rounds, adds the
+        ``rounds_synthesized`` counter and, for a run that stopped early,
+        records its exit round in the ``engine.<name>.early_exit_round``
+        histogram.
     """
 
     name: str
@@ -572,16 +575,18 @@ class CheckpointingMixin:
 
         if counting:
             if self.stops_at_fixed_point:
-                counts = {
-                    "rounds_synthesized": synthesized,
-                    **counts,
-                    "early_exit_round": early_exit,
-                }
+                counts = {"rounds_synthesized": synthesized, **counts}
             simulated = executed - base - synthesized
             counts = {"runs": 1, "rounds_simulated": simulated, **counts}
             component = "engine." + self.name
             recorder.counters(component, counts)
             recorder.histogram(component + ".rounds", telemetry.Histogram.of(simulated))
+            if synthesized:
+                # A round, not an amount: a histogram keeps it from summing
+                # across runs, and counts the runs that exited early.
+                recorder.histogram(
+                    component + ".early_exit_round", telemetry.Histogram.of(early_exit)
+                )
             telemetry.record_span(
                 "engine.run", t0, engine=self.name, n=program.graph.n, resumed_round=base
             )

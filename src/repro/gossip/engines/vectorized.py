@@ -98,6 +98,18 @@ replay at all.  A batch that also completes the run is replayed at full
 width, stamping items on the way.  Arrival-tracked runs need every round
 and take the round-by-round loop.
 
+A systolic program repeats one period, so a period that brings no news
+proves a fixed point.  For a cyclic program the batched loop therefore
+compares each batch's end state with its saved pre-batch copy (chunked
+like the completion test, returning at the first chunk that differs) and
+adds up the rounds of consecutive batches that changed nothing.  Knowledge
+only grows, so every round of such a batch was a no-op on one state; once
+the count reaches the period every slot has fired on that state, and the
+loop stops.  The count spans batches, so the exit also works for periods
+longer than a batch.  The run driver then synthesizes the remaining rounds
+and the checkpoints among them (``stops_at_fixed_point``), as for the
+frontier engine.  The round-by-round loop has no such exit.
+
 Checkpoint/resume
 -----------------
 The run driver (:mod:`repro.gossip.engines.checkpoint`) captures states
@@ -285,6 +297,19 @@ def _is_complete(knowledge: np.ndarray, mask: np.ndarray, tile_rows: int) -> boo
     return True
 
 
+def _unchanged(knowledge: np.ndarray, saved: np.ndarray, tile_rows: int) -> bool:
+    """Does ``knowledge`` still equal its pre-batch copy ``saved``?
+
+    Chunked like :func:`_is_complete`, and returns at the first chunk that
+    differs, so a batch that brought news rarely scans the whole matrix.
+    """
+    for start in range(0, knowledge.shape[0], tile_rows):
+        rows = slice(start, start + tile_rows)
+        if not np.array_equal(knowledge[rows], saved[rows]):
+            return False
+    return True
+
+
 def _public_rows(matrix: np.ndarray, old_to_new: np.ndarray | None) -> np.ndarray:
     """The matrix in public row order (a copy in the permuted regime)."""
     return matrix if old_to_new is None else matrix[old_to_new]
@@ -376,6 +401,7 @@ class VectorizedEngine(CheckpointingMixin):
 
     name = "vectorized"
     engine_counters = ("batches", "replayed_rounds")
+    stops_at_fixed_point = True
 
     def _execute(self, run: EngineRun):
         program = run.program
@@ -526,15 +552,23 @@ class VectorizedEngine(CheckpointingMixin):
         happens on the exact post-batch state — the doubling sequence is
         otherwise unchanged, so runs without checkpoints execute the exact
         same batches as before.
+
+        A cyclic program stops at a fixed point: once consecutive batches
+        that left the matrix equal to its pre-batch copy (:func:`_unchanged`)
+        add up to a period, the loop returns without completion before the
+        budget, and the run driver synthesizes the remaining rounds.
         """
-        max_rounds = run.program.max_rounds
+        program = run.program
+        max_rounds = program.max_rounds
         next_capture = run.next_capture
         item_rounds = run.item_rounds
         if item_rounds is not None:
-            item_words, all_cols, known = _item_scan_start(knowledge, run.program.graph.n)
+            item_words, all_cols, known = _item_scan_start(knowledge, program.graph.n)
         executed = run.base
         batches = replayed = 0
         batch = 1
+        # Rounds of the consecutive batches that left the matrix unchanged.
+        idle = 0
         while executed < max_rounds:
             size = min(batch, max_rounds - executed, next_capture - executed)
             saved = knowledge.copy()
@@ -572,6 +606,12 @@ class VectorizedEngine(CheckpointingMixin):
             if executed == next_capture:
                 public = _public_rows(knowledge, old_to_new)
                 next_capture = run.capture(executed, None, public)
+            if program.cyclic:
+                idle = idle + size if _unchanged(knowledge, saved, tile_rows) else 0
+                if idle >= len(program.rounds):
+                    # Every slot fired on this state without news: a fixed
+                    # point, whose remaining rounds the run driver synthesizes.
+                    break
             batch = min(batch * 2, _BATCH_CAP)
         counts = {"batches": batches, "replayed_rounds": replayed}
         return knowledge, executed, None, counts

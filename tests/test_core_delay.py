@@ -16,6 +16,7 @@ from repro.exceptions import BoundComputationError
 from repro.gossip.builders import random_systolic_schedule
 from repro.gossip.model import GossipProtocol, Mode
 from repro.protocols.cycle import cycle_systolic_schedule
+from repro.protocols.generic import coloring_systolic_schedule
 from repro.protocols.hypercube import hypercube_dimension_exchange
 from repro.protocols.path import path_systolic_schedule
 from repro.topologies.classic import cycle_graph, grid_2d, hypercube, path_graph
@@ -128,6 +129,27 @@ class TestDelayMatrix:
                 cols = [i for i, node in enumerate(delay.nodes) if node.tail_index == x]
                 block = delay.local_block(graph.vertex(x), lam)
                 assert np.array_equal(block, dense[np.ix_(rows, cols)])
+
+    @pytest.mark.parametrize(
+        "schedule_factory",
+        [
+            # Blocks of shapes 6x6, 9x9 and 12x12.
+            lambda: coloring_systolic_schedule(de_bruijn(2, 4), Mode.HALF_DUPLEX),
+            # Eight shapes, non-square ones included.
+            lambda: random_systolic_schedule(hypercube(4), 6, Mode.HALF_DUPLEX, seed=1),
+        ],
+        ids=["DB(2,4)-coloring", "Q4-random"],
+    )
+    def test_batched_norm_is_the_largest_local_norm_exactly(self, schedule_factory):
+        # norm() factors each shape's stack of blocks in one batched call;
+        # LAPACK still factors every block on its own, so the value is the
+        # one-block local_norm() bit for bit, not just to a tolerance.
+        schedule = schedule_factory()
+        s = schedule.period
+        delay = DelayDigraph(schedule.unroll(3 * s), period=s)
+        vertices = delay.vertices_with_activity()
+        for lam in (0.1, 0.35, 0.5, 0.72, 0.9):
+            assert delay.norm(lam) == max(delay.local_norm(v, lam) for v in vertices)
 
     def test_norm_monotone_in_lambda(self):
         schedule = cycle_systolic_schedule(8, Mode.HALF_DUPLEX)

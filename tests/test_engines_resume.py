@@ -19,8 +19,9 @@ differentially, per backend drawn from the registry:
   state; all four flag combos roundtrip on at least one program, and
   subset / unreachable target masks ride along;
 * **edge programs** — finite (non-cyclic) budgets, fixed-point runs that
-  never complete (whose tail states the sparse engines *synthesize* after
-  their early exit), trivially complete round-0 programs;
+  never complete (whose tail states the frontier and vectorized engines
+  *synthesize* after their early exit, in both vectorized kernel regimes),
+  trivially complete round-0 programs;
 * **validation** — mismatched vertex counts, budgets, masks, flags and
   malformed tracked prefixes are rejected with :class:`SimulationError`
   before any simulation runs, as is `resume_from`+`initial` together; a
@@ -41,6 +42,7 @@ import itertools
 
 import pytest
 
+from repro import telemetry
 from repro.exceptions import SimulationError
 from repro.gossip.builders import random_systolic_schedule
 from repro.gossip.engines import (
@@ -342,6 +344,36 @@ class TestKernelRegimeResume:
                 program, resume_from=state, slot_cache=slot_cache, **options
             ).result
             assert_results_identical(cold, resumed, (name, "permuted->source-map", state.round))
+
+    def test_permuted_run_stops_at_its_fixed_point(self, monkeypatch):
+        """A never-completing run above the source-map threshold stops at its
+        fixed point, and the synthesized tail equals the reference run's, at
+        the default tile and at 32-row tiles (a many-chunk comparison)."""
+        n = 1100
+        rounds = (
+            make_round([(i, i + 1) for i in range(0, n - 1, 2)]),
+            make_round([(i, i + 1) for i in range(1, n - 1, 2)]),
+        )
+        # Forward-only: nothing moves after item 0 reaches the end at round
+        # 1099, which also completes item 0 (the only item that completes).
+        program = RoundProgram(path_graph(n), rounds, cyclic=True, max_rounds=1300)
+        assert not vectorized._uses_source_map(n, (n + 63) // 64)
+        options = {"checkpoint_rounds": (500, 1150, 1250), "track_item_completion": True}
+        expected = get_engine("reference").run_checkpointed(program, **options)
+        assert expected.result.completion_round is None
+        assert [s.round for s in expected.checkpoints] == [500, 1150, 1250]
+        cases = [("frontier", None), ("vectorized", None), ("vectorized", 1 << 10)]
+        for name, tile_bytes in cases:
+            if tile_bytes is not None:
+                monkeypatch.setattr(vectorized, "_TILE_TARGET_BYTES", tile_bytes)
+            recorder = telemetry.StatsRecorder()
+            with telemetry.recording(recorder):
+                got = get_engine(name).run_checkpointed(program, **options)
+            assert_results_identical(expected.result, got.result, (name, tile_bytes))
+            assert len(got.checkpoints) == len(expected.checkpoints), name
+            for a, b in zip(expected.checkpoints, got.checkpoints):
+                assert_states_identical(a, b, (name, tile_bytes))
+            assert recorder.stats.counters[f"engine.{name}"]["rounds_synthesized"] > 0
 
 
 class TestResumeValidation:

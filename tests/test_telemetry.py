@@ -161,13 +161,20 @@ def test_engine_round_counters_cover_the_executed_rounds(name, case):
     assert counts["runs"] == 1
     synthesized = counts.get("rounds_synthesized", 0)
     assert counts["rounds_simulated"] + synthesized == result.rounds_executed - base
+    early_exit = recorder.stats.histograms.get(f"engine.{name}.early_exit_round")
     if case == "fixed-point":
         assert (result.rounds_executed, result.completion_round) == (20, None)
-        if "rounds_synthesized" in counts:  # the engine stops at a fixed point
-            assert (counts["rounds_simulated"], synthesized) == (2, 18)
-            assert counts["early_exit_round"] == 2
+        # Frontier stops after a round without news (period 1); vectorized
+        # at the end of its first unchanged batch, rounds 2-3.
+        exit_round = {"frontier": 2, "vectorized": 3}.get(name)
+        if exit_round is None:
+            assert synthesized == 0 and early_exit is None
+        else:
+            assert (counts["rounds_simulated"], synthesized) == (exit_round, 20 - exit_round)
+            assert (early_exit.count, early_exit.min, early_exit.max) == (1, exit_round, exit_round)
     else:
         assert result.completion_round is not None and synthesized == 0
+        assert early_exit is None
     (span,) = [s for s in recorder.stats.spans if s.name == "engine.run"]
     assert span.attrs == {"engine": name, "n": program.graph.n, "resumed_round": base}
 
