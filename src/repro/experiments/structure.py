@@ -66,7 +66,8 @@ def render_matrix(matrix: np.ndarray, *, digits: int = 3) -> str:
 
 def render_structure(report: StructureReport) -> str:
     """The FIG1-3/7 text: the local protocol and λ, the matrices ``Mx``,
-    ``Nx`` and ``Ox``, and the Lemma 4.2, 4.3 and 6.1 checks."""
+    ``Nx`` and ``Ox``, the Fig. 7 full-duplex local matrix, and the Lemma
+    4.2, 4.3 and 6.1 checks."""
     return "\n".join(
         [
             f"local protocol: {report.local_protocol.activation_word()}  λ = {report.lam}",
@@ -76,6 +77,8 @@ def render_structure(report: StructureReport) -> str:
             render_matrix(report.nx),
             "Ox(λ):",
             render_matrix(report.ox),
+            "Fig. 7 full-duplex local matrix:",
+            render_matrix(report.full_duplex_matrix),
             f"Lemma 4.2 check: {report.lemma42}",
             f"Lemma 4.3 check: {report.lemma43}",
             f"Lemma 6.1 check: {report.lemma61}",

@@ -12,7 +12,11 @@ rounds and final knowledge.  Two execution paths consume the *same*
   slot is precompiled once per period into the shared head-grouped layout
   (:class:`~repro.gossip.engines._bitops.HeadGroups`); one round step — a
   NumPy gather/mask/OR/scatter sequence per candidate block — then
-  advances *all* still-active trials a round.  Vertex-disjoint matching
+  advances *all* still-active trials a round.  Its row gathers write into
+  one reused flat scratch block through ``np.take(..., out=...,
+  mode="clip")``: NumPy buffers a ``take`` with ``out=`` in the default
+  ``mode="raise"``, which made every gather about 3× slower (the indices
+  are arc endpoints, always in range).  Vertex-disjoint matching
   rounds with an arithmetic-progression structure are applied *densely*
   through copy-free strided views with only the sparse set of faulted
   transmissions snapshot/restored around the OR (exact because a failed
@@ -86,13 +90,14 @@ When a :mod:`repro.telemetry` recorder is active, every call — a batched
 or looped :func:`monte_carlo`, or one :func:`monte_carlo_stacked` over any
 number of candidates — flushes through one helper: one
 ``faults.monte_carlo`` span (method ``batched`` or ``looped``, engine,
-candidate count, tensor shape), one ``faults.completion_rounds`` histogram
-and a single ``faults.montecarlo`` counter set — ``candidates``,
-``trials`` (summed over the candidates), ``completed``, ``horizon`` (the
-largest candidate horizon), and on the batched path ``batches``
-(completion scans; the unscanned stretch is not a batch),
-``exact_replays`` (trials whose completion round a replay stamped) and
-``compactions`` (scans that found finished trials) — plus one
+candidate count, tensor shape); a single ``faults.montecarlo`` counter
+set — ``candidates``, ``trials`` (summed over the candidates),
+``completed``, and on the batched path ``batches`` (completion scans; the
+unscanned stretch is not a batch), ``exact_replays`` (trials whose
+completion round a replay stamped) and ``compactions`` (scans that found
+finished trials); two histograms, ``faults.completion_rounds`` and
+``faults.montecarlo.horizon`` (one sample per call: the largest candidate
+horizon, a round limit that a counter would sum across calls); and one
 ``faults.compaction`` event per tensor shrink, at the round that ended the
 batch.  All counters are plain gated ints accumulated locally; with the
 default ``NullRecorder`` the whole layer costs one context-variable read
@@ -312,8 +317,9 @@ def _record(
     kernel_counts: dict | None = None,
 ) -> None:
     """Flush one call's telemetry: one ``faults.montecarlo`` counter set,
-    the ``faults.completion_rounds`` histogram and one
-    ``faults.monte_carlo`` span, for any number of candidates."""
+    the ``faults.montecarlo.horizon`` and ``faults.completion_rounds``
+    histograms and one ``faults.monte_carlo`` span, for any number of
+    candidates."""
     n = results[0].graph.n
     horizon = max(result.horizon for result in results)
     rec.counters(
@@ -323,10 +329,12 @@ def _record(
             "candidates": len(results),
             "trials": sum(result.trials for result in results),
             "completed": sum(result.completed for result in results),
-            "horizon": horizon,
             **(kernel_counts or {}),
         },
     )
+    # A round limit, not an amount: a histogram keeps it from summing
+    # across calls.
+    rec.histogram("faults.montecarlo.horizon", telemetry.Histogram.of(horizon))
     hist = telemetry.Histogram.of(
         *(r for result in results for r in result.completion_rounds if r is not None)
     )
@@ -383,13 +391,19 @@ def _apply_masked_round(
     the kernel's flat uint64 block of at least ``(m + heads) · cols · W``
     words; both gathers land in reshaped prefixes of it (``np.take``'s
     ``out=`` wants a plain C-ordered target, and two fresh multi-megabyte
-    allocations per round would cost more than the gathers).
+    allocations per round would cost more than the gathers).  Both gathers
+    pass ``mode="clip"``: in the default ``mode="raise"`` NumPy buffers
+    every ``take`` that gets ``out=`` (so a bad index cannot leave ``out``
+    half written), which made each gather about 3× slower than an
+    allocating one.  The indices are arc endpoints of the graph, always in
+    range, so every mode gathers the same rows.
     """
     cols, words = tensor.shape[1:]
     block = cols * words
     m, heads = g.m, g.uheads.size
     src = scratch[: m * block].reshape(m, cols, words)
-    np.take(tensor, g.src_tails, axis=0, out=src)
+    # An explicit mode: NumPy buffers a take with out= in mode="raise".
+    np.take(tensor, g.src_tails, axis=0, out=src, mode="clip")
     if fails_sorted.any():
         src[fails_sorted] = 0
     if g.heads_distinct:
@@ -397,7 +411,7 @@ def _apply_masked_round(
     else:
         agg = np.bitwise_or.reduceat(src, g.group_starts, axis=0)
     old = scratch[m * block : (m + heads) * block].reshape(heads, cols, words)
-    np.take(tensor, g.uheads, axis=0, out=old)
+    np.take(tensor, g.uheads, axis=0, out=old, mode="clip")
     np.bitwise_or(old, agg, out=old)
     tensor[g.uheads] = old
 

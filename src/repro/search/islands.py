@@ -38,7 +38,8 @@ revalidated on decode.
 
 When a :mod:`repro.telemetry` recorder is active the search flushes one
 ``search.islands`` counter set (``islands``, ``generations``,
-``migrations``, ``island_evaluations``, ``workers``), a
+``migrations``, ``island_evaluations``), a ``search.islands.workers``
+histogram (one sample per search, so worker counts never sum), a
 ``search.islands.best_score`` gauge, and a ``search.islands`` span — and
 it merges the workers' telemetry back in.  Every island generation runs
 under a *worker-side* :class:`~repro.telemetry.StatsRecorder` (in the
@@ -344,9 +345,10 @@ def run_island_search(
             "generations": generations,
             "migrations": migrations,
             "island_evaluations": island_evaluations,
-            "workers": workers,
         }
         rec.counters("search.islands", counts)
+        # A setting, not an amount: a histogram keeps it from summing across runs.
+        rec.histogram("search.islands.workers", telemetry.Histogram.of(workers))
         rec.gauge("search.islands.best_score", best_value.score)
         telemetry.record_span(
             "search.islands", _t0,

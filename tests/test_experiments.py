@@ -165,6 +165,10 @@ class TestStructure:
         assert "\n" in text
         assert "." in text  # zeros rendered as dots
 
+    def test_section_prints_the_fig7_matrix(self, report_without_sandwich):
+        section = _section(report_without_sandwich, TABLES["structure"].title)
+        assert render_matrix(structure_report().full_duplex_matrix) in section
+
 
 class TestSandwich:
     def test_single_row_consistency(self):
@@ -252,6 +256,16 @@ class TestRunnerAndCli:
         assert main([command]) == 0
         section = _section(report_without_sandwich, TABLES[command].title)
         assert capsys.readouterr().out == section + "\n"
+
+    def test_experiments_md_is_the_output_of_run_all(self, monkeypatch):
+        # EXPERIMENTS.md records `repro all` at the default engine, whose
+        # name the BROADCAST table prints: an engine pinned through the
+        # environment would change that column.
+        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
+        path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "EXPERIMENTS.md")
+        with open(path, encoding="utf-8") as handle:
+            fence = handle.read().split("```\n", 1)[1].rsplit("```", 1)[0]
+        assert fence == run_all() + "\n"
 
     def test_cli_structure_takes_the_all_labels(self, capsys):
         assert main(["structure"]) == 0

@@ -130,7 +130,9 @@ def test_island_telemetry_counters():
     counts = recorder.stats.counters["search.islands"]
     assert counts["runs"] == 1
     assert counts["islands"] >= 1
-    assert counts["workers"] == 2
+    assert "workers" not in counts
+    workers = recorder.stats.histograms["search.islands.workers"]
+    assert (workers.count, workers.min, workers.max) == (1, 2, 2)
     assert counts["island_evaluations"] > 0
     assert counts["migrations"] >= 0
     assert recorder.stats.gauges["search.islands.best_score"] == result.objective.score
@@ -142,8 +144,8 @@ def test_island_telemetry_conservation_across_worker_counts():
     Worker sub-processes run under their own recorder and ship frozen
     RunStats back in their reports; the driver absorbs them into its own
     recorder.  The merged accounting must be independent of how the
-    islands were distributed: identical counters (except the ``workers``
-    knob itself), identical buckets for deterministic histograms, and the
+    islands were distributed: identical counters, identical buckets for
+    deterministic histograms (except the ``workers`` knob itself), and the
     per-evaluation timing histogram — whose bucket *contents* are
     wall-clock and therefore nondeterministic — must still hold exactly one
     sample per evaluation the result reports, seed scoring included.
@@ -163,16 +165,15 @@ def test_island_telemetry_conservation_across_worker_counts():
     assert _fingerprint(pool_result) == _fingerprint(solo_result)
 
     for component in set(solo.counters) | set(pool.counters):
-        solo_counts = dict(solo.counters[component])
-        pool_counts = dict(pool.counters[component])
-        if component == "search.islands":
-            assert solo_counts.pop("workers") == 1
-            assert pool_counts.pop("workers") == 4
-        assert pool_counts == solo_counts, component
+        assert pool.counters[component] == solo.counters[component], component
 
     assert set(pool.histograms) == set(solo.histograms)
     for name in solo.histograms:
-        if name.endswith("_ns"):
+        if name == "search.islands.workers":
+            for stats, workers in ((solo, 1), (pool, 4)):
+                hist = stats.histograms[name]
+                assert (hist.count, hist.min, hist.max) == (1, workers, workers)
+        elif name.endswith("_ns"):
             # Timing buckets are nondeterministic; sample counts are not.
             assert pool.histograms[name].count == solo.histograms[name].count
         else:

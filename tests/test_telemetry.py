@@ -385,6 +385,22 @@ def test_monte_carlo_identical_under_recording():
     assert any(s.name == "faults.monte_carlo" for s in recorder.stats.spans)
 
 
+def test_monte_carlo_horizon_is_one_histogram_sample_per_call():
+    # The horizon is a round limit: two calls with horizon 48 read 48, not
+    # the 96 a summed counter would.
+    schedule = coloring_systolic_schedule(cycle_graph(12), Mode.HALF_DUPLEX)
+    recorder = telemetry.StatsRecorder()
+    with telemetry.recording(recorder):
+        for seed in (1, 2):
+            result = monte_carlo(
+                schedule, BernoulliArcFaults(0.1), trials=4, seed=seed, max_rounds=48
+            )
+            assert result.horizon == 48
+    assert "horizon" not in recorder.stats.counters["faults.montecarlo"]
+    horizon = recorder.stats.histograms["faults.montecarlo.horizon"]
+    assert (horizon.count, horizon.min, horizon.max) == (2, 48, 48)
+
+
 def test_each_monte_carlo_call_flushes_one_counter_set_and_one_span():
     # A batched monte_carlo is the one-candidate stacked call, and the looped
     # path flushes through the same helper: every call leaves one
